@@ -3,7 +3,7 @@ for small detection-style computation graphs."""
 
 from .autograd import Tape, Var, backward
 from .builders import PRESETS, build_fragment, build_mini_net
-from .depgraph import ChannelGroup, ChannelSlot, group_cost, predict_removed_params, resolve_groups
+from .depgraph import ChannelGroup, ChannelSlot, group_cost, resolve_groups
 from .executor import forward_arrays, run_graph
 from .fakequant import calibrate, export_fp16, insert_fakequant, qdq, qdq_backward
 from .graph import Graph, Node, infer_shapes

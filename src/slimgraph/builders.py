@@ -95,10 +95,6 @@ class GraphBuilder:
 # module zoo
 # ---------------------------------------------------------------------------
 
-def build_conv_block(b: GraphBuilder, x: Ref, cin, cout, k, stride, prefix="cb") -> Ref:
-    return b.conv_block(x, cin, cout, k, stride, prefix=prefix)
-
-
 def build_c3k2(b: GraphBuilder, x: Ref, cin, cout, n_bottlenecks, shortcut, prefix="c3k2") -> Ref:
     """Split projection, stacked bottlenecks on one half, concat, aggregation."""
     if cout % 2:

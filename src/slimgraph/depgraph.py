@@ -1,33 +1,46 @@
 """Resolution of coupled channel groups across a graph.
 
-Channels that must share one pruning decision are discovered with a
-union-find over every individual (node, side, port, channel) instance:
+Channels that must share one pruning decision are found on port segments,
+not on single channels. Every coupling rule ties a contiguous channel range
+of one port to an equally long range of another, channel k to channel k:
 
-* wires tie a consumer input channel to its producer output channel;
+* wires tie a consumer input port to its producer output port;
 * channel-transparent kinds (batchnorm, activation, pooling, quantizers,
-  per-channel scales, constant shifts) tie input to output per channel;
-* ``add``/``mul`` tie all operand channels and the result channel together
-  (residual and gating coupling);
-* ``concat`` maps each input segment onto the corresponding output range;
-* ``split`` maps each output half onto the producer sub-range;
+  per-channel scales, constant shifts) tie input to output;
+* ``add``/``mul`` tie all operand ports and the result (residual and gating
+  coupling);
+* ``concat`` ties each input to its range of the output;
+* ``split`` ties each output to its sub-range of the input;
 * ``conv``/``linear`` decouple (the weight matrix mixes channels).
 
-Pyramid-pooling fan-in replication, gated-residual ties, and scaled-residual
-ties all emerge from these rules. Classes touching the network input, any
-graph output, or a protected node (the detection head) form protected groups
-that admit only the empty removal set.
+Resolution cuts every port at the ends of the ranges its rules tie, carries
+each cut across the rules until no new one appears, and then unions whole
+segments with a union-find. After the cuts every rule maps whole segments
+onto whole segments, so the k-th channels of the segments in one component
+form one coupled class. The union-find sees O(ports) segments whatever the
+width; only filling the index arrays grows with it, and that is numpy work.
+
+Components touching the same set of ports are aligned into one group, the
+component with the smallest anchor channel first. A group holds, per port,
+integer arrays pairing each member channel with its local index; pruning
+gathers and masks these arrays instead of looking up single channels.
+Pyramid-pooling fan-in replication (a local index with several channels on
+one port), gated-residual and scaled-residual ties all emerge from the same
+rules. Groups touching the network input, any graph output, or a protected
+node (the detection head) are protected and admit only the empty removal set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import GroupError
 from .graph import CHANNEL_TRANSPARENT, Graph, infer_shapes
 
-Instance = tuple[str, str, int, int]  # (node_id, "in"|"out", port, channel)
+Port = tuple[str, str, int]   # (node_id, "in"|"out", port)
 
 
 @dataclass(frozen=True)
@@ -40,17 +53,32 @@ class ChannelSlot:
     length: int
 
 
-@dataclass
+@dataclass(eq=False)
 class ChannelGroup:
+    """Channels that share one pruning decision, addressed by local index.
+
+    ``index`` maps each port the group touches to two equally long int arrays
+    ``(local, channel)``: the port's channel ``channel[j]`` belongs to local
+    index ``local[j]``. Entries run by local index, then by channel.
+    """
     gid: str
     length: int
     protected: bool
     kind: str          # plain | residual | concat-segment | split-half | sppf-replicated
-    classes: list      # per local index: sorted tuple of member Instances
-    slots: list        # list[ChannelSlot], derived contiguous runs
+    slots: list        # list[ChannelSlot], contiguous runs per port
+    index: dict        # Port -> (local, channel) int arrays, in sorted port order
 
     def __len__(self):
         return self.length
+
+    @cached_property
+    def classes(self) -> list:
+        """Per local index: the sorted tuple of (node, side, port, channel) members."""
+        members = [[] for _ in range(self.length)]
+        for (n, s, p), (local, chans) in self.index.items():
+            for li, ch in zip(local.tolist(), chans.tolist()):
+                members[li].append((n, s, p, ch))
+        return [tuple(m) for m in members]
 
 
 class _UnionFind:
@@ -70,131 +98,128 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _enumerate_instances(graph: Graph, shapes):
-    """Assign a dense integer to every channel instance, in topo order."""
-    index: dict[Instance, int] = {}
-    order: list[Instance] = []
+def _coupling_rules(graph: Graph, shapes):
+    """Port widths, and every tie as (port_a, offset_a, port_b, offset_b, length)."""
+    width: dict[Port, int] = {}
+    ties = []
     for nid in graph.topo_order():
         n = graph.node(nid)
-        for i, (src, sp) in enumerate(n.inputs):
-            c = shapes[(src, sp)][1]
-            for ch in range(c):
-                inst = (nid, "in", i, ch)
-                index[inst] = len(order)
-                order.append(inst)
+        ins = [(nid, "in", i) for i in range(len(n.inputs))]
+        out = (nid, "out", 0)
+        for port, (src, sp) in zip(ins, n.inputs):
+            width[port] = shapes[(src, sp)][1]
+            ties.append((port, 0, (src, "out", sp), 0, width[port]))  # wire
         for p in range(n.n_out_ports()):
-            c = shapes[(nid, p)][1]
-            for ch in range(c):
-                inst = (nid, "out", p, ch)
-                index[inst] = len(order)
-                order.append(inst)
-    return index, order
+            width[(nid, "out", p)] = shapes[(nid, p)][1]
+        if n.kind in ("conv", "linear", "input", "output"):
+            continue  # decoupled or terminal
+        if n.kind in CHANNEL_TRANSPARENT:
+            ties.append((ins[0], 0, out, 0, width[ins[0]]))
+        elif n.kind in ("add", "mul"):
+            ties += [(ins[0], 0, other, 0, width[ins[0]]) for other in ins[1:] + [out]]
+        elif n.kind == "concat":
+            off = 0
+            for port in ins:
+                ties.append((port, 0, out, off, width[port]))
+                off += width[port]
+        elif n.kind == "split":
+            off = 0
+            for p, size in enumerate(n.attrs["sizes"]):
+                ties.append(((nid, "out", p), 0, ins[0], off, size))
+                off += size
+        else:
+            raise GroupError(f"no channel-coupling rule for kind {n.kind!r} (node {nid!r})")
+    return width, ties
+
+
+def _cut_ports(width, ties) -> dict:
+    """Sorted segment boundaries per port, closed under carrying cuts across ties."""
+    cuts = {port: {0, w} for port, w in width.items()}
+    across: dict[Port, list] = {port: [] for port in width}
+    for a, oa, b, ob, n in ties:
+        across[a].append((oa, b, ob, n))
+        across[b].append((ob, a, oa, n))
+        cuts[a].update((oa, oa + n))
+        cuts[b].update((ob, ob + n))
+    todo = [(port, x) for port, xs in cuts.items() for x in xs]
+    while todo:
+        port, x = todo.pop()
+        for off, other, other_off, n in across[port]:
+            y = other_off + x - off
+            if off < x < off + n and y not in cuts[other]:
+                cuts[other].add(y)
+                todo.append((other, y))
+    return {port: sorted(xs) for port, xs in cuts.items()}
 
 
 def resolve_groups(graph: Graph, shapes=None) -> list[ChannelGroup]:
     """Partition every channel instance of the graph into coupled groups."""
     shapes = shapes or infer_shapes(graph)
-    index, order = _enumerate_instances(graph, shapes)
-    uf = _UnionFind(len(order))
+    width, ties = _coupling_rules(graph, shapes)
+    cuts = _cut_ports(width, ties)
+    seg_id: dict[tuple, int] = {}
+    segs = []   # (port, start, length)
+    for port, xs in cuts.items():
+        for lo, hi in zip(xs, xs[1:]):
+            seg_id[(port, lo)] = len(segs)
+            segs.append((port, lo, hi - lo))
+    uf = _UnionFind(len(segs))
+    for a, oa, b, ob, n in ties:
+        for lo in cuts[a]:
+            if oa <= lo < oa + n:
+                uf.union(seg_id[(a, lo)], seg_id[(b, ob + lo - oa)])
 
-    def join(a: Instance, b: Instance):
-        uf.union(index[a], index[b])
+    # component -> port -> segment starts, ascending
+    comps: dict[int, dict[Port, list[int]]] = {}
+    for i, (port, lo, _) in enumerate(segs):
+        comps.setdefault(uf.find(i), {}).setdefault(port, []).append(lo)
 
-    for nid in graph.topo_order():
-        n = graph.node(nid)
-        in_chans = [shapes[(src, sp)][1] for (src, sp) in n.inputs]
-        # wires: consumer input channel == producer output channel
-        for i, (src, sp) in enumerate(n.inputs):
-            for ch in range(in_chans[i]):
-                join((nid, "in", i, ch), (src, "out", sp, ch))
-        if n.kind in ("conv", "linear", "input", "output"):
-            continue  # decoupled or terminal
-        if n.kind in CHANNEL_TRANSPARENT:
-            for ch in range(in_chans[0]):
-                join((nid, "in", 0, ch), (nid, "out", 0, ch))
-        elif n.kind in ("add", "mul"):
-            for ch in range(in_chans[0]):
-                for i in range(1, len(n.inputs)):
-                    join((nid, "in", 0, ch), (nid, "in", i, ch))
-                join((nid, "in", 0, ch), (nid, "out", 0, ch))
-        elif n.kind == "concat":
-            off = 0
-            for i, c in enumerate(in_chans):
-                for ch in range(c):
-                    join((nid, "in", i, ch), (nid, "out", 0, off + ch))
-                off += c
-        elif n.kind == "split":
-            off = 0
-            for p, size in enumerate(n.attrs["sizes"]):
-                for ch in range(size):
-                    join((nid, "out", p, ch), (nid, "in", 0, off + ch))
-                off += size
-        else:
-            raise GroupError(f"no channel-coupling rule for kind {n.kind!r} (node {nid!r})")
-
-    # collect classes
-    members: dict[int, list[Instance]] = {}
-    for inst, idx in index.items():
-        members.setdefault(uf.find(idx), []).append(inst)
-    classes = [tuple(sorted(v)) for v in members.values()]
-
-    # protection: network input, any graph output, and protected (head) nodes
-    def class_protected(cls) -> bool:
-        for (n_id, _, _, _) in cls:
-            node = graph.node(n_id)
-            if node.protected or node.kind in ("input", "output"):
-                return True
-        return False
-
-    # bucket classes whose port signatures match into aligned groups
+    # align components whose port signatures match; a component's k-th class
+    # has its smallest member at anchor start + k on the smallest port
     buckets: dict[tuple, list] = {}
-    for cls in classes:
-        sig = tuple(sorted({(n, s, p) for (n, s, p, _) in cls}))
-        buckets.setdefault(sig, []).append(cls)
+    for root, starts in comps.items():
+        sig = tuple(sorted(starts))
+        buckets.setdefault(sig, []).append((starts[sig[0]][0], segs[root][2], starts))
 
     groups = []
     for sig, bucket in buckets.items():
-        bucket.sort(key=lambda cls: cls[0])  # smallest member orders local indices
-        protected = any(class_protected(cls) for cls in bucket)
-        slots = _derive_slots(bucket)
-        kind = _group_kind(graph, sig, bucket, slots)
-        groups.append((bucket[0][0], ChannelGroup(
-            gid="", length=len(bucket), protected=protected, kind=kind,
-            classes=bucket, slots=slots)))
-
+        bucket.sort(key=lambda comp: comp[0])
+        groups.append((sig[0] + (bucket[0][0],), _make_group(graph, sig, bucket)))
     groups.sort(key=lambda t: t[0])
-    out = []
     for i, (anchor, g) in enumerate(groups):
         g.gid = f"g{i:03d}.{anchor[0]}"
-        out.append(g)
-    return out
+    return [g for _, g in groups]
 
 
-def _derive_slots(bucket) -> list[ChannelSlot]:
-    """Contiguous channel runs per (node, side, port) across the whole group."""
-    per_port: dict[tuple, list[int]] = {}
-    for cls in bucket:
-        for (n, s, p, ch) in cls:
-            per_port.setdefault((n, s, p), []).append(ch)
-    slots = []
-    for (n, s, p), chans in sorted(per_port.items()):
-        chans.sort()
-        start = prev = chans[0]
-        for ch in chans[1:]:
-            if ch == prev + 1:
-                prev = ch
-                continue
-            slots.append(ChannelSlot(n, s, p, start, prev - start + 1))
-            start = prev = ch
-        slots.append(ChannelSlot(n, s, p, start, prev - start + 1))
-    return slots
+def _make_group(graph: Graph, sig, bucket) -> ChannelGroup:
+    lengths = [length for _, length, _ in bucket]
+    firsts = np.cumsum([0] + lengths[:-1])
+    index, slots = {}, []
+    for port in sig:
+        starts = [comp[port] for _, _, comp in bucket]
+        index[port] = (
+            np.concatenate([np.repeat(np.arange(f, f + n), len(s))
+                            for f, n, s in zip(firsts, lengths, starts)]),
+            np.concatenate([np.add.outer(np.arange(n), s).ravel()
+                            for n, s in zip(lengths, starts)]))
+        runs = sorted((x, x + n) for n, s in zip(lengths, starts) for x in s)
+        lo, hi = runs[0]
+        for a, b in runs[1:]:
+            if a != hi:
+                slots.append(ChannelSlot(*port, lo, hi - lo))
+                lo = a
+            hi = b
+        slots.append(ChannelSlot(*port, lo, hi - lo))
+    nodes = [graph.node(n) for (n, _, _) in sig]
+    protected = any(n.protected or n.kind in ("input", "output") for n in nodes)
+    return ChannelGroup(gid="", length=sum(lengths), protected=protected,
+                        kind=_group_kind(graph, sig, bucket[0][2], slots),
+                        slots=slots, index=index)
 
 
-def _group_kind(graph: Graph, sig, bucket, slots) -> str:
-    counts_per_class = {}
-    for (n, s, p, _) in bucket[0]:
-        counts_per_class[(n, s, p)] = counts_per_class.get((n, s, p), 0) + 1
-    if any(c >= 2 for c in counts_per_class.values()):
+def _group_kind(graph: Graph, sig, first, slots) -> str:
+    """Group kind, from its port signature, the first component's segments and its slots."""
+    if any(len(starts) >= 2 for starts in first.values()):
         return "sppf-replicated"
     kinds = {graph.node(n).kind for (n, _, _) in sig}
     if "add" in kinds or "mul" in kinds:
@@ -205,13 +230,6 @@ def _group_kind(graph: Graph, sig, bucket, slots) -> str:
         if slot.side == "in" and slot.offset > 0 and graph.node(slot.node).kind in ("conv", "linear"):
             return "concat-segment"
     return "plain"
-
-
-def find_group(groups: list[ChannelGroup], gid: str) -> ChannelGroup:
-    for g in groups:
-        if g.gid == gid:
-            return g
-    raise GroupError(f"no group with id {gid!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -266,55 +284,6 @@ def group_cost(graph: Graph, group: ChannelGroup, shapes=None) -> GroupCost:
     if len(set(params.tolist())) > 1 or len(set(flops.tolist())) > 1:
         raise GroupError(f"group {group.gid} has non-uniform per-channel cost")
     return GroupCost(int(params[0]), int(flops[0]))
-
-
-def predict_removed_params(graph: Graph, groups: list[ChannelGroup], removals: dict) -> int:
-    """Exact parameter count removed by a plan, via per-node surviving widths.
-
-    Independent per-group marginal costs overcount when a conv loses rows and
-    columns in the same plan, so the prediction works from surviving channel
-    counts per port instead.
-    """
-    removed_classes = set()
-    for gid, idxs in removals.items():
-        g = find_group(groups, gid)
-        for i in idxs:
-            removed_classes.add(g.classes[i])
-    member_of: dict[Instance, tuple] = {}
-    for g in groups:
-        for cls in g.classes:
-            for inst in cls:
-                member_of[inst] = cls
-
-    def kept(nid, side, port, total):
-        return sum(1 for ch in range(total)
-                   if member_of[(nid, side, port, ch)] not in removed_classes)
-
-    removed = 0
-    for n in graph.nodes.values():
-        if n.kind == "conv":
-            w = n.params["weight"]
-            cout, cin, kh, kw = w.shape
-            ko = kept(n.id, "out", 0, cout)
-            ki = kept(n.id, "in", 0, cin)
-            removed += (cout * cin - ko * ki) * kh * kw
-            if "bias" in n.params:
-                removed += cout - ko
-        elif n.kind == "linear":
-            w = n.params["weight"]
-            out_f, in_f = w.shape
-            ko = kept(n.id, "out", 0, out_f)
-            ki = kept(n.id, "in", 0, in_f)
-            removed += out_f * in_f - ko * ki
-            if "bias" in n.params:
-                removed += out_f - ko
-        elif n.kind == "batchnorm":
-            c = len(n.params["gamma"])
-            removed += 2 * (c - kept(n.id, "out", 0, c))
-        elif n.kind == "scale":
-            c = len(n.params["scale"])
-            removed += c - kept(n.id, "out", 0, c)
-    return removed
 
 
 # ---------------------------------------------------------------------------

@@ -272,11 +272,6 @@ def infer_shapes(graph: Graph, input_shape=None) -> dict:
     return shapes
 
 
-def port_channels(graph: Graph, shapes: dict) -> dict:
-    """Channel count for every (node_id, out_port)."""
-    return {key: s[1] for key, s in shapes.items()}
-
-
 # trainable parameter names by node kind; running statistics and quantizer
 # state are buffers, not trainable weights
 TRAINABLE = {

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .depgraph import ChannelGroup, find_group, resolve_groups
+from .depgraph import ChannelGroup, resolve_groups
 from .errors import GroupError, PlanError
 from .graph import Graph, infer_shapes
 
@@ -31,17 +31,14 @@ def l1_importance(graph: Graph, group: ChannelGroup) -> np.ndarray:
     """Sum of |w| over each producing filter row, accumulated across producers."""
     scores = np.zeros(group.length, dtype=np.float64)
     found = False
-    for li, cls in enumerate(group.classes):
-        for (nid, side, port, ch) in cls:
-            n = graph.node(nid)
-            if side != "out":
-                continue
-            if n.kind == "conv":
-                scores[li] += np.abs(n.params["weight"][ch]).sum(dtype=np.float64)
-                found = True
-            elif n.kind == "linear":
-                scores[li] += np.abs(n.params["weight"][ch]).sum(dtype=np.float64)
-                found = True
+    for (nid, side, _), (local, chans) in group.index.items():
+        n = graph.node(nid)
+        if side == "out" and n.kind in ("conv", "linear"):
+            w = n.params["weight"]
+            norms = np.abs(w).reshape(len(w), -1).sum(axis=1, dtype=np.float64)
+            # unbuffered and in member order: each score adds its rows lowest channel first
+            np.add.at(scores, local, norms[chans])
+            found = True
     if not found:
         raise GroupError(f"group {group.gid} has no conv producer to score")
     return scores
@@ -79,11 +76,11 @@ def build_plan(graph: Graph, fraction: float, groups=None, min_keep: int = 1,
 
 
 def validate_plan(groups, plan: PrunePlan) -> None:
+    by_gid = {g.gid: g for g in groups}
     for gid, idxs in plan.removals.items():
-        try:
-            g = find_group(groups, gid)
-        except GroupError:
-            raise PlanError(f"plan references stale group id {gid!r}") from None
+        g = by_gid.get(gid)
+        if g is None:
+            raise PlanError(f"plan references stale group id {gid!r}")
         if g.protected and idxs:
             raise PlanError(f"plan removes channels from protected group {gid!r}")
         if len(set(idxs)) != len(idxs):
@@ -96,33 +93,25 @@ def validate_plan(groups, plan: PrunePlan) -> None:
             raise PlanError(f"plan would remove every channel of group {gid!r}")
 
 
-def _removed_classes(groups, plan: PrunePlan) -> set:
-    removed = set()
+def _removed_channels(groups, plan: PrunePlan) -> dict:
+    """(node, side, port) -> the channels of that port the plan removes."""
+    by_gid = {g.gid: g for g in groups}
+    removed: dict[tuple, list] = {}
     for gid, idxs in plan.removals.items():
-        g = find_group(groups, gid)
-        for i in idxs:
-            removed.add(g.classes[i])
-    return removed
+        g = by_gid[gid]
+        gone = np.zeros(g.length, dtype=bool)
+        gone[np.asarray(idxs, dtype=np.intp)] = True
+        for port, (local, chans) in g.index.items():
+            removed.setdefault(port, []).append(chans[gone[local]])
+    return {port: np.concatenate(parts) for port, parts in removed.items()}
 
 
-def _survivors_per_port(graph: Graph, groups, removed: set, shapes) -> dict:
-    member_of = {}
-    for g in groups:
-        for cls in g.classes:
-            for inst in cls:
-                member_of[inst] = cls
-    keep = {}
-    for nid in graph.topo_order():
-        n = graph.node(nid)
-        for i, (src, sp) in enumerate(n.inputs):
-            c = shapes[(src, sp)][1]
-            keep[(nid, "in", i)] = [ch for ch in range(c)
-                                    if member_of[(nid, "in", i, ch)] not in removed]
-        for p in range(n.n_out_ports()):
-            c = shapes[(nid, p)][1]
-            keep[(nid, "out", p)] = [ch for ch in range(c)
-                                     if member_of[(nid, "out", p, ch)] not in removed]
-    return keep
+def _survivors(removed: dict, port, width: int) -> np.ndarray:
+    """Channels of one port that the plan keeps, in order, from a boolean keep mask."""
+    keep = np.ones(width, dtype=bool)
+    if port in removed:
+        keep[removed[port]] = False
+    return np.flatnonzero(keep)
 
 
 def apply_prune(graph: Graph, plan: PrunePlan, groups=None) -> Graph:
@@ -134,36 +123,26 @@ def apply_prune(graph: Graph, plan: PrunePlan, groups=None) -> Graph:
     """
     groups = groups or resolve_groups(graph)
     validate_plan(groups, plan)
-    shapes = infer_shapes(graph)
-    removed = _removed_classes(groups, plan)
-    keep = _survivors_per_port(graph, groups, removed, shapes)
+    removed = _removed_channels(groups, plan)
 
     slim = graph.clone(copy_params=False)
     for nid, n in slim.nodes.items():
-        if n.kind == "conv":
-            rows = keep[(nid, "out", 0)]
-            cols = keep[(nid, "in", 0)]
+        if n.kind in ("conv", "linear"):
+            w = n.params["weight"]
+            rows = _survivors(removed, (nid, "out", 0), w.shape[0])
+            cols = _survivors(removed, (nid, "in", 0), w.shape[1])
             n.params = dict(n.params)
-            n.params["weight"] = np.ascontiguousarray(n.params["weight"][np.ix_(rows, cols)])
+            n.params["weight"] = np.ascontiguousarray(w[np.ix_(rows, cols)])
             if "bias" in n.params:
-                n.params["bias"] = n.params["bias"][rows].copy()
-        elif n.kind == "linear":
-            rows = keep[(nid, "out", 0)]
-            cols = keep[(nid, "in", 0)]
-            n.params = dict(n.params)
-            n.params["weight"] = np.ascontiguousarray(n.params["weight"][np.ix_(rows, cols)])
-            if "bias" in n.params:
-                n.params["bias"] = n.params["bias"][rows].copy()
-        elif n.kind == "batchnorm":
-            chans = keep[(nid, "out", 0)]
-            n.params = {name: arr[chans].copy() for name, arr in n.params.items()}
-        elif n.kind == "scale":
-            chans = keep[(nid, "out", 0)]
-            n.params = {"scale": n.params["scale"][chans].copy()}
+                n.params["bias"] = n.params["bias"][rows]
+        elif n.kind in ("batchnorm", "scale"):
+            width = len(n.params["gamma" if n.kind == "batchnorm" else "scale"])
+            chans = _survivors(removed, (nid, "out", 0), width)
+            n.params = {name: arr[chans] for name, arr in n.params.items()}
         elif n.kind == "split":
             n.attrs = dict(n.attrs)
-            n.attrs["sizes"] = [len(keep[(nid, "out", p)])
-                                for p in range(len(n.attrs["sizes"]))]
+            n.attrs["sizes"] = [len(_survivors(removed, (nid, "out", p), size))
+                                for p, size in enumerate(n.attrs["sizes"])]
         else:
             n.params = {name: arr.copy() for name, arr in n.params.items()}
     if plan.removals:
@@ -184,17 +163,11 @@ def zero_embed_oracle(graph: Graph, plan: PrunePlan, groups=None) -> Graph:
     """
     groups = groups or resolve_groups(graph)
     validate_plan(groups, plan)
-    removed = _removed_classes(groups, plan)
     dense = graph.clone(copy_params=True)
-    for cls in removed:
-        for (nid, side, port, ch) in cls:
-            if side != "in":
-                continue
-            n = dense.node(nid)
-            if n.kind == "conv":
-                n.params["weight"][:, ch] = 0.0
-            elif n.kind == "linear":
-                n.params["weight"][:, ch] = 0.0
+    for (nid, side, _), chans in _removed_channels(groups, plan).items():
+        n = dense.node(nid)
+        if side == "in" and n.kind in ("conv", "linear"):
+            n.params["weight"][:, chans] = 0.0
     return dense
 
 
@@ -226,26 +199,34 @@ def write_plan(plan: PrunePlan, path) -> None:
     for gid in sorted(plan.removals):
         idxs = ",".join(str(i) for i in plan.removals[gid])
         lines.append(f"group {gid} remove {idxs}")
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
 
 def read_plan(path) -> PrunePlan:
+    """Parse a plan sidecar; a line that does not parse raises PlanError naming it."""
     plan = PrunePlan()
-    with open(path) as f:
-        for raw in f:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "fraction":
-                plan.channel_fraction = float(parts[1])
-            elif parts[0] == "epoch":
-                plan.epoch_trigger = int(parts[1])
-            elif parts[0] == "group":
-                if len(parts) != 4 or parts[2] != "remove":
-                    raise PlanError(f"malformed plan line: {line!r}")
-                plan.removals[parts[1]] = tuple(int(x) for x in parts[3].split(","))
-            else:
-                raise PlanError(f"malformed plan line: {line!r}")
+    try:
+        with open(path, encoding="utf-8") as f:
+            for raw in f:
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    _read_plan_line(plan, line.split())
+                except ValueError:
+                    raise PlanError(f"malformed plan line: {line!r}") from None
+    except UnicodeDecodeError as e:
+        raise PlanError(f"plan file is not UTF-8 text: {e}") from None
     return plan
+
+
+def _read_plan_line(plan: PrunePlan, parts: list[str]) -> None:
+    if parts[0] == "fraction" and len(parts) == 2:
+        plan.channel_fraction = float(parts[1])
+    elif parts[0] == "epoch" and len(parts) == 2:
+        plan.epoch_trigger = int(parts[1])
+    elif parts[0] == "group" and len(parts) == 4 and parts[2] == "remove":
+        plan.removals[parts[1]] = tuple(int(x) for x in parts[3].split(","))
+    else:
+        raise ValueError(parts[0])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from slimgraph.builders import GraphBuilder
 from slimgraph.graph import infer_shapes
@@ -81,6 +82,71 @@ def residual_graph(seed=0, c=4):
     s = b.add("add", "res", [stem, f])
     y = b.conv(s, c, 3, k=1, prefix="head")
     b.add("output", "out", [y])
+    g = b.graph
+    g.validate()
+    infer_shapes(g)
+    return g
+
+
+def uneven_replication_graph():
+    """A 2-wide stem repeated three times by a concat, split 3 + 3 and rejoined
+    in reverse order.
+
+    The first split half holds stem channel 0 twice and channel 1 once, the
+    second half the reverse, so the two classes of the stem group replicate
+    unevenly across the split ports. The head reads stem channel 1 first, so
+    the group's local order differs from the stem's channel order.
+    """
+    b = GraphBuilder("uneven", (1, 3, 4, 4))
+    x = b.conv(b.add("input", "image", []), 3, 2, 1, prefix="stem")
+    rep = b.add("concat", "rep", [x, x, x])
+    sid, _ = b.add("split", "split", [rep], attrs={"sizes": [3, 3]})
+    y = b.add("concat", "join", [(sid, 1), (sid, 0)])
+    b.add("output", "out", [b.conv(y, 6, 1, 1, prefix="head")])
+    g = b.graph
+    g.validate()
+    infer_shapes(g)
+    return g
+
+
+@st.composite
+def primitive_graphs(draw):
+    """Small random DAGs of 1x1 convs, per-channel ops, add/mul, concat and split.
+
+    A stem conv keeps most groups free of the protected input, and a one-channel
+    head conv feeds the single output. Splits may cut through the segments of a
+    concat that repeats one tensor, which gives groups whose classes replicate
+    unevenly across a port.
+    """
+    b = GraphBuilder("random", (1, draw(st.integers(1, 3)), 4, 4), seed=draw(st.integers(0, 9)))
+    x = b.add("input", "image", [])
+    width = draw(st.integers(1, 4))
+    pool = [(b.conv(x, b.graph.input_shape[1], width, 1), width)]
+    for _ in range(draw(st.integers(1, 8))):
+        op = draw(st.sampled_from(["conv", "batchnorm", "scale", "add", "mul", "concat", "split"]))
+        ref, c = draw(st.sampled_from(pool))
+        if op == "conv":
+            cout = draw(st.integers(1, 4))
+            pool.append((b.conv(ref, c, cout, 1), cout))
+        elif op == "batchnorm":
+            pool.append((b.batchnorm(ref, c), c))
+        elif op == "scale":
+            pool.append((b.scale(ref, c), c))
+        elif op in ("add", "mul"):
+            same = [r for r, w in pool if w == c]
+            others = draw(st.lists(st.sampled_from(same), min_size=1, max_size=2))
+            pool.append((b.add(op, op, [ref] + others), c))
+        elif op == "concat":
+            others = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))
+            pool.append((b.add("concat", "cat", [ref] + [r for r, _ in others]),
+                         c + sum(w for _, w in others)))
+        elif c >= 2:
+            cuts = sorted(draw(st.lists(st.integers(1, c - 1), min_size=1, max_size=2, unique=True)))
+            sizes = [hi - lo for lo, hi in zip([0] + cuts, cuts + [c])]
+            sid, _ = b.add("split", "split", [ref], attrs={"sizes": sizes})
+            pool += [((sid, p), size) for p, size in enumerate(sizes)]
+    ref, c = draw(st.sampled_from(pool))
+    b.add("output", "out", [b.conv(ref, c, 1, 1, prefix="head")])
     g = b.graph
     g.validate()
     infer_shapes(g)

@@ -101,6 +101,13 @@ class TestVerify:
                     "--plan", str(plan_path), "--trials", "2", "--tol", "1e-5"]) == 2
         assert gid in capsys.readouterr().err
 
+    def test_malformed_plan_exits_2_naming_the_line(self, model_path, tmp_path, capsys):
+        slim, plan_path = self.make_pair(model_path, tmp_path)
+        plan_path.write_text(plan_path.read_text() + "group g001.s0 remove 1,a\n")
+        assert run(["verify", "--dense", str(model_path), "--slim", str(slim),
+                    "--plan", str(plan_path), "--trials", "2", "--tol", "1e-5"]) == 2
+        assert "remove 1,a" in capsys.readouterr().err
+
     def test_mismatched_slim_exits_2(self, model_path, tmp_path):
         _, plan = self.make_pair(model_path, tmp_path, fraction="0.3")
         other, _ = self.make_pair(model_path, tmp_path, fraction="0.1")

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import chain_graph, residual_graph
+import per_channel_reference as reference
+from conftest import chain_graph, primitive_graphs, residual_graph, uneven_replication_graph
 from slimgraph import build_fragment, build_mini_net, infer_shapes, resolve_groups
 from slimgraph.builders import PRESETS
-from slimgraph.depgraph import format_groups, group_cost, predict_removed_params
+from slimgraph.depgraph import format_groups, group_cost
 from slimgraph.errors import GroupError
 from slimgraph.metrics import count_params
 from slimgraph.pruner import PrunePlan, apply_prune, build_plan
@@ -155,6 +158,62 @@ class TestResolutionRules:
                 assert grp_in.protected  # input slices of the head too
 
 
+def group_fields(groups):
+    return [(g.gid, g.length, g.protected, g.kind, g.classes, g.slots) for g in groups]
+
+
+def fragment(module, width, n=1):
+    kwargs = {} if module == "spab" else {"cout": width}
+    if module in ("c3k2", "c2psa", "a2c2f"):
+        kwargs["n"] = n
+    return build_fragment(module, (1, width, 8, 8), seed=width, **kwargs)
+
+
+FRAGMENT_MODULES = ("conv_block", "c3k2", "c2psa", "sppf", "spab", "a2c2f")
+
+
+class TestSegmentResolutionMatchesPerChannel:
+    """The segment-level resolver against the per-channel union-find reference."""
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_presets(self, preset):
+        g = build_mini_net(preset, (1, 3, 64, 64), 3, seed=0)
+        assert group_fields(resolve_groups(g)) == group_fields(reference.resolve_groups(g))
+
+    @pytest.mark.parametrize("module", FRAGMENT_MODULES)
+    @pytest.mark.parametrize("width", [8, 64, 256])
+    def test_fragments(self, module, width):
+        g = fragment(module, width)
+        assert group_fields(resolve_groups(g)) == group_fields(reference.resolve_groups(g))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(FRAGMENT_MODULES), st.integers(1, 24).map(lambda h: 2 * h),
+           st.integers(0, 3))
+    def test_generated_fragments(self, module, width, n):
+        g = fragment(module, width, n)
+        assert group_fields(resolve_groups(g)) == group_fields(reference.resolve_groups(g))
+
+    @settings(max_examples=150, deadline=None)
+    @given(primitive_graphs())
+    def test_generated_primitive_graphs(self, g):
+        assert group_fields(resolve_groups(g)) == group_fields(reference.resolve_groups(g))
+
+    def test_index_arrays_give_each_class_its_channels(self):
+        g = build_fragment("sppf", (1, 16, 8, 8), cout=16, pool_k=5)
+        rep = next(gr for gr in resolve_groups(g) if gr.kind == "sppf-replicated")
+        cv2_in = next(port for port in rep.index if port[0].endswith("cv2.conv"))
+        local, chans = rep.index[cv2_in]
+        assert chans[local == 3].tolist() == [3, 11, 19, 27]
+
+    def test_uneven_replication_within_one_group(self):
+        g = uneven_replication_graph()
+        groups = resolve_groups(g)
+        assert group_fields(groups) == group_fields(reference.resolve_groups(g))
+        stem = next(gr for gr in groups if ("stem", "out", 0) in gr.index)
+        assert [sum(1 for m in cls if m[:3] == ("split", "out", 0)) for cls in stem.classes] == [1, 2]
+        assert stem.index[("stem", "out", 0)][1].tolist() == [1, 0]
+
+
 class TestGroupCost:
     def test_chain_middle_group_costs_66(self):
         g = chain_graph()
@@ -189,7 +248,7 @@ class TestGroupCost:
             for frac in (0.2, 0.45):
                 plan = build_plan(g, frac, groups)
                 slim = apply_prune(g, plan, groups)
-                predicted = predict_removed_params(g, groups, plan.removals)
+                predicted = reference.predict_removed_params(g, groups, plan.removals)
                 assert count_params(g) - predicted == count_params(slim)
 
     def test_single_group_removal_matches_marginal_cost(self):

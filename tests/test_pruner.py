@@ -4,10 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_graph, residual_graph
+import per_channel_reference as reference
+from conftest import chain_graph, primitive_graphs, residual_graph, uneven_replication_graph
 from slimgraph import build_fragment, build_mini_net, forward_arrays, resolve_groups
 from slimgraph.builders import PRESETS, GraphBuilder
 from slimgraph.errors import PlanError
@@ -105,12 +106,11 @@ class TestApplyPrune:
             assert shapes_dense[(d, 0)] == shapes_slim[(d, 0)]
 
     def test_achieved_reduction_matches_prediction(self):
-        from slimgraph.depgraph import predict_removed_params
         g = build_mini_net("ecoweed_mini", (1, 3, 64, 64), 3, seed=2)
         groups = resolve_groups(g)
         plan = build_plan(g, 0.3, groups)
         slim = apply_prune(g, plan, groups)
-        assert count_params(g) - predict_removed_params(g, groups, plan.removals) \
+        assert count_params(g) - reference.predict_removed_params(g, groups, plan.removals) \
             == count_params(slim)
 
     def test_stale_plan_rejected(self):
@@ -176,6 +176,48 @@ class TestZeroEmbedOracle:
             assert rel_err(ya[k].astype(np.float64), yb[k].astype(np.float64)) <= 1e-5
 
 
+class TestMatchesPerChannelReference:
+    """Index-array pruning against the per-channel reference path, bit for bit."""
+
+    @staticmethod
+    def assert_same_weights(a, b):
+        assert a.nodes.keys() == b.nodes.keys()
+        for nid, n in a.nodes.items():
+            m = b.node(nid)
+            assert n.attrs == m.attrs and n.params.keys() == m.params.keys(), nid
+            for pname, arr in n.params.items():
+                other = m.params[pname]
+                assert (arr.dtype, arr.shape) == (other.dtype, other.shape), (nid, pname)
+                assert arr.tobytes() == other.tobytes(), (nid, pname)
+
+    def assert_same_path(self, g, fraction):
+        groups, ref_groups = resolve_groups(g), reference.resolve_groups(g)
+        for grp, ref_grp in zip(groups, ref_groups):
+            if not grp.protected:
+                scores = l1_importance(g, grp)
+                assert scores.tobytes() == reference.l1_importance(g, ref_grp).tobytes()
+        plan = build_plan(g, fraction, groups)
+        ref_plan = reference.build_plan(g, fraction, ref_groups)
+        assert plan.removals == ref_plan.removals
+        self.assert_same_weights(apply_prune(g, plan, groups),
+                                 reference.apply_prune(g, ref_plan, ref_groups))
+        self.assert_same_weights(zero_embed_oracle(g, plan, groups),
+                                 reference.zero_embed_oracle(g, ref_plan, ref_groups))
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("fraction", [0.25, 0.5])
+    def test_presets(self, preset, fraction):
+        self.assert_same_path(build_mini_net(preset, (1, 3, 64, 64), 3, seed=7), fraction)
+
+    def test_unevenly_replicated_group(self):
+        self.assert_same_path(uneven_replication_graph(), 0.5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(primitive_graphs(), st.sampled_from([0.25, 0.5]))
+    def test_generated_primitive_graphs(self, g, fraction):
+        self.assert_same_path(g, fraction)
+
+
 class TestRatio:
     # (slim parameter count, published ratio label), dense baseline 2.78M
     TABLE = [
@@ -221,3 +263,35 @@ class TestPlanFile:
         path.write_text("group g000 delete 1,2\n")
         with pytest.raises(PlanError, match="malformed"):
             read_plan(path)
+
+    @pytest.mark.parametrize("line", ["group g000 remove 1,a", "group g000 remove 1,,2",
+                                      "fraction abc", "epoch x", "epoch", "fraction 0.5 0.6",
+                                      "remove 1"])
+    def test_unparsable_line_rejected_naming_it(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# slimgraph prune plan v1\n{line}\n")
+        with pytest.raises(PlanError, match="malformed") as info:
+            read_plan(path)
+        assert line in str(info.value)
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"group g000 remove \xff\n")
+        with pytest.raises(PlanError, match="UTF-8"):
+            read_plan(path)
+
+    TOKENS = st.sampled_from(["fraction", "epoch", "group", "remove", "g003.s1.conv",
+                              "0.5", "-3", "1,2", "1,a", ",", "#", "nan", "1e999"])
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.lists(TOKENS | st.text(max_size=6), max_size=5).map(" ".join),
+                    max_size=6).map("\n".join))
+    def test_fuzzed_text_raises_only_plan_error(self, tmp_path, text):
+        path = tmp_path / "fuzz.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            plan = read_plan(path)
+        except PlanError:
+            return
+        assert all(isinstance(i, int) for idxs in plan.removals.values() for i in idxs)
