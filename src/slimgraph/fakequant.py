@@ -44,7 +44,8 @@ class HistogramObserver:
     maximum. Counts are float64, exact for any realistic sample volume.
     """
 
-    def __init__(self, bins: int = HIST_BINS):
+    def __init__(self, name: str = "observer", bins: int = HIST_BINS):
+        self.name = name  # the quantizer named in errors
         self.bins = bins
         self.counts = np.zeros(bins, dtype=np.float64)
         self.top = 0.0
@@ -55,6 +56,11 @@ class HistogramObserver:
         if ax.size == 0:
             return
         m = float(ax.max())
+        if not np.isfinite(m):  # max is inf or NaN exactly when some element is
+            bad = int(ax.size - np.isfinite(ax).sum())
+            raise CalibrationError(
+                f"quantizer {self.name!r} observed {bad} non-finite activation(s) "
+                f"among {ax.size}")
         if m > self.top:
             if self.top > 0.0:
                 old_centers = (np.arange(self.bins) + 0.5) * (self.top / self.bins)
@@ -126,7 +132,7 @@ def calibrate(graph: Graph, batches) -> Graph:
     if not qids:
         raise QuantError("graph has no quantizers to calibrate")
     g = set_phase(graph, "observe")
-    observers = {qid: HistogramObserver() for qid in qids}
+    observers = {qid: HistogramObserver(qid) for qid in qids}
     for batch in batches:
         # batch-statistics normalization: observers must see the activation
         # distribution that training forwards will produce

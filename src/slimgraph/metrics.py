@@ -114,7 +114,8 @@ class CompressionReport:
     channel_fraction: float | None
     ratio_pct: float                # achieved parameter reduction, 1 decimal
     params: int
-    gflops: float                   # 2 decimals at the declared input size
+    input_hw: tuple[int, int]       # input height and width the FLOPs are counted at
+    flops: int
     weight_bytes: int
     engine_bytes: int
     val_accuracy: float | None
@@ -126,6 +127,7 @@ def build_report(graph: Graph, *, dense_params: int | None = None,
     params = count_params(graph)
     dense = dense_params if dense_params is not None else params
     mem = estimate_memory(graph, precision_bits, input_shape)
+    shape = tuple(input_shape or graph.input_shape)
     return CompressionReport(
         model=graph.name,
         stage=graph.meta.get("stage", "dense"),
@@ -133,7 +135,8 @@ def build_report(graph: Graph, *, dense_params: int | None = None,
         channel_fraction=channel_fraction,
         ratio_pct=ratio_percent(dense, params),
         params=params,
-        gflops=round(count_flops(graph, input_shape) / 1e9, 2),
+        input_hw=(shape[2], shape[3]),
+        flops=count_flops(graph, shape),
         weight_bytes=mem.weight_bytes,
         engine_bytes=mem.engine_bytes,
         val_accuracy=val_accuracy,
@@ -141,7 +144,7 @@ def build_report(graph: Graph, *, dense_params: int | None = None,
 
 
 _COLUMNS = ("model", "stage", "bits", "fraction", "ratio_pct", "params",
-            "gflops", "weight_bytes", "engine_bytes", "val_acc")
+            "input", "flops", "weight_bytes", "engine_bytes", "val_acc")
 
 
 def _rows(reports):
@@ -150,19 +153,19 @@ def _rows(reports):
         rows.append((
             r.model, r.stage, str(r.precision_bits),
             "-" if r.channel_fraction is None else f"{r.channel_fraction:.2f}",
-            f"{r.ratio_pct:.1f}", str(r.params), f"{r.gflops:.2f}",
+            f"{r.ratio_pct:.1f}", str(r.params), "x".join(map(str, r.input_hw)), str(r.flops),
             str(r.weight_bytes), str(r.engine_bytes),
             "-" if r.val_accuracy is None else f"{r.val_accuracy:.4f}",
         ))
     return rows
 
 
-def emit_report(reports, input_size=64) -> tuple[str, str]:
+def emit_report(reports) -> tuple[str, str]:
     """Render reports as (csv text, aligned table text)."""
     if not reports:
         raise ValueError("emit_report needs at least one report")
-    header = (f"# FLOPs = 2 x multiply-accumulates; input {input_size}x{input_size}; "
-              f"ratio = 1 - params/dense_params (percent)")
+    header = ("# FLOPs = 2 x multiply-accumulates at the row's input size; "
+              "ratio = 1 - params/dense_params (percent)")
     rows = _rows(reports)
     csv_lines = [header, ",".join(_COLUMNS)]
     csv_lines += [",".join(r) for r in rows]

@@ -9,6 +9,7 @@ diffs cleanly in golden tests while weights stay compact.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -16,7 +17,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import GraphError, ModelFormatError, ShapeError
 from .graph import Graph, Node, infer_shapes
 
 MAGIC = b"TWNM"
@@ -104,7 +105,7 @@ def from_bytes(data: bytes) -> tuple[Graph, int]:
         raise ModelFormatError("file truncated inside the topology document")
     try:
         doc = json.loads(data[16:topo_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ModelFormatError(f"topology document unparseable: {e}") from e
 
     blob = data[topo_end:-4]
@@ -112,34 +113,82 @@ def from_bytes(data: bytes) -> tuple[Graph, int]:
     if zlib.crc32(blob) & 0xFFFFFFFF != crc_stored:
         raise ModelFormatError("weight blob checksum mismatch")
 
-    precision = int(doc["precision"])
+    g, precision = _graph_from_doc(doc, blob)
+    try:
+        g.validate()
+        infer_shapes(g)
+    # attrs and tensor ranks are read by the shape rules; on a loaded document
+    # their failures mean the container is malformed, not the program
+    except (GraphError, ShapeError, KeyError, IndexError, TypeError, ValueError,
+            ArithmeticError) as e:
+        raise ModelFormatError(f"inconsistent topology: {type(e).__name__}: {e}") from e
+    return g, precision
+
+
+def _field(d, key, kind, where):
+    """d[key], checked to be a JSON value of the given Python type."""
+    if not isinstance(d, dict) or key not in d:
+        raise ModelFormatError(f"{where} lacks the field {key!r}")
+    v = d[key]
+    if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
+        raise ModelFormatError(f"{where} field {key!r} is a {type(v).__name__}")
+    return v
+
+
+def _is_int(v, lo=0) -> bool:
+    return type(v) is int and v >= lo
+
+
+def _graph_from_doc(doc, blob: bytes) -> tuple[Graph, int]:
+    precision = _field(doc, "precision", int, "topology")
     if precision not in _DTYPES:
         raise ModelFormatError(f"unsupported precision {precision} in topology")
-
-    g = Graph(doc["name"], doc["input_shape"], doc.get("meta", {}))
+    input_shape = _field(doc, "input_shape", list, "topology")
+    if not all(_is_int(d, 1) for d in input_shape):
+        raise ModelFormatError(f"input_shape {input_shape} is not a list of positive ints")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ModelFormatError(f"topology field 'meta' is a {type(meta).__name__}")
+    g = Graph(_field(doc, "name", str, "topology"), input_shape, meta)
     spans = []
-    for nd in doc["nodes"]:
+    for nd in _field(doc, "nodes", list, "topology"):
+        nid = _field(nd, "id", str, "node")
+        where = f"node {nid!r}"
+        inputs = _field(nd, "inputs", list, where)
+        if not all(isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+                   and _is_int(e[1]) for e in inputs):
+            raise ModelFormatError(f"{where} inputs {inputs} are not [node id, port] pairs")
         params = {}
-        for name, tag, shape, offset, nelems in nd["tensors"]:
+        for t in _field(nd, "tensors", list, where):
+            if not (isinstance(t, list) and len(t) == 5 and isinstance(t[0], str)
+                    and isinstance(t[2], list) and all(_is_int(d) for d in t[2])
+                    and _is_int(t[3]) and _is_int(t[4])):
+                raise ModelFormatError(
+                    f"{where} tensor entry {t} is not [name, tag, shape, offset, nelems]")
+            name, tag, shape, offset, nelems = t
             if tag not in _TAG_DTYPES:
                 raise ModelFormatError(f"unknown tensor dtype tag {tag!r}")
+            if nelems != math.prod(shape):
+                raise ModelFormatError(
+                    f"tensor {nid}.{name} holds {nelems} elements but has shape {shape}")
             dt = np.dtype(_TAG_DTYPES[tag])
             nbytes = nelems * dt.itemsize
-            if offset < 0 or offset + nbytes > len(blob):
-                raise ModelFormatError(
-                    f"tensor {nd['id']}.{name} extends past the weight blob")
-            spans.append((offset, offset + nbytes, f"{nd['id']}.{name}"))
+            if offset + nbytes > len(blob):
+                raise ModelFormatError(f"tensor {nid}.{name} extends past the weight blob")
+            spans.append((offset, offset + nbytes, f"{nid}.{name}"))
             arr = np.frombuffer(blob, dtype=dt, count=nelems, offset=offset)
             arr = arr.reshape(shape).astype(np.float32)  # halves upcast for execution
             params[name] = np.ascontiguousarray(arr)
-        g.nodes[nd["id"]] = Node(nd["id"], nd["kind"], nd["attrs"], params,
-                                 [tuple(e) for e in nd["inputs"]], nd["protected"])
+        try:
+            g.add(Node(nid, _field(nd, "kind", str, where), _field(nd, "attrs", dict, where),
+                       params, [tuple(e) for e in inputs],
+                       _field(nd, "protected", bool, where)))
+        except GraphError as e:
+            raise ModelFormatError(str(e)) from e
     spans.sort()
     for (a0, a1, na), (b0, _, nb) in zip(spans, spans[1:]):
         if b0 < a1:
             raise ModelFormatError(f"tensor directory overlap between {na} and {nb}")
-    g.validate()
-    infer_shapes(g)
     return g, precision
 
 

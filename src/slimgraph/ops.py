@@ -5,8 +5,11 @@ new arrays. Data layout is (batch, channel, height, width) for feature maps,
 row-major, float32 inside graphs. The functions preserve the input dtype so
 tests can drive them in float64 for tight finite-difference comparisons.
 
-conv2d reduces over a fixed (channel, kh, kw) column order through a single
-matmul, so repeated runs on identical inputs are bit-identical.
+conv2d lowers each image to a channel-major (C*kh*kw, Ho*Wo) patch matrix whose
+rows follow the weight's fixed (channel, kh, kw) order, and multiplies it by
+the (Cout, C*kh*kw) weight matrix in one batched matmul; the (N, Cout, Ho*Wo)
+result is NCHW already. The reduction order depends only on the shapes, so
+repeated runs on identical inputs are bit-identical.
 """
 
 from __future__ import annotations
@@ -50,34 +53,31 @@ def _conv_out_dims(h, w, kh, kw, sh, sw, ph, pw):
     return ho, wo
 
 
-def _im2col(x, kh, kw, sh, sw, ph, pw, pad_value=0.0):
-    """Rearrange (N,C,H,W) into (N*Ho*Wo, C*kh*kw) patch rows."""
+def _im2col(x, kh, kw, sh, sw, ph, pw):
+    """Per-image (N, C*kh*kw, Ho*Wo) patches: one slice copy per tap; 1x1 is a view."""
     n, c, h, w = x.shape
     ho, wo = _conv_out_dims(h, w, kh, kw, sh, sw, ph, pw)
     if kh == kw == 1 and sh == sw == 1 and ph == pw == 0:
-        return x.transpose(0, 2, 3, 1).reshape(n * h * w, c), ho, wo
+        return x.reshape(n, c, h * w), ho, wo
     if ph or pw:
-        xp = np.full((n, c, h + 2 * ph, w + 2 * pw), pad_value, dtype=x.dtype)
+        xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
         xp[:, :, ph:ph + h, pw:pw + w] = x
     else:
         xp = x
-    sn, sc, sh_, sw_ = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, ho, wo, c, kh, kw),
-        strides=(sn, sh_ * sh, sw_ * sw, sc, sh_, sw_),
-        writeable=False,
-    )
-    return win.reshape(n * ho * wo, c * kh * kw), ho, wo
+    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw]
+    return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
 
 
 def _col2im(gcols, x_shape, kh, kw, sh, sw, ph, pw):
-    """Scatter-add patch-row gradients back onto the input layout."""
+    """Scatter-add (N, C*kh*kw, Ho*Wo) column gradients back onto (N,C,H,W)."""
     n, c, h, w = x_shape
     ho, wo = _conv_out_dims(h, w, kh, kw, sh, sw, ph, pw)
     if kh == kw == 1 and sh == sw == 1 and ph == pw == 0:
-        return np.ascontiguousarray(gcols.reshape(n, h, w, c).transpose(0, 3, 1, 2))
-    g6 = np.ascontiguousarray(gcols.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 4, 5, 1, 2))
+        return gcols.reshape(n, c, h, w)
+    g6 = gcols.reshape(n, c, kh, kw, ho, wo)
     gxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=gcols.dtype)
     for i in range(kh):
         for j in range(kw):
@@ -106,13 +106,11 @@ def conv2d_forward(x, w, b=None, stride=1, padding=0, keep_cols=False):
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     cout, _, kh, kw = w.shape
-    n = x.shape[0]
     cols, ho, wo = _im2col(x, kh, kw, sh, sw, ph, pw)
-    y2 = cols @ w.reshape(cout, -1).T
+    y = w.reshape(cout, -1) @ cols
     if b is not None:
-        y2 = y2 + b
-    y = np.ascontiguousarray(y2.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2))
-    return y, (cols if keep_cols else None)
+        y += b[:, None]
+    return y.reshape(x.shape[0], cout, ho, wo), (cols if keep_cols else None)
 
 
 def conv2d(x, w, b=None, stride=1, padding=0):
@@ -126,14 +124,14 @@ def conv2d_backward(gy, x, w, cols, stride=1, padding=0, with_bias=True, need_gx
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     cout, _, kh, kw = w.shape
-    gy2 = gy.transpose(0, 2, 3, 1).reshape(-1, cout)
+    gy3 = gy.reshape(gy.shape[0], cout, -1)
     if cols is None:
         cols, _, _ = _im2col(x, kh, kw, sh, sw, ph, pw)
-    gw = (gy2.T @ cols).reshape(w.shape)
-    gb = gy2.sum(axis=0) if with_bias else None
+    gw = (gy3 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    gb = gy3.sum(axis=(0, 2)) if with_bias else None
     gx = None
     if need_gx:
-        gcols = gy2 @ w.reshape(cout, -1)
+        gcols = w.reshape(cout, -1).T @ gy3
         gx = _col2im(gcols, x.shape, kh, kw, sh, sw, ph, pw)
     return gx, gw, gb
 

@@ -1,11 +1,16 @@
 """Shared fixtures and independent oracles used across the suite."""
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from slimgraph.builders import GraphBuilder
 from slimgraph.graph import infer_shapes
+from slimgraph.modelio import MAGIC
 
 
 def conv2d_reference(x, w, b=None, stride=(1, 1), padding=(0, 0)):
@@ -34,6 +39,19 @@ def conv2d_reference(x, w, b=None, stride=(1, 1), padding=(0, 0)):
                                 acc += xp[ni, ci, i * sh + di, j * sw + dj] * w[co, ci, di, dj]
                     y[ni, co, i, j] = acc + (b[co] if b is not None else 0.0)
     return y
+
+
+def split_container(data):
+    """(topology document, weight blob) of a container."""
+    (topo_len,) = struct.unpack_from("<Q", data, 8)
+    return json.loads(data[16:16 + topo_len]), data[16 + topo_len:-4]
+
+
+def container(doc, blob):
+    """Container bytes around any JSON document, with valid lengths and CRC."""
+    topo = json.dumps(doc).encode("utf-8")
+    return (MAGIC + struct.pack("<IQ", 1, len(topo)) + topo + blob
+            + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
 
 
 def finite_difference(f, x, h=1e-3):

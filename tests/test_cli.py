@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import container, split_container
 from slimgraph.cli import run
-from slimgraph.modelio import load
+from slimgraph.modelio import load, save
 from slimgraph.pruner import read_plan, write_plan
 
 
@@ -69,6 +70,15 @@ class TestCalibrateQat:
         assert lines[0].startswith("#")
         assert all("amax" in ln and "scale" in ln and "samples" in ln for ln in lines[1:])
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_activations_exit_2(self, model_path, tmp_path, capsys):
+        g, _ = load(model_path)
+        g.node("s0.conv").params["weight"][0, 0, 0, 0] = np.inf
+        save(g, 32, model_path)
+        assert run(["calibrate", "--model", str(model_path), "--batches", "1", "--seed", "0",
+                    "--calib-out", str(tmp_path / "c.txt"), "--out", str(tmp_path / "c.twnm")]) == 2
+        assert "non-finite activation" in capsys.readouterr().err
+
     def test_qat_runs(self, model_path, tmp_path):
         out = tmp_path / "qat.twnm"
         assert run(["qat", "--model", str(model_path), "--epochs", "2",
@@ -126,6 +136,15 @@ class TestReportInspect:
         assert "ratio_pct" in out and "pruned" in out
         assert csv_path.read_text().count("\n") >= 3
 
+    def test_report_labels_the_built_input_size(self, tmp_path, capsys):
+        path = tmp_path / "m128.twnm"
+        assert run(["build", "--preset", "y11_mini", "--input-size", "128",
+                    "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert run(["report", "--models", str(path)]) == 0
+        table = capsys.readouterr().out
+        assert "128x128" in table and "64x64" not in table
+
     def test_inspect_dumps_groups(self, model_path, capsys):
         assert run(["inspect", "--model", str(model_path)]) == 0
         out = capsys.readouterr().out
@@ -149,6 +168,14 @@ class TestExitCodes:
         data[-2] ^= 0xFF
         bad.write_bytes(bytes(data))
         assert run(["inspect", "--model", str(bad)]) == 3
+
+    def test_format_error_malformed_topology(self, tmp_path, model_path, capsys):
+        doc, blob = split_container(model_path.read_bytes())
+        doc["nodes"][1]["kind"] = "deconv"
+        bad = tmp_path / "bad.twnm"
+        bad.write_bytes(container(doc, blob))
+        assert run(["inspect", "--model", str(bad)]) == 3
+        assert "unknown node kind 'deconv'" in capsys.readouterr().err
 
     def test_env_seed_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SLIMGRAPH_SEED", "7")

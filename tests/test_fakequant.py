@@ -149,6 +149,14 @@ class TestObserver:
         obs.observe(np.zeros(100))
         assert obs.amax() is None
 
+    @pytest.mark.parametrize("values,bad", [([1.0, np.inf], 1), ([1.0, np.nan], 1),
+                                            ([np.nan], 1), ([-np.inf, 2.0, np.nan], 2)])
+    def test_non_finite_activation_names_quantizer_and_count(self, values, bad):
+        obs = HistogramObserver("blk.conv__q")
+        with pytest.raises(CalibrationError,
+                           match=rf"'blk.conv__q' observed {bad} non-finite activation"):
+            obs.observe(np.array(values, np.float32))
+
 
 class TestInstrumentation:
     def build(self, seed=0):
@@ -218,6 +226,13 @@ class TestCalibration:
         # zero input + zero first-conv bias keeps the first quantizer silent
         with pytest.raises(CalibrationError, match="s0.conv__q"):
             calibrate(gq, batches)
+
+    def test_non_finite_batch_error_names_node(self):
+        gq = insert_fakequant(build_mini_net("y11_mini", (1, 3, 64, 64), 3, seed=0))
+        batch = np.ones((2, 3, 64, 64), np.float32)
+        batch[1, 2, 5, 7] = np.inf
+        with pytest.raises(CalibrationError, match="'s0.conv__q' observed 1 non-finite"):
+            calibrate(gq, [batch])
 
     def test_needs_at_least_one_batch(self):
         g = insert_fakequant(build_mini_net("y11_mini", (1, 3, 64, 64), 3, seed=0))

@@ -115,9 +115,12 @@ class TestReports:
     def test_published_rows_and_single_dense(self):
         from slimgraph.metrics import CompressionReport
         rows = [
-            CompressionReport("eco", "dense", 32, None, 0.0, 2_780_000, 9.3, 0, 0, None),
-            CompressionReport("eco", "pruned", 32, 0.1, 11.5, 2_459_176, 8.7, 0, 0, None),
-            CompressionReport("eco", "pruned", 32, 0.65, 68.5, 876_859, 3.2, 0, 0, None),
+            CompressionReport("eco", "dense", 32, None, 0.0, 2_780_000, (640, 640),
+                              9_300_000_000, 0, 0, None),
+            CompressionReport("eco", "pruned", 32, 0.1, 11.5, 2_459_176, (640, 640),
+                              8_700_000_000, 0, 0, None),
+            CompressionReport("eco", "pruned", 32, 0.65, 68.5, 876_859, (640, 640),
+                              3_200_000_000, 0, 0, None),
         ]
         csv_text, table = emit_report(rows)
         assert abs(11.5 - 11.6) <= 0.5 and abs(68.5 - 68.5) <= 0.5
@@ -134,7 +137,18 @@ class TestReports:
         assert rpt.stage == "pruned"
         assert rpt.params == count_params(slim)
         assert rpt.ratio_pct == round(100 * (1 - rpt.params / dense_params), 1)
-        assert rpt.gflops == round(count_flops(slim) / 1e9, 2)
+        assert rpt.flops == count_flops(slim) and rpt.input_hw == (64, 64)
+
+    def test_dense_and_pruned_rows_differ_in_flops(self):
+        g = build_mini_net("y11_mini", (1, 3, 64, 64), 3, seed=0)
+        slim = apply_prune(g, build_plan(g, 0.5))
+        csv_text, _ = emit_report([build_report(g), build_report(slim)])
+        lines = csv_text.splitlines()
+        header = lines[1].split(",")
+        dense, pruned = (dict(zip(header, ln.split(","))) for ln in lines[2:4])
+        assert int(dense["flops"]) == count_flops(g) == 4_264_495
+        assert int(pruned["flops"]) == count_flops(slim) < int(dense["flops"])
+        assert dense["input"] == pruned["input"] == "64x64"
 
     def test_emit_requires_rows(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import container, split_container
 from slimgraph import build_mini_net, forward_arrays
+from slimgraph.builders import build_fragment
 from slimgraph.errors import ModelFormatError
 from slimgraph.modelio import MAGIC, from_bytes, load, save, to_bytes
 from slimgraph.pipeline import ToyTask, TrainConfig, train
@@ -116,3 +120,101 @@ class TestCorruption:
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(ModelFormatError, match="cannot read"):
             load(tmp_path / "missing.twnm")
+
+
+SMALL = to_bytes(build_fragment("sppf", (1, 4, 8, 8), cout=4, pool_k=3), 32)
+
+
+class TestMalformedTopology:
+    def test_helpers_rebuild_a_valid_container(self):
+        assert from_bytes(container(*split_container(SMALL)))[1] == 32
+
+    def test_missing_precision(self):
+        doc, blob = split_container(SMALL)
+        del doc["precision"]
+        with pytest.raises(ModelFormatError, match="precision"):
+            from_bytes(container(doc, blob))
+
+    @pytest.mark.parametrize("nelems", [-3, 0, 1])
+    def test_nelems_not_matching_shape(self, nelems):
+        doc, blob = split_container(SMALL)
+        doc["nodes"][1]["tensors"][0][4] = nelems
+        with pytest.raises(ModelFormatError):
+            from_bytes(container(doc, blob))
+
+    def test_unknown_kind(self):
+        doc, blob = split_container(SMALL)
+        doc["nodes"][1]["kind"] = "deconv"
+        with pytest.raises(ModelFormatError, match="unknown node kind 'deconv'"):
+            from_bytes(container(doc, blob))
+
+    def test_duplicate_node_id(self):
+        doc, blob = split_container(SMALL)
+        doc["nodes"][2]["id"] = doc["nodes"][1]["id"]
+        with pytest.raises(ModelFormatError, match="duplicate node id"):
+            from_bytes(container(doc, blob))
+
+    def test_deeply_nested_document(self):
+        topo = b"[" * 100_000
+        data = MAGIC + struct.pack("<IQ", 1, len(topo)) + topo + struct.pack("<I", 0)
+        with pytest.raises(ModelFormatError, match="unparseable"):
+            from_bytes(data)
+
+    def test_inconsistent_graph_is_a_format_error(self):
+        doc, blob = split_container(SMALL)
+        doc["input_shape"][1] = 5  # no longer matches the first conv's Cin
+        with pytest.raises(ModelFormatError, match="input channels"):
+            from_bytes(container(doc, blob))
+
+
+def _json_values():
+    return st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 9) | st.floats(allow_nan=False)
+        | st.text(max_size=4) | st.sampled_from(["conv", "split", "f32", "f16", "image"]),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                     max_size=3),
+        max_leaves=8)
+
+
+def _mutate(doc, path_choices, value, delete):
+    """Replace (or delete) the value at a path chosen by path_choices."""
+    node = doc
+    for k in path_choices:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            break
+        key = keys[k % len(keys)]
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or k % 3 == 0:
+            if delete and isinstance(node, dict):
+                del node[key]
+            else:
+                node[key] = value
+            return
+        node = child
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.integers(0, 1000), min_size=1, max_size=6), _json_values(), st.booleans())
+def test_fuzzed_topology_raises_only_format_errors(path_choices, value, delete):
+    doc, blob = split_container(SMALL)
+    _mutate(doc, path_choices, value, delete)
+    try:
+        g, bits = from_bytes(container(doc, blob))
+    except ModelFormatError:
+        return
+    assert bits in (16, 32) and g.nodes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(SMALL) - 1), st.integers(0, 255)),
+                min_size=1, max_size=4),
+       st.integers(0, len(SMALL)))
+def test_fuzzed_container_bytes_raise_only_format_errors(edits, cut):
+    data = bytearray(SMALL)
+    for pos, byte in edits:
+        data[pos] = byte
+    try:
+        from_bytes(bytes(data[:cut]))
+    except ModelFormatError:
+        pass

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conv_reference
 from conftest import conv2d_reference
 from slimgraph import ops
 from slimgraph.errors import ShapeError
@@ -59,12 +60,51 @@ class TestConv2d:
             ops.conv2d(x, w)
 
     def test_bit_determinism(self, rng):
-        x = rng.normal(size=(2, 8, 12, 12)).astype(np.float32)
-        w = rng.normal(size=(16, 8, 3, 3)).astype(np.float32)
-        b = rng.normal(size=16).astype(np.float32)
-        y1 = ops.conv2d(x, w, b, 2, 1)
-        y2 = ops.conv2d(x, w, b, 2, 1)
-        assert y1.tobytes() == y2.tobytes()
+        for n, k, stride, padding in ((2, 3, 2, 1), (16, 3, 2, 1), (16, 1, 1, 0)):
+            x = rng.normal(size=(n, 8, 12, 12)).astype(np.float32)
+            w = rng.normal(size=(16, 8, k, k)).astype(np.float32)
+            b = rng.normal(size=16).astype(np.float32)
+            y1, cols = ops.conv2d_forward(x, w, b, stride, padding, keep_cols=True)
+            y2 = ops.conv2d(x, w, b, stride, padding)
+            assert y1.tobytes() == y2.tobytes()
+            gy = rng.normal(size=y1.shape).astype(np.float32)
+            g1 = ops.conv2d_backward(gy, x, w, cols, stride, padding)
+            g2 = ops.conv2d_backward(gy, x, w, cols, stride, padding)
+            assert all(a.tobytes() == c.tobytes() for a, c in zip(g1, g2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 2, 16]), st.integers(1, 40), st.integers(1, 40),
+           st.sampled_from([1, 3, 5]), st.integers(1, 2), st.sampled_from([np.float32, np.float64]),
+           st.data())
+    def test_matches_row_major_reference(self, n, cin, cout, k, stride, dtype, data):
+        padding = data.draw(st.integers(0, k // 2), label="padding")
+        h = data.draw(st.integers(k, 11), label="h")
+        w_ = data.draw(st.integers(k, 11), label="w")
+        r = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="seed"))
+        x = r.normal(size=(n, cin, h, w_)).astype(dtype)
+        w = r.normal(size=(cout, cin, k, k)).astype(dtype)
+        b = r.normal(size=cout).astype(dtype)
+        y, cols = ops.conv2d_forward(x, w, b, stride, padding, keep_cols=True)
+        y_ref, cols_ref = conv_reference.conv2d_forward(x, w, b, stride, padding)
+        gy = r.normal(size=y.shape).astype(dtype)
+        grads = ops.conv2d_backward(gy, x, w, cols, stride, padding)
+        grads_ref = conv_reference.conv2d_backward(gy, x, w, cols_ref, stride, padding)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for got, ref in zip((y,) + grads, (y_ref,) + grads_ref):
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+        recomputed = ops.conv2d_backward(gy, x, w, None, stride, padding)
+        assert all(a.tobytes() == c.tobytes() for a, c in zip(grads, recomputed))
+
+    def test_1x1_stride1_uses_x_without_modifying_it(self, rng):
+        x = rng.normal(size=(2, 5, 6, 7)).astype(np.float32)
+        x0 = x.copy()
+        w = rng.normal(size=(3, 5, 1, 1)).astype(np.float32)
+        b = rng.normal(size=3).astype(np.float32)
+        y, cols = ops.conv2d_forward(x, w, b, keep_cols=True)
+        assert np.shares_memory(cols, x)
+        ops.conv2d_backward(rng.normal(size=y.shape).astype(np.float32), x, w, cols)
+        assert np.array_equal(x, x0)
 
 
 class TestBatchnorm:
