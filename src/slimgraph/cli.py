@@ -18,7 +18,6 @@ from . import depgraph, fakequant, metrics, modelio, pipeline, pruner
 from .builders import PRESETS, build_mini_net
 from .errors import ModelFormatError, PlanError, SlimgraphError
 from .executor import forward_arrays
-from .graph import infer_shapes
 
 
 class _UsageError(Exception):
@@ -43,18 +42,14 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="slimgraph", description=__doc__ and __doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add(name, **kw):
-        sp = sub.add_parser(name, **kw)
-        return sp
-
-    sp = add("build", help="construct a preset graph and save it")
+    sp = sub.add_parser("build", help="construct a preset graph and save it")
     sp.add_argument("--preset", required=True, choices=PRESETS)
     sp.add_argument("--classes", type=int, default=3)
     sp.add_argument("--input-size", type=int, default=64)
     sp.add_argument("--seed", type=int, default=_default_seed())
     sp.add_argument("--out", required=True)
 
-    sp = add("train", help="train a model on the toy task")
+    sp = sub.add_parser("train", help="train a model on the toy task")
     sp.add_argument("--model", required=True)
     sp.add_argument("--epochs", type=int, required=True)
     sp.add_argument("--seed", type=int, default=_default_seed())
@@ -64,20 +59,20 @@ def _build_parser() -> _Parser:
     sp.add_argument("--log", default=None)
     sp.add_argument("--out", default=None)
 
-    sp = add("prune", help="score channels, build a plan, emit the slim model")
+    sp = sub.add_parser("prune", help="score channels, build a plan, emit the slim model")
     sp.add_argument("--model", required=True)
     sp.add_argument("--fraction", type=float, required=True)
     sp.add_argument("--plan-out", default=None)
     sp.add_argument("--out", required=True)
 
-    sp = add("calibrate", help="instrument (if needed) and calibrate quantizers")
+    sp = sub.add_parser("calibrate", help="instrument (if needed) and calibrate quantizers")
     sp.add_argument("--model", required=True)
     sp.add_argument("--batches", type=int, default=2)
     sp.add_argument("--seed", type=int, default=_default_seed())
     sp.add_argument("--calib-out", default=None)
     sp.add_argument("--out", required=True)
 
-    sp = add("qat", help="insert + calibrate quantizers, then train under them")
+    sp = sub.add_parser("qat", help="insert + calibrate quantizers, then train under them")
     sp.add_argument("--model", required=True)
     sp.add_argument("--epochs", type=int, required=True)
     sp.add_argument("--batches", type=int, default=2)
@@ -88,7 +83,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--log", default=None)
     sp.add_argument("--out", required=True)
 
-    sp = add("pipeline", help="integrated train -> prune -> recalibrate -> finetune -> export")
+    sp = sub.add_parser("pipeline", help="integrated train -> prune -> recalibrate -> finetune -> export")
     sp.add_argument("--preset", required=True, choices=PRESETS)
     sp.add_argument("--classes", type=int, default=3)
     sp.add_argument("--fraction", type=float, default=0.0)
@@ -101,7 +96,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--batch-size", type=int, default=16)
     sp.add_argument("--out-dir", required=True)
 
-    sp = add("verify", help="prune-equivalence check of a slim model against its dense source")
+    sp = sub.add_parser("verify", help="prune-equivalence check of a slim model against its dense source")
     sp.add_argument("--dense", required=True)
     sp.add_argument("--slim", required=True)
     sp.add_argument("--plan", required=True)
@@ -109,11 +104,11 @@ def _build_parser() -> _Parser:
     sp.add_argument("--tol", type=float, default=1e-5)
     sp.add_argument("--seed", type=int, default=_default_seed())
 
-    sp = add("report", help="emit a compression report for one or more models")
+    sp = sub.add_parser("report", help="emit a compression report for one or more models")
     sp.add_argument("--models", nargs="+", required=True)
     sp.add_argument("--csv", default=None)
 
-    sp = add("inspect", help="dump the resolved channel groups of a model")
+    sp = sub.add_parser("inspect", help="dump the resolved channel groups of a model")
     sp.add_argument("--model", required=True)
     return p
 
@@ -266,7 +261,6 @@ def _cmd_report(args) -> int:
 
 def _cmd_inspect(args) -> int:
     g, _ = modelio.load(args.model)
-    infer_shapes(g)
     print(depgraph.format_groups(g), end="")
     return 0
 

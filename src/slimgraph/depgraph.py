@@ -4,14 +4,9 @@ Channels that must share one pruning decision are found on port segments,
 not on single channels. Every coupling rule ties a contiguous channel range
 of one port to an equally long range of another, channel k to channel k:
 
-* wires tie a consumer input port to its producer output port;
-* channel-transparent kinds (batchnorm, activation, pooling, quantizers,
-  per-channel scales, constant shifts) tie input to output;
-* ``add``/``mul`` tie all operand ports and the result (residual and gating
-  coupling);
-* ``concat`` ties each input to its range of the output;
-* ``split`` ties each output to its sub-range of the input;
-* ``conv``/``linear`` decouple (the weight matrix mixes channels).
+wires tie a consumer input port to its producer output port, and each node
+kind's ``coupling`` rule in :data:`slimgraph.kinds.SPECS` ties its own ports
+(decouple, through, tie-all, concat or split).
 
 Resolution cuts every port at the ends of the ranges its rules tie, carries
 each cut across the rules until no new one appears, and then unions whole
@@ -32,13 +27,15 @@ node (the detection head) are protected and admit only the empty removal set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import GroupError
-from .graph import CHANNEL_TRANSPARENT, Graph, infer_shapes
+from .graph import Graph, infer_shapes, io_shapes
+from .kinds import SPECS
 
 Port = tuple[str, str, int]   # (node_id, "in"|"out", port)
 
@@ -104,31 +101,13 @@ def _coupling_rules(graph: Graph, shapes):
     ties = []
     for nid in graph.topo_order():
         n = graph.node(nid)
-        ins = [(nid, "in", i) for i in range(len(n.inputs))]
-        out = (nid, "out", 0)
-        for port, (src, sp) in zip(ins, n.inputs):
-            width[port] = shapes[(src, sp)][1]
-            ties.append((port, 0, (src, "out", sp), 0, width[port]))  # wire
-        for p in range(n.n_out_ports()):
-            width[(nid, "out", p)] = shapes[(nid, p)][1]
-        if n.kind in ("conv", "linear", "input", "output"):
-            continue  # decoupled or terminal
-        if n.kind in CHANNEL_TRANSPARENT:
-            ties.append((ins[0], 0, out, 0, width[ins[0]]))
-        elif n.kind in ("add", "mul"):
-            ties += [(ins[0], 0, other, 0, width[ins[0]]) for other in ins[1:] + [out]]
-        elif n.kind == "concat":
-            off = 0
-            for port in ins:
-                ties.append((port, 0, out, off, width[port]))
-                off += width[port]
-        elif n.kind == "split":
-            off = 0
-            for p, size in enumerate(n.attrs["sizes"]):
-                ties.append(((nid, "out", p), 0, ins[0], off, size))
-                off += size
-        else:
-            raise GroupError(f"no channel-coupling rule for kind {n.kind!r} (node {nid!r})")
+        ins, outs = ([s[1] for s in side] for side in io_shapes(n, shapes))
+        width.update({(nid, "in", i): w for i, w in enumerate(ins)})
+        width.update({(nid, "out", p): w for p, w in enumerate(outs)})
+        ties += [((nid, "in", i), 0, (src, "out", sp), 0, w)  # wires
+                 for i, ((src, sp), w) in enumerate(zip(n.inputs, ins))]
+        ties += [((nid, *a), oa, (nid, *b), ob, k)
+                 for a, oa, b, ob, k in SPECS[n.kind].coupling(ins, outs)]
     return width, ties
 
 
@@ -245,45 +224,36 @@ class GroupCost:
 def group_cost(graph: Graph, group: ChannelGroup, shapes=None) -> GroupCost:
     """Marginal cost of removing one channel of the group from the dense graph.
 
-    Parameter terms: producer filter row (+bias), per-channel normalization
-    and scale entries, and each consumer's input column — counted with the
-    replication multiplicity the class actually has. FLOP terms cover the
-    conv/linear contributions at the declared input size.
+    Parameters: the trainable entries whose prune axes index a removed
+    channel, each counted once, also where a tensor's rows and columns both
+    lose one (a conv whose input and output share the group). FLOPs: the
+    drop in every touched node's FLOP rule at the narrowed port widths.
+    Replicated classes remove each of their channels on a port.
     """
     shapes = shapes or infer_shapes(graph)
-    params = np.zeros(len(group.classes), dtype=np.int64)
-    flops = np.zeros(len(group.classes), dtype=np.int64)
-    for li, cls in enumerate(group.classes):
-        seen_nodes = set()
-        for (nid, side, port, ch) in cls:
-            n = graph.node(nid)
-            if n.kind == "conv":
-                w = n.params["weight"]
-                cout, cin, kh, kw = w.shape
-                ho, wo = shapes[(nid, 0)][2], shapes[(nid, 0)][3]
-                if side == "out":
-                    params[li] += cin * kh * kw + (1 if "bias" in n.params else 0)
-                    flops[li] += 2 * cin * kh * kw * ho * wo + (ho * wo if "bias" in n.params else 0)
-                else:
-                    params[li] += cout * kh * kw
-                    flops[li] += 2 * cout * kh * kw * ho * wo
-            elif n.kind == "linear":
-                w = n.params["weight"]
-                if side == "out":
-                    params[li] += w.shape[1] + (1 if "bias" in n.params else 0)
-                    flops[li] += 2 * w.shape[1] + (1 if "bias" in n.params else 0)
-                else:
-                    params[li] += w.shape[0]
-                    flops[li] += 2 * w.shape[0]
-            elif n.kind == "batchnorm" and nid not in seen_nodes:
-                params[li] += 2
-                seen_nodes.add(nid)
-            elif n.kind == "scale" and nid not in seen_nodes:
-                params[li] += 1
-                seen_nodes.add(nid)
-    if len(set(params.tolist())) > 1 or len(set(flops.tolist())) > 1:
+    # node -> (side, port) -> how many channels each class holds on that port
+    counts: dict[str, dict] = {}
+    for (nid, side, port), (local, _) in group.index.items():
+        counts.setdefault(nid, {})[(side, port)] = np.bincount(local, minlength=group.length)
+    nodes = [(graph.node(nid), per_port) for nid, per_port in counts.items()]
+    costs = set()
+    for li in range(group.length):
+        params = flops = 0
+        for n, per_port in nodes:
+            spec = SPECS[n.kind]
+            cut = {key: int(c[li]) for key, c in per_port.items()}
+            for name in n.params.keys() & spec.trainable:
+                arr = n.params[name]  # an axis keeps its width less the class's cut on it
+                params += arr.size - math.prod(d - cut.get((t, 0), 0)
+                                               for d, t in zip(arr.shape, spec.params[name]))
+            ins, outs = io_shapes(n, shapes)
+            narrow = [[s[:1] + (s[1] - cut.get((side, p), 0),) + s[2:] for p, s in enumerate(ss)]
+                      for side, ss in (("in", ins), ("out", outs))]
+            flops += spec.flops(n, ins, outs) - spec.flops(n, *narrow)
+        costs.add((params, flops))
+    if len(costs) > 1:
         raise GroupError(f"group {group.gid} has non-uniform per-channel cost")
-    return GroupCost(int(params[0]), int(flops[0]))
+    return GroupCost(*costs.pop())
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autograd as ag
 from .autograd import Tape, Var
-from .errors import GraphError, QuantError
+from .errors import GraphError
 from .graph import Graph
+from .kinds import SPECS
 
 BN_MOMENTUM = 0.1  # running-statistics update rate in training mode
 
@@ -17,8 +17,7 @@ class RunState:
 
     ``vars`` maps (node_id, param_name) to watched autograd variables;
     ``buffers`` maps (node_id, buffer_name) to plain arrays (batchnorm
-    running statistics). Pure inference runs pass ``state=None`` and read
-    arrays straight off the graph nodes.
+    running statistics). Pure inference runs pass ``state=None``.
     """
 
     def __init__(self, vars: dict, buffers: dict):
@@ -26,16 +25,28 @@ class RunState:
         self.buffers = buffers
 
 
-def _param(state: RunState | None, nid: str, name: str, node) -> Var:
-    if state is not None and (nid, name) in state.vars:
-        return state.vars[(nid, name)]
-    return Var(node.params[name])
+class _Run:
+    """What forward rules read: the batch, mode, tape and observers, and the
+    tensors, taken from the training state when it holds them, else the node."""
 
+    def __init__(self, x, mode, tape, state, observers):
+        self.x, self.mode, self.tape, self.observers = x, mode, tape, observers
+        self.vars, self.buffers = (state.vars, state.buffers) if state is not None else ({}, {})
 
-def _buffer(state: RunState | None, nid: str, name: str, node):
-    if state is not None and (nid, name) in state.buffers:
-        return state.buffers[(nid, name)]
-    return node.params[name]
+    def param(self, n, name) -> Var | None:
+        if (n.id, name) in self.vars:
+            return self.vars[(n.id, name)]
+        return Var(n.params[name]) if name in n.params else None
+
+    def buffer(self, n, name):
+        return self.buffers[(n.id, name)] if (n.id, name) in self.buffers else n.params[name]
+
+    def track(self, n, name, batch_value) -> None:
+        """Fold a batch statistic into a running buffer, in training mode only."""
+        if self.mode == "train":
+            self.buffers[(n.id, name)] = (
+                (1 - BN_MOMENTUM) * self.buffer(n, name) + BN_MOMENTUM * batch_value
+            ).astype(np.float32)
 
 
 def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
@@ -64,95 +75,16 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
     wanted = list(outputs) if outputs is not None else graph.output_ids
     needed = graph.ancestors_of(wanted)
     values: dict[tuple[str, int], Var] = {}
-    results: dict[str, Var] = {}
-
-    for nid in graph.topo_order():
-        if nid not in needed:
-            continue
+    run = _Run(x, mode, tape, state, observers)
+    order = [nid for nid in graph.topo_order() if nid in needed]
+    for nid in order:
         n = graph.node(nid)
-        ins = [values[ref] for ref in n.inputs]
-        if n.kind == "input":
-            out = Var(np.ascontiguousarray(x), stop_grad=True)
-        elif n.kind == "output":
-            out = ins[0]
-            results[nid] = out
-        elif n.kind == "conv":
-            w = _param(state, nid, "weight", n)
-            b = _param(state, nid, "bias", n) if "bias" in n.params else None
-            out = ag.conv2d(tape, ins[0], w, b, n.attrs.get("stride", 1),
-                            n.attrs.get("padding", 0))
-        elif n.kind == "batchnorm":
-            gamma = _param(state, nid, "gamma", n)
-            beta = _param(state, nid, "beta", n)
-            rm = _buffer(state, nid, "running_mean", n)
-            rv = _buffer(state, nid, "running_var", n)
-            out, bmean, bvar = ag.batchnorm(tape, ins[0], gamma, beta, rm, rv,
-                                            n.attrs.get("eps", 1e-5), mode != "eval")
-            if mode == "train":
-                state.buffers[(nid, "running_mean")] = (
-                    (1 - BN_MOMENTUM) * rm + BN_MOMENTUM * bmean).astype(np.float32)
-                state.buffers[(nid, "running_var")] = (
-                    (1 - BN_MOMENTUM) * rv + BN_MOMENTUM * bvar).astype(np.float32)
-        elif n.kind == "activation":
-            fn = n.attrs["fn"]
-            if fn == "silu":
-                out = ag.silu(tape, ins[0])
-            elif fn == "sigmoid":
-                out = ag.sigmoid(tape, ins[0])
-            else:
-                raise GraphError(f"unknown activation {fn!r} on node {nid!r}")
-        elif n.kind == "maxpool":
-            out = ag.maxpool2d(tape, ins[0], n.attrs["k"],
-                               n.attrs.get("stride", n.attrs["k"]),
-                               n.attrs.get("padding", 0))
-        elif n.kind == "gap":
-            out = ag.global_avg_pool(tape, ins[0])
-        elif n.kind == "linear":
-            w = _param(state, nid, "weight", n)
-            b = _param(state, nid, "bias", n) if "bias" in n.params else None
-            out = ag.linear(tape, ins[0], w, b)
-        elif n.kind == "add":
-            out = ins[0]
-            for v in ins[1:]:
-                out = ag.add(tape, out, v)
-        elif n.kind == "mul":
-            out = ins[0]
-            for v in ins[1:]:
-                out = ag.multiply(tape, out, v)
-        elif n.kind == "addconst":
-            out = ag.add_const(tape, ins[0], n.attrs["c"])
-        elif n.kind == "concat":
-            out = ag.concat_channels(tape, ins)
-        elif n.kind == "split":
-            pieces = ag.split_channels(tape, ins[0], n.attrs["sizes"])
-            for p, piece in enumerate(pieces):
-                values[(nid, p)] = piece
-            continue
-        elif n.kind == "scale":
-            s = _param(state, nid, "scale", n)
-            out = ag.scale_channels(tape, ins[0], s)
-        elif n.kind == "fakequant":
-            phase = n.attrs.get("phase", "disabled")
-            if phase == "disabled":
-                out = ins[0]
-            elif phase == "observe":
-                if observers is not None and nid in observers:
-                    observers[nid].observe(ins[0].value)
-                out = ins[0]
-            elif phase == "active":
-                amax = float(n.params["amax"][0])
-                if amax <= 0:
-                    raise QuantError(f"quantizer {nid!r} is active but uncalibrated")
-                out = ag.qdq(tape, ins[0], amax / 127.0)
-            else:
-                raise QuantError(f"quantizer {nid!r} has unknown phase {phase!r}")
-        else:
-            raise GraphError(f"no executor rule for kind {n.kind!r} (node {nid!r})")
-        values[(nid, 0)] = out
-    return results
+        out = SPECS[n.kind].forward(run, n, [values[ref] for ref in n.inputs])
+        for p, v in enumerate(out if isinstance(out, list) else [out]):
+            values[(nid, p)] = v
+    return {nid: values[(nid, 0)] for nid in order if nid in wanted}
 
 
 def forward_arrays(graph: Graph, x: np.ndarray, outputs=None) -> dict[str, np.ndarray]:
     """Pure inference; returns plain arrays keyed by output node id."""
-    res = run_graph(graph, x, mode="eval", outputs=outputs)
-    return {k: v.value for k, v in res.items()}
+    return {k: v.value for k, v in run_graph(graph, x, mode="eval", outputs=outputs).items()}

@@ -12,14 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CalibrationError, ExportError, QuantError
-from .graph import Graph
+from .graph import Graph, Node
+from .kinds import PHASES
 
 HIST_BINS = 2048
 MASS_FRACTION = 0.9999
 QMIN, QMAX = -128, 127
 HALF_MAX = 65504.0
-
-PHASES = ("disabled", "observe", "active")
 
 
 def qdq(x: np.ndarray, scale: float) -> np.ndarray:
@@ -93,7 +92,6 @@ def insert_fakequant(graph: Graph) -> Graph:
     if quantizer_ids(graph):
         raise QuantError("graph is already instrumented with quantizers")
     g = graph.clone(copy_params=True)
-    from .graph import Node
     for nid in list(g.nodes):
         n = g.nodes[nid]
         if n.kind != "conv" or n.protected:

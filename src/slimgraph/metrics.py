@@ -1,13 +1,9 @@
 """Parameter, FLOP, and memory accounting plus report emission.
 
-FLOP convention: one multiply-accumulate counts as 2 FLOPs. Elementwise and
-pooling contributions use the per-kind table below (ops per output element):
-
-    batchnorm 2 | silu 4 | sigmoid 3 | add/mul/addconst/scale 1 | maxpool 1
-
-Global average pooling counts one add per *input* element. Data movement
-(concat/split) and simulation-only quantizer nodes count zero. The convention
-and the declared input size are stamped into every report header.
+FLOP convention: one multiply-accumulate counts as 2 FLOPs. Each node kind's
+count is the ``flops`` rule of its spec in :data:`slimgraph.kinds.SPECS`; data
+movement (concat/split) and simulation-only quantizer nodes count zero. The
+convention and the declared input size are stamped into every report header.
 """
 
 from __future__ import annotations
@@ -17,18 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modelio
-from .graph import Graph, infer_shapes, trainable_items
+from .graph import Graph, infer_shapes, io_shapes, trainable_items
+from .kinds import SPECS
 from .pruner import ratio_percent
-
-FLOPS_PER_ELEMENT = {
-    "batchnorm": 2,
-    "add": 1,
-    "mul": 1,
-    "addconst": 1,
-    "scale": 1,
-    "maxpool": 1,
-}
-ACT_FLOPS = {"silu": 4, "sigmoid": 3}
 
 
 def count_params(graph: Graph) -> int:
@@ -39,27 +26,7 @@ def count_params(graph: Graph) -> int:
 def count_flops(graph: Graph, input_shape=None) -> int:
     """Forward-pass FLOPs at the given input size (2 FLOPs per MAC)."""
     shapes = infer_shapes(graph, input_shape)
-    total = 0
-    for nid, n in graph.nodes.items():
-        if n.kind == "conv":
-            w = n.params["weight"]
-            cout, cin, kh, kw = w.shape
-            _, _, ho, wo = shapes[(nid, 0)]
-            total += 2 * cout * cin * kh * kw * ho * wo
-            if "bias" in n.params:
-                total += cout * ho * wo
-        elif n.kind == "linear":
-            out_f, in_f = n.params["weight"].shape
-            nb = shapes[(nid, 0)][0]
-            total += nb * (2 * out_f * in_f + (out_f if "bias" in n.params else 0))
-        elif n.kind == "activation":
-            total += ACT_FLOPS[n.attrs["fn"]] * int(np.prod(shapes[(nid, 0)]))
-        elif n.kind == "gap":
-            src, sp = n.inputs[0]
-            total += int(np.prod(shapes[(src, sp)]))
-        elif n.kind in FLOPS_PER_ELEMENT:
-            total += FLOPS_PER_ELEMENT[n.kind] * int(np.prod(shapes[(nid, 0)]))
-    return int(total)
+    return sum(SPECS[n.kind].flops(n, *io_shapes(n, shapes)) for n in graph.nodes.values())
 
 
 @dataclass

@@ -17,8 +17,9 @@ import zlib
 
 import numpy as np
 
-from .errors import GraphError, ModelFormatError, ShapeError
+from .errors import GraphError, ModelFormatError
 from .graph import Graph, Node, infer_shapes
+from .kinds import is_int
 
 MAGIC = b"TWNM"
 VERSION = 1
@@ -115,13 +116,10 @@ def from_bytes(data: bytes) -> tuple[Graph, int]:
 
     g, precision = _graph_from_doc(doc, blob)
     try:
-        g.validate()
+        g.validate()  # each node's arity, attrs and tensors against its kind's spec
         infer_shapes(g)
-    # attrs and tensor ranks are read by the shape rules; on a loaded document
-    # their failures mean the container is malformed, not the program
-    except (GraphError, ShapeError, KeyError, IndexError, TypeError, ValueError,
-            ArithmeticError) as e:
-        raise ModelFormatError(f"inconsistent topology: {type(e).__name__}: {e}") from e
+    except GraphError as e:
+        raise ModelFormatError(f"inconsistent topology: {e}") from e
     return g, precision
 
 
@@ -135,16 +133,12 @@ def _field(d, key, kind, where):
     return v
 
 
-def _is_int(v, lo=0) -> bool:
-    return type(v) is int and v >= lo
-
-
 def _graph_from_doc(doc, blob: bytes) -> tuple[Graph, int]:
     precision = _field(doc, "precision", int, "topology")
     if precision not in _DTYPES:
         raise ModelFormatError(f"unsupported precision {precision} in topology")
     input_shape = _field(doc, "input_shape", list, "topology")
-    if not all(_is_int(d, 1) for d in input_shape):
+    if not all(is_int(d, 1) for d in input_shape):
         raise ModelFormatError(f"input_shape {input_shape} is not a list of positive ints")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
@@ -156,13 +150,13 @@ def _graph_from_doc(doc, blob: bytes) -> tuple[Graph, int]:
         where = f"node {nid!r}"
         inputs = _field(nd, "inputs", list, where)
         if not all(isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
-                   and _is_int(e[1]) for e in inputs):
+                   and is_int(e[1]) for e in inputs):
             raise ModelFormatError(f"{where} inputs {inputs} are not [node id, port] pairs")
         params = {}
         for t in _field(nd, "tensors", list, where):
-            if not (isinstance(t, list) and len(t) == 5 and isinstance(t[0], str)
-                    and isinstance(t[2], list) and all(_is_int(d) for d in t[2])
-                    and _is_int(t[3]) and _is_int(t[4])):
+            if not (isinstance(t, list) and len(t) == 5 and all(isinstance(v, str) for v in t[:2])
+                    and isinstance(t[2], list) and all(is_int(d, 1) for d in t[2])
+                    and is_int(t[3]) and is_int(t[4])):
                 raise ModelFormatError(
                     f"{where} tensor entry {t} is not [name, tag, shape, offset, nelems]")
             name, tag, shape, offset, nelems = t

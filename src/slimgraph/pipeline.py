@@ -21,7 +21,7 @@ from . import autograd as ag
 from .builders import PRESETS, build_mini_net
 from .errors import SlimgraphError, TrainingError
 from .executor import RunState, run_graph
-from .fakequant import calibrate, export_fp16, insert_fakequant, quantizer_ids
+from .fakequant import calibrate, export_fp16, insert_fakequant
 from .graph import Graph, buffer_items, trainable_items
 from .metrics import CompressionReport, build_report, count_params
 from .modelio import from_bytes, to_bytes
@@ -311,18 +311,6 @@ class StudyResult:
     early_acc: dict = field(default_factory=dict)        # seed -> accuracy
     late_acc: dict = field(default_factory=dict)         # seed -> accuracy
 
-    def mean(self, d) -> float:
-        return float(np.mean(list(d.values())))
-
-
-def _materialize(graph: Graph, snap: dict) -> Graph:
-    g = graph.clone(copy_params=True)
-    for (nid, name), arr in snap["vars"].items():
-        g.node(nid).params[name] = arr.copy()
-    for (nid, name), arr in snap["buffers"].items():
-        g.node(nid).params[name] = arr.copy()
-    return g
-
 
 def prune_recovery_study(preset: str = "ecoweed_mini", seeds=(0, 1, 2), *,
                          epochs=250, prune_epoch=150, fractions=(0.1, 0.3, 0.5),
@@ -359,7 +347,8 @@ def prune_recovery_study(preset: str = "ecoweed_mini", seeds=(0, 1, 2), *,
             cursor = mark
 
         def arm(snap_epoch: int, fraction: float):
-            g_at = _materialize(gq, snaps[snap_epoch])
+            trunk.restore(snaps[snap_epoch])
+            g_at = trunk.to_graph()
             plan = build_plan(g_at, fraction, epoch_trigger=snap_epoch)
             slim = calibrate(apply_prune(g_at, plan), calib)
             tr = Trainer(slim, task, cfg)

@@ -17,6 +17,7 @@ import numpy as np
 from .depgraph import ChannelGroup, resolve_groups
 from .errors import GroupError, PlanError
 from .graph import Graph, infer_shapes
+from .kinds import SPECS
 
 
 @dataclass
@@ -33,8 +34,8 @@ def l1_importance(graph: Graph, group: ChannelGroup) -> np.ndarray:
     found = False
     for (nid, side, _), (local, chans) in group.index.items():
         n = graph.node(nid)
-        if side == "out" and n.kind in ("conv", "linear"):
-            w = n.params["weight"]
+        for name in SPECS[n.kind].filters if side == "out" else ():
+            w = n.params[name]
             norms = np.abs(w).reshape(len(w), -1).sum(axis=1, dtype=np.float64)
             # unbuffered and in member order: each score adds its rows lowest channel first
             np.add.at(scores, local, norms[chans])
@@ -127,24 +128,18 @@ def apply_prune(graph: Graph, plan: PrunePlan, groups=None) -> Graph:
 
     slim = graph.clone(copy_params=False)
     for nid, n in slim.nodes.items():
-        if n.kind in ("conv", "linear"):
-            w = n.params["weight"]
-            rows = _survivors(removed, (nid, "out", 0), w.shape[0])
-            cols = _survivors(removed, (nid, "in", 0), w.shape[1])
-            n.params = dict(n.params)
-            n.params["weight"] = np.ascontiguousarray(w[np.ix_(rows, cols)])
-            if "bias" in n.params:
-                n.params["bias"] = n.params["bias"][rows]
-        elif n.kind in ("batchnorm", "scale"):
-            width = len(n.params["gamma" if n.kind == "batchnorm" else "scale"])
-            chans = _survivors(removed, (nid, "out", 0), width)
-            n.params = {name: arr[chans] for name, arr in n.params.items()}
-        elif n.kind == "split":
-            n.attrs = dict(n.attrs)
-            n.attrs["sizes"] = [len(_survivors(removed, (nid, "out", p), size))
-                                for p, size in enumerate(n.attrs["sizes"])]
-        else:
-            n.params = {name: arr.copy() for name, arr in n.params.items()}
+        spec = SPECS[n.kind]
+        params = {}
+        for name, arr in n.params.items():
+            kept = arr
+            for axis, side in enumerate(spec.params[name]):
+                if side in ("in", "out"):
+                    kept = kept.take(_survivors(removed, (nid, side, 0), arr.shape[axis]), axis)
+            params[name] = kept.copy() if kept is arr else kept
+        n.params = params
+        if spec.resize is not None:
+            n.attrs = spec.resize(n.attrs, lambda p, width, nid=nid: len(
+                _survivors(removed, (nid, "out", p), width)))
     if plan.removals:
         slim.meta["stage"] = "pruned"
     try:
@@ -166,8 +161,9 @@ def zero_embed_oracle(graph: Graph, plan: PrunePlan, groups=None) -> Graph:
     dense = graph.clone(copy_params=True)
     for (nid, side, _), chans in _removed_channels(groups, plan).items():
         n = dense.node(nid)
-        if side == "in" and n.kind in ("conv", "linear"):
-            n.params["weight"][:, chans] = 0.0
+        for name, template in SPECS[n.kind].params.items():
+            if side == "in" and "in" in template and name in n.params:
+                np.moveaxis(n.params[name], template.index("in"), 0)[chans] = 0.0
     return dense
 
 

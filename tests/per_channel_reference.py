@@ -14,8 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from slimgraph.depgraph import ChannelSlot
-from slimgraph.graph import CHANNEL_TRANSPARENT, infer_shapes
+from slimgraph.graph import infer_shapes
 from slimgraph.pruner import PrunePlan, select_channels
+
+# kinds whose output channel k is their input channel k; written out here, not
+# read from the library's kind table, so the reference stays independent
+CHANNEL_TRANSPARENT = frozenset({
+    "batchnorm", "activation", "maxpool", "gap", "addconst", "scale", "fakequant",
+})
 
 
 @dataclass

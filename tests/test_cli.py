@@ -177,6 +177,19 @@ class TestExitCodes:
         assert run(["inspect", "--model", str(bad)]) == 3
         assert "unknown node kind 'deconv'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd, kind, attr, value", [
+        ("report", "activation", "fn", "relu"),
+        ("inspect", "split", "sizes", [8.0, 8]),
+    ])
+    def test_format_error_bad_attr(self, tmp_path, model_path, capsys, cmd, kind, attr, value):
+        doc, blob = split_container(model_path.read_bytes())
+        next(nd for nd in doc["nodes"] if nd["kind"] == kind)["attrs"][attr] = value
+        bad = tmp_path / "bad.twnm"
+        bad.write_bytes(container(doc, blob))
+        args = ["--models", str(bad)] if cmd == "report" else ["--model", str(bad)]
+        assert run([cmd] + args) == 3
+        assert f"attr {attr!r} = {value!r}" in capsys.readouterr().err
+
     def test_env_seed_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SLIMGRAPH_SEED", "7")
         path = tmp_path / "m.twnm"

@@ -11,7 +11,7 @@ from slimgraph import build_fragment, build_mini_net, infer_shapes, resolve_grou
 from slimgraph.builders import PRESETS
 from slimgraph.depgraph import format_groups, group_cost
 from slimgraph.errors import GroupError
-from slimgraph.metrics import count_params
+from slimgraph.metrics import count_flops, count_params
 from slimgraph.pruner import PrunePlan, apply_prune, build_plan
 
 
@@ -260,6 +260,19 @@ class TestGroupCost:
         plan = PrunePlan(removals={mid.gid: (1, 5)})
         slim = apply_prune(g, plan, groups)
         assert count_params(g) - 2 * group_cost(g, mid).params_per_channel == count_params(slim)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_cost_equals_removing_one_channel(self, preset):
+        # independent oracle: prune local index 0 alone and count what went away
+        g = build_mini_net(preset, (1, 3, 64, 64), 3, seed=1)
+        groups = resolve_groups(g)
+        for gr in groups:
+            if gr.protected or gr.length < 2:
+                continue
+            slim = apply_prune(g, PrunePlan({gr.gid: (0,)}), groups)
+            cost = group_cost(g, gr)
+            assert cost.params_per_channel == count_params(g) - count_params(slim), gr.gid
+            assert cost.flops_per_channel == count_flops(g) - count_flops(slim), gr.gid
 
 
 class TestDump:

@@ -6,7 +6,7 @@ import pytest
 from slimgraph import build_fragment, build_mini_net, forward_arrays, infer_shapes
 from slimgraph.builders import PRESETS
 from slimgraph.errors import GraphError
-from slimgraph.graph import TRAINABLE
+from slimgraph.kinds import SPECS
 from slimgraph.metrics import count_params
 
 
@@ -207,7 +207,7 @@ class TestPresets:
         g = build_mini_net("y12_mini", (1, 3, 64, 64), 3, seed=1)
         for n in g.nodes.values():
             for pname in n.params:
-                trainable = pname in TRAINABLE.get(n.kind, ())
+                trainable = pname in SPECS[n.kind].trainable
                 buffer = pname in ("running_mean", "running_var", "amax")
                 assert trainable or buffer, (n.id, pname)
 

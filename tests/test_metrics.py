@@ -40,6 +40,11 @@ class TestCountFlops:
         # 2 * 1*1*1*1 * 16 multiply-accumulate FLOPs + 16 bias adds
         assert count_flops(b.graph) == 32 + 16
 
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_every_kind_counts_the_whole_batch(self, preset):
+        g = build_mini_net(preset, (1, 3, 64, 64), 3)
+        assert count_flops(g, (3, 3, 64, 64)) == 3 * count_flops(g)
+
     def test_doubling_spatial_dims_quadruples_conv_flops(self):
         g1 = build_fragment("conv_block", (1, 3, 16, 16), cout=8, k=3)
         g2 = build_fragment("conv_block", (1, 3, 32, 32), cout=8, k=3)

@@ -8,9 +8,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import container, split_container
-from slimgraph import build_mini_net, forward_arrays
+from slimgraph import build_mini_net, count_flops, forward_arrays, resolve_groups
 from slimgraph.builders import build_fragment
-from slimgraph.errors import ModelFormatError
+from slimgraph.errors import ModelFormatError, SlimgraphError
+from slimgraph.fakequant import calibrate, insert_fakequant
 from slimgraph.modelio import MAGIC, from_bytes, load, save, to_bytes
 from slimgraph.pipeline import ToyTask, TrainConfig, train
 
@@ -125,6 +126,13 @@ class TestCorruption:
 SMALL = to_bytes(build_fragment("sppf", (1, 4, 8, 8), cout=4, pool_k=3), 32)
 
 
+def edited_container(kind, edit):
+    """An instrumented ecoweed_mini container whose first node of a kind went through edit."""
+    doc, blob = split_container(to_bytes(insert_fakequant(build(preset="ecoweed_mini")), 32))
+    edit(next(nd for nd in doc["nodes"] if nd["kind"] == kind))
+    return container(doc, blob)
+
+
 class TestMalformedTopology:
     def test_helpers_rebuild_a_valid_container(self):
         assert from_bytes(container(*split_container(SMALL)))[1] == 32
@@ -160,6 +168,21 @@ class TestMalformedTopology:
         with pytest.raises(ModelFormatError, match="unparseable"):
             from_bytes(data)
 
+    @pytest.mark.parametrize("kind, edit, match", [
+        ("activation", lambda nd: nd["attrs"].update(fn="relu"), "attr 'fn' = 'relu'"),
+        ("addconst", lambda nd: nd["attrs"].pop("c"), "lacks the attr 'c'"),
+        ("batchnorm", lambda nd: nd["attrs"].update(eps="x"), "attr 'eps' = 'x'"),
+        ("split", lambda nd: nd["attrs"]["sizes"].__setitem__(0, 8.0), r"attr 'sizes' = \[8.0, 8\]"),
+        ("fakequant", lambda nd: nd["attrs"].update(phase="calibrating"), "attr 'phase'"),
+        ("conv", lambda nd: nd["attrs"].update(dilation=2), "has no attr 'dilation'"),
+        ("batchnorm", lambda nd: nd["tensors"][3].__setitem__(0, "junk"),
+         "lacks the tensor 'running_var'"),
+    ], ids=["relu-activation", "addconst-without-c", "eps-not-a-number", "float-split-size",
+            "unknown-phase", "unknown-attr", "renamed-tensor"])
+    def test_attrs_and_tensors_checked_against_the_kind(self, kind, edit, match):
+        with pytest.raises(ModelFormatError, match=match):
+            from_bytes(edited_container(kind, edit))
+
     def test_inconsistent_graph_is_a_format_error(self):
         doc, blob = split_container(SMALL)
         doc["input_shape"][1] = 5  # no longer matches the first conv's Cin
@@ -194,16 +217,42 @@ def _mutate(doc, path_choices, value, delete):
         node = child
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(st.integers(0, 1000), min_size=1, max_size=6), _json_values(), st.booleans())
-def test_fuzzed_topology_raises_only_format_errors(path_choices, value, delete):
-    doc, blob = split_container(SMALL)
-    _mutate(doc, path_choices, value, delete)
+def _load_and_use(doc, blob):
+    """Load a document; whatever loads must also count, resolve and run, failing
+    only in the documented way."""
     try:
         g, bits = from_bytes(container(doc, blob))
     except ModelFormatError:
         return
     assert bits in (16, 32) and g.nodes
+    try:
+        count_flops(g)
+        resolve_groups(g)
+        forward_arrays(g, np.full(g.input_shape, 0.5, dtype=np.float32))
+    except SlimgraphError:
+        pass
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.integers(0, 1000), min_size=1, max_size=6), _json_values(), st.booleans())
+def test_fuzzed_topology_raises_only_format_errors(path_choices, value, delete):
+    doc, blob = split_container(SMALL)
+    _mutate(doc, path_choices, value, delete)
+    _load_and_use(doc, blob)
+
+
+# every node kind, active quantizers included, on small maps
+ALL_KINDS = to_bytes(calibrate(insert_fakequant(build_mini_net("ecoweed_mini", (1, 3, 32, 32), 3)),
+                               [np.random.default_rng(0).random((2, 3, 32, 32), np.float32)]), 16)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 1000), st.lists(st.integers(0, 1000), min_size=1, max_size=4),
+       _json_values(), st.booleans())
+def test_fuzzed_nodes_of_every_kind_raise_only_format_errors(node, path_choices, value, delete):
+    doc, blob = split_container(ALL_KINDS)
+    _mutate(doc["nodes"][node % len(doc["nodes"])], path_choices, value, delete)
+    _load_and_use(doc, blob)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from slimgraph import build_mini_net
+from slimgraph import build_mini_net, pipeline
 from slimgraph.errors import SlimgraphError, TrainingError
-from slimgraph.pipeline import (ToyTask, TrainConfig, Trainer, evaluate,
+from slimgraph.pipeline import (ToyTask, TrainConfig, Trainer, evaluate, prune_recovery_study,
                                 run_compression_pipeline, train, write_metric_log)
 
 
@@ -160,6 +160,40 @@ class TestPipeline:
         g.node("s0.conv").params["weight"][0, 0, 0, 0] = np.nan
         with pytest.raises(SlimgraphError, match=r"\[stage "):
             run_compression_pipeline(g, task, cfg)
+
+    def test_study_arms_equal_standalone_pipeline_runs(self, monkeypatch):
+        # each arm branches off the shared QAT trunk; it must end exactly where a
+        # standalone pipeline run pruning at the same epoch ends
+        trainers = []
+
+        class Recording(Trainer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                trainers.append(self)
+
+        task_kwargs = {"n_train": 32, "n_val": 12}
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "Trainer", Recording)
+            res = prune_recovery_study("ecoweed_mini", (3,), epochs=4, prune_epoch=2,
+                                       fractions=(0.5,), early_epoch=1, late_epoch=3,
+                                       base_fraction=0.5, task_kwargs=task_kwargs)
+        arms = trainers[2:]  # after the plain baseline and the QAT trunk
+        accs = (res.finetuned_acc[(3, 0.5)], res.early_acc[3], res.late_acc[3])
+        assert len(arms) == 3
+        for arm, acc, epoch in zip(arms, accs, (2, 1, 3)):
+            solo = run_compression_pipeline(
+                "ecoweed_mini", ToyTask(seed=3, **task_kwargs),
+                TrainConfig(epochs=4, prune_epoch=epoch, channel_fraction=0.5,
+                            qat_enabled=True, seed=3))
+            final = arm.to_graph()
+            assert acc == solo.final_accuracy
+            assert list(final.nodes) == list(solo.slim_graph.nodes)
+            for nid, n in solo.slim_graph.nodes.items():
+                assert final.node(nid).attrs == n.attrs
+                assert final.node(nid).params.keys() == n.params.keys()
+                for name, arr in n.params.items():
+                    got = final.node(nid).params[name]
+                    assert got.dtype == arr.dtype and got.tobytes() == arr.tobytes(), (nid, name)
 
     def test_evaluate_standalone(self):
         g = build_mini_net("y11_mini", (1, 3, 64, 64), 3, seed=0)
