@@ -30,7 +30,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("SLIMGRAPH_SEED", "0"))
+    value = os.environ.get("SLIMGRAPH_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise _UsageError(f"SLIMGRAPH_SEED must be an integer, got {value!r}") from None
 
 
 def _echo_config(cmd: str, args: argparse.Namespace) -> None:
@@ -174,11 +178,11 @@ def _cmd_qat(args) -> int:
     g, _ = modelio.load(args.model)
     if not fakequant.quantizer_ids(g):
         g = fakequant.insert_fakequant(g)
-    task = _make_task(g, args.seed)
-    g = fakequant.calibrate(g, task.calibration_batches(args.batches, args.batch_size))
     cfg = pipeline.TrainConfig(epochs=args.epochs, seed=args.seed, lr=args.lr,
                                momentum=args.momentum, batch_size=args.batch_size,
                                qat_enabled=True, calibration_batches=args.batches)
+    task = _make_task(g, args.seed)
+    g = fakequant.calibrate(g, task.calibration_batches(args.batches, args.batch_size))
     trained, rows = pipeline.train(g, task, cfg)
     if args.log:
         pipeline.write_metric_log(rows, args.log)
@@ -188,12 +192,12 @@ def _cmd_qat(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     cfg = pipeline.TrainConfig(
         epochs=args.epochs, prune_epoch=args.prune_epoch,
         channel_fraction=args.fraction, qat_enabled=args.qat,
         calibration_batches=args.calibration_batches, lr=args.lr,
         batch_size=args.batch_size, seed=args.seed)
+    os.makedirs(args.out_dir, exist_ok=True)
     task = pipeline.ToyTask(n_classes=args.classes, seed=args.seed)
     result = pipeline.run_compression_pipeline(args.preset, task, cfg)
 
@@ -218,6 +222,9 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        print(f"verify: --trials must be >= 1, got {args.trials}", file=sys.stderr)
+        return 2
     dense, _ = modelio.load(args.dense)
     slim, _ = modelio.load(args.slim)
     plan = pruner.read_plan(args.plan)
@@ -279,9 +286,8 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

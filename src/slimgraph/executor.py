@@ -26,11 +26,11 @@ class RunState:
 
 
 class _Run:
-    """What forward rules read: the batch, mode, tape and observers, and the
-    tensors, taken from the training state when it holds them, else the node."""
+    """What forward rules read: the batch, mode and tape, and the tensors,
+    taken from the training state when it holds them, else the node."""
 
-    def __init__(self, x, mode, tape, state, observers):
-        self.x, self.mode, self.tape, self.observers = x, mode, tape, observers
+    def __init__(self, x, mode, tape, state):
+        self.x, self.mode, self.tape = x, mode, tape
         self.vars, self.buffers = (state.vars, state.buffers) if state is not None else ({}, {})
 
     def param(self, n, name) -> Var | None:
@@ -51,22 +51,20 @@ class _Run:
 
 def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
               tape: Tape | None = None, state: RunState | None = None,
-              outputs=None, observers: dict | None = None) -> dict[str, Var]:
+              outputs=None) -> dict[str, Var]:
     """Evaluate the graph on a batch.
 
     Args:
         x: input batch matching the graph's declared layout.
         mode: "train" uses batch statistics in batchnorm and updates running
             buffers; "calibrate" uses batch statistics without touching the
-            buffers (so observers see the distribution training will see);
+            buffers (so calibration sees the distribution training will see);
             "eval" normalizes with stored statistics.
         tape: optional autograd tape for backward.
         state: training state; required for mode="train".
-        outputs: restrict computation to these output node ids (demand-driven).
-        observers: calibration observers keyed by quantizer node id; fed with
-            absolute activations while a quantizer is in observe phase.
+        outputs: restrict computation to these node ids and their ancestors.
 
-    Returns a dict mapping output node id to its Var.
+    Returns a dict mapping each requested node id to its Var, in topological order.
     """
     if mode not in ("train", "eval", "calibrate"):
         raise GraphError(f"unknown execution mode {mode!r}")
@@ -75,7 +73,7 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
     wanted = list(outputs) if outputs is not None else graph.output_ids
     needed = graph.ancestors_of(wanted)
     values: dict[tuple[str, int], Var] = {}
-    run = _Run(x, mode, tape, state, observers)
+    run = _Run(x, mode, tape, state)
     order = [nid for nid in graph.topo_order() if nid in needed]
     for nid in order:
         n = graph.node(nid)

@@ -1,8 +1,9 @@
 """Simulated 8-bit activation quantization and half-precision weight export.
 
 Quantizers sit on the input edge of every non-head convolution. Lifecycle:
-``disabled`` (identity) -> ``observe`` (identity + histogram of |x|) ->
-``active`` (quantize-dequantize against the signed 8-bit range [-128, 127]).
+``disabled`` (identity) -> ``observe`` (identity, while calibration reads
+each quantizer's output into a histogram of |x|) -> ``active``
+(quantize-dequantize against the signed 8-bit range [-128, 127]).
 Calibration picks amax as the smallest histogram bin edge covering 99.99% of
 the observed mass; scale is amax/127.
 """
@@ -43,10 +44,9 @@ class HistogramObserver:
     maximum. Counts are float64, exact for any realistic sample volume.
     """
 
-    def __init__(self, name: str = "observer", bins: int = HIST_BINS):
+    def __init__(self, name: str = "observer"):
         self.name = name  # the quantizer named in errors
-        self.bins = bins
-        self.counts = np.zeros(bins, dtype=np.float64)
+        self.counts = np.zeros(HIST_BINS, dtype=np.float64)
         self.top = 0.0
         self.samples = 0
 
@@ -62,15 +62,15 @@ class HistogramObserver:
                 f"among {ax.size}")
         if m > self.top:
             if self.top > 0.0:
-                old_centers = (np.arange(self.bins) + 0.5) * (self.top / self.bins)
-                idx = np.minimum((old_centers / (m / self.bins)).astype(np.int64),
-                                 self.bins - 1)
-                self.counts = np.bincount(idx, weights=self.counts, minlength=self.bins)
+                old_centers = (np.arange(HIST_BINS) + 0.5) * (self.top / HIST_BINS)
+                idx = np.minimum((old_centers / (m / HIST_BINS)).astype(np.int64),
+                                 HIST_BINS - 1)
+                self.counts = np.bincount(idx, weights=self.counts, minlength=HIST_BINS)
             self.top = m
         if self.top > 0.0:
-            width = self.top / self.bins
-            idx = np.minimum((ax / width).astype(np.int64), self.bins - 1)
-            self.counts += np.bincount(idx, minlength=self.bins)
+            width = self.top / HIST_BINS
+            idx = np.minimum((ax / width).astype(np.int64), HIST_BINS - 1)
+            self.counts += np.bincount(idx, minlength=HIST_BINS)
         self.samples += ax.size
 
     def amax(self) -> float | None:
@@ -80,7 +80,7 @@ class HistogramObserver:
         cum = np.cumsum(self.counts)
         total = cum[-1]
         k = int(np.searchsorted(cum, MASS_FRACTION * total))
-        return float((k + 1) * (self.top / self.bins))
+        return float((k + 1) * (self.top / HIST_BINS))
 
 
 def quantizer_ids(graph: Graph) -> list[str]:
@@ -133,8 +133,13 @@ def calibrate(graph: Graph, batches) -> Graph:
     observers = {qid: HistogramObserver(qid) for qid in qids}
     for batch in batches:
         # batch-statistics normalization: observers must see the activation
-        # distribution that training forwards will produce
-        run_graph(g, batch, mode="calibrate", observers=observers)
+        # distribution that training forwards will produce. Outputs come in
+        # topological order, so a non-finite error names the first quantizer
+        # it reaches; the observer reports it, so numpy need not warn.
+        with np.errstate(invalid="ignore", over="ignore"):
+            outs = run_graph(g, batch, mode="calibrate", outputs=qids)
+        for qid, out in outs.items():
+            observers[qid].observe(out.value)
     for qid in qids:
         amax = observers[qid].amax()
         if amax is None or amax <= 0.0:

@@ -184,8 +184,6 @@ def _fakequant_forward(run, n, ins):
         return ag.qdq(run.tape, ins[0], amax / 127.0)
     if phase not in PHASES:
         raise QuantError(f"quantizer {n.id!r} has unknown phase {phase!r}")
-    if phase == "observe" and run.observers is not None and n.id in run.observers:
-        run.observers[n.id].observe(ins[0].value)
     return ins[0]
 
 

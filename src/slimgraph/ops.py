@@ -20,18 +20,6 @@ from scipy.special import expit
 from .errors import ShapeError
 
 
-def tensor(data, dtype=np.float32) -> np.ndarray:
-    """Validate and return a contiguous dense tensor.
-
-    Enforces the core invariants: no zero-sized dimensions and element count
-    equal to the shape product (guaranteed by contiguity).
-    """
-    a = np.ascontiguousarray(data, dtype=dtype)
-    if any(d < 1 for d in a.shape):
-        raise ShapeError(f"tensor dimensions must be >= 1, got shape {a.shape}")
-    return a
-
-
 def _pair(v) -> tuple[int, int]:
     if isinstance(v, (tuple, list)):
         a, b = v
@@ -195,10 +183,6 @@ def batchnorm_train_backward(gy, gamma, cache):
 def sigmoid(x):
     """Logistic function (scipy's expit: one pass, saturates without overflow)."""
     return expit(x)
-
-
-def silu(x):
-    return x * sigmoid(x)
 
 
 def add(a, b):

@@ -43,6 +43,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise TrainingError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.prune_epoch is not None and not (0 <= self.prune_epoch < self.epochs):
             raise TrainingError(
                 f"prune_epoch {self.prune_epoch} must lie inside [0, {self.epochs})")
@@ -62,9 +64,10 @@ class ToyTask:
     """
 
     SHAPES = ("disc", "cross", "bar")
+    NOISE = 0.02     # standard deviation of the Gaussian background
+    CONTRAST = 0.45  # brightness added inside the shape
 
-    def __init__(self, n_classes=3, n_train=64, n_val=24, seed=0, size=64,
-                 noise=0.02, contrast=0.45):
+    def __init__(self, n_classes=3, n_train=64, n_val=24, seed=0, size=64):
         if not (2 <= n_classes <= len(self.SHAPES)):
             raise TrainingError(f"toy task supports 2..3 classes, got {n_classes}")
         self.n_classes = n_classes
@@ -75,14 +78,14 @@ class ToyTask:
         labels = np.empty(n, dtype=np.int64)
         for i in range(n):
             k = i % n_classes
-            images[i] = self._render(rng, self.SHAPES[k], noise, contrast)
+            images[i] = self._render(rng, self.SHAPES[k])
             labels[i] = k
         self.train_images, self.val_images = images[:n_train], images[n_train:]
         self.train_labels, self.val_labels = labels[:n_train], labels[n_train:]
 
-    def _render(self, rng, shape, noise, contrast):
+    def _render(self, rng, shape):
         s = self.size
-        img = rng.normal(0.35, noise, (3, s, s))
+        img = rng.normal(0.35, self.NOISE, (3, s, s))
         r = int(rng.integers(10, 21))
         t = max(3, r // 3)
         cy = int(rng.integers(r + 2, s - r - 2))
@@ -95,7 +98,7 @@ class ToyTask:
             mask = ((dx <= t) & (dy <= r)) | ((dy <= t) & (dx <= r))
         else:  # bar: always vertical, so orientation statistics separate it from cross
             mask = (dx <= t) & (dy <= r)
-        img += contrast * mask[None, :, :]
+        img += self.CONTRAST * mask[None, :, :]
         return np.clip(img, 0.0, 1.0).astype(np.float32)
 
     def batches(self, epoch: int, batch_size: int, seed: int):
@@ -129,9 +132,8 @@ def evaluate(graph: Graph, task: ToyTask) -> float:
 class Trainer:
     """SGD-with-momentum loop over a fixed graph topology.
 
-    Weights and batchnorm buffers live in a RunState; snapshots capture the
-    full optimization state so schedules can branch mid-run without replaying
-    the shared prefix.
+    Weights and batchnorm buffers live in a RunState; ``to_graph`` copies
+    them out, which is all a schedule needs to branch mid-run.
     """
 
     def __init__(self, graph: Graph, task: ToyTask, config: TrainConfig):
@@ -145,21 +147,6 @@ class Trainer:
         buffers = {key: arr.copy() for key, arr in buffer_items(graph)}
         self.state = RunState(vars_, buffers)
         self.velocity = {key: np.zeros_like(v.value) for key, v in vars_.items()}
-
-    # -- state management ----------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return {
-            "vars": {k: v.value.copy() for k, v in self.state.vars.items()},
-            "buffers": {k: a.copy() for k, a in self.state.buffers.items()},
-            "velocity": {k: a.copy() for k, a in self.velocity.items()},
-        }
-
-    def restore(self, snap: dict) -> None:
-        for k, v in self.state.vars.items():
-            v.value = snap["vars"][k].copy()
-        self.state.buffers = {k: a.copy() for k, a in snap["buffers"].items()}
-        self.velocity = {k: a.copy() for k, a in snap["velocity"].items()}
 
     def to_graph(self) -> Graph:
         g = self.graph.clone(copy_params=True)
@@ -269,7 +256,7 @@ def run_compression_pipeline(preset_or_graph, task: ToyTask, config: TrainConfig
 
     if config.prune_epoch is not None:
         plan = _stage("plan", build_plan, dense_graph, config.channel_fraction,
-                      None, 1, config.prune_epoch)
+                      epoch_trigger=config.prune_epoch)
         slim = _stage("prune", apply_prune, dense_graph, plan)
         if config.qat_enabled:
             slim = _stage("recalibrate", calibrate, slim, calib)
@@ -318,9 +305,9 @@ def prune_recovery_study(preset: str = "ecoweed_mini", seeds=(0, 1, 2), *,
                          task_kwargs=None, config_kwargs=None) -> StudyResult:
     """Trend study behind the pipeline properties.
 
-    Per seed: a plain dense baseline, a QAT trunk with snapshots at the three
-    prune points, then prune+recalibrate+fine-tune arms that branch off the
-    shared trunk. Determinism of the per-epoch batch streams makes each arm
+    Per seed: a plain dense baseline, a QAT trunk whose graph is kept at the
+    three prune points, then prune+recalibrate+fine-tune arms that branch off
+    those graphs. Determinism of the per-epoch batch streams makes each arm
     identical to a standalone pipeline run with the same configuration.
     """
     if preset not in PRESETS:
@@ -339,21 +326,19 @@ def prune_recovery_study(preset: str = "ecoweed_mini", seeds=(0, 1, 2), *,
 
         gq = calibrate(insert_fakequant(g0), calib)
         trunk = Trainer(gq, task, cfg)
-        snaps = {}
+        marks = {}
         cursor = 0
         for mark in sorted({early_epoch, prune_epoch, late_epoch}):
             trunk.run_epochs(cursor, mark, "dense")
-            snaps[mark] = trunk.snapshot()
+            marks[mark] = trunk.to_graph()
             cursor = mark
 
-        def arm(snap_epoch: int, fraction: float):
-            trunk.restore(snaps[snap_epoch])
-            g_at = trunk.to_graph()
-            plan = build_plan(g_at, fraction, epoch_trigger=snap_epoch)
-            slim = calibrate(apply_prune(g_at, plan), calib)
+        def arm(mark: int, fraction: float):
+            plan = build_plan(marks[mark], fraction, epoch_trigger=mark)
+            slim = calibrate(apply_prune(marks[mark], plan), calib)
             tr = Trainer(slim, task, cfg)
             acc_before = tr.evaluate()
-            tr.run_epochs(snap_epoch, epochs, "pruned")
+            tr.run_epochs(mark, epochs, "pruned")
             return acc_before, tr.evaluate()
 
         for f in fractions:

@@ -45,24 +45,24 @@ def l1_importance(graph: Graph, group: ChannelGroup) -> np.ndarray:
     return scores
 
 
-def select_channels(scores, fraction: float, min_keep: int = 1) -> tuple[int, ...]:
+def select_channels(scores, fraction: float) -> tuple[int, ...]:
     """Indices of the floor(fraction*L) lowest-scoring channels.
 
     Ties remove the higher index first so lower indices survive; the removal
-    count is capped so at least ``min_keep`` channels remain.
+    count is capped so at least one channel remains.
     """
     if not (0.0 <= fraction < 1.0):
         raise PlanError(f"channel fraction must be in [0, 1), got {fraction}")
     scores = np.asarray(scores, dtype=np.float64)
     L = len(scores)
-    m = min(int(np.floor(fraction * L)), L - min_keep)
+    m = min(int(np.floor(fraction * L)), L - 1)
     if m <= 0:
         return ()
     order = sorted(range(L), key=lambda i: (scores[i], -i))
     return tuple(sorted(order[:m]))
 
 
-def build_plan(graph: Graph, fraction: float, groups=None, min_keep: int = 1,
+def build_plan(graph: Graph, fraction: float, groups=None,
                epoch_trigger: int | None = None) -> PrunePlan:
     """Uniform-fraction plan over every free group."""
     groups = groups or resolve_groups(graph)
@@ -70,7 +70,7 @@ def build_plan(graph: Graph, fraction: float, groups=None, min_keep: int = 1,
     for g in groups:
         if g.protected:
             continue
-        removal = select_channels(l1_importance(graph, g), fraction, min_keep)
+        removal = select_channels(l1_importance(graph, g), fraction)
         if removal:
             plan.removals[g.gid] = removal
     return plan

@@ -190,6 +190,39 @@ class TestExitCodes:
         assert run([cmd] + args) == 3
         assert f"attr {attr!r} = {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("env, argv, code, message", [
+        ({}, "build --preset y11_mini --input-size 60 --out {out}", 2, "divisible by 32"),
+        ({}, "build --preset y11_mini --classes 5 --out {out}", 2, "2 or 3 classes"),
+        ({}, "prune --model {model} --fraction 1.5 --out {out}", 2, "got 1.5"),
+        ({}, "prune --model {model} --fraction -0.1 --out {out}", 2, "got -0.1"),
+        ({}, "prune --model {model} --fraction nan --out {out}", 2, "got nan"),
+        ({}, "train --model {model} --epochs 0", 2, "epochs must be >= 1"),
+        ({}, "train --model {model} --epochs 1 --batch-size 0", 2, "batch_size must be >= 1"),
+        ({}, "train --model {model} --epochs 1 --batch-size -4", 2, "batch_size must be >= 1"),
+        ({}, "calibrate --model {model} --batches 0 --out {out}", 2, "at least one batch"),
+        ({}, "qat --model {model} --epochs 1 --batch-size 0 --out {out}", 2,
+         "batch_size must be >= 1"),
+        ({}, "verify --dense {model} --slim {slim} --plan {plan} --trials 0", 2,
+         "--trials must be >= 1"),
+        ({}, "pipeline --preset y11_mini --epochs 2 --prune-epoch 5 --out-dir {out}", 2,
+         "prune_epoch 5"),
+        ({}, "pipeline --preset y11_mini --epochs 1 --qat --calibration-batches 0 "
+             "--out-dir {out}", 2, "calibration batch"),
+        ({"SLIMGRAPH_SEED": "abc"}, "build --preset y11_mini --out {out}", 1, "SLIMGRAPH_SEED"),
+    ])
+    def test_out_of_range_value_exit_code(self, model_path, tmp_path, monkeypatch, capsys,
+                                          env, argv, code, message):
+        for k, v in env.items():
+            monkeypatch.setenv(k, v)
+        slim, plan = tmp_path / "slim.twnm", tmp_path / "plan.txt"
+        if "{slim}" in argv:
+            assert run(["prune", "--model", str(model_path), "--fraction", "0.3",
+                        "--plan-out", str(plan), "--out", str(slim)]) == 0
+        out = tmp_path / "out"
+        assert run(argv.format(model=model_path, slim=slim, plan=plan, out=out).split()) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_seed_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SLIMGRAPH_SEED", "7")
         path = tmp_path / "m.twnm"

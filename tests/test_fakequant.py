@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slimgraph import autograd as ag
-from slimgraph import build_mini_net, forward_arrays
+from slimgraph import build_mini_net, forward_arrays, ops
 from slimgraph.errors import CalibrationError, ExportError, QuantError
 from slimgraph.fakequant import (HistogramObserver, calibrate, calibration_rows,
                                  cast_fp16, export_fp16, insert_fakequant, qdq,
@@ -233,6 +233,21 @@ class TestCalibration:
         batch[1, 2, 5, 7] = np.inf
         with pytest.raises(CalibrationError, match="'s0.conv__q' observed 1 non-finite"):
             calibrate(gq, [batch])
+
+    def test_runs_only_the_convs_that_feed_a_quantizer(self, monkeypatch):
+        g = insert_fakequant(build_mini_net("y11_mini", (1, 3, 64, 64), 3, seed=0))
+        needed = g.ancestors_of(quantizer_ids(g))
+        convs = [n for n in g.nodes.values() if n.kind == "conv"]
+        feeding = {n.id for n in convs if n.id in needed}
+        assert not any(n.protected for n in convs if n.id in feeding)
+        # the last backbone conv feeds only the heads: no quantizer needs it
+        assert {n.id for n in convs if not n.protected} - feeding == {"s10.cv2.conv"}
+        calls = []
+        real = ops.conv2d_forward
+        monkeypatch.setattr(ops, "conv2d_forward",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        calibrate(g, ToyTask(seed=0, n_train=16).calibration_batches(3, 4))
+        assert len(calls) == 3 * len(feeding) == 3 * 21
 
     def test_needs_at_least_one_batch(self):
         g = insert_fakequant(build_mini_net("y11_mini", (1, 3, 64, 64), 3, seed=0))

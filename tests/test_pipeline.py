@@ -86,25 +86,6 @@ class TestTrainer:
         with pytest.raises(TrainingError, match="epoch 0"):
             train(g, task, TrainConfig(epochs=8, seed=0))
 
-    def test_snapshot_restore_roundtrip(self):
-        g, task = self.small()
-        tr = Trainer(g, task, TrainConfig(epochs=10, seed=0))
-        tr.run_epochs(0, 2, "dense")
-        snap = tr.snapshot()
-        tr.run_epochs(2, 4, "dense")
-        moved = tr.to_graph()
-        tr.restore(snap)
-        back = tr.to_graph()
-        changed = any(back.node(nid).params[p].tobytes() != moved.node(nid).params[p].tobytes()
-                      for nid, n in back.nodes.items() for p in n.params)
-        assert changed
-        tr2 = Trainer(g, task, TrainConfig(epochs=10, seed=0))
-        tr2.run_epochs(0, 2, "dense")
-        fresh = tr2.to_graph()
-        for nid, n in back.nodes.items():
-            for p, arr in n.params.items():
-                assert arr.tobytes() == fresh.node(nid).params[p].tobytes()
-
 
 class TestConfigValidation:
     def test_prune_epoch_bounds(self):
@@ -116,6 +97,8 @@ class TestConfigValidation:
             TrainConfig(epochs=10, channel_fraction=1.0)
         with pytest.raises(TrainingError):
             TrainConfig(epochs=10, qat_enabled=True, calibration_batches=0)
+        with pytest.raises(TrainingError, match="batch_size must be >= 1"):
+            TrainConfig(epochs=10, batch_size=0)
 
 
 class TestPipeline:
