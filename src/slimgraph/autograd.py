@@ -127,7 +127,10 @@ def sigmoid(tape, x: Var) -> Var:
     out = Var(s)
     if tape is not None:
         def grad(g):
-            _accum(x, g * s * (1.0 - s))
+            t = 1.0 - s  # g*s*(1-s) in one buffer
+            t *= s
+            t *= g
+            _accum(x, t)
         tape.record(out, grad)
     return out
 
@@ -137,7 +140,12 @@ def silu(tape, x: Var) -> Var:
     out = Var(x.value * s)
     if tape is not None:
         def grad(g):
-            _accum(x, g * (s + x.value * s * (1.0 - s)))
+            t = 1.0 - s  # g*s*(1 + x*(1-s)) in one buffer
+            t *= x.value
+            t += 1.0
+            t *= s
+            t *= g
+            _accum(x, t)
         tape.record(out, grad)
     return out
 

@@ -9,6 +9,7 @@ before doing work so artifacts can be traced back to exact flags. The
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -225,6 +226,9 @@ def _cmd_verify(args) -> int:
     if args.trials < 1:
         print(f"verify: --trials must be >= 1, got {args.trials}", file=sys.stderr)
         return 2
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        print(f"verify: --tol must be finite and >= 0, got {args.tol}", file=sys.stderr)
+        return 2
     dense, _ = modelio.load(args.dense)
     slim, _ = modelio.load(args.slim)
     plan = pruner.read_plan(args.plan)
@@ -244,6 +248,10 @@ def _cmd_verify(args) -> int:
         for k in ya:
             denom = max(float(np.abs(ya[k]).max()), 1e-12)
             rel = float(np.abs(ya[k] - yb[k]).max()) / denom
+            if not math.isfinite(rel):  # max() would silently keep the finite worst
+                print(f"verify: output {k!r} is not finite "
+                      f"(relative deviation {rel})", file=sys.stderr)
+                return 2
             worst = max(worst, rel)
     print(f"verify: {args.trials} trials, worst relative deviation {worst:.3e} (tol {args.tol})")
     return 0 if worst <= args.tol else 2

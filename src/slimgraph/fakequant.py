@@ -26,14 +26,20 @@ def qdq(x: np.ndarray, scale: float) -> np.ndarray:
     """Quantize-dequantize: clamp(round_half_to_even(x/scale)) * scale."""
     if scale <= 0:
         raise QuantError(f"qdq scale must be positive, got {scale}")
-    q = np.clip(np.rint(x / scale), QMIN, QMAX)
-    return (q * scale).astype(x.dtype, copy=False)
+    q = np.divide(x, scale)  # the one allocation; the other steps run in place
+    np.rint(q, out=q)
+    np.clip(q, QMIN, QMAX, out=q)
+    q *= scale
+    return q.astype(x.dtype, copy=False)
 
 
 def qdq_backward(upstream_grad: np.ndarray, x: np.ndarray, scale: float) -> np.ndarray:
     """Clipped straight-through estimator: identity inside the clamp range."""
-    mask = (x >= QMIN * scale) & (x <= QMAX * scale)
-    return upstream_grad * mask
+    inside = np.greater_equal(x, QMIN * scale)
+    inside &= np.less_equal(x, QMAX * scale)
+    g = inside.astype(upstream_grad.dtype)
+    g *= upstream_grad  # 1*g and 0*g, bit for bit what upstream_grad*inside gives
+    return g
 
 
 class HistogramObserver:

@@ -13,6 +13,7 @@ epochs followed by 100 fine-tuning epochs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,10 @@ class TrainConfig:
             raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise TrainingError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise TrainingError(f"lr must be finite and >= 0, got {self.lr}")
+        if not (0.0 <= self.momentum < 1.0):
+            raise TrainingError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.prune_epoch is not None and not (0 <= self.prune_epoch < self.epochs):
             raise TrainingError(
                 f"prune_epoch {self.prune_epoch} must lie inside [0, {self.epochs})")

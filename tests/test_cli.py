@@ -125,6 +125,22 @@ class TestVerify:
                     "--plan", str(plan), "--trials", "2", "--tol", "1e-5"]) == 2
 
 
+    def test_non_finite_slim_outputs_exit_2_naming_the_output(self, model_path, tmp_path,
+                                                               capsys):
+        slim, plan = self.make_pair(model_path, tmp_path, fraction="0.5")
+        g, bits = load(slim)
+        for n in g.nodes.values():
+            if n.kind == "conv":
+                n.params["weight"][...] = np.nan
+        save(g, bits, slim)
+        with np.errstate(invalid="ignore"):
+            code = run(["verify", "--dense", str(model_path), "--slim", str(slim),
+                        "--plan", str(plan), "--trials", "2", "--tol", "1e-5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "is not finite" in err and "output" in err
+
+
 class TestReportInspect:
     def test_report_table(self, model_path, tmp_path, capsys):
         slim = tmp_path / "slim.twnm"
@@ -209,6 +225,20 @@ class TestExitCodes:
         ({}, "pipeline --preset y11_mini --epochs 1 --qat --calibration-batches 0 "
              "--out-dir {out}", 2, "calibration batch"),
         ({"SLIMGRAPH_SEED": "abc"}, "build --preset y11_mini --out {out}", 1, "SLIMGRAPH_SEED"),
+        ({}, "train --model {model} --epochs 1 --lr -0.5 --out {out}", 2,
+         "lr must be finite and >= 0, got -0.5"),
+        ({}, "train --model {model} --epochs 1 --lr nan --out {out}", 2, "got nan"),
+        ({}, "train --model {model} --epochs 1 --momentum 1.5 --out {out}", 2,
+         "momentum must be in [0, 1), got 1.5"),
+        ({}, "qat --model {model} --epochs 1 --lr -0.5 --out {out}", 2, "got -0.5"),
+        ({}, "qat --model {model} --epochs 1 --lr nan --out {out}", 2, "got nan"),
+        ({}, "qat --model {model} --epochs 1 --momentum 1.5 --out {out}", 2, "got 1.5"),
+        ({}, "pipeline --preset y11_mini --epochs 1 --lr -0.5 --out-dir {out}", 2, "got -0.5"),
+        ({}, "pipeline --preset y11_mini --epochs 1 --lr nan --out-dir {out}", 2, "got nan"),
+        ({}, "verify --dense {model} --slim {slim} --plan {plan} --tol nan", 2,
+         "--tol must be finite and >= 0, got nan"),
+        ({}, "verify --dense {model} --slim {slim} --plan {plan} --tol -0.5", 2, "got -0.5"),
+        ({}, "verify --dense {model} --slim {slim} --plan {plan} --tol inf", 2, "got inf"),
     ])
     def test_out_of_range_value_exit_code(self, model_path, tmp_path, monkeypatch, capsys,
                                           env, argv, code, message):

@@ -110,7 +110,28 @@ class TestQdq:
         assert np.allclose(qdq(-x[sym], s), -qdq(x[sym], s), atol=1e-9)
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6, width=32), min_size=1, max_size=64),
+           st.floats(1e-6, 1e3))
+    def test_bit_identical_to_unfused_formula(self, values, s):
+        x = np.array(values, np.float32)
+        with np.errstate(over="ignore"):
+            expected = (np.clip(np.rint(x / s), -128, 127) * s).astype(x.dtype)
+            got = qdq(x, s)
+        assert got.dtype == np.float32
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestSte:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-2e3, 2e3, width=32),
+                              st.floats(-1e3, 1e3, width=32)), min_size=1, max_size=64),
+           st.floats(1e-3, 10.0))
+    def test_bit_identical_to_mask_product(self, pairs, s):
+        x, g = (np.array(col, np.float32) for col in zip(*pairs))
+        expected = g * ((x >= -128 * s) & (x <= 127 * s))
+        assert qdq_backward(g, x, s).tobytes() == expected.tobytes()
+
     def test_in_range_passthrough_and_clip(self):
         x = np.array([0.5, 1000.0, -0.2], np.float32)
         g = np.ones_like(x)

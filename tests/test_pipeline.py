@@ -100,6 +100,17 @@ class TestConfigValidation:
         with pytest.raises(TrainingError, match="batch_size must be >= 1"):
             TrainConfig(epochs=10, batch_size=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr", -0.5), ("lr", float("nan")), ("lr", float("inf")),
+        ("momentum", 1.0), ("momentum", 1.5), ("momentum", -1.0), ("momentum", float("nan")),
+    ])
+    def test_optimizer_bounds(self, field, value):
+        with pytest.raises(TrainingError, match=f"{field} must be"):
+            TrainConfig(epochs=10, **{field: value})
+
+    def test_optimizer_edges_are_legal(self):
+        TrainConfig(epochs=10, lr=0.0, momentum=0.0)
+
 
 class TestPipeline:
     def test_degenerate_config_is_plain_training(self):

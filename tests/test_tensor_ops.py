@@ -7,8 +7,22 @@ from hypothesis import strategies as st
 
 import conv_reference
 from conftest import conv2d_reference
-from slimgraph import ops
+from slimgraph import autograd as ag
+from slimgraph import build_mini_net, ops
+from slimgraph.builders import PRESETS
 from slimgraph.errors import ShapeError
+from slimgraph.fakequant import qdq, qdq_backward
+from slimgraph.graph import infer_shapes
+
+
+def _bn_map_shapes(batch=16):
+    """Every batchnorm input shape of the presets at the given batch size."""
+    shapes = set()
+    for preset in PRESETS:
+        g = build_mini_net(preset, (batch, 3, 64, 64))
+        edges = infer_shapes(g)
+        shapes.update(edges[n.inputs[0]] for n in g.nodes.values() if n.kind == "batchnorm")
+    return sorted(shapes)
 
 
 class TestConv2d:
@@ -128,6 +142,40 @@ class TestBatchnorm:
                                 np.zeros(2, np.float32), np.ones(2, np.float32))
         assert np.allclose(y, beta[None, :, None, None])
 
+    @pytest.mark.parametrize("shape", _bn_map_shapes())
+    def test_batch_statistics_match_float64_two_pass(self, rng, shape):
+        c = shape[1]
+        loc = rng.normal(0.0, 1.0, c)[None, :, None, None]
+        spread = rng.uniform(0.1, 2.0, c)[None, :, None, None]
+        x = (rng.normal(size=shape) * spread + loc).astype(np.float32)
+        _, (_, _, mu, var) = ops.batchnorm_train_forward(
+            x, np.ones(c, np.float32), np.zeros(c, np.float32))
+        x64 = x.astype(np.float64)
+        ref_mu = x64.mean(axis=(0, 2, 3))
+        ref_var = ((x64 - ref_mu[None, :, None, None]) ** 2).mean(axis=(0, 2, 3))
+        assert mu.dtype == var.dtype == np.float32
+        assert np.all(np.abs(var - ref_var) <= 1e-6 * ref_var)
+        # a channel mean may sit near 0, so its error is relative to the channel's
+        # root mean square, the scale at which summation rounds
+        rms = np.sqrt((x64 ** 2).mean(axis=(0, 2, 3)))
+        assert np.all(np.abs(mu - ref_mu) <= 1e-6 * rms)
+
+    def test_train_backward_matches_unfused_formula(self, rng):
+        x = rng.normal(0.3, 1.2, (4, 3, 5, 5))
+        gamma, beta = rng.normal(size=3), rng.normal(size=3)
+        gy = rng.normal(size=x.shape)
+        _, cache = ops.batchnorm_train_forward(x, gamma, beta)
+        gx, dgamma, dbeta = ops.batchnorm_train_backward(gy, gamma, cache)
+        xhat, inv, _, _ = cache
+        m = x.size // x.shape[1]
+        ch = lambda v: v[None, :, None, None]
+        ref_dgamma = (gy * xhat).sum(axis=(0, 2, 3))
+        ref_dbeta = gy.sum(axis=(0, 2, 3))
+        ref_gx = ch(gamma * inv) * (gy - ch(ref_dbeta / m) - xhat * ch(ref_dgamma / m))
+        assert np.allclose(dgamma, ref_dgamma, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(dbeta, ref_dbeta)
+        assert np.allclose(gx, ref_gx, rtol=1e-10, atol=1e-12)
+
     def test_length_mismatch_and_negative_variance(self):
         x = np.zeros((1, 3, 2, 2), dtype=np.float32)
         good = np.ones(3, np.float32)
@@ -140,6 +188,18 @@ class TestBatchnorm:
 class TestElementwiseAndStructural:
     def test_sigmoid_symmetry_point(self):
         assert ops.sigmoid(np.array([0.0]))[0] == 0.5
+
+    def test_sigmoid_absolute_error_without_warnings(self):
+        x = np.linspace(-300.0, 300.0, 600_001, dtype=np.float32)
+        with np.errstate(all="raise"):
+            s = ops.sigmoid(x)
+        exact = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+        assert np.max(np.abs(s - exact)) <= 2e-7
+        assert s[0] == 0.0 and s[-1] == 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_preserves_dtype(self, rng, dtype):
+        assert ops.sigmoid(rng.normal(size=(2, 3, 4, 4)).astype(dtype)).dtype == dtype
 
     def test_add_shape_mismatch(self):
         with pytest.raises(ShapeError, match="identical shapes"):
@@ -188,3 +248,60 @@ class TestElementwiseAndStructural:
         w = rng.normal(size=(2, 4)).astype(np.float32)
         b = rng.normal(size=2).astype(np.float32)
         assert np.allclose(ops.linear(x, w, b), x @ w.T + b)
+
+
+def _backward_of(fn):
+    """The input gradient that an autograd activation returns for upstream gradient g."""
+    def run(x, g):
+        tape = ag.Tape()
+        v = ag.Var(x)
+        fn(tape, v)
+        (_, grad), = tape._records
+        grad(g)
+        return v.grad
+    return run
+
+
+def _channels(*values):
+    return [np.full(3, v) for v in values]
+
+
+def _bn_cache(x):
+    return ops.batchnorm_train_forward(x, *_channels(1.5, 0.2))[1]
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-14)])
+def test_activation_backward_matches_unfused_formulas(rng, dtype, tol):
+    x = rng.normal(0.0, 4.0, (2, 3, 8, 8)).astype(dtype)
+    g = rng.normal(size=x.shape).astype(dtype)
+    s = ops.sigmoid(x)
+    for fn, ref in ((ag.sigmoid, g * s * (1.0 - s)), (ag.silu, g * (s + x * s * (1.0 - s)))):
+        got = _backward_of(fn)(x, g)
+        assert got.dtype == dtype
+        assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+
+
+# every kernel that writes into buffers in place: (x, g) -> (kernel, *arguments)
+IN_PLACE_KERNELS = {
+    "sigmoid": lambda x, g: (ops.sigmoid, x),
+    "batchnorm_infer": lambda x, g: (ops.batchnorm_infer, x, *_channels(1.5, 0.2, 0.1, 2.0)),
+    "batchnorm_train_forward": lambda x, g: (ops.batchnorm_train_forward, x, *_channels(1.5, 0.2)),
+    "batchnorm_train_backward": lambda x, g: (ops.batchnorm_train_backward, g, *_channels(1.5),
+                                              _bn_cache(x)),
+    "qdq": lambda x, g: (qdq, x, 0.01),
+    "qdq_backward": lambda x, g: (qdq_backward, g, x, 0.01),
+    "autograd.sigmoid backward": lambda x, g: (_backward_of(ag.sigmoid), x, g),
+    "autograd.silu backward": lambda x, g: (_backward_of(ag.silu), x, g),
+}
+
+
+@pytest.mark.parametrize("name", IN_PLACE_KERNELS)
+def test_in_place_kernels_leave_inputs_unmodified(rng, name):
+    x = rng.normal(0.0, 2.0, (2, 3, 4, 4))
+    g = rng.normal(size=x.shape)
+    kernel, *args = IN_PLACE_KERNELS[name](x, g)
+    arrays = [a for arg in args for a in (arg if isinstance(arg, tuple) else (arg,))
+              if isinstance(a, np.ndarray)]
+    before = [a.copy() for a in arrays]
+    kernel(*args)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
