@@ -76,7 +76,7 @@ def backward(tape: Tape, loss: Var):
 
 def conv2d(tape, x: Var, w: Var, b: Var | None, stride=1, padding=0) -> Var:
     y, cols = ops.conv2d_forward(x.value, w.value, None if b is None else b.value,
-                                 stride, padding, keep_cols=tape is not None)
+                                 stride, padding)
     out = Var(y)
     if tape is not None:
         def grad(g):
@@ -97,29 +97,22 @@ def batchnorm(tape, x: Var, gamma: Var, beta: Var, mean, var, eps, training: boo
 
     ``mean``/``var`` are plain arrays (running statistics, never trained).
     Returns (out, batch_mean, batch_var); the batch stats are None in eval.
+    Tapes work in training only: with stored statistics nothing is recorded,
+    and ``run_graph`` refuses a tape outside ``mode="train"``.
     """
-    if training:
-        y, cache = ops.batchnorm_train_forward(x.value, gamma.value, beta.value, eps)
-        out = Var(y)
-        if tape is not None:
-            def grad(g):
-                gx, dgamma, dbeta = ops.batchnorm_train_backward(g, gamma.value, cache)
-                _accum(x, gx)
-                _accum(gamma, dgamma)
-                _accum(beta, dbeta)
-            tape.record(out, grad)
-        return out, cache[2], cache[3]
-    y = ops.batchnorm_infer(x.value, gamma.value, beta.value, mean, var, eps)
+    if not training:
+        y = ops.batchnorm_infer(x.value, gamma.value, beta.value, mean, var, eps)
+        return Var(y), None, None
+    y, cache = ops.batchnorm_train_forward(x.value, gamma.value, beta.value, eps)
     out = Var(y)
     if tape is not None:
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x.value - mean[None, :, None, None]) * inv[None, :, None, None]
         def grad(g):
-            _accum(x, g * (gamma.value * inv)[None, :, None, None])
-            _accum(gamma, (g * xhat).sum(axis=(0, 2, 3)))
-            _accum(beta, g.sum(axis=(0, 2, 3)))
+            gx, dgamma, dbeta = ops.batchnorm_train_backward(g, gamma.value, cache)
+            _accum(x, gx)
+            _accum(gamma, dgamma)
+            _accum(beta, dbeta)
         tape.record(out, grad)
-    return out, None, None
+    return out, cache[2], cache[3]
 
 
 def sigmoid(tape, x: Var) -> Var:
@@ -221,7 +214,7 @@ def split_channels(tape, x: Var, sizes) -> list[Var]:
     return outs
 
 
-def maxpool2d(tape, x: Var, k, stride=None, padding=0) -> Var:
+def maxpool2d(tape, x: Var, k, stride, padding) -> Var:
     y, arg = ops.maxpool2d_forward(x.value, k, stride, padding)
     out = Var(y)
     if tape is not None:

@@ -39,7 +39,7 @@ def _default_seed() -> int:
 
 
 def _echo_config(cmd: str, args: argparse.Namespace) -> None:
-    pairs = " ".join(f"{k}={v!r}" for k, v in sorted(vars(args).items()) if k != "func")
+    pairs = " ".join(f"{k}={v!r}" for k, v in sorted(vars(args).items()))
     print(f"[slimgraph] {cmd}: {pairs}")
 
 

@@ -131,10 +131,9 @@ def _cut_ports(width, ties) -> dict:
     return {port: sorted(xs) for port, xs in cuts.items()}
 
 
-def resolve_groups(graph: Graph, shapes=None) -> list[ChannelGroup]:
+def resolve_groups(graph: Graph) -> list[ChannelGroup]:
     """Partition every channel instance of the graph into coupled groups."""
-    shapes = shapes or infer_shapes(graph)
-    width, ties = _coupling_rules(graph, shapes)
+    width, ties = _coupling_rules(graph, infer_shapes(graph))
     cuts = _cut_ports(width, ties)
     seg_id: dict[tuple, int] = {}
     segs = []   # (port, start, length)

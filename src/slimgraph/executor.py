@@ -60,7 +60,8 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
             buffers; "calibrate" uses batch statistics without touching the
             buffers (so calibration sees the distribution training will see);
             "eval" normalizes with stored statistics.
-        tape: optional autograd tape for backward.
+        tape: optional autograd tape for backward; train mode only, since
+            eval and calibrate runs record no gradients.
         state: training state; required for mode="train".
         outputs: restrict computation to these node ids and their ancestors.
 
@@ -70,6 +71,8 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
         raise GraphError(f"unknown execution mode {mode!r}")
     if mode == "train" and state is None:
         raise GraphError("training mode requires a RunState")
+    if tape is not None and mode != "train":
+        raise GraphError(f"a tape records gradients in mode='train' only, not mode={mode!r}")
     wanted = list(outputs) if outputs is not None else graph.output_ids
     needed = graph.ancestors_of(wanted)
     values: dict[tuple[str, int], Var] = {}

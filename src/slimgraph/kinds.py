@@ -110,7 +110,7 @@ def _window(n, s, kh, kw, stride):
     _rank(n, s, 4)
     pad = n.attrs.get("padding", 0)
     try:
-        return ops._conv_out_dims(s[2], s[3], kh, kw, stride, stride, pad, pad)
+        return ops._conv_out_dims(s[2], s[3], kh, kw, stride, pad)
     except ShapeError as e:
         raise GraphError(f"{n.kind} {n.id!r}: {e}") from None
 

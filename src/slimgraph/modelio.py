@@ -17,12 +17,13 @@ import zlib
 
 import numpy as np
 
-from .errors import GraphError, ModelFormatError
+from .errors import ExportError, GraphError, ModelFormatError
 from .graph import Graph, Node, infer_shapes
 from .kinds import is_int
 
 MAGIC = b"TWNM"
 VERSION = 1
+HALF_MAX = 65504.0  # largest finite binary16 magnitude
 
 _DTYPES = {32: "<f4", 16: "<f2"}
 _DTYPE_TAGS = {"<f4": "f32", "<f2": "f16"}
@@ -30,7 +31,11 @@ _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 
 
 def to_bytes(graph: Graph, precision_bits: int = 32) -> bytes:
-    """Serialize a graph at the given float precision."""
+    """Serialize a graph at the given float precision.
+
+    At 16 bits a non-finite weight or one beyond the half-precision range is
+    an ``ExportError``: silent inf weights mean training went wrong.
+    """
     if precision_bits not in _DTYPES:
         raise ModelFormatError(f"unsupported precision {precision_bits}, want 32 or 16")
     np_dtype = np.dtype(_DTYPES[precision_bits])
@@ -44,6 +49,13 @@ def to_bytes(graph: Graph, precision_bits: int = 32) -> bytes:
         tensors = []
         for name in sorted(n.params):
             arr = n.params[name]
+            if precision_bits == 16:
+                if not np.all(np.isfinite(arr)):
+                    raise ExportError(f"tensor {n.id}.{name} contains non-finite values")
+                peak = float(np.abs(arr).max()) if arr.size else 0.0
+                if peak > HALF_MAX:
+                    raise ExportError(
+                        f"tensor {n.id}.{name} magnitude {peak:.4g} overflows half precision")
             data = np.ascontiguousarray(arr, dtype=np_dtype).tobytes()
             tensors.append([name, tag, list(arr.shape), offset, int(arr.size)])
             blob_parts.append(data)

@@ -8,6 +8,11 @@ channel, height, width) for feature maps, row-major, float32 inside graphs.
 The functions preserve the input dtype so tests can drive them in float64 for
 tight finite-difference comparisons.
 
+Kernels take only what graphs give them: ``int`` stride and padding (the
+same on both spatial axes) and square ``k x k`` pool windows. conv2d_forward
+returns its patch matrix with the output, and conv2d_backward requires it, so
+the backward pass never rebuilds patches.
+
 conv2d lowers each image to a channel-major (C*kh*kw, Ho*Wo) patch matrix whose
 rows follow the weight's fixed (channel, kh, kw) order, and multiplies it by
 the (Cout, C*kh*kw) weight matrix in one batched matmul; the (N, Cout, Ho*Wo)
@@ -22,59 +27,57 @@ import numpy as np
 from .errors import ShapeError
 
 
-def _pair(v) -> tuple[int, int]:
-    if isinstance(v, (tuple, list)):
-        a, b = v
-        return int(a), int(b)
-    return int(v), int(v)
-
-
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
 
-def _conv_out_dims(h, w, kh, kw, sh, sw, ph, pw):
-    ho = (h + 2 * ph - kh) // sh + 1
-    wo = (w + 2 * pw - kw) // sw + 1
+def _conv_out_dims(h, w, kh, kw, stride, padding):
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ShapeError(
             f"conv/pool output collapses: input {h}x{w}, kernel {kh}x{kw}, "
-            f"stride ({sh},{sw}), padding ({ph},{pw}) -> {ho}x{wo}")
+            f"stride {stride}, padding {padding} -> {ho}x{wo}")
     return ho, wo
 
 
-def _im2col(x, kh, kw, sh, sw, ph, pw):
+def _pad(x, padding, fill):
+    """x framed by ``padding`` cells of ``fill`` on each spatial side; x itself at 0."""
+    if not padding:
+        return x
+    n, c, h, w = x.shape
+    shape = (n, c, h + 2 * padding, w + 2 * padding)
+    # np.zeros gets memory already zeroed, saving np.full's pass over the map
+    xp = np.full(shape, fill, dtype=x.dtype) if fill else np.zeros(shape, dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    return xp
+
+
+def _scatter_taps(g6, x_shape, stride, padding):
+    """Sum (N, C, kh, kw, Ho, Wo) per-tap gradients onto the (N,C,H,W) input the taps read."""
+    n, c, h, w = x_shape
+    kh, kw, ho, wo = g6.shape[2:]
+    gxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=g6.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g6[:, :, i, j]
+    if padding:
+        return np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + w])
+    return gxp
+
+
+def _im2col(x, kh, kw, stride, padding):
     """Per-image (N, C*kh*kw, Ho*Wo) patches: one slice copy per tap; 1x1 is a view."""
     n, c, h, w = x.shape
-    ho, wo = _conv_out_dims(h, w, kh, kw, sh, sw, ph, pw)
-    if kh == kw == 1 and sh == sw == 1 and ph == pw == 0:
+    ho, wo = _conv_out_dims(h, w, kh, kw, stride, padding)
+    if kh == kw == stride == 1 and padding == 0:
         return x.reshape(n, c, h * w), ho, wo
-    if ph or pw:
-        xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-        xp[:, :, ph:ph + h, pw:pw + w] = x
-    else:
-        xp = x
+    xp = _pad(x, padding, 0.0)
     cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw]
+            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
     return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
-
-
-def _col2im(gcols, x_shape, kh, kw, sh, sw, ph, pw):
-    """Scatter-add (N, C*kh*kw, Ho*Wo) column gradients back onto (N,C,H,W)."""
-    n, c, h, w = x_shape
-    ho, wo = _conv_out_dims(h, w, kh, kw, sh, sw, ph, pw)
-    if kh == kw == 1 and sh == sw == 1 and ph == pw == 0:
-        return gcols.reshape(n, c, h, w)
-    g6 = gcols.reshape(n, c, kh, kw, ho, wo)
-    gxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=gcols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += g6[:, :, i, j]
-    if ph or pw:
-        return np.ascontiguousarray(gxp[:, :, ph:ph + h, pw:pw + w])
-    return gxp
 
 
 def _validate_conv_args(x, w, b):
@@ -90,39 +93,31 @@ def _validate_conv_args(x, w, b):
             f"conv2d bias length {b.shape} does not match Cout={w.shape[0]}")
 
 
-def conv2d_forward(x, w, b=None, stride=1, padding=0, keep_cols=False):
-    """Cross-correlation; returns (y, cols) where cols is kept for backward."""
+def conv2d_forward(x, w, b=None, stride=1, padding=0):
+    """Cross-correlation; returns (y, cols), the patch matrix conv2d_backward takes."""
     _validate_conv_args(x, w, b)
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
     cout, _, kh, kw = w.shape
-    cols, ho, wo = _im2col(x, kh, kw, sh, sw, ph, pw)
+    cols, ho, wo = _im2col(x, kh, kw, stride, padding)
     y = w.reshape(cout, -1) @ cols
     if b is not None:
         y += b[:, None]
-    return y.reshape(x.shape[0], cout, ho, wo), (cols if keep_cols else None)
-
-
-def conv2d(x, w, b=None, stride=1, padding=0):
-    """2-D cross-correlation over (N,C,H,W) input with (Cout,Cin,Kh,Kw) weight."""
-    y, _ = conv2d_forward(x, w, b, stride, padding)
-    return y
+    return y.reshape(x.shape[0], cout, ho, wo), cols
 
 
 def conv2d_backward(gy, x, w, cols, stride=1, padding=0, with_bias=True, need_gx=True):
-    """Gradients of conv2d: returns (gx or None, gw, gb or None)."""
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
+    """Gradients of conv2d from its forward's cols: returns (gx or None, gw, gb or None)."""
     cout, _, kh, kw = w.shape
     gy3 = gy.reshape(gy.shape[0], cout, -1)
-    if cols is None:
-        cols, _, _ = _im2col(x, kh, kw, sh, sw, ph, pw)
     gw = (gy3 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     gb = gy3.sum(axis=(0, 2)) if with_bias else None
     gx = None
-    if need_gx:
+    if need_gx:  # column gradients (N, C*kh*kw, Ho*Wo) scattered back onto x
         gcols = w.reshape(cout, -1).T @ gy3
-        gx = _col2im(gcols, x.shape, kh, kw, sh, sw, ph, pw)
+        if kh == kw == stride == 1 and padding == 0:
+            gx = gcols.reshape(x.shape)
+        else:
+            g6 = gcols.reshape(x.shape[:2] + (kh, kw) + gy.shape[2:])
+            gx = _scatter_taps(g6, x.shape, stride, padding)
     return gx, gw, gb
 
 
@@ -130,7 +125,7 @@ def conv2d_backward(gy, x, w, cols, stride=1, padding=0, with_bias=True, need_gx
 # normalization
 # ---------------------------------------------------------------------------
 
-def _validate_bn_args(x, arrays, names, c):
+def _validate_bn_args(arrays, names, c):
     for a, name in zip(arrays, names):
         if a.shape != (c,):
             raise ShapeError(f"batchnorm {name} length {a.shape} != channel count {c}")
@@ -141,7 +136,7 @@ def batchnorm_infer(x, gamma, beta, mean, var, eps=1e-5):
     if x.ndim != 4:
         raise ShapeError(f"batchnorm input must be 4-D, got rank {x.ndim}")
     c = x.shape[1]
-    _validate_bn_args(x, (gamma, beta, mean, var), ("gamma", "beta", "mean", "var"), c)
+    _validate_bn_args((gamma, beta, mean, var), ("gamma", "beta", "mean", "var"), c)
     if np.any(var < 0):
         raise ShapeError("batchnorm variance must be non-negative")
     inv = gamma / np.sqrt(var + eps)
@@ -158,7 +153,7 @@ def batchnorm_train_forward(x, gamma, beta, eps=1e-5):
     map, which is then normalised in place into ``xhat``.
     """
     c = x.shape[1]
-    _validate_bn_args(x, (gamma, beta), ("gamma", "beta"), c)
+    _validate_bn_args((gamma, beta), ("gamma", "beta"), c)
     m = x.shape[0] * x.shape[2] * x.shape[3]
     mu = x.mean(axis=(0, 2, 3))
     xhat = x - mu[None, :, None, None]
@@ -242,54 +237,32 @@ def split_channels(x, sizes):
     return out
 
 
-def maxpool2d_forward(x, k, stride=None, padding=0):
-    """Max pooling; returns (y, argmax) with argmax indices into each window."""
+def maxpool2d_forward(x, k, stride, padding):
+    """Max over k x k windows; returns (y, argmax) with argmax indices into each window."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool input must be 4-D, got rank {x.ndim}")
-    kh, kw = _pair(k)
-    sh, sw = _pair(stride if stride is not None else k)
-    ph, pw = _pair(padding)
     n, c, h, w = x.shape
-    ho, wo = _conv_out_dims(h, w, kh, kw, sh, sw, ph, pw)
-    # -inf padding so padded cells never win the max
-    if ph or pw:
-        xp = np.full((n, c, h + 2 * ph, w + 2 * pw), -np.inf, dtype=x.dtype)
-        xp[:, :, ph:ph + h, pw:pw + w] = x
-    else:
-        xp = x
-    sn, sc, sh_, sw_ = xp.strides
+    ho, wo = _conv_out_dims(h, w, k, k, stride, padding)
+    xp = _pad(x, padding, -np.inf)  # padded cells never win the max
+    sn, sc, sh, sw = xp.strides
     win = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(n, c, ho, wo, kh, kw),
-        strides=(sn, sc, sh_ * sh, sw_ * sw, sh_, sw_),
+        shape=(n, c, ho, wo, k, k),
+        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
         writeable=False,
-    ).reshape(n, c, ho, wo, kh * kw)
+    ).reshape(n, c, ho, wo, k * k)
     arg = win.argmax(axis=-1)
     y = np.ascontiguousarray(np.take_along_axis(win, arg[..., None], axis=-1)[..., 0])
     return y, arg
 
 
-def maxpool2d(x, k, stride=None, padding=0):
-    y, _ = maxpool2d_forward(x, k, stride, padding)
-    return y
-
-
-def maxpool2d_backward(gy, arg, x_shape, k, stride=None, padding=0):
-    kh, kw = _pair(k)
-    sh, sw = _pair(stride if stride is not None else k)
-    ph, pw = _pair(padding)
-    n, c, h, w = x_shape
-    ho, wo = gy.shape[2], gy.shape[3]
-    gwin = np.zeros((n, c, ho, wo, kh * kw), dtype=gy.dtype)
+def maxpool2d_backward(gy, arg, x_shape, k, stride, padding):
+    """Route each window's gradient to its argmax cell, summing where windows overlap."""
+    n, c, ho, wo = gy.shape
+    gwin = np.zeros((n, c, ho, wo, k * k), dtype=gy.dtype)
     np.put_along_axis(gwin, arg[..., None], gy[..., None], axis=-1)
-    g6 = gwin.reshape(n, c, ho, wo, kh, kw)
-    gxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=gy.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += g6[:, :, :, :, i, j]
-    if ph or pw:
-        return np.ascontiguousarray(gxp[:, :, ph:ph + h, pw:pw + w])
-    return gxp
+    g6 = gwin.reshape(n, c, ho, wo, k, k).transpose(0, 1, 4, 5, 2, 3)
+    return _scatter_taps(g6, x_shape, stride, padding)
 
 
 def global_avg_pool(x):

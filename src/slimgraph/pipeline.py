@@ -222,8 +222,6 @@ class PipelineResult:
     slim_report: CompressionReport
     fp32_bytes: bytes
     fp16_bytes: bytes
-    fp16_cast_report: list
-    dense_accuracy: float
     final_accuracy: float
     fp16_accuracy: float
 
@@ -276,7 +274,7 @@ def run_compression_pipeline(preset_or_graph, task: ToyTask, config: TrainConfig
         final_acc = dense_acc
 
     fp32_bytes = _stage("export", to_bytes, final, 32)
-    fp16_bytes, cast_report = _stage("export", export_fp16, final)
+    fp16_bytes, _ = _stage("export", export_fp16, final)
     fp16_graph, _ = from_bytes(fp16_bytes)
     fp16_acc = evaluate(fp16_graph, task)
 
@@ -287,8 +285,7 @@ def run_compression_pipeline(preset_or_graph, task: ToyTask, config: TrainConfig
                                channel_fraction=config.channel_fraction,
                                val_accuracy=final_acc, input_shape=input_shape)
     return PipelineResult(dense_graph, final, plan, log, dense_report, slim_report,
-                          fp32_bytes, fp16_bytes, cast_report,
-                          dense_acc, final_acc, fp16_acc)
+                          fp32_bytes, fp16_bytes, final_acc, fp16_acc)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import finite_difference, rel_close
 from slimgraph import autograd as ag
-from slimgraph.errors import ShapeError
+from slimgraph import build_mini_net, run_graph
+from slimgraph.errors import GraphError, ShapeError
 
 H = 1e-3
 TOL = 1e-3
@@ -70,15 +71,6 @@ class TestPrimitiveGradients:
         check_grad(
             lambda t, v: weighted_sum(t, ag.linear(t, v[0], v[1], v[2]), r_out),
             [rnd((3, 4)), rnd((2, 4)), rnd(2)])
-
-    def test_batchnorm_infer_mode(self):
-        r_out = np.random.default_rng(9).normal(size=(2, 3, 4, 4))
-        mean = np.array([0.1, -0.2, 0.3])
-        var = np.array([1.1, 0.9, 1.4])
-        check_grad(
-            lambda t, v: weighted_sum(
-                t, ag.batchnorm(t, v[0], v[1], v[2], mean, var, 1e-5, training=False)[0], r_out),
-            [rnd((2, 3, 4, 4)), rnd(3), rnd(3)])
 
     def test_batchnorm_train_mode(self):
         r_out = np.random.default_rng(10).normal(size=(2, 3, 4, 4))
@@ -174,3 +166,10 @@ class TestTapeSemantics:
         v = ag.Var(np.ones((2, 2)))
         with pytest.raises(ShapeError, match="scalar"):
             ag.backward(tape, v)
+
+    @pytest.mark.parametrize("mode", ["eval", "calibrate"])
+    def test_run_graph_refuses_a_tape_outside_train_mode(self, mode):
+        # batchnorm records no gradient with stored or calibration statistics
+        g = build_mini_net("y11_mini", (2, 3, 64, 64), 3, seed=0)
+        with pytest.raises(GraphError, match=f"not mode={mode!r}"):
+            run_graph(g, np.zeros((2, 3, 64, 64), np.float32), mode=mode, tape=ag.Tape())

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import container, split_container
 from slimgraph import build_mini_net, count_flops, forward_arrays, resolve_groups
 from slimgraph.builders import build_fragment
-from slimgraph.errors import ModelFormatError, SlimgraphError
+from slimgraph.errors import ExportError, ModelFormatError, SlimgraphError
 from slimgraph.fakequant import calibrate, insert_fakequant
 from slimgraph.modelio import MAGIC, from_bytes, load, save, to_bytes
 from slimgraph.pipeline import ToyTask, TrainConfig, train
@@ -75,6 +75,20 @@ class TestRoundTrip:
         for nid, n in g.nodes.items():
             for pname, arr in n.params.items():
                 assert arr.tobytes() == back.node(nid).params[pname].tobytes()
+
+
+class TestHalfRange:
+    @pytest.mark.parametrize("value, match", [(1e6, "overflows half"), (np.inf, "non-finite"),
+                                              (np.nan, "non-finite")])
+    def test_fp16_write_rejects_weight_binary16_cannot_hold(self, tmp_path, value, match):
+        g = build()
+        g.node("s0.conv").params["weight"][0, 0, 0, 0] = value
+        with pytest.raises(ExportError, match=match):
+            save(g, 16, tmp_path / "m.twnm")
+        assert list(tmp_path.iterdir()) == []
+        back, _ = from_bytes(to_bytes(g, 32))  # 32-bit writes keep the value
+        assert np.array_equal(back.node("s0.conv").params["weight"][0, 0, 0, 0], value,
+                              equal_nan=True)
 
 
 class TestCanonical:
