@@ -1,9 +1,10 @@
 """Reverse-mode differentiation over the operators in :mod:`slimgraph.ops`.
 
-A ``Tape`` records every primitive in execution order; ``backward`` replays
-the records strictly in reverse and accumulates gradients on the variables
-that were registered with ``tape.watch``. Variables a forward pass never
-touched simply get no entry in the returned gradient map.
+A ``Tape`` only records: each primitive run with a tape appends its output
+and a backward closure, in execution order. ``backward`` replays the records
+strictly in reverse and accumulates into each input Var's ``.grad``; a Var
+the forward pass never reached keeps ``grad=None``. Callers read gradients
+off the Vars they hold.
 """
 
 from __future__ import annotations
@@ -42,32 +43,34 @@ def _accum(var: Var, g):
 
 
 class Tape:
-    """Ordered record of executed primitives plus watched parameters."""
+    """Ordered record of executed primitives and their backward closures."""
 
     def __init__(self):
         self._records = []  # (output Var, backward closure)
-        self._watched = {}  # key -> Var
 
     def record(self, out: Var, backward_fn):
         self._records.append((out, backward_fn))
-
-    def watch(self, var: Var, key):
-        self._watched[key] = var
-        return var
 
     def __len__(self):
         return len(self._records)
 
 
-def backward(tape: Tape, loss: Var):
-    """Run the tape in reverse from a scalar loss; returns {key: gradient}."""
+def backward(tape: Tape, loss: Var) -> None:
+    """Run the tape in reverse from a scalar loss, accumulating into ``.grad``."""
     if loss.value.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     loss.grad = np.ones_like(loss.value)
     for out, fn in reversed(tape._records):
         if out.grad is not None:
             fn(out.grad)
-    return {k: v.grad for k, v in tape._watched.items() if v.grad is not None}
+
+
+def _taped(tape, value, grad, stop_grad=False) -> Var:
+    """Wrap a result, recording its backward closure if taping and differentiable."""
+    out = Var(value, stop_grad)
+    if tape is not None and not stop_grad:
+        tape.record(out, grad)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -77,19 +80,17 @@ def backward(tape: Tape, loss: Var):
 def conv2d(tape, x: Var, w: Var, b: Var | None, stride=1, padding=0) -> Var:
     y, cols = ops.conv2d_forward(x.value, w.value, None if b is None else b.value,
                                  stride, padding)
-    out = Var(y)
-    if tape is not None:
-        def grad(g):
-            gx, gw, gb = ops.conv2d_backward(
-                g, x.value, w.value, cols, stride, padding,
-                with_bias=b is not None, need_gx=not x.stop_grad)
-            if gx is not None:
-                _accum(x, gx)
-            _accum(w, gw)
-            if b is not None:
-                _accum(b, gb)
-        tape.record(out, grad)
-    return out
+
+    def grad(g):
+        gx, gw, gb = ops.conv2d_backward(
+            g, x.value, w.value, cols, stride, padding,
+            with_bias=b is not None, need_gx=not x.stop_grad)
+        if gx is not None:
+            _accum(x, gx)
+        _accum(w, gw)
+        if b is not None:
+            _accum(b, gb)
+    return _taped(tape, y, grad)
 
 
 def batchnorm(tape, x: Var, gamma: Var, beta: Var, mean, var, eps, training: bool) -> Var:
@@ -104,72 +105,55 @@ def batchnorm(tape, x: Var, gamma: Var, beta: Var, mean, var, eps, training: boo
         y = ops.batchnorm_infer(x.value, gamma.value, beta.value, mean, var, eps)
         return Var(y), None, None
     y, cache = ops.batchnorm_train_forward(x.value, gamma.value, beta.value, eps)
-    out = Var(y)
-    if tape is not None:
-        def grad(g):
-            gx, dgamma, dbeta = ops.batchnorm_train_backward(g, gamma.value, cache)
-            _accum(x, gx)
-            _accum(gamma, dgamma)
-            _accum(beta, dbeta)
-        tape.record(out, grad)
-    return out, cache[2], cache[3]
+
+    def grad(g):
+        gx, dgamma, dbeta = ops.batchnorm_train_backward(g, gamma.value, cache)
+        _accum(x, gx)
+        _accum(gamma, dgamma)
+        _accum(beta, dbeta)
+    return _taped(tape, y, grad), cache[2], cache[3]
 
 
 def sigmoid(tape, x: Var) -> Var:
     s = ops.sigmoid(x.value)
-    out = Var(s)
-    if tape is not None:
-        def grad(g):
-            t = 1.0 - s  # g*s*(1-s) in one buffer
-            t *= s
-            t *= g
-            _accum(x, t)
-        tape.record(out, grad)
-    return out
+
+    def grad(g):
+        t = 1.0 - s  # g*s*(1-s) in one buffer
+        t *= s
+        t *= g
+        _accum(x, t)
+    return _taped(tape, s, grad)
 
 
 def silu(tape, x: Var) -> Var:
     s = ops.sigmoid(x.value)
-    out = Var(x.value * s)
-    if tape is not None:
-        def grad(g):
-            t = 1.0 - s  # g*s*(1 + x*(1-s)) in one buffer
-            t *= x.value
-            t += 1.0
-            t *= s
-            t *= g
-            _accum(x, t)
-        tape.record(out, grad)
-    return out
+
+    def grad(g):
+        t = 1.0 - s  # g*s*(1 + x*(1-s)) in one buffer
+        t *= x.value
+        t += 1.0
+        t *= s
+        t *= g
+        _accum(x, t)
+    return _taped(tape, x.value * s, grad)
 
 
 def add(tape, a: Var, b: Var) -> Var:
-    out = Var(ops.add(a.value, b.value))
-    if tape is not None:
-        def grad(g):
-            _accum(a, g)
-            _accum(b, g)
-        tape.record(out, grad)
-    return out
+    def grad(g):
+        _accum(a, g)
+        _accum(b, g)
+    return _taped(tape, ops.add(a.value, b.value), grad)
 
 
 def multiply(tape, a: Var, b: Var) -> Var:
-    out = Var(ops.multiply(a.value, b.value))
-    if tape is not None:
-        def grad(g):
-            _accum(a, g * b.value)
-            _accum(b, g * a.value)
-        tape.record(out, grad)
-    return out
+    def grad(g):
+        _accum(a, g * b.value)
+        _accum(b, g * a.value)
+    return _taped(tape, ops.multiply(a.value, b.value), grad)
 
 
 def add_const(tape, x: Var, c: float) -> Var:
-    out = Var(x.value + c)
-    if tape is not None:
-        def grad(g):
-            _accum(x, g)
-        tape.record(out, grad)
-    return out
+    return _taped(tape, x.value + c, lambda g: _accum(x, g))
 
 
 def scale_channels(tape, x: Var, s: Var) -> Var:
@@ -177,84 +161,66 @@ def scale_channels(tape, x: Var, s: Var) -> Var:
     if x.value.ndim != 4 or s.value.shape != (x.value.shape[1],):
         raise ShapeError(
             f"scale_channels needs 4-D input and per-channel vector, got {x.value.shape} and {s.value.shape}")
-    out = Var(x.value * s.value[None, :, None, None])
-    if tape is not None:
-        def grad(g):
-            _accum(x, g * s.value[None, :, None, None])
-            _accum(s, (g * x.value).sum(axis=(0, 2, 3)))
-        tape.record(out, grad)
-    return out
+
+    def grad(g):
+        _accum(x, g * s.value[None, :, None, None])
+        _accum(s, (g * x.value).sum(axis=(0, 2, 3)))
+    return _taped(tape, x.value * s.value[None, :, None, None], grad)
 
 
 def concat_channels(tape, parts: list[Var]) -> Var:
-    out = Var(ops.concat_channels([p.value for p in parts]))
-    if tape is not None:
-        sizes = [p.value.shape[1] for p in parts]
-        def grad(g):
-            off = 0
-            for p, s in zip(parts, sizes):
-                _accum(p, g[:, off:off + s])
-                off += s
-        tape.record(out, grad)
-    return out
+    def grad(g):
+        off = 0
+        for p in parts:
+            s = p.value.shape[1]
+            _accum(p, g[:, off:off + s])
+            off += s
+    return _taped(tape, ops.concat_channels([p.value for p in parts]), grad)
 
 
 def split_channels(tape, x: Var, sizes) -> list[Var]:
-    outs = [Var(v) for v in ops.split_channels(x.value, sizes)]
-    if tape is not None:
-        # one record per piece; each accumulates into its own slice
-        off = 0
-        for o, s in zip(outs, sizes):
-            def grad(g, off=off, s=s):
-                gx = np.zeros_like(x.value)
-                gx[:, off:off + s] = g
-                _accum(x, gx)
-            tape.record(o, grad)
-            off += s
+    # one record per piece; each accumulates into its own slice
+    outs, off = [], 0
+    for v, s in zip(ops.split_channels(x.value, sizes), sizes):
+        def grad(g, off=off, s=s):
+            gx = np.zeros_like(x.value)
+            gx[:, off:off + s] = g
+            _accum(x, gx)
+        outs.append(_taped(tape, v, grad))
+        off += s
     return outs
 
 
 def maxpool2d(tape, x: Var, k, stride, padding) -> Var:
     y, arg = ops.maxpool2d_forward(x.value, k, stride, padding)
-    out = Var(y)
-    if tape is not None:
-        def grad(g):
-            _accum(x, ops.maxpool2d_backward(g, arg, x.value.shape, k, stride, padding))
-        tape.record(out, grad)
-    return out
+
+    def grad(g):
+        _accum(x, ops.maxpool2d_backward(g, arg, x.value.shape, k, stride, padding))
+    return _taped(tape, y, grad)
 
 
 def global_avg_pool(tape, x: Var) -> Var:
-    out = Var(ops.global_avg_pool(x.value))
-    if tape is not None:
+    def grad(g):
         n, c, h, w = x.value.shape
-        def grad(g):
-            _accum(x, np.broadcast_to(g[:, :, None, None] / (h * w), (n, c, h, w)).astype(g.dtype))
-        tape.record(out, grad)
-    return out
+        _accum(x, np.broadcast_to(g[:, :, None, None] / (h * w), (n, c, h, w)).astype(g.dtype))
+    return _taped(tape, ops.global_avg_pool(x.value), grad)
 
 
 def linear(tape, x: Var, w: Var, b: Var | None) -> Var:
-    out = Var(ops.linear(x.value, w.value, None if b is None else b.value))
-    if tape is not None:
-        def grad(g):
-            _accum(x, g @ w.value)
-            _accum(w, g.T @ x.value)
-            if b is not None:
-                _accum(b, g.sum(axis=0))
-        tape.record(out, grad)
-    return out
+    def grad(g):
+        _accum(x, g @ w.value)
+        _accum(w, g.T @ x.value)
+        if b is not None:
+            _accum(b, g.sum(axis=0))
+    return _taped(tape, ops.linear(x.value, w.value, None if b is None else b.value), grad)
 
 
 def qdq(tape, x: Var, scale: float) -> Var:
     """Quantize-dequantize with clipped straight-through gradients."""
     from . import fakequant  # local import avoids a module cycle
-    out = Var(fakequant.qdq(x.value, scale), stop_grad=x.stop_grad)
-    if tape is not None and not x.stop_grad:
-        def grad(g):
-            _accum(x, fakequant.qdq_backward(g, x.value, scale))
-        tape.record(out, grad)
-    return out
+    return _taped(tape, fakequant.qdq(x.value, scale),
+                  lambda g: _accum(x, fakequant.qdq_backward(g, x.value, scale)),
+                  stop_grad=x.stop_grad)
 
 
 def softmax_cross_entropy(tape, logits: Var, labels) -> Var:
@@ -268,12 +234,9 @@ def softmax_cross_entropy(tape, logits: Var, labels) -> Var:
     denom = ez.sum(axis=1, keepdims=True)
     logp = (z - zmax) - np.log(denom)
     loss = -logp[np.arange(n), labels].mean()
-    out = Var(np.asarray(loss, dtype=z.dtype))
-    if tape is not None:
-        p = ez / denom
-        def grad(g):
-            gz = p.copy()
-            gz[np.arange(n), labels] -= 1.0
-            _accum(logits, gz * (g / n))
-        tape.record(out, grad)
-    return out
+
+    def grad(g):
+        gz = ez / denom
+        gz[np.arange(n), labels] -= 1.0
+        _accum(logits, gz * (g / n))
+    return _taped(tape, np.asarray(loss, dtype=z.dtype), grad)

@@ -44,6 +44,7 @@ def _echo_config(cmd: str, args: argparse.Namespace) -> None:
 
 
 def _build_parser() -> _Parser:
+    cfg = pipeline.TrainConfig  # training defaults live on its fields
     p = _Parser(prog="slimgraph", description=__doc__ and __doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -58,9 +59,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--epochs", type=int, required=True)
     sp.add_argument("--seed", type=int, default=_default_seed())
-    sp.add_argument("--lr", type=float, default=0.015)
-    sp.add_argument("--momentum", type=float, default=0.9)
-    sp.add_argument("--batch-size", type=int, default=16)
+    sp.add_argument("--lr", type=float, default=cfg.lr)
+    sp.add_argument("--momentum", type=float, default=cfg.momentum)
+    sp.add_argument("--batch-size", type=int, default=cfg.batch_size)
     sp.add_argument("--log", default=None)
     sp.add_argument("--out", default=None)
 
@@ -72,7 +73,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("calibrate", help="instrument (if needed) and calibrate quantizers")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--batches", type=int, default=2)
+    sp.add_argument("--batches", type=int, default=cfg.calibration_batches)
     sp.add_argument("--seed", type=int, default=_default_seed())
     sp.add_argument("--calib-out", default=None)
     sp.add_argument("--out", required=True)
@@ -80,25 +81,25 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("qat", help="insert + calibrate quantizers, then train under them")
     sp.add_argument("--model", required=True)
     sp.add_argument("--epochs", type=int, required=True)
-    sp.add_argument("--batches", type=int, default=2)
+    sp.add_argument("--batches", type=int, default=cfg.calibration_batches)
     sp.add_argument("--seed", type=int, default=_default_seed())
-    sp.add_argument("--lr", type=float, default=0.015)
-    sp.add_argument("--momentum", type=float, default=0.9)
-    sp.add_argument("--batch-size", type=int, default=16)
+    sp.add_argument("--lr", type=float, default=cfg.lr)
+    sp.add_argument("--momentum", type=float, default=cfg.momentum)
+    sp.add_argument("--batch-size", type=int, default=cfg.batch_size)
     sp.add_argument("--log", default=None)
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("pipeline", help="integrated train -> prune -> recalibrate -> finetune -> export")
     sp.add_argument("--preset", required=True, choices=PRESETS)
     sp.add_argument("--classes", type=int, default=3)
-    sp.add_argument("--fraction", type=float, default=0.0)
+    sp.add_argument("--fraction", type=float, default=cfg.channel_fraction)
     sp.add_argument("--prune-epoch", type=int, default=None)
     sp.add_argument("--epochs", type=int, required=True)
     sp.add_argument("--qat", action="store_true")
-    sp.add_argument("--calibration-batches", type=int, default=2)
+    sp.add_argument("--calibration-batches", type=int, default=cfg.calibration_batches)
     sp.add_argument("--seed", type=int, default=_default_seed())
-    sp.add_argument("--lr", type=float, default=0.015)
-    sp.add_argument("--batch-size", type=int, default=16)
+    sp.add_argument("--lr", type=float, default=cfg.lr)
+    sp.add_argument("--batch-size", type=int, default=cfg.batch_size)
     sp.add_argument("--out-dir", required=True)
 
     sp = sub.add_parser("verify", help="prune-equivalence check of a slim model against its dense source")
@@ -167,7 +168,7 @@ def _cmd_calibrate(args) -> int:
     if not fakequant.quantizer_ids(g):
         g = fakequant.insert_fakequant(g)
     task = _make_task(g, args.seed)
-    g = fakequant.calibrate(g, task.calibration_batches(args.batches, 16))
+    g = fakequant.calibrate(g, task.calibration_batches(args.batches, pipeline.TrainConfig.batch_size))
     if args.calib_out:
         fakequant.write_calibration(g, args.calib_out)
     modelio.save(g, 32, args.out)

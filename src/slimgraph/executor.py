@@ -15,7 +15,7 @@ BN_MOMENTUM = 0.1  # running-statistics update rate in training mode
 class RunState:
     """Mutable training-time storage for parameters and buffers.
 
-    ``vars`` maps (node_id, param_name) to watched autograd variables;
+    ``vars`` maps (node_id, param_name) to the trained autograd variables;
     ``buffers`` maps (node_id, buffer_name) to plain arrays (batchnorm
     running statistics). Pure inference runs pass ``state=None``.
     """

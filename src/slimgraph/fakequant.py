@@ -1,11 +1,11 @@
 """Simulated 8-bit activation quantization and half-precision weight export.
 
 Quantizers sit on the input edge of every non-head convolution. Lifecycle:
-``disabled`` (identity) -> ``observe`` (identity, while calibration reads
-each quantizer's output into a histogram of |x|) -> ``active``
-(quantize-dequantize against the signed 8-bit range [-128, 127]).
-Calibration picks amax as the smallest histogram bin edge covering 99.99% of
-the observed mass; scale is amax/127.
+``disabled`` (identity) -> ``active`` (quantize-dequantize against the signed
+8-bit range [-128, 127]). Calibration runs the graph with every quantizer
+disabled, reads each quantizer's output into a histogram of |x|, then picks
+amax as the smallest histogram bin edge covering 99.99% of the observed mass;
+scale is amax/127.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import CalibrationError, QuantError
 from .graph import Graph, Node
-from .kinds import PHASES
 
 HIST_BINS = 2048
 MASS_FRACTION = 0.9999
@@ -111,16 +110,6 @@ def insert_fakequant(graph: Graph) -> Graph:
     return g
 
 
-def set_phase(graph: Graph, phase: str) -> Graph:
-    if phase not in PHASES:
-        raise QuantError(f"unknown quantizer phase {phase!r}")
-    g = graph.clone(copy_params=True)
-    for n in g.nodes.values():
-        if n.kind == "fakequant":
-            n.attrs["phase"] = phase
-    return g
-
-
 def calibrate(graph: Graph, batches) -> Graph:
     """Observe |activations| over the batches, then fix amax/scale per quantizer.
 
@@ -134,7 +123,9 @@ def calibrate(graph: Graph, batches) -> Graph:
     qids = quantizer_ids(graph)
     if not qids:
         raise QuantError("graph has no quantizers to calibrate")
-    g = set_phase(graph, "observe")
+    g = graph.clone(copy_params=True)
+    for qid in qids:  # observers read unquantized activations, also when recalibrating
+        g.node(qid).attrs["phase"] = "disabled"
     observers = {qid: HistogramObserver(qid) for qid in qids}
     for batch in batches:
         # batch-statistics normalization: observers must see the activation

@@ -25,7 +25,7 @@ from . import autograd as ag
 from . import ops
 from .errors import GraphError, QuantError, ShapeError
 
-PHASES = ("disabled", "observe", "active")     # quantizer lifecycle, in order
+PHASES = ("disabled", "active")               # quantizer lifecycle, in order
 _ACTIVATION_FLOPS = {"silu": 4, "sigmoid": 3}  # per output element
 
 # -- channel coupling: (input widths, output widths) -> ties (port_a, offset_a,

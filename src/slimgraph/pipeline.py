@@ -22,7 +22,7 @@ from . import autograd as ag
 from .builders import PRESETS, build_mini_net
 from .errors import SlimgraphError, TrainingError
 from .executor import RunState, run_graph
-from .fakequant import calibrate, export_fp16, insert_fakequant
+from .fakequant import calibrate, export_fp16, insert_fakequant, quantizer_ids
 from .graph import Graph, buffer_items, trainable_items
 from .metrics import CompressionReport, build_report, count_params
 from .modelio import from_bytes, to_bytes
@@ -75,6 +75,8 @@ class ToyTask:
     def __init__(self, n_classes=3, n_train=64, n_val=24, seed=0, size=64):
         if not (2 <= n_classes <= len(self.SHAPES)):
             raise TrainingError(f"toy task supports 2..3 classes, got {n_classes}")
+        if n_train < 1 or n_val < 1:
+            raise TrainingError(f"toy task needs n_train and n_val >= 1, got {n_train} and {n_val}")
         self.n_classes = n_classes
         self.size = size
         rng = np.random.default_rng(seed)
@@ -124,14 +126,23 @@ class ToyTask:
         return out
 
 
-def evaluate(graph: Graph, task: ToyTask) -> float:
-    """Validation accuracy of the auxiliary classifier, eval mode."""
+def _cls_output(graph: Graph) -> str:
     cls = graph.meta.get("cls_output")
     if cls is None:
         raise TrainingError("graph has no auxiliary classification output")
-    res = run_graph(graph, task.val_images, mode="eval", outputs=[cls])
+    return cls
+
+
+def _accuracy(graph: Graph, task: ToyTask, state: RunState | None = None) -> float:
+    cls = _cls_output(graph)
+    res = run_graph(graph, task.val_images, mode="eval", state=state, outputs=[cls])
     pred = res[cls].value.argmax(axis=1)
     return float((pred == task.val_labels).mean())
+
+
+def evaluate(graph: Graph, task: ToyTask) -> float:
+    """Validation accuracy of the auxiliary classifier, eval mode."""
+    return _accuracy(graph, task)
 
 
 class Trainer:
@@ -145,16 +156,14 @@ class Trainer:
         self.graph = graph
         self.task = task
         self.config = config
-        self.cls = graph.meta.get("cls_output")
-        if self.cls is None:
-            raise TrainingError("graph has no auxiliary classification output")
+        self.cls = _cls_output(graph)
         vars_ = {key: ag.Var(arr.copy()) for key, arr in trainable_items(graph)}
         buffers = {key: arr.copy() for key, arr in buffer_items(graph)}
         self.state = RunState(vars_, buffers)
         self.velocity = {key: np.zeros_like(v.value) for key, v in vars_.items()}
 
     def to_graph(self) -> Graph:
-        g = self.graph.clone(copy_params=True)
+        g = self.graph.clone(copy_params=False)  # every tensor is overwritten below
         for (nid, name), v in self.state.vars.items():
             g.node(nid).params[name] = v.value.copy()
         for (nid, name), a in self.state.buffers.items():
@@ -164,21 +173,21 @@ class Trainer:
     # -- optimization ----------------------------------------------------------
 
     def _step(self, xb, yb) -> float:
-        for v in self.state.vars.values():
-            v.grad = None
+        for var in self.state.vars.values():
+            var.grad = None  # cleared first, so a step that raised leaks nothing
         tape = ag.Tape()
-        for key, v in self.state.vars.items():
-            tape.watch(v, key)
         out = run_graph(self.graph, xb, mode="train", tape=tape,
                         state=self.state, outputs=[self.cls])
         loss = ag.softmax_cross_entropy(tape, out[self.cls], yb)
-        grads = ag.backward(tape, loss)
+        ag.backward(tape, loss)
         lr, mu = self.config.lr, self.config.momentum
-        for key, g in grads.items():
+        for key, var in self.state.vars.items():
+            if var.grad is None:  # not upstream of the loss (the detection heads)
+                continue
             v = self.velocity[key]
             v *= mu
-            v += g
-            self.state.vars[key].value = (self.state.vars[key].value - lr * v).astype(np.float32)
+            v += var.grad
+            var.value = (var.value - lr * v).astype(np.float32)
         return float(loss.value)
 
     def run_epochs(self, start: int, end: int, phase: str) -> list[tuple]:
@@ -195,10 +204,7 @@ class Trainer:
         return rows
 
     def evaluate(self) -> float:
-        res = run_graph(self.graph, self.task.val_images, mode="eval",
-                        state=self.state, outputs=[self.cls])
-        pred = res[self.cls].value.argmax(axis=1)
-        return float((pred == self.task.val_labels).mean())
+        return _accuracy(self.graph, self.task, self.state)
 
 
 def train(graph: Graph, task: ToyTask, config: TrainConfig):
@@ -233,13 +239,19 @@ def _stage(name, fn, *args, **kwargs):
         raise type(e)(f"[stage {name}] {e}") from e
 
 
+def _prune(graph: Graph, fraction: float, epoch: int, calib) -> tuple[PrunePlan, Graph]:
+    """Plan, prune and, when the graph has quantizers, recalibrate them:
+    scales fixed for the dense graph are stale after pruning."""
+    plan = _stage("plan", build_plan, graph, fraction, epoch_trigger=epoch)
+    slim = _stage("prune", apply_prune, graph, plan)
+    if quantizer_ids(slim):
+        slim = _stage("recalibrate", calibrate, slim, calib)
+    return plan, slim
+
+
 def run_compression_pipeline(preset_or_graph, task: ToyTask, config: TrainConfig,
                              input_shape=(1, 3, 64, 64)) -> PipelineResult:
-    """Calibrate, train, prune at the trigger epoch, recalibrate, fine-tune, export.
-
-    Quantizer scales fixed for the dense graph are stale after pruning, so the
-    slim graph is always recalibrated before fine-tuning resumes.
-    """
+    """Calibrate, train, prune at the trigger epoch, recalibrate, fine-tune, export."""
     if isinstance(preset_or_graph, str):
         g = _stage("build", build_mini_net, preset_or_graph, input_shape,
                    task.n_classes, seed=config.seed)
@@ -258,11 +270,7 @@ def run_compression_pipeline(preset_or_graph, task: ToyTask, config: TrainConfig
     dense_acc = trainer.evaluate()
 
     if config.prune_epoch is not None:
-        plan = _stage("plan", build_plan, dense_graph, config.channel_fraction,
-                      epoch_trigger=config.prune_epoch)
-        slim = _stage("prune", apply_prune, dense_graph, plan)
-        if config.qat_enabled:
-            slim = _stage("recalibrate", calibrate, slim, calib)
+        plan, slim = _prune(dense_graph, config.channel_fraction, config.prune_epoch, calib)
         trainer = Trainer(slim, task, config)
         log += _stage("finetune", trainer.run_epochs, config.prune_epoch,
                       config.epochs, "pruned")
@@ -304,27 +312,35 @@ class StudyResult:
 def prune_recovery_study(preset: str = "ecoweed_mini", seeds=(0, 1, 2), *,
                          epochs=250, prune_epoch=150, fractions=(0.1, 0.3, 0.5),
                          early_epoch=62, late_epoch=187, base_fraction=0.3,
-                         task_kwargs=None, config_kwargs=None) -> StudyResult:
+                         task_kwargs=None) -> StudyResult:
     """Trend study behind the pipeline properties.
 
     Per seed: a plain dense baseline, a QAT trunk whose graph is kept at the
     three prune points, then prune+recalibrate+fine-tune arms that branch off
     those graphs. Determinism of the per-epoch batch streams makes each arm
     identical to a standalone pipeline run with the same configuration.
+    Every mark must lie inside [0, epochs) and ``base_fraction`` among
+    ``fractions``; both are checked before any training.
     """
     if preset not in PRESETS:
         raise TrainingError(f"unknown preset {preset!r}")
+    for name, mark in (("early_epoch", early_epoch), ("prune_epoch", prune_epoch),
+                       ("late_epoch", late_epoch)):
+        if not (0 <= mark < epochs):
+            raise TrainingError(f"{name} {mark} must lie inside [0, {epochs})")
+    for f in fractions:
+        if not (0.0 <= f < 1.0):
+            raise TrainingError(f"fraction {f} must be in [0, 1)")
+    if base_fraction not in fractions:
+        raise TrainingError(f"base_fraction {base_fraction} is not among fractions {tuple(fractions)}")
     res = StudyResult()
-    cfg_extra = dict(config_kwargs or {})
     for seed in seeds:
         task = ToyTask(seed=seed, **dict(task_kwargs or {}))
-        cfg = TrainConfig(epochs=epochs, seed=seed, qat_enabled=True, **cfg_extra)
+        cfg = TrainConfig(epochs=epochs, seed=seed, qat_enabled=True)
         calib = task.calibration_batches(cfg.calibration_batches, cfg.batch_size)
 
         g0 = build_mini_net(preset, (1, 3, 64, 64), task.n_classes, seed=seed)
-        plain = Trainer(g0, task, cfg)
-        plain.run_epochs(0, epochs, "dense")
-        res.dense_acc[seed] = plain.evaluate()
+        res.dense_acc[seed] = train(g0, task, cfg)[1][-1][2]
 
         gq = calibrate(insert_fakequant(g0), calib)
         trunk = Trainer(gq, task, cfg)
@@ -336,9 +352,7 @@ def prune_recovery_study(preset: str = "ecoweed_mini", seeds=(0, 1, 2), *,
             cursor = mark
 
         def arm(mark: int, fraction: float):
-            plan = build_plan(marks[mark], fraction, epoch_trigger=mark)
-            slim = calibrate(apply_prune(marks[mark], plan), calib)
-            tr = Trainer(slim, task, cfg)
+            tr = Trainer(_prune(marks[mark], fraction, mark, calib)[1], task, cfg)
             acc_before = tr.evaluate()
             tr.run_epochs(mark, epochs, "pruned")
             return acc_before, tr.evaluate()

@@ -18,18 +18,17 @@ def check_grad(build_loss, arrays, seeds=3):
         r = np.random.default_rng(100 + trial)
         vals = [a(r) if callable(a) else a.copy() for a in arrays]
         tape = ag.Tape()
-        vars_ = [tape.watch(ag.Var(v.copy()), i) for i, v in enumerate(vals)]
-        loss = build_loss(tape, vars_)
-        grads = ag.backward(tape, loss)
+        vars_ = [ag.Var(v.copy()) for v in vals]
+        ag.backward(tape, build_loss(tape, vars_))
         for i, v in enumerate(vals):
-            if i not in grads:
+            if vars_[i].grad is None:
                 continue
             def f(x, i=i):
                 vs = [x if j == i else vals[j] for j in range(len(vals))]
                 t2 = ag.Tape()
                 return float(build_loss(t2, [ag.Var(u) for u in vs]).value)
             fd = finite_difference(f, v.astype(np.float64), H)
-            assert rel_close(grads[i], fd, TOL), f"gradient mismatch for input {i}"
+            assert rel_close(vars_[i].grad, fd, TOL), f"gradient mismatch for input {i}"
 
 
 def weighted_sum(tape, y, r):
@@ -60,11 +59,10 @@ class TestPrimitiveGradients:
         # loss = sum(w . x) with x fixed: dL/dw = x exactly
         x = np.random.default_rng(1).normal(size=(1, 6))
         tape = ag.Tape()
-        w = tape.watch(ag.Var(np.random.default_rng(2).normal(size=(1, 6))), "w")
+        w = ag.Var(np.random.default_rng(2).normal(size=(1, 6)))
         y = ag.linear(tape, ag.Var(x), w, None)
-        loss = weighted_sum(tape, y, np.ones_like(y.value))
-        grads = ag.backward(tape, loss)
-        assert np.allclose(grads["w"], x)
+        ag.backward(tape, weighted_sum(tape, y, np.ones_like(y.value)))
+        assert np.allclose(w.grad, x)
 
     def test_linear(self):
         r_out = np.random.default_rng(8).normal(size=(3, 2))
@@ -141,25 +139,28 @@ class TestTapeSemantics:
             return weighted_sum(tape, ag.add(tape, a, b), r_out)
 
         tape = ag.Tape()
-        wv = tape.watch(ag.Var(w0.copy()), "w")
-        vv = tape.watch(ag.Var(v0.copy()), "v")
-        loss = loss_fn(tape, [wv, vv])
-        grads = ag.backward(tape, loss)
+        wv, vv = ag.Var(w0.copy()), ag.Var(v0.copy())
+        ag.backward(tape, loss_fn(tape, [wv, vv]))
 
         def f(wx):
             t2 = ag.Tape()
             return float(loss_fn(t2, [ag.Var(wx), ag.Var(v0)]).value)
         fd = finite_difference(f, w0.copy(), H)
-        assert rel_close(grads["w"], fd, TOL)
+        assert rel_close(wv.grad, fd, TOL)
 
-    def test_untouched_parameter_gets_no_entry(self):
+    def test_untouched_var_grad_stays_none(self):
         tape = ag.Tape()
-        used = tape.watch(ag.Var(np.ones((1, 2))), "used")
-        tape.watch(ag.Var(np.ones((1, 2))), "unused")
+        used, unused = ag.Var(np.ones((1, 2))), ag.Var(np.ones((1, 2)))
         loss = ag.softmax_cross_entropy(tape, ag.linear(tape, ag.Var(np.ones((1, 2))), used, None),
                                         np.array([0]))
-        grads = ag.backward(tape, loss)
-        assert "used" in grads and "unused" not in grads
+        assert ag.backward(tape, loss) is None
+        assert used.grad is not None and unused.grad is None
+
+    def test_stop_grad_qdq_records_nothing(self):
+        # pure data stays pure data through a quantizer, and nothing is taped for it
+        tape = ag.Tape()
+        out = ag.qdq(tape, ag.Var(np.ones((1, 2, 2, 2), np.float32), stop_grad=True), 0.1)
+        assert out.stop_grad and len(tape) == 0
 
     def test_non_scalar_loss_rejected(self):
         tape = ag.Tape()

@@ -12,7 +12,7 @@ from slimgraph import build_mini_net, forward_arrays, ops
 from slimgraph.errors import CalibrationError, ExportError, QuantError
 from slimgraph.fakequant import (HistogramObserver, calibrate, calibration_rows,
                                  cast_fp16, export_fp16, insert_fakequant, qdq,
-                                 qdq_backward, quantizer_ids, set_phase)
+                                 qdq_backward, quantizer_ids)
 from slimgraph.pipeline import ToyTask
 
 
@@ -201,14 +201,6 @@ class TestInstrumentation:
         for k in ya:
             assert ya[k].tobytes() == yb[k].tobytes()
 
-    def test_observe_forward_bit_identical_to_disabled(self, rng):
-        g = insert_fakequant(self.build())
-        x = rng.normal(0.4, 0.2, (1, 3, 64, 64)).astype(np.float32)
-        ya = forward_arrays(g, x)
-        yb = forward_arrays(set_phase(g, "observe"), x)
-        for k in ya:
-            assert ya[k].tobytes() == yb[k].tobytes()
-
     def test_double_instrumentation_rejected(self):
         g = insert_fakequant(self.build())
         with pytest.raises(QuantError, match="already instrumented"):
@@ -340,9 +332,8 @@ class TestSteEndToEnd:
             return out
 
         tape = ag.Tape()
-        xv = tape.watch(ag.Var(x0.copy()), "x")
-        wv = tape.watch(ag.Var(w0.copy()), "w")
-        grads = ag.backward(tape, loss_fn(tape, xv, wv))
+        xv, wv = ag.Var(x0.copy()), ag.Var(w0.copy())
+        ag.backward(tape, loss_fn(tape, xv, wv))
 
         def f(x):
             return float(loss_fn(None, ag.Var(x), ag.Var(w0)).value)
@@ -350,4 +341,4 @@ class TestSteEndToEnd:
         # mask coordinates whose FD interval could cross the clamp edge
         mask = np.abs(x0) < 127 * scale - 1.5e-3
         assert mask.all()
-        assert rel_close(grads["x"][mask], fd[mask], 1e-2)
+        assert rel_close(xv.grad[mask], fd[mask], 1e-2)

@@ -188,11 +188,12 @@ class TestMalformedTopology:
         ("batchnorm", lambda nd: nd["attrs"].update(eps="x"), "attr 'eps' = 'x'"),
         ("split", lambda nd: nd["attrs"]["sizes"].__setitem__(0, 8.0), r"attr 'sizes' = \[8.0, 8\]"),
         ("fakequant", lambda nd: nd["attrs"].update(phase="calibrating"), "attr 'phase'"),
+        ("fakequant", lambda nd: nd["attrs"].update(phase="observe"), "attr 'phase' = 'observe'"),
         ("conv", lambda nd: nd["attrs"].update(dilation=2), "has no attr 'dilation'"),
         ("batchnorm", lambda nd: nd["tensors"][3].__setitem__(0, "junk"),
          "lacks the tensor 'running_var'"),
     ], ids=["relu-activation", "addconst-without-c", "eps-not-a-number", "float-split-size",
-            "unknown-phase", "unknown-attr", "renamed-tensor"])
+            "unknown-phase", "removed-observe-phase", "unknown-attr", "renamed-tensor"])
     def test_attrs_and_tensors_checked_against_the_kind(self, kind, edit, match):
         with pytest.raises(ModelFormatError, match=match):
             from_bytes(edited_container(kind, edit))

@@ -42,6 +42,11 @@ class TestToyTask:
         with pytest.raises(TrainingError):
             ToyTask(n_classes=5)
 
+    @pytest.mark.parametrize("split", [{"n_train": 0}, {"n_val": 0}], ids=["no-train", "no-val"])
+    def test_empty_split_rejected(self, split):
+        with pytest.raises(TrainingError, match="n_train and n_val >= 1"):
+            ToyTask(**split)
+
 
 class TestTrainer:
     def small(self, seed=0):
@@ -57,6 +62,19 @@ class TestTrainer:
             for pname in ("weight", "bias", "gamma", "beta", "scale"):
                 if pname in n.params:
                     assert n.params[pname].tobytes() == trained.node(nid).params[pname].tobytes()
+
+    def test_detection_heads_untouched_by_training(self):
+        # the heads are not upstream of the classification loss: no gradient,
+        # so the step skips them and they keep their initial bytes
+        g, task = self.small()
+        trained, _ = train(g, task, TrainConfig(epochs=2, seed=0, lr=0.05))
+        moved = [nid for nid in g.nodes if nid.startswith("detect.") and any(
+            arr.tobytes() != trained.node(nid).params[name].tobytes()
+            for name, arr in g.node(nid).params.items())]
+        assert any(nid.startswith("detect.") and g.node(nid).params for nid in g.nodes)
+        assert moved == []
+        assert g.node("s0.conv").params["weight"].tobytes() != \
+            trained.node("s0.conv").params["weight"].tobytes()
 
     def test_same_seed_bit_identical_weights(self):
         g, task = self.small(seed=1)
@@ -188,6 +206,21 @@ class TestPipeline:
                 for name, arr in n.params.items():
                     got = final.node(nid).params[name]
                     assert got.dtype == arr.dtype and got.tobytes() == arr.tobytes(), (nid, name)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"epochs": 2, "prune_epoch": 3, "late_epoch": 4}, "prune_epoch 3 must lie inside"),
+        ({"epochs": 4, "late_epoch": 4}, "late_epoch 4 must lie inside"),
+        ({"epochs": 4, "early_epoch": -1}, "early_epoch -1 must lie inside"),
+        ({"fractions": (0.25, 0.5), "base_fraction": 0.3}, "base_fraction 0.3 is not among"),
+        ({"fractions": (0.3, 1.0)}, "fraction 1.0 must be in"),
+    ], ids=["prune-after-end", "late-at-end", "negative-early", "base-not-run", "whole-fraction"])
+    def test_study_rejects_what_it_cannot_run_before_training(self, monkeypatch, kwargs, match):
+        def no_training(*args, **kw):
+            raise AssertionError("training started")
+        monkeypatch.setattr(pipeline, "Trainer", no_training)
+        marks = {"epochs": 4, "prune_epoch": 2, "early_epoch": 1, "late_epoch": 3}
+        with pytest.raises(TrainingError, match=match):
+            prune_recovery_study("ecoweed_mini", (0,), **{**marks, **kwargs})
 
     def test_evaluate_standalone(self):
         g = build_mini_net("y11_mini", (1, 3, 64, 64), 3, seed=0)
