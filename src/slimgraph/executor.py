@@ -63,7 +63,9 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
         tape: optional autograd tape for backward; train mode only, since
             eval and calibrate runs record no gradients.
         state: training state; required for mode="train".
-        outputs: restrict computation to these node ids and their ancestors.
+        outputs: restrict computation to these node ids and their ancestors. In every
+            mode, each other value is dropped after its last reader in ``graph.schedule``,
+            which ``estimate_memory`` counts; a train-mode tape keeps what backward needs.
 
     Returns a dict mapping each requested node id to its Var, in topological order.
     """
@@ -74,16 +76,16 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
     if tape is not None and mode != "train":
         raise GraphError(f"a tape records gradients in mode='train' only, not mode={mode!r}")
     wanted = list(outputs) if outputs is not None else graph.output_ids
-    needed = graph.ancestors_of(wanted)
+    plan = graph.schedule(wanted)
     values: dict[tuple[str, int], Var] = {}
     run = _Run(x, mode, tape, state)
-    order = [nid for nid in graph.topo_order() if nid in needed]
-    for nid in order:
-        n = graph.node(nid)
+    for n, last_read in plan:
         out = SPECS[n.kind].forward(run, n, [values[ref] for ref in n.inputs])
         for p, v in enumerate(out if isinstance(out, list) else [out]):
-            values[(nid, p)] = v
-    return {nid: values[(nid, 0)] for nid in order if nid in wanted}
+            values[(n.id, p)] = v
+        for ref in last_read:
+            del values[ref]
+    return {n.id: values[(n.id, 0)] for n, _ in plan if n.id in wanted}
 
 
 def forward_arrays(graph: Graph, x: np.ndarray, outputs=None) -> dict[str, np.ndarray]:

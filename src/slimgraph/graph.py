@@ -128,6 +128,16 @@ class Graph:
             stack.extend(src for (src, _) in self.node(nid).inputs)
         return seen
 
+    def schedule(self, outputs) -> list[tuple[Node, list]]:
+        """The nodes ``outputs`` need, in topological order, each paired with the edges
+        it reads last; edges of ``outputs``, or read by no node here, are never paired."""
+        keep = set(outputs)
+        needed = self.ancestors_of(outputs)
+        order = [self.nodes[nid] for nid in self.topo_order() if nid in needed]
+        last_reader = {ref: n.id for n in order for ref in n.inputs}
+        return [(n, [ref for ref in dict.fromkeys(n.inputs)
+                     if last_reader[ref] == n.id and ref[0] not in keep]) for n in order]
+
 
 def io_shapes(n: Node, shapes: dict) -> tuple[list, list]:
     """Shapes of a node's input ports and of its output ports."""

@@ -179,8 +179,8 @@ def _fakequant_forward(run, n, ins):
     phase = n.attrs.get("phase", "disabled")
     if phase == "active":
         amax = float(n.params["amax"][0])
-        if amax <= 0:
-            raise QuantError(f"quantizer {n.id!r} is active but uncalibrated")
+        if not 0 < amax < math.inf:
+            raise QuantError(f"quantizer {n.id!r} is active but its amax {amax} is not in (0, inf)")
         return ag.qdq(run.tape, ins[0], amax / 127.0)
     if phase not in PHASES:
         raise QuantError(f"quantizer {n.id!r} has unknown phase {phase!r}")

@@ -8,9 +8,8 @@ convention and the declared input size are stamped into every report header.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import modelio
 from .graph import Graph, infer_shapes, io_shapes, trainable_items
@@ -39,8 +38,8 @@ class MemoryEstimate:
 def estimate_memory(graph: Graph, precision_bits: int = 32, input_shape=None) -> MemoryEstimate:
     """Weight blob size, exact serialized engine size, and activation scratch.
 
-    Scratch is the peak of simultaneously-live edge tensors over the
-    deterministic topological schedule, at the inference precision.
+    Scratch is the peak of simultaneously-live edge tensors, at the inference precision,
+    over the ``graph.schedule`` ``run_graph`` follows: each edge dies after its last reader.
     """
     elem = precision_bits // 8
     weight_bytes = sum(arr.size * elem for n in graph.nodes.values()
@@ -48,29 +47,12 @@ def estimate_memory(graph: Graph, precision_bits: int = 32, input_shape=None) ->
     engine_bytes = len(modelio.to_bytes(graph, precision_bits))
 
     shapes = infer_shapes(graph, input_shape)
-    order = graph.topo_order()
-    pos = {nid: i for i, nid in enumerate(order)}
-    # an output tensor stays live until its last consumer has executed
-    last_use: dict[tuple, int] = {}
-    for n in graph.nodes.values():
-        for (src, sp) in n.inputs:
-            last_use[(src, sp)] = max(last_use.get((src, sp), -1), pos[n.id])
-    for nid in order:  # unconsumed outputs live to the end
-        n = graph.node(nid)
-        for p in range(n.n_out_ports()):
-            last_use.setdefault((nid, p), len(order) - 1)
-
-    live = {}
-    peak = 0
-    for i, nid in enumerate(order):
-        n = graph.node(nid)
-        for p in range(n.n_out_ports()):
-            live[(nid, p)] = int(np.prod(shapes[(nid, p)])) * elem
-        peak = max(peak, sum(live.values()))
-        dead = [k for k, last in last_use.items() if last == i and k in live]
-        for k in dead:
-            del live[k]
-    return MemoryEstimate(int(weight_bytes), int(engine_bytes), int(peak))
+    live = peak = 0
+    for n, last_read in graph.schedule(graph.output_ids):
+        live += sum(math.prod(shapes[(n.id, p)]) for p in range(n.n_out_ports())) * elem
+        peak = max(peak, live)
+        live -= sum(math.prod(shapes[ref]) for ref in last_read) * elem
+    return MemoryEstimate(int(weight_bytes), int(engine_bytes), peak)
 
 
 @dataclass

@@ -77,6 +77,8 @@ class ToyTask:
             raise TrainingError(f"toy task supports 2..3 classes, got {n_classes}")
         if n_train < 1 or n_val < 1:
             raise TrainingError(f"toy task needs n_train and n_val >= 1, got {n_train} and {n_val}")
+        if size < 45:  # a shape of radius up to 20 sits 2 pixels clear of each border
+            raise TrainingError(f"toy task needs size >= 45, got {size}")
         self.n_classes = n_classes
         self.size = size
         rng = np.random.default_rng(seed)
@@ -319,8 +321,9 @@ def prune_recovery_study(preset: str = "ecoweed_mini", seeds=(0, 1, 2), *,
     three prune points, then prune+recalibrate+fine-tune arms that branch off
     those graphs. Determinism of the per-epoch batch streams makes each arm
     identical to a standalone pipeline run with the same configuration.
-    Every mark must lie inside [0, epochs) and ``base_fraction`` among
-    ``fractions``; both are checked before any training.
+    Every mark must lie inside [0, epochs), ``base_fraction`` among
+    ``fractions``, and ``task_kwargs`` be ToyTask options other than ``seed``;
+    these, and the first seed's task, are checked before any training.
     """
     if preset not in PRESETS:
         raise TrainingError(f"unknown preset {preset!r}")
@@ -333,6 +336,9 @@ def prune_recovery_study(preset: str = "ecoweed_mini", seeds=(0, 1, 2), *,
             raise TrainingError(f"fraction {f} must be in [0, 1)")
     if base_fraction not in fractions:
         raise TrainingError(f"base_fraction {base_fraction} is not among fractions {tuple(fractions)}")
+    bad = sorted(set(task_kwargs or {}) - {"n_classes", "n_train", "n_val", "size"})
+    if bad:
+        raise TrainingError(f"task_kwargs {bad} are not ToyTask options other than seed")
     res = StudyResult()
     for seed in seeds:
         task = ToyTask(seed=seed, **dict(task_kwargs or {}))

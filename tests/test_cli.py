@@ -79,6 +79,22 @@ class TestCalibrateQat:
                     "--calib-out", str(tmp_path / "c.txt"), "--out", str(tmp_path / "c.twnm")]) == 2
         assert "non-finite activation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("amax", [np.nan, np.inf])
+    def test_train_on_non_finite_amax_exits_2_naming_the_quantizer(self, model_path, tmp_path,
+                                                                    capsys, amax):
+        calibrated = tmp_path / "calib.twnm"
+        assert run(["calibrate", "--model", str(model_path), "--batches", "1", "--seed", "0",
+                    "--out", str(calibrated)]) == 0
+        g, bits = load(calibrated)
+        from slimgraph.fakequant import quantizer_ids
+        qid = quantizer_ids(g)[0]
+        g.node(qid).params["amax"][0] = amax
+        save(g, bits, calibrated)
+        out = tmp_path / "t.twnm"
+        assert run(["train", "--model", str(calibrated), "--epochs", "1", "--out", str(out)]) == 2
+        assert f"quantizer '{qid}' is active but its amax" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_qat_runs(self, model_path, tmp_path):
         out = tmp_path / "qat.twnm"
         assert run(["qat", "--model", str(model_path), "--epochs", "2",

@@ -275,6 +275,16 @@ class TestCalibration:
         for qid in quantizer_ids(g2):
             assert g2.node(qid).attrs["phase"] == "active"
 
+    @pytest.mark.parametrize("amax", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_active_quantizer_needs_positive_finite_amax(self, amax):
+        task = ToyTask(seed=0, n_train=16)
+        g = calibrate(insert_fakequant(build_mini_net("y11_mini", (1, 3, 64, 64), 3, seed=0)),
+                      task.calibration_batches(1, 8))
+        qid = quantizer_ids(g)[-1]
+        g.node(qid).params["amax"][0] = amax
+        with pytest.raises(QuantError, match=f"quantizer '{qid}' is active but its amax"):
+            forward_arrays(g, task.val_images[:2])
+
 
 class TestExportFp16:
     def test_exact_halves_have_zero_cast_error(self):

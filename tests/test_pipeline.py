@@ -47,6 +47,15 @@ class TestToyTask:
         with pytest.raises(TrainingError, match="n_train and n_val >= 1"):
             ToyTask(**split)
 
+    @pytest.mark.parametrize("size", [1, 40, 44])
+    def test_image_too_small_for_the_largest_shape_rejected(self, size):
+        with pytest.raises(TrainingError, match=f"size >= 45, got {size}"):
+            ToyTask(size=size)
+
+    def test_smallest_legal_size_renders_every_seed(self):
+        for seed in range(20):
+            assert ToyTask(seed=seed, n_train=6, n_val=3, size=45).train_images.shape[-1] == 45
+
 
 class TestTrainer:
     def small(self, seed=0):
@@ -213,7 +222,11 @@ class TestPipeline:
         ({"epochs": 4, "early_epoch": -1}, "early_epoch -1 must lie inside"),
         ({"fractions": (0.25, 0.5), "base_fraction": 0.3}, "base_fraction 0.3 is not among"),
         ({"fractions": (0.3, 1.0)}, "fraction 1.0 must be in"),
-    ], ids=["prune-after-end", "late-at-end", "negative-early", "base-not-run", "whole-fraction"])
+        ({"task_kwargs": {"seed": 5}}, r"task_kwargs \['seed'\] are not ToyTask options"),
+        ({"task_kwargs": {"n_tran": 5, "n_val": 4}}, r"task_kwargs \['n_tran'\]"),
+        ({"task_kwargs": {"size": 44}}, "size >= 45, got 44"),
+    ], ids=["prune-after-end", "late-at-end", "negative-early", "base-not-run", "whole-fraction",
+            "task-seed", "task-misspelt", "task-too-small"])
     def test_study_rejects_what_it_cannot_run_before_training(self, monkeypatch, kwargs, match):
         def no_training(*args, **kw):
             raise AssertionError("training started")
