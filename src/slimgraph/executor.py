@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import ops
 from .autograd import Tape, Var
 from .errors import GraphError
-from .graph import Graph
-from .kinds import SPECS
+from .graph import Graph, Node
+from .kinds import _BN, SPECS
 
 BN_MOMENTUM = 0.1  # running-statistics update rate in training mode
 
@@ -88,6 +89,39 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
     return {n.id: values[(n.id, 0)] for n, _ in plan if n.id in wanted}
 
 
+def fold_batchnorm(graph: Graph, keep=()) -> Graph:
+    """Each conv -> batchnorm pair folded into one conv, as an inference engine does:
+    ``w' = w·γ/√(σ²+ε)``, ``b' = β + (b−μ)·γ/√(σ²+ε)``. A pair folds when nothing else
+    reads the conv, their widths agree and neither id is in ``keep``. The folded conv takes
+    the batchnorm's id; other nodes are shared, and with nothing to fold ``graph`` returns."""
+    readers = [src for n in graph.nodes.values() for src, _ in n.inputs]
+    pairs = [(c, bn) for bn in graph.nodes.values() if bn.kind == "batchnorm"
+             for c in [graph.nodes.get(bn.inputs[0][0])] if c is not None and c.kind == "conv"
+             and readers.count(c.id) == 1 and c.id not in keep and bn.id not in keep
+             and {bn.params[k].shape for k in _BN} == {c.params["weight"].shape[:1]}]
+    if not pairs:
+        return graph
+    gamma, beta, mean, var = (np.concatenate([bn.params[k] for _, bn in pairs]) for k in _BN)
+    widths = [len(bn.params["gamma"]) for _, bn in pairs]
+    eps = np.repeat(np.array([bn.attrs.get("eps", 1e-5) for _, bn in pairs], var.dtype), widths)
+    bias = np.concatenate([c.params.get("bias", np.zeros(w, np.float32))
+                           for (c, _), w in zip(pairs, widths)])
+    bias = ops.batchnorm_infer(bias[None, :, None, None], gamma, beta, mean, var, eps).ravel()
+    inv = gamma / np.sqrt(var + eps)
+    out, at = Graph(graph.name, graph.input_shape, graph.meta), np.cumsum([0] + widths)
+    out.nodes = dict(graph.nodes)
+    for (c, bn), i, j in zip(pairs, at, at[1:]):
+        del out.nodes[c.id]
+        out.nodes[bn.id] = Node(bn.id, "conv", c.attrs, {
+            "weight": c.params["weight"] * inv[i:j, None, None, None], "bias": bias[i:j]},
+            c.inputs, bn.protected)
+    return out
+
+
 def forward_arrays(graph: Graph, x: np.ndarray, outputs=None) -> dict[str, np.ndarray]:
-    """Pure inference; returns plain arrays keyed by output node id."""
+    """Pure inference on ``fold_batchnorm(graph, outputs)``, as an inference engine runs;
+    returns plain arrays keyed by output node id. The fold changes float rounding only,
+    but an active quantizer after a folded conv can turn that into whole int8 steps.
+    ``run_graph``, and so training, calibration, evaluation and export, stays unfolded."""
+    graph = fold_batchnorm(graph, outputs or ())
     return {k: v.value for k, v in run_graph(graph, x, mode="eval", outputs=outputs).items()}

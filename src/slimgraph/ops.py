@@ -137,7 +137,7 @@ def batchnorm_infer(x, gamma, beta, mean, var, eps=1e-5):
         raise ShapeError(f"batchnorm input must be 4-D, got rank {x.ndim}")
     c = x.shape[1]
     _validate_bn_args((gamma, beta, mean, var), ("gamma", "beta", "mean", "var"), c)
-    if np.any(var < 0):
+    if not np.all(var >= 0):
         raise ShapeError("batchnorm variance must be non-negative")
     inv = gamma / np.sqrt(var + eps)
     y = x * inv[None, :, None, None]

@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles used across the suite."""
 
+import functools
 import json
 import struct
 import zlib
@@ -8,9 +9,22 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from slimgraph.builders import GraphBuilder
+from slimgraph.builders import GraphBuilder, build_mini_net
+from slimgraph.fakequant import calibrate, insert_fakequant
 from slimgraph.graph import infer_shapes
 from slimgraph.modelio import MAGIC
+
+
+def images(shape, seed=0):
+    return np.random.default_rng(seed).normal(0.4, 0.2, shape).astype(np.float32)
+
+
+@functools.cache
+def preset_graph(name):
+    """A preset, plain or with calibrated active quantizers (shared: do not mutate)."""
+    preset, variant = name.split("-")
+    g = build_mini_net(preset, (1, 3, 64, 64), 3, seed=0)
+    return g if variant == "plain" else calibrate(insert_fakequant(g), [images((8, 3, 64, 64), 1)])
 
 
 def conv2d_reference(x, w, b=None, stride=(1, 1), padding=(0, 0)):

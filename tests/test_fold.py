@@ -1,0 +1,171 @@
+"""Batchnorm folding for inference: ``fold_batchnorm`` and the ``forward_arrays`` that runs
+it, against the unfolded ``run_graph(mode="eval")``."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import chain_graph, images, preset_graph, residual_graph
+from slimgraph import build_mini_net, forward_arrays, run_graph
+from slimgraph.builders import PRESETS, GraphBuilder
+from slimgraph.errors import ShapeError
+from slimgraph.executor import fold_batchnorm
+from slimgraph.fakequant import export_fp16
+from slimgraph.metrics import build_report, count_params
+from slimgraph.modelio import to_bytes
+
+
+def unfolded(g, x, outputs=None):
+    return {k: v.value for k, v in run_graph(g, x, mode="eval", outputs=outputs).items()}
+
+
+def kinds(g):
+    return {nid: n.kind for nid, n in g.nodes.items()}
+
+
+@st.composite
+def conv_bn_chains(draw):
+    """input -> (conv -> batchnorm -> silu) x 1-3 -> output, with random conv geometry,
+    bias or none, eps, and batchnorm parameters and statistics (some variances 0)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    size, c = draw(st.integers(4, 9)), draw(st.integers(1, 4))
+    b = GraphBuilder("chain", (2, c, size, size), seed=draw(st.integers(0, 9)))
+    y = b.add("input", "image", [])
+    for i in range(draw(st.integers(1, 3))):
+        k = draw(st.sampled_from([1, 3] if size >= 3 else [1]))
+        stride, pad = draw(st.integers(1, 2)), draw(st.integers(0, k // 2))
+        cout = draw(st.integers(1, 5))
+        y = b.conv(y, c, cout, k, stride, prefix=f"c{i}.conv")
+        conv = b.graph.nodes[y[0]]
+        conv.attrs["padding"] = pad
+        if draw(st.booleans()):
+            conv.params["bias"] = rng.normal(0, 0.5, cout).astype(np.float32)
+        else:
+            del conv.params["bias"]
+        y = b.batchnorm(y, cout, prefix=f"c{i}.bn")
+        bn = b.graph.nodes[y[0]]
+        bn.attrs["eps"] = draw(st.sampled_from([1e-5, 1e-3, 0.1]))
+        var = rng.uniform(0, 3, cout) * (rng.random(cout) > 0.25)
+        bn.params.update(gamma=rng.normal(1, 0.5, cout), beta=rng.normal(0, 0.5, cout),
+                         running_mean=rng.normal(0, 0.3, cout), running_var=var)
+        bn.params.update({k: v.astype(np.float32) for k, v in bn.params.items()})
+        y = b.act(y, prefix=f"c{i}.act")
+        size, c = (size + 2 * pad - k) // stride + 1, cout
+    b.add("output", "out", [y])
+    b.graph.validate()
+    return b.graph
+
+
+class TestFold:
+    @settings(max_examples=100, deadline=None)
+    @given(conv_bn_chains(), st.integers(0, 9))
+    def test_random_chains_match_unfolded_eval_in_float64(self, g, seed):
+        """The rewrite's algebra, in float64: in float32, a zero variance with eps 1e-5
+        scales a map by about 300 before beta cancels it, and both paths then carry an
+        error of the order of the float32 step at the larger magnitude."""
+        for n in g.nodes.values():
+            n.params = {k: v.astype(np.float64) for k, v in n.params.items()}
+        x = images(g.input_shape, seed).astype(np.float64)
+        assert "batchnorm" not in kinds(fold_batchnorm(g)).values()
+        want = unfolded(g, x)
+        for k, got in forward_arrays(g, x).items():
+            assert got.dtype == np.float64
+            assert np.abs(got - want[k]).max() <= 1e-9 * np.abs(want[k]).max(), k
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_every_preset_pair_folds_within_float_rounding(self, preset):
+        g = build_mini_net(preset, (1, 3, 64, 64), 3, seed=0)
+        rng = np.random.default_rng(3)
+        for n in g.nodes.values():
+            if n.kind == "batchnorm":
+                c = len(n.params["gamma"])
+                n.params["running_mean"] = rng.normal(0, 0.2, c).astype(np.float32)
+                n.params["running_var"] = rng.uniform(0.2, 2, c).astype(np.float32)
+        assert "batchnorm" not in kinds(fold_batchnorm(g)).values()
+        x = images((2, 3, 64, 64))
+        want = unfolded(g, x)
+        for k, got in forward_arrays(g, x).items():
+            assert np.abs(got - want[k]).max() <= 1e-5 * np.abs(want[k]).max(), k
+
+    def test_conv_read_twice_is_not_folded(self):
+        b = GraphBuilder("fork", (1, 3, 6, 6))
+        y = b.conv(b.add("input", "image", []), 3, 4, 3, prefix="stem")
+        z = b.batchnorm(y, 4)
+        b.add("output", "out", [b.add("add", "sum", [y, z])])
+        g = b.graph
+        assert fold_batchnorm(g) is g
+        x = images((2, 3, 6, 6))
+        assert forward_arrays(g, x)["out"].tobytes() == unfolded(g, x)["out"].tobytes()
+
+    def test_pair_of_other_widths_is_not_folded(self):
+        g = chain_graph()
+        bn = next(n for n in g.nodes.values() if n.kind == "batchnorm")
+        bn.params["gamma"] = bn.params["gamma"][:-1]
+        assert fold_batchnorm(g) is g
+        with pytest.raises(ShapeError, match="gamma length"):
+            forward_arrays(g, images((1, 3, 8, 8)))
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("part", ["conv", "bn"])
+    def test_requested_pair_member_is_unfolded_eval_bit_for_bit(self, preset, part):
+        g = preset_graph(f"{preset}-calibrated")
+        stem_bn = next(g.nodes[nid] for nid in g.topo_order() if g.nodes[nid].kind == "batchnorm")
+        nid = stem_bn.id if part == "bn" else stem_bn.inputs[0][0]
+        folded = kinds(fold_batchnorm(g, [nid]))
+        assert folded[stem_bn.id] == "batchnorm" and stem_bn.inputs[0][0] in folded
+        assert list(folded.values()).count("batchnorm") == 1
+        x = images((2, 3, 64, 64))
+        got = forward_arrays(g, x, outputs=[nid])[nid]
+        assert got.tobytes() == unfolded(g, x, outputs=[nid])[nid].tobytes()
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_input_graph_untouched(self, preset):
+        g = preset_graph(f"{preset}-calibrated")
+        nodes = dict(g.nodes)
+        before = {(nid, k): (a, a.tobytes()) for nid, n in nodes.items() for k, a in n.params.items()}
+        folded = fold_batchnorm(g)
+        forward_arrays(g, images((2, 3, 64, 64)))
+        assert g.nodes == nodes and all(g.nodes[nid] is n for nid, n in nodes.items())
+        for (nid, k), (a, raw) in before.items():
+            assert g.nodes[nid].params[k] is a and a.tobytes() == raw, (nid, k)
+        assert all(folded.nodes[nid] is n for nid, n in nodes.items()
+                   if n.kind not in ("conv", "batchnorm"))
+        assert folded.meta == g.meta and folded.meta is not g.meta
+
+    def test_graph_with_nothing_to_fold_comes_back_itself(self):
+        g = chain_graph()
+        for n in g.nodes.values():
+            if n.kind == "batchnorm":
+                n.kind, n.attrs, n.params = "scale", {}, {"scale": n.params["gamma"]}
+        assert fold_batchnorm(g) is g
+        g = residual_graph()
+        bns = [nid for nid, kind in kinds(g).items() if kind == "batchnorm"]
+        assert bns and fold_batchnorm(g, bns) is g
+
+
+class TestBadVariance:
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_raises_folded_and_unfolded(self, bad):
+        g = chain_graph()
+        bn = next(n for n in g.nodes.values() if n.kind == "batchnorm")
+        bn.params["running_var"][1] = bad
+        x = images((1, 3, 8, 8))
+        with pytest.raises(ShapeError, match="non-negative"):
+            forward_arrays(g, x)
+        with pytest.raises(ShapeError, match="non-negative"):
+            run_graph(g, x, mode="eval")
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_containers_and_reports_stay_unfolded(preset):
+    g = preset_graph(f"{preset}-calibrated")
+
+    def snapshot():
+        report = build_report(g, dense_params=count_params(g), channel_fraction=0.5)
+        return to_bytes(g, 32), export_fp16(g)[0], report
+
+    before = snapshot()
+    forward_arrays(g, images((2, 3, 64, 64)))
+    assert snapshot() == before
+    assert b'"batchnorm"' in before[0]

@@ -1,38 +1,23 @@
 """One schedule for execution and for memory: ``Graph.schedule``, the values
 ``run_graph`` keeps alive, and the scratch ``estimate_memory`` reports."""
 
-import functools
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import primitive_graphs
+from conftest import images, preset_graph, primitive_graphs
 from memory_reference import quadratic_scratch_bytes
-from slimgraph import build_fragment, build_mini_net, forward_arrays
+from slimgraph import build_fragment, forward_arrays
 from slimgraph.builders import PRESETS
-from slimgraph.fakequant import calibrate, insert_fakequant
 from slimgraph.graph import infer_shapes
 from slimgraph.metrics import estimate_memory
 
 BATCH16 = (16, 3, 64, 64)
 
 
-def images(shape, seed=0):
-    return np.random.default_rng(seed).normal(0.4, 0.2, shape).astype(np.float32)
-
-
 GRAPH_NAMES = [f"{preset}-{variant}" for preset in PRESETS for variant in ("plain", "calibrated")]
-
-
-@functools.cache
-def preset_graph(name):
-    """A preset, plain or with calibrated active quantizers."""
-    preset, variant = name.split("-")
-    g = build_mini_net(preset, (1, 3, 64, 64), 3, seed=0)
-    return g if variant == "plain" else calibrate(insert_fakequant(g), [images((8, 3, 64, 64), 1)])
 
 
 def needed_subgraph(g):

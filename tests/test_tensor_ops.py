@@ -199,6 +199,8 @@ class TestBatchnorm:
             ops.batchnorm_infer(x, np.ones(2, np.float32), good, good, good)
         with pytest.raises(ShapeError, match="non-negative"):
             ops.batchnorm_infer(x, good, good, good, np.array([1, 1, -1], np.float32))
+        with pytest.raises(ShapeError, match="non-negative"):
+            ops.batchnorm_infer(x, good, good, good, np.array([1, np.nan, 1], np.float32))
 
 
 class TestElementwiseAndStructural:
