@@ -122,6 +122,11 @@ def forward_arrays(graph: Graph, x: np.ndarray, outputs=None) -> dict[str, np.nd
     """Pure inference on ``fold_batchnorm(graph, outputs)``, as an inference engine runs;
     returns plain arrays keyed by output node id. The fold changes float rounding only,
     but an active quantizer after a folded conv can turn that into whole int8 steps.
-    ``run_graph``, and so training, calibration, evaluation and export, stays unfolded."""
+    ``run_graph``, and so training, calibration, evaluation and export, stays unfolded.
+    With ``outputs``, only the nodes they need are folded, so no other batchnorm is read."""
+    if outputs:
+        needed, full = graph.ancestors_of(outputs), graph
+        graph = Graph(full.name, full.input_shape, full.meta)
+        graph.nodes = {nid: n for nid, n in full.nodes.items() if nid in needed}
     graph = fold_batchnorm(graph, outputs or ())
     return {k: v.value for k, v in run_graph(graph, x, mode="eval", outputs=outputs).items()}

@@ -18,9 +18,21 @@ rows follow the weight's fixed (channel, kh, kw) order, and multiplies it by
 the (Cout, C*kh*kw) weight matrix in one batched matmul; the (N, Cout, Ho*Wo)
 result is NCHW already. The reduction order depends only on the shapes, so
 repeated runs on identical inputs are bit-identical.
+
+How patches are gathered, and tap gradients scattered back, is a property of
+the map's shape. On a map of at most 64 cells the inner runs of a per-tap slice
+are a few floats long and numpy's per-call cost rules, so one GEMM with a cached
+read-only 0/1 selection matrix does the whole copy, each way. The gather is then
+bit-identical to the slices; the scatter sums in another order, so it differs in
+float rounding. A 0*inf term would spread NaN over a whole (image, channel) row,
+so a non-finite operand takes the slice path, which keeps it local. Larger maps
+always take one slice copy per tap: there the GEMM's many zero products cost more
+than the copies.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -53,8 +65,25 @@ def _pad(x, padding, fill):
     return xp
 
 
-def _scatter_taps(g6, x_shape, stride, padding):
-    """Sum (N, C, kh, kw, Ho, Wo) per-tap gradients onto the (N,C,H,W) input the taps read."""
+_SMALL_MAP = 64  # input cells up to which the selection GEMM beats per-tap slices
+
+
+@functools.cache  # keyed by maps of at most 64 cells, so it stays small
+def _selection(h, w, kh, kw, stride, padding, dtype):
+    """Read-only 0/1 (H*W, kh*kw*Ho*Wo) matrix: column (i, j, oy, ox) holds a 1 in the
+    row of the input cell that tap (i, j) of output (oy, ox) reads, none in padding."""
+    ho, wo = _conv_out_dims(h, w, kh, kw, stride, padding)
+    i, j, oy, ox = np.indices((kh, kw, ho, wo)).reshape(4, -1)
+    r, c = oy * stride + i - padding, ox * stride + j - padding
+    inside = (r >= 0) & (r < h) & (c >= 0) & (c < w)
+    u = np.zeros((h * w, kh * kw * ho * wo), dtype)
+    u[(r * w + c)[inside], np.flatnonzero(inside)] = 1
+    u.flags.writeable = False
+    return u
+
+
+def _scatter_slices(g6, x_shape, stride, padding):
+    """Sum (N, C, kh, kw, Ho, Wo) per-tap gradients onto x, one slice add per tap."""
     n, c, h, w = x_shape
     kh, kw, ho, wo = g6.shape[2:]
     gxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=g6.dtype)
@@ -66,17 +95,38 @@ def _scatter_taps(g6, x_shape, stride, padding):
     return gxp
 
 
+def _scatter_taps(g6, x_shape, stride, padding):
+    """Sum (N, C, kh, kw, Ho, Wo) per-tap gradients onto the (N,C,H,W) input the taps read."""
+    n, c, h, w = x_shape
+    if h * w <= _SMALL_MAP:
+        u = _selection(h, w, *g6.shape[2:4], stride, padding, g6.dtype)
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite gx is discarded
+            gx = (g6.reshape(n * c, -1) @ u.T).reshape(x_shape)
+        if np.isfinite(gx).all():  # else a non-finite g6 term spread over its row: use slices
+            return gx
+    return _scatter_slices(g6, x_shape, stride, padding)
+
+
+def _gather_slices(x, kh, kw, stride, padding, ho, wo):
+    """(N, C, kh, kw, Ho, Wo) patches of x, one slice copy per tap."""
+    xp = _pad(x, padding, 0.0)
+    cols = np.empty(x.shape[:2] + (kh, kw, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    return cols
+
+
 def _im2col(x, kh, kw, stride, padding):
-    """Per-image (N, C*kh*kw, Ho*Wo) patches: one slice copy per tap; 1x1 is a view."""
+    """Per-image (N, C*kh*kw, Ho*Wo) patches; 1x1 is a view."""
     n, c, h, w = x.shape
     ho, wo = _conv_out_dims(h, w, kh, kw, stride, padding)
     if kh == kw == stride == 1 and padding == 0:
         return x.reshape(n, c, h * w), ho, wo
-    xp = _pad(x, padding, 0.0)
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    if h * w <= _SMALL_MAP and np.isfinite(x).all():  # 0*inf would spread NaN over a row
+        cols = x.reshape(n * c, h * w) @ _selection(h, w, kh, kw, stride, padding, x.dtype)
+    else:
+        cols = _gather_slices(x, kh, kw, stride, padding, ho, wo)
     return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import container, split_container
 from slimgraph.cli import run
+from slimgraph.graph import infer_shapes
 from slimgraph.modelio import load, save
 from slimgraph.pruner import read_plan, write_plan
 
@@ -155,6 +156,20 @@ class TestVerify:
         assert code == 2
         err = capsys.readouterr().err
         assert "is not finite" in err and "output" in err
+
+    def test_non_finite_weight_on_a_small_map_exits_2(self, model_path, tmp_path, capsys):
+        slim, plan = self.make_pair(model_path, tmp_path, fraction="0.5")
+        g, bits = load(slim)
+        shapes = infer_shapes(g)
+        conv = next(n for n in g.nodes.values() if n.kind == "conv"
+                    and n.params["weight"].shape[2] == 3 and np.prod(shapes[n.inputs[0]][2:]) <= 64)
+        conv.params["weight"][0, 0, 1, 1] = np.inf  # later convs read non-finite small maps
+        save(g, bits, slim)
+        with np.errstate(invalid="ignore", over="ignore"):
+            code = run(["verify", "--dense", str(model_path), "--slim", str(slim),
+                        "--plan", str(plan), "--trials", "2", "--tol", "1e-5"])
+        assert code == 2
+        assert "is not finite" in capsys.readouterr().err
 
 
 class TestReportInspect:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from slimgraph import autograd as ag
 from slimgraph import build_mini_net, forward_arrays, ops
+from slimgraph.builders import GraphBuilder
 from slimgraph.errors import CalibrationError, ExportError, QuantError
 from slimgraph.fakequant import (HistogramObserver, calibrate, calibration_rows,
                                  cast_fp16, export_fp16, insert_fakequant, qdq,
@@ -246,6 +247,18 @@ class TestCalibration:
         batch[1, 2, 5, 7] = np.inf
         with pytest.raises(CalibrationError, match="'s0.conv__q' observed 1 non-finite"):
             calibrate(gq, [batch])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_cell_on_a_small_map_counts_only_its_outputs(self, bad):
+        b = GraphBuilder("small", (1, 3, 8, 8), seed=0)
+        y = b.conv(b.add("input", "image", []), 3, 4, k=3, prefix="stem", protected=True)
+        b.add("output", "out", [b.conv(y, 4, 2, k=3, prefix="next")])
+        batch = np.ones((2, 3, 8, 8), np.float32)
+        batch[1, 2, 3, 4] = bad
+        # the 3x3 stem outputs that read the cell, in each of its 4 channels; NaN spread
+        # over the cell's whole (image, channel) row would make it 4 * 64
+        with pytest.raises(CalibrationError, match="'next__q' observed 36 non-finite"):
+            calibrate(insert_fakequant(b.graph), [batch])
 
     def test_runs_only_the_convs_that_feed_a_quantizer(self, monkeypatch):
         g = insert_fakequant(build_mini_net("y11_mini", (1, 3, 64, 64), 3, seed=0))

@@ -156,6 +156,14 @@ class TestBadVariance:
         with pytest.raises(ShapeError, match="non-negative"):
             run_graph(g, x, mode="eval")
 
+    def test_unneeded_batchnorm_is_not_read(self):
+        g = residual_graph()
+        g.nodes["f.bn"].params["running_var"][0] = np.nan
+        x = images((1, 4, 6, 6))
+        got = forward_arrays(g, x, outputs=["stem.act"])["stem.act"]
+        ref = unfolded(g, x, ["stem.act"])["stem.act"]
+        assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+
 
 @pytest.mark.parametrize("preset", PRESETS)
 def test_containers_and_reports_stay_unfolded(preset):

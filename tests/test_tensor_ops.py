@@ -284,6 +284,104 @@ class TestElementwiseAndStructural:
         assert np.allclose(ops.linear(x, w, b), x @ w.T + b)
 
 
+@st.composite
+def small_maps(draw):
+    """(n, c, h, w, k, stride, padding, dtype, seed) with h*w <= 64 cells, square or not."""
+    k = draw(st.sampled_from([1, 3, 5]))
+    stride, padding = draw(st.integers(1, 2)), draw(st.integers(0, k // 2))
+    low = max(1, k - 2 * padding)  # the least side whose output does not collapse
+    h = draw(st.integers(low, 64 // low))
+    w = draw(st.integers(low, 64 // h))
+    return (draw(st.integers(1, 4)), draw(st.integers(1, 6)), h, w, k, stride, padding,
+            draw(st.sampled_from([np.float32, np.float64])), draw(st.integers(0, 2**31 - 1)))
+
+
+def _row_major(g6):
+    """(N, C, kh, kw, Ho, Wo) tap values as the reference's (N*Ho*Wo, C*kh*kw) rows."""
+    n, c, kh, kw, ho, wo = g6.shape
+    return g6.transpose(0, 4, 5, 1, 2, 3).reshape(n * ho * wo, c * kh * kw)
+
+
+class TestSmallMapSelection:
+    """Maps of at most 64 cells gather and scatter taps with one selection GEMM; the
+    slice copies, which larger maps and non-finite operands take, are the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_maps())
+    def test_matches_slices_and_row_major_reference(self, case):
+        n, c, h, w, k, stride, padding, dtype, seed = case
+        r = np.random.default_rng(seed)
+        x = r.normal(size=(n, c, h, w)).astype(dtype)
+        ho, wo = ops._conv_out_dims(h, w, k, k, stride, padding)
+        g6 = r.normal(size=(n, c, k, k, ho, wo)).astype(dtype)
+        gy = r.normal(size=(n, c, ho, wo)).astype(dtype)
+        gather, scatter = ops._gather_slices, ops._scatter_slices
+        with pytest.MonkeyPatch.context() as mp:  # finite small maps never reach the slices
+            mp.setattr(ops, "_gather_slices", None)
+            mp.setattr(ops, "_scatter_slices", None)
+            cols = ops._im2col(x, k, k, stride, padding)[0]
+            gx = ops._scatter_taps(g6, x.shape, stride, padding)
+            _, arg = ops.maxpool2d_forward(x, k, stride, padding)
+            gp = ops.maxpool2d_backward(gy, arg, x.shape, k, stride, padding)
+
+        assert np.array_equal(cols, gather(x, k, k, stride, padding, ho, wo).reshape(cols.shape))
+        ref_cols = conv_reference.im2col(x, k, k, stride, stride, padding, padding)[0]
+        assert np.array_equal(cols, ref_cols.reshape(n, ho * wo, -1).transpose(0, 2, 1))
+
+        # the scatter sums each cell's taps in another order: bound it by their magnitudes
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        routed = ((arg[..., None] == np.arange(k * k)) * gy[..., None]).reshape(
+            n, c, ho, wo, k, k).transpose(0, 1, 4, 5, 2, 3)
+        for got, taps in ((gx, g6), (gp, routed)):
+            mag = scatter(np.abs(taps), x.shape, stride, padding)
+            ref = conv_reference.col2im(_row_major(taps), x.shape, k, k, stride, stride,
+                                        padding, padding)
+            assert got.shape == x.shape and got.dtype == x.dtype
+            assert (np.abs(got - scatter(taps, x.shape, stride, padding)) <= tol * mag).all()
+            assert (np.abs(got - ref) <= tol * mag).all()
+
+    def test_selection_is_one_read_only_matrix_per_key(self):
+        key = (7, 9, 3, 3, 2, 1)
+        u = ops._selection(*key, np.dtype(np.float32))
+        assert u is ops._selection(*key, np.dtype(np.float32))
+        assert u.dtype == np.float32 and ops._selection(*key, np.dtype(np.float64)) is not u
+        assert u.shape == (7 * 9, 3 * 3 * 4 * 5) and not u.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 2
+        assert set(np.unique(u)) == {0, 1} and u.sum(axis=0).max() == 1
+
+    @pytest.mark.parametrize("h, w, gemm", [(8, 8, True), (4, 16, True), (5, 13, False),
+                                            (16, 16, False)])
+    def test_only_maps_of_at_most_64_cells_take_the_gemm(self, rng, monkeypatch, h, w, gemm):
+        keys = []
+        select = ops._selection
+        monkeypatch.setattr(ops, "_selection", lambda *key: keys.append(key) or select(*key))
+        x = rng.normal(size=(2, 3, h, w)).astype(np.float32)
+        y, cols = ops.conv2d_forward(x, rng.normal(size=(4, 3, 3, 3)).astype(np.float32),
+                                     None, 1, 1)
+        ops.conv2d_backward(np.ones_like(y), x, np.ones((4, 3, 3, 3), np.float32), cols, 1, 1)
+        assert keys == ([(h, w, 3, 3, 1, 1, np.dtype(np.float32))] * 2 if gemm else [])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_cell_stays_local(self, rng, bad):
+        x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
+        x[1, 2, 3, 4] = bad
+        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        cols = ops._im2col(x, 3, 3, 1, 1)[0]
+        slices = ops._gather_slices(x, 3, 3, 1, 1, 8, 8).reshape(cols.shape)
+        assert np.array_equal(cols, slices, equal_nan=True)
+        y = ops.conv2d_forward(x, w, None, 1, 1)[0]
+        ref = conv_reference.conv2d_forward(x, w, None, 1, 1)[0]
+        # the 3x3 outputs around the cell, in each output channel of image 1
+        assert np.array_equal(np.isfinite(y), np.isfinite(ref)) and (~np.isfinite(y)).sum() == 36
+
+        g6 = rng.normal(size=(2, 3, 3, 3, 8, 8)).astype(np.float32)
+        g6[1, 2, 0, 1, 5, 5] = bad
+        gx = ops._scatter_taps(g6, x.shape, 1, 1)
+        assert np.array_equal(gx, ops._scatter_slices(g6, x.shape, 1, 1), equal_nan=True)
+        assert (~np.isfinite(gx)).sum() == 1 and not np.isfinite(gx[1, 2, 4, 5])
+
+
 def _backward_of(fn):
     """The input gradient that an autograd activation returns for upstream gradient g."""
     def run(x, g):
