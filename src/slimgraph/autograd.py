@@ -192,7 +192,9 @@ def split_channels(tape, x: Var, sizes) -> list[Var]:
 
 
 def maxpool2d(tape, x: Var, k, stride, padding) -> Var:
-    y, arg = ops.maxpool2d_forward(x.value, k, stride, padding)
+    """Window max. The backward routes each gradient to its window's argmax cell,
+    so the kernel computes the argmax only when a tape records the op."""
+    y, arg = ops.maxpool2d_forward(x.value, k, stride, padding, need_arg=tape is not None)
 
     def grad(g):
         _accum(x, ops.maxpool2d_backward(g, arg, x.value.shape, k, stride, padding))

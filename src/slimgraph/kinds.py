@@ -106,23 +106,24 @@ def _rank(n, s, r):
     return s
 
 
-def _window(n, s, kh, kw, stride):
+def _window(n, s, out_dims, *window):
+    """out_dims(H, W, *window, padding), with its ShapeError raised as a GraphError."""
     _rank(n, s, 4)
-    pad = n.attrs.get("padding", 0)
     try:
-        return ops._conv_out_dims(s[2], s[3], kh, kw, stride, pad)
+        return out_dims(s[2], s[3], *window, n.attrs.get("padding", 0))
     except ShapeError as e:
         raise GraphError(f"{n.kind} {n.id!r}: {e}") from None
 
 
 def _conv_shape(n, ins):
     s, w = ins[0], n.params["weight"]
-    return [(s[0], w.shape[0]) + _window(n, s, *w.shape[2:], n.attrs.get("stride", 1))]
+    return [(s[0], w.shape[0])
+            + _window(n, s, ops._conv_out_dims, *w.shape[2:], n.attrs.get("stride", 1))]
 
 
 def _pool_shape(n, ins):
     s, k = ins[0], n.attrs["k"]
-    return [s[:2] + _window(n, s, k, k, n.attrs.get("stride", k))]
+    return [s[:2] + _window(n, s, ops._pool_out_dims, k, n.attrs.get("stride", k))]
 
 
 def _equal_shapes(n, ins):

@@ -44,7 +44,7 @@ def estimate_memory(graph: Graph, precision_bits: int = 32, input_shape=None) ->
     elem = precision_bits // 8
     weight_bytes = sum(arr.size * elem for n in graph.nodes.values()
                        for arr in n.params.values())
-    engine_bytes = len(modelio.to_bytes(graph, precision_bits))
+    engine_bytes = modelio.container_size(graph, precision_bits)
 
     shapes = infer_shapes(graph, input_shape)
     live = peak = 0

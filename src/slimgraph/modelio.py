@@ -30,8 +30,8 @@ _DTYPE_TAGS = {"<f4": "f32", "<f2": "f16"}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 
 
-def to_bytes(graph: Graph, precision_bits: int = 32) -> bytes:
-    """Serialize a graph at the given float precision.
+def _layout(graph: Graph, precision_bits: int):
+    """(topology document bytes, tensors in blob order, blob dtype, blob length).
 
     At 16 bits a non-finite weight or one beyond the half-precision range is
     an ``ExportError``: silent inf weights mean training went wrong.
@@ -41,7 +41,7 @@ def to_bytes(graph: Graph, precision_bits: int = 32) -> bytes:
     np_dtype = np.dtype(_DTYPES[precision_bits])
     tag = _DTYPE_TAGS[_DTYPES[precision_bits]]
 
-    blob_parts = []
+    arrays = []
     offset = 0
     node_docs = []
     for nid in graph.nodes:  # stored in construction order
@@ -56,10 +56,9 @@ def to_bytes(graph: Graph, precision_bits: int = 32) -> bytes:
                 if peak > HALF_MAX:
                     raise ExportError(
                         f"tensor {n.id}.{name} magnitude {peak:.4g} overflows half precision")
-            data = np.ascontiguousarray(arr, dtype=np_dtype).tobytes()
             tensors.append([name, tag, list(arr.shape), offset, int(arr.size)])
-            blob_parts.append(data)
-            offset += len(data)
+            arrays.append(arr)
+            offset += arr.size * np_dtype.itemsize
         node_docs.append({
             "id": n.id,
             "kind": n.kind,
@@ -76,15 +75,29 @@ def to_bytes(graph: Graph, precision_bits: int = 32) -> bytes:
         "nodes": node_docs,
     }
     topo = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob = b"".join(blob_parts)
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<I", VERSION)
-    out += struct.pack("<Q", len(topo))
-    out += topo
-    out += blob
-    out += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
-    return bytes(out)
+    return topo, arrays, np_dtype, offset
+
+
+def container_size(graph: Graph, precision_bits: int = 32) -> int:
+    """``len(to_bytes(graph, precision_bits))`` without serializing the weights."""
+    topo, _, _, blob_len = _layout(graph, precision_bits)
+    return 16 + len(topo) + blob_len + 4
+
+
+def to_bytes(graph: Graph, precision_bits: int = 32) -> bytes:
+    """Serialize a graph at the given float precision.
+
+    At 16 bits, ``_layout`` raises ``ExportError`` for a weight binary16 cannot
+    hold. Each tensor is cast once (not at all if already in the blob dtype), the
+    CRC is chained over the casts, and one join copies them into the result.
+    """
+    topo, arrays, np_dtype, _ = _layout(graph, precision_bits)
+    blob = [np.ascontiguousarray(arr, dtype=np_dtype) for arr in arrays]
+    crc = 0
+    for data in blob:
+        crc = zlib.crc32(data, crc)
+    return b"".join([MAGIC, struct.pack("<IQ", VERSION, len(topo)), topo, *blob,
+                     struct.pack("<I", crc & 0xFFFFFFFF)])
 
 
 def save(graph: Graph, precision_bits: int, path) -> int:

@@ -28,6 +28,14 @@ float rounding. A 0*inf term would spread NaN over a whole (image, channel) row,
 so a non-finite operand takes the slice path, which keeps it local. Larger maps
 always take one slice copy per tap: there the GEMM's many zero products cost more
 than the copies.
+
+maxpool2d_forward builds y from running maxima: one ``np.maximum(out=)`` pass per
+tap along W into an (N, C, H, Wo) map, then one per tap along H. No -inf frame is
+built: each pass skips the windows whose tap falls in the padding. Only a gradient
+needs each window's argmax, and taking it copies all k x k windows (k*k maps), so
+the forward does so only when asked (``need_arg``), as ``autograd.maxpool2d`` asks
+exactly when a tape records the op. Max is exact, so both paths give the same y.
+Pool padding is at most k // 2, as in PyTorch, so every window holds a map cell.
 """
 
 from __future__ import annotations
@@ -287,12 +295,45 @@ def split_channels(x, sizes):
     return out
 
 
-def maxpool2d_forward(x, k, stride, padding):
-    """Max over k x k windows; returns (y, argmax) with argmax indices into each window."""
+def _pool_out_dims(h, w, k, stride, padding):
+    if padding > k // 2:  # a wider frame adds windows of padding alone, whose max is -inf
+        raise ShapeError(f"maxpool padding {padding} exceeds k // 2 = {k // 2} for k = {k}")
+    return _conv_out_dims(h, w, k, k, stride, padding)
+
+
+def _running_max(a, k, stride, padding, axis):
+    """Max over the k-cell windows along ``axis`` of a framed by ``padding`` -inf cells.
+
+    From a -inf start, each tap's pass covers only the windows whose tap lies in a:
+    a frame cell would never change a max.
+    """
+    size = (a.shape[axis] + 2 * padding - k) // stride + 1
+    out = np.full(a.shape[:axis] + (size,) + a.shape[axis + 1:], -np.inf, dtype=a.dtype)
+    for i in range(k):  # window o reads cell o * stride + i - padding
+        lo = max(0, -((i - padding) // stride))
+        hi = min(size, (a.shape[axis] - 1 + padding - i) // stride + 1)
+        if lo < hi:
+            first = lo * stride + i - padding
+            o = (slice(None),) * axis + (slice(lo, hi),)
+            t = (slice(None),) * axis + (slice(first, first + stride * (hi - lo - 1) + 1, stride),)
+            np.maximum(out[o], a[t], out=out[o])
+    return out
+
+
+def maxpool2d_forward(x, k, stride, padding, need_arg=False):
+    """Max over k x k windows; returns (y, argmax index into each window or None).
+
+    Without ``need_arg``, y is running maxima along W, then along H, and no argmax
+    is taken. With it, y and the argmax come from an (N, C, Ho, Wo, k*k) copy of
+    the windows, which ``maxpool2d_backward`` needs. Both give the exact window
+    max, NaN included.
+    """
     if x.ndim != 4:
         raise ShapeError(f"maxpool input must be 4-D, got rank {x.ndim}")
     n, c, h, w = x.shape
-    ho, wo = _conv_out_dims(h, w, k, k, stride, padding)
+    ho, wo = _pool_out_dims(h, w, k, stride, padding)
+    if not need_arg:
+        return _running_max(_running_max(x, k, stride, padding, 3), k, stride, padding, 2), None
     xp = _pad(x, padding, -np.inf)  # padded cells never win the max
     sn, sc, sh, sw = xp.strides
     win = np.lib.stride_tricks.as_strided(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from slimgraph.builders import GraphBuilder, build_mini_net
+from slimgraph.builders import GraphBuilder, build_fragment, build_mini_net
 from slimgraph.fakequant import calibrate, insert_fakequant
 from slimgraph.graph import infer_shapes
 from slimgraph.modelio import MAGIC
@@ -25,6 +25,18 @@ def preset_graph(name):
     preset, variant = name.split("-")
     g = build_mini_net(preset, (1, 3, 64, 64), 3, seed=0)
     return g if variant == "plain" else calibrate(insert_fakequant(g), [images((8, 3, 64, 64), 1)])
+
+
+# the compress benchmark's fragments: each module at three widths on 16x16 maps
+FRAGMENTS = [(module, width) for module in ("c3k2", "sppf", "c2psa", "a2c2f", "spab")
+             for width in (64, 128, 256)]
+
+
+@functools.cache
+def fragment_graph(module, width):
+    """A fragment as the compress benchmark builds it (shared: do not mutate)."""
+    kwargs = {} if module == "spab" else {"cout": width}
+    return build_fragment(module, (1, width, 16, 16), seed=0, **kwargs)
 
 
 def conv2d_reference(x, w, b=None, stride=(1, 1), padding=(0, 0)):

@@ -237,6 +237,18 @@ class TestExitCodes:
         assert run([cmd] + args) == 3
         assert f"attr {attr!r} = {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["inspect", "report"])
+    def test_format_error_pool_padding_beyond_half_the_window(self, tmp_path, model_path,
+                                                              capsys, cmd):
+        doc, blob = split_container(model_path.read_bytes())
+        pool = next(nd for nd in doc["nodes"] if nd["kind"] == "maxpool")
+        pool["attrs"]["padding"] = pool["attrs"]["k"] // 2 + 1
+        bad = tmp_path / "bad.twnm"
+        bad.write_bytes(container(doc, blob))
+        args = ["--models", str(bad)] if cmd == "report" else ["--model", str(bad)]
+        assert run([cmd] + args) == 3
+        assert f"padding {pool['attrs']['padding']} exceeds k // 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("env, argv, code, message", [
         ({}, "build --preset y11_mini --input-size 60 --out {out}", 2, "divisible by 32"),
         ({}, "build --preset y11_mini --classes 5 --out {out}", 2, "2 or 3 classes"),

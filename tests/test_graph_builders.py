@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slimgraph import build_fragment, build_mini_net, forward_arrays, infer_shapes
-from slimgraph.builders import PRESETS
+from slimgraph.builders import PRESETS, GraphBuilder
 from slimgraph.errors import GraphError
 from slimgraph.kinds import SPECS
 from slimgraph.metrics import count_params
@@ -107,6 +107,21 @@ class TestSppf:
         g = build_fragment("sppf", (1, 64, 4, 4), cout=64, pool_k=5)
         # cv1(64->32,k1)=2144, cv2(128->64,k1)=8384
         assert count_params(g) == 2144 + 8384 == 10528
+
+
+class TestMaxpoolPadding:
+    @pytest.mark.parametrize("k, padding, out", [(2, 1, 5), (5, 2, 4), (2, 3, None),
+                                                 (5, 3, None), (1, 1, None)])
+    def test_padding_at_most_half_the_window(self, k, padding, out):
+        b = GraphBuilder("pool", (1, 1, 4, 4))
+        y = b.add("maxpool", "pool", [b.add("input", "image", [])],
+                  attrs={"k": k, "stride": 1, "padding": padding})
+        b.add("output", "out", [y])
+        if out is None:
+            with pytest.raises(GraphError, match=rf"maxpool 'pool.*padding {padding} exceeds k // 2"):
+                infer_shapes(b.graph)
+        else:
+            assert infer_shapes(b.graph)[y] == (1, 1, out, out)
 
 
 class TestSpab:

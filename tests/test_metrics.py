@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import FRAGMENTS, fragment_graph, preset_graph
 from slimgraph import build_fragment, build_mini_net
 from slimgraph.builders import PRESETS, GraphBuilder
+from slimgraph.errors import ExportError
 from slimgraph.metrics import (build_report, count_flops, count_params, emit_report,
                                estimate_memory)
+from slimgraph.modelio import to_bytes
 from slimgraph.pruner import PrunePlan, apply_prune, build_plan
 
 
@@ -110,9 +113,20 @@ class TestMemory:
             e16 = estimate_memory(g, 16).engine_bytes
             assert e32 / e16 >= 1.4
 
-    def test_engine_bytes_equal_serialized_size(self):
-        from slimgraph.modelio import to_bytes
-        g = build_mini_net("y12_mini", (1, 3, 64, 64), 3, seed=0)
+    @pytest.mark.parametrize("bits", [16, 32])
+    @pytest.mark.parametrize("name", [f"{p}-plain" for p in PRESETS]
+                             + [f"{m}@{w}" for m, w in FRAGMENTS])
+    def test_engine_bytes_equal_serialized_size(self, name, bits):
+        module, _, width = name.partition("@")
+        g = fragment_graph(module, int(width)) if width else preset_graph(name)
+        assert estimate_memory(g, bits).engine_bytes == len(to_bytes(g, bits))
+
+    @pytest.mark.parametrize("value, match", [(np.inf, "non-finite"), (1e6, "overflows half")])
+    def test_fp16_engine_of_a_weight_binary16_cannot_hold_raises(self, value, match):
+        g = build_mini_net("y11_mini", (1, 3, 64, 64), 3, seed=0)
+        g.node("s0.conv").params["weight"][0, 0, 0, 0] = value
+        with pytest.raises(ExportError, match=match):
+            estimate_memory(g, 16)
         assert estimate_memory(g, 32).engine_bytes == len(to_bytes(g, 32))
 
 

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import container, split_container
+from conftest import FRAGMENTS, container, fragment_graph, preset_graph, split_container
+from container_reference import reference_to_bytes
 from slimgraph import build_mini_net, count_flops, forward_arrays, resolve_groups
-from slimgraph.builders import build_fragment
+from slimgraph.builders import PRESETS, build_fragment
 from slimgraph.errors import ExportError, ModelFormatError, SlimgraphError
 from slimgraph.fakequant import calibrate, insert_fakequant
 from slimgraph.modelio import MAGIC, from_bytes, load, save, to_bytes
@@ -92,6 +93,22 @@ class TestHalfRange:
 
 
 class TestCanonical:
+    @pytest.mark.parametrize("bits", [16, 32])
+    @pytest.mark.parametrize("name", [f"{p}-{v}" for p in PRESETS for v in ("plain", "calibrated")]
+                             + [f"{m}@{w}" for m, w in FRAGMENTS])
+    def test_bytes_equal_the_reference_serializer(self, name, bits):
+        module, _, width = name.partition("@")
+        g = fragment_graph(module, int(width)) if width else preset_graph(name)
+        assert to_bytes(g, bits) == reference_to_bytes(g, bits)
+
+    def test_reference_serializer_agrees_on_export_errors(self):
+        g = build()
+        g.node("s0.conv").params["weight"][0, 0, 0, 0] = np.inf
+        for serialize in (to_bytes, reference_to_bytes):
+            with pytest.raises(ExportError, match="s0.conv.weight contains non-finite"):
+                serialize(g, 16)
+        assert to_bytes(g, 32) == reference_to_bytes(g, 32)
+
     def test_serialization_deterministic(self):
         a = to_bytes(build(seed=7), 32)
         b = to_bytes(build(seed=7), 32)
@@ -197,6 +214,12 @@ class TestMalformedTopology:
     def test_attrs_and_tensors_checked_against_the_kind(self, kind, edit, match):
         with pytest.raises(ModelFormatError, match=match):
             from_bytes(edited_container(kind, edit))
+
+    def test_pool_padding_beyond_half_the_window_is_a_format_error(self):
+        doc, blob = split_container(SMALL)  # pool_k = 3 allows padding 1
+        next(nd for nd in doc["nodes"] if nd["kind"] == "maxpool")["attrs"]["padding"] = 2
+        with pytest.raises(ModelFormatError, match=r"padding 2 exceeds k // 2 = 1"):
+            from_bytes(container(doc, blob))
 
     def test_inconsistent_graph_is_a_format_error(self):
         doc, blob = split_container(SMALL)

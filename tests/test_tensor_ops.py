@@ -1,5 +1,7 @@
 """Forward operator contracts against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,10 +259,17 @@ class TestElementwiseAndStructural:
         yneg, _ = ops.maxpool2d_forward(xneg, 3, 1, 1)
         assert np.isfinite(yneg).all() and yneg.max() < 0
 
+    @pytest.mark.parametrize("need_arg", [False, True])
+    def test_maxpool_padding_beyond_half_window_rejected(self, need_arg):
+        x = np.zeros((1, 1, 4, 4), np.float32)
+        with pytest.raises(ShapeError, match=r"padding 3 exceeds k // 2 = 1"):
+            ops.maxpool2d_forward(x, 2, 1, 3, need_arg=need_arg)
+        assert ops.maxpool2d_forward(x, 2, 1, 1, need_arg=need_arg)[0].shape == (1, 1, 5, 5)
+
     @pytest.mark.parametrize("k, stride, padding", [(5, 1, 2), (2, 2, 0)])
     def test_maxpool_backward_matches_per_window_scatter(self, rng, k, stride, padding):
         x = rng.normal(size=(2, 3, 9, 9)).astype(np.float32)
-        y, arg = ops.maxpool2d_forward(x, k, stride, padding)
+        y, arg = ops.maxpool2d_forward(x, k, stride, padding, need_arg=True)
         gy = rng.normal(size=y.shape).astype(np.float32)
         ref = np.zeros((2, 3, 9 + 2 * padding, 9 + 2 * padding), np.float32)
         # windows in descending order reach each cell in ascending tap order,
@@ -270,7 +279,8 @@ class TestElementwiseAndStructural:
                 di, dj = np.divmod(arg[:, :, a, b], k)
                 for n, c in np.ndindex(2, 3):
                     ref[n, c, a * stride + di[n, c], b * stride + dj[n, c]] += gy[n, c, a, b]
-        got = ops.maxpool2d_backward(gy, arg, x.shape, k, stride, padding)
+        # through the tape, which makes the forward compute the argmax it routes by
+        got = _backward_of(lambda t, v: ag.maxpool2d(t, v, k, stride, padding))(x, gy)
         assert got.tobytes() == ref[:, :, padding:padding + 9, padding:padding + 9].tobytes()
 
     def test_global_avg_pool(self, rng):
@@ -321,7 +331,7 @@ class TestSmallMapSelection:
             mp.setattr(ops, "_scatter_slices", None)
             cols = ops._im2col(x, k, k, stride, padding)[0]
             gx = ops._scatter_taps(g6, x.shape, stride, padding)
-            _, arg = ops.maxpool2d_forward(x, k, stride, padding)
+            _, arg = ops.maxpool2d_forward(x, k, stride, padding, need_arg=True)
             gp = ops.maxpool2d_backward(gy, arg, x.shape, k, stride, padding)
 
         assert np.array_equal(cols, gather(x, k, k, stride, padding, ho, wo).reshape(cols.shape))
@@ -382,6 +392,78 @@ class TestSmallMapSelection:
         assert (~np.isfinite(gx)).sum() == 1 and not np.isfinite(gx[1, 2, 4, 5])
 
 
+@st.composite
+def pool_cases(draw):
+    """(x, k, stride, padding): maps of at most 64 cells or more, square or not, values
+    normal or integer-valued (ties), with some cells set to NaN or +-inf."""
+    k = draw(st.integers(1, 5))
+    stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, k // 2))
+    low = max(1, k - 2 * padding)  # the least side whose output does not collapse
+    small, square = draw(st.booleans()), draw(st.booleans())
+    h = draw(st.integers(low, 64 // low) if small else st.integers(max(low, 4), 16))
+    if square and (h * h <= 64) == small:
+        w = h
+    else:  # small maps hold at most 64 cells, larger ones more
+        w = draw(st.integers(low, 64 // h) if small else st.integers(max(low, 64 // h + 1), 20))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)), h, w)
+    r = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    values = r.integers(-3, 4, shape) if draw(st.booleans()) else r.normal(size=shape)
+    x = values.astype(draw(st.sampled_from([np.float32, np.float64])))
+    for value in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3)):
+        x[tuple(r.integers(0, shape))] = value
+    return x, k, stride, padding
+
+
+def _window_max(x, k, stride, padding):
+    """Max of each k x k window of the -inf-padded map, one window at a time."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+                constant_values=-np.inf)
+    ho = (xp.shape[2] - k) // stride + 1
+    wo = (xp.shape[3] - k) // stride + 1
+    y = np.empty(x.shape[:2] + (ho, wo), x.dtype)
+    for a, b in np.ndindex(ho, wo):
+        y[:, :, a, b] = xp[:, :, a * stride:a * stride + k, b * stride:b * stride + k].max(
+            axis=(2, 3))
+    return y
+
+
+class TestMaxpoolRunningMaxima:
+    """Without need_arg the forward is running maxima; with it, the window argmax."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(pool_cases())
+    def test_equals_window_max_and_the_argmax_path(self, case):
+        x, k, stride, padding = case
+        y, none = ops.maxpool2d_forward(x, k, stride, padding)
+        y_arg, arg = ops.maxpool2d_forward(x, k, stride, padding, need_arg=True)
+        ref = _window_max(x, k, stride, padding)
+        assert none is None and arg.shape == ref.shape
+        for got in (y, y_arg):
+            assert got.dtype == x.dtype and got.flags.c_contiguous
+            # equal_nan: equal values and NaN in the same cells
+            assert np.array_equal(got, ref, equal_nan=True)
+
+    def test_untaped_forward_peaks_below_three_inputs(self, rng):
+        x = rng.normal(size=(1, 128, 16, 16)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            ops.maxpool2d_forward(x, 5, 1, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * x.nbytes
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_only_a_tape_asks_for_the_argmax(self, rng, monkeypatch, taped):
+        calls = []
+        forward = ops.maxpool2d_forward
+        monkeypatch.setattr(ops, "maxpool2d_forward",
+                            lambda *a, **kw: calls.append(kw["need_arg"]) or forward(*a, **kw))
+        x = ag.Var(rng.normal(size=(1, 2, 6, 6)).astype(np.float32))
+        ag.maxpool2d(ag.Tape() if taped else None, x, 3, 1, 1)
+        assert calls == [taped]
+
+
 def _backward_of(fn):
     """The input gradient that an autograd activation returns for upstream gradient g."""
     def run(x, g):
@@ -420,6 +502,7 @@ IN_PLACE_KERNELS = {
     "batchnorm_train_forward": lambda x, g: (ops.batchnorm_train_forward, x, *_channels(1.5, 0.2)),
     "batchnorm_train_backward": lambda x, g: (ops.batchnorm_train_backward, g, *_channels(1.5),
                                               _bn_cache(x)),
+    "maxpool2d_forward": lambda x, g: (ops.maxpool2d_forward, x, 3, 1, 1),
     "qdq": lambda x, g: (qdq, x, 0.01),
     "qdq_backward": lambda x, g: (qdq_backward, g, x, 0.01),
     "autograd.sigmoid backward": lambda x, g: (_backward_of(ag.sigmoid), x, g),
