@@ -5,6 +5,22 @@ and a backward closure, in execution order. ``backward`` replays the records
 strictly in reverse and accumulates into each input Var's ``.grad``; a Var
 the forward pass never reached keeps ``grad=None``. Callers read gradients
 off the Vars they hold.
+
+What a tape holds, and when it lets go:
+
+* Each closure captures the arrays its gradient formula reads, taken at
+  forward time: conv its patch matrix (the largest term), batchnorm its
+  normalized map, sigmoid its output, SiLU, linear, multiply, scale and qdq
+  the operands they multiply or compare, and maxpool its argmax; concat,
+  split, average pooling and conv keep only the shapes they need. No closure
+  reads an input Var's ``.value``, so a taped ``run_graph`` can drop each
+  activation (``Var.value = None``) once its last reader has run; the Var
+  stays, as the place its gradient accumulates.
+* A tape is used once. ``backward`` pops each record before running it, so
+  its closure and what it captured are freed as the pass goes, and clears an
+  op output's ``.grad`` once that gradient has been passed on. Leaves
+  (parameters, inputs: Vars no record outputs) keep their gradients.
+  ``len(tape)`` still counts every record made.
 """
 
 from __future__ import annotations
@@ -12,14 +28,16 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .errors import ShapeError
+from .errors import GraphError, ShapeError
 
 
 class Var:
     """A value flowing through a taped forward pass.
 
     ``stop_grad`` marks pure data (e.g. the network input): operators skip
-    computing its upstream gradient entirely.
+    computing its upstream gradient entirely. A taped ``run_graph`` sets
+    ``value`` to None once no later node reads it (backward never does), and
+    ``backward`` resets an op output's ``grad`` to None once it is passed on.
     """
 
     __slots__ = ("value", "grad", "stop_grad")
@@ -34,7 +52,8 @@ class Var:
         return self.value.shape
 
     def __repr__(self):
-        return f"Var(shape={self.value.shape}, grad={'set' if self.grad is not None else 'none'})"
+        shape = "released" if self.value is None else self.value.shape
+        return f"Var(shape={shape}, grad={'set' if self.grad is not None else 'none'})"
 
 
 def _accum(var: Var, g):
@@ -43,26 +62,42 @@ def _accum(var: Var, g):
 
 
 class Tape:
-    """Ordered record of executed primitives and their backward closures."""
+    """Ordered record of executed primitives and their backward closures; single-use."""
 
     def __init__(self):
-        self._records = []  # (output Var, backward closure)
+        self._records = []  # (output Var, backward closure), consumed by backward
+        self._made = 0
+        self._spent = False
 
     def record(self, out: Var, backward_fn):
         self._records.append((out, backward_fn))
+        self._made += 1
 
     def __len__(self):
-        return len(self._records)
+        """Records made, including those ``backward`` has consumed."""
+        return self._made
 
 
 def backward(tape: Tape, loss: Var) -> None:
-    """Run the tape in reverse from a scalar loss, accumulating into ``.grad``."""
+    """Run the tape in reverse from a scalar loss, accumulating into ``.grad``.
+
+    Consumes the tape: each record is popped before it runs, so its closure and
+    the arrays it captured are freed as the pass goes, and each op output's
+    ``.grad`` is reset to None once passed on. Only leaves keep gradients, and
+    a second ``backward`` on the same tape raises ``GraphError``.
+    """
+    if tape._spent:
+        raise GraphError("this tape has run backward already; record a new one")
     if loss.value.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.value.shape}")
+    tape._spent = True
     loss.grad = np.ones_like(loss.value)
-    for out, fn in reversed(tape._records):
-        if out.grad is not None:
-            fn(out.grad)
+    records = tape._records
+    while records:
+        out, fn = records.pop()
+        g, out.grad = out.grad, None
+        if g is not None:
+            fn(g)
 
 
 def _taped(tape, value, grad, stop_grad=False) -> Var:
@@ -78,13 +113,12 @@ def _taped(tape, value, grad, stop_grad=False) -> Var:
 # ---------------------------------------------------------------------------
 
 def conv2d(tape, x: Var, w: Var, b: Var | None, stride=1, padding=0) -> Var:
-    y, cols = ops.conv2d_forward(x.value, w.value, None if b is None else b.value,
-                                 stride, padding)
+    wv, x_shape, need_gx = w.value, x.value.shape, not x.stop_grad
+    y, cols = ops.conv2d_forward(x.value, wv, None if b is None else b.value, stride, padding)
 
     def grad(g):
-        gx, gw, gb = ops.conv2d_backward(
-            g, x.value, w.value, cols, stride, padding,
-            with_bias=b is not None, need_gx=not x.stop_grad)
+        gx, gw, gb = ops.conv2d_backward(g, x_shape, wv, cols, stride, padding,
+                                         with_bias=b is not None, need_gx=need_gx)
         if gx is not None:
             _accum(x, gx)
         _accum(w, gw)
@@ -104,10 +138,11 @@ def batchnorm(tape, x: Var, gamma: Var, beta: Var, mean, var, eps, training: boo
     if not training:
         y = ops.batchnorm_infer(x.value, gamma.value, beta.value, mean, var, eps)
         return Var(y), None, None
-    y, cache = ops.batchnorm_train_forward(x.value, gamma.value, beta.value, eps)
+    gv = gamma.value
+    y, cache = ops.batchnorm_train_forward(x.value, gv, beta.value, eps)
 
     def grad(g):
-        gx, dgamma, dbeta = ops.batchnorm_train_backward(g, gamma.value, cache)
+        gx, dgamma, dbeta = ops.batchnorm_train_backward(g, gv, cache)
         _accum(x, gx)
         _accum(gamma, dgamma)
         _accum(beta, dbeta)
@@ -126,16 +161,17 @@ def sigmoid(tape, x: Var) -> Var:
 
 
 def silu(tape, x: Var) -> Var:
-    s = ops.sigmoid(x.value)
+    xv = x.value
+    s = ops.sigmoid(xv)
 
     def grad(g):
         t = 1.0 - s  # g*s*(1 + x*(1-s)) in one buffer
-        t *= x.value
+        t *= xv
         t += 1.0
         t *= s
         t *= g
         _accum(x, t)
-    return _taped(tape, x.value * s, grad)
+    return _taped(tape, xv * s, grad)
 
 
 def add(tape, a: Var, b: Var) -> Var:
@@ -146,10 +182,12 @@ def add(tape, a: Var, b: Var) -> Var:
 
 
 def multiply(tape, a: Var, b: Var) -> Var:
+    av, bv = a.value, b.value
+
     def grad(g):
-        _accum(a, g * b.value)
-        _accum(b, g * a.value)
-    return _taped(tape, ops.multiply(a.value, b.value), grad)
+        _accum(a, g * bv)
+        _accum(b, g * av)
+    return _taped(tape, ops.multiply(av, bv), grad)
 
 
 def add_const(tape, x: Var, c: float) -> Var:
@@ -158,21 +196,23 @@ def add_const(tape, x: Var, c: float) -> Var:
 
 def scale_channels(tape, x: Var, s: Var) -> Var:
     """Per-channel multiplication of a (N,C,H,W) map by a length-C vector."""
-    if x.value.ndim != 4 or s.value.shape != (x.value.shape[1],):
+    xv, sv = x.value, s.value
+    if xv.ndim != 4 or sv.shape != (xv.shape[1],):
         raise ShapeError(
-            f"scale_channels needs 4-D input and per-channel vector, got {x.value.shape} and {s.value.shape}")
+            f"scale_channels needs 4-D input and per-channel vector, got {xv.shape} and {sv.shape}")
 
     def grad(g):
-        _accum(x, g * s.value[None, :, None, None])
-        _accum(s, (g * x.value).sum(axis=(0, 2, 3)))
-    return _taped(tape, x.value * s.value[None, :, None, None], grad)
+        _accum(x, g * sv[None, :, None, None])
+        _accum(s, (g * xv).sum(axis=(0, 2, 3)))
+    return _taped(tape, xv * sv[None, :, None, None], grad)
 
 
 def concat_channels(tape, parts: list[Var]) -> Var:
+    widths = [p.value.shape[1] for p in parts]
+
     def grad(g):
         off = 0
-        for p in parts:
-            s = p.value.shape[1]
+        for p, s in zip(parts, widths):
             _accum(p, g[:, off:off + s])
             off += s
     return _taped(tape, ops.concat_channels([p.value for p in parts]), grad)
@@ -180,10 +220,10 @@ def concat_channels(tape, parts: list[Var]) -> Var:
 
 def split_channels(tape, x: Var, sizes) -> list[Var]:
     # one record per piece; each accumulates into its own slice
-    outs, off = [], 0
+    outs, off, shape, dtype = [], 0, x.value.shape, x.value.dtype
     for v, s in zip(ops.split_channels(x.value, sizes), sizes):
         def grad(g, off=off, s=s):
-            gx = np.zeros_like(x.value)
+            gx = np.zeros(shape, dtype)
             gx[:, off:off + s] = g
             _accum(x, gx)
         outs.append(_taped(tape, v, grad))
@@ -194,34 +234,39 @@ def split_channels(tape, x: Var, sizes) -> list[Var]:
 def maxpool2d(tape, x: Var, k, stride, padding) -> Var:
     """Window max. The backward routes each gradient to its window's argmax cell,
     so the kernel computes the argmax only when a tape records the op."""
+    shape = x.value.shape
     y, arg = ops.maxpool2d_forward(x.value, k, stride, padding, need_arg=tape is not None)
 
     def grad(g):
-        _accum(x, ops.maxpool2d_backward(g, arg, x.value.shape, k, stride, padding))
+        _accum(x, ops.maxpool2d_backward(g, arg, shape, k, stride, padding))
     return _taped(tape, y, grad)
 
 
 def global_avg_pool(tape, x: Var) -> Var:
+    n, c, h, w = x.value.shape
+
     def grad(g):
-        n, c, h, w = x.value.shape
         _accum(x, np.broadcast_to(g[:, :, None, None] / (h * w), (n, c, h, w)).astype(g.dtype))
     return _taped(tape, ops.global_avg_pool(x.value), grad)
 
 
 def linear(tape, x: Var, w: Var, b: Var | None) -> Var:
+    xv, wv = x.value, w.value
+
     def grad(g):
-        _accum(x, g @ w.value)
-        _accum(w, g.T @ x.value)
+        _accum(x, g @ wv)
+        _accum(w, g.T @ xv)
         if b is not None:
             _accum(b, g.sum(axis=0))
-    return _taped(tape, ops.linear(x.value, w.value, None if b is None else b.value), grad)
+    return _taped(tape, ops.linear(xv, wv, None if b is None else b.value), grad)
 
 
 def qdq(tape, x: Var, scale: float) -> Var:
     """Quantize-dequantize with clipped straight-through gradients."""
     from . import fakequant  # local import avoids a module cycle
-    return _taped(tape, fakequant.qdq(x.value, scale),
-                  lambda g: _accum(x, fakequant.qdq_backward(g, x.value, scale)),
+    xv = x.value
+    return _taped(tape, fakequant.qdq(xv, scale),
+                  lambda g: _accum(x, fakequant.qdq_backward(g, xv, scale)),
                   stop_grad=x.stop_grad)
 
 

@@ -66,7 +66,15 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
         state: training state; required for mode="train".
         outputs: restrict computation to these node ids and their ancestors. In every
             mode, each other value is dropped after its last reader in ``graph.schedule``,
-            which ``estimate_memory`` counts; a train-mode tape keeps what backward needs.
+            which ``estimate_memory`` counts.
+
+    With a tape, the tape's records hold every op output Var (backward accumulates its
+    gradient there), so dropping an edge would not free its array. A taped run therefore
+    also releases the value (``Var.value = None``) once no live edge holds the Var: rules
+    that return an input Var (``output``, a disabled ``fakequant``) put one Var on several
+    edges, so live edges are counted per Var. Requested outputs are never released, and
+    no backward closure reads a released value (see :mod:`slimgraph.autograd`). Untaped
+    runs keep no count: their dropped Vars are freed with their arrays.
 
     Returns a dict mapping each requested node id to its Var, in topological order.
     """
@@ -79,13 +87,21 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
     wanted = list(outputs) if outputs is not None else graph.output_ids
     plan = graph.schedule(wanted)
     values: dict[tuple[str, int], Var] = {}
+    # id(Var) -> live edges; a Var is freed only at 0, so a reused id starts from 0
+    edges: dict[int, int] | None = {} if tape is not None else None
     run = _Run(x, mode, tape, state)
     for n, last_read in plan:
         out = SPECS[n.kind].forward(run, n, [values[ref] for ref in n.inputs])
         for p, v in enumerate(out if isinstance(out, list) else [out]):
             values[(n.id, p)] = v
+            if edges is not None:
+                edges[id(v)] = edges.get(id(v), 0) + 1
         for ref in last_read:
-            del values[ref]
+            v = values.pop(ref)
+            if edges is not None:
+                edges[id(v)] -= 1
+                if not edges[id(v)]:
+                    v.value = None
     return {n.id: values[(n.id, 0)] for n, _ in plan if n.id in wanted}
 
 

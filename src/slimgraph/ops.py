@@ -11,7 +11,7 @@ tight finite-difference comparisons.
 Kernels take only what graphs give them: ``int`` stride and padding (the
 same on both spatial axes) and square ``k x k`` pool windows. conv2d_forward
 returns its patch matrix with the output, and conv2d_backward requires it, so
-the backward pass never rebuilds patches.
+the backward pass never rebuilds patches, and needs only the input's shape.
 
 conv2d lowers each image to a channel-major (C*kh*kw, Ho*Wo) patch matrix whose
 rows follow the weight's fixed (channel, kh, kw) order, and multiplies it by
@@ -32,9 +32,9 @@ than the copies.
 maxpool2d_forward builds y from running maxima: one ``np.maximum(out=)`` pass per
 tap along W into an (N, C, H, Wo) map, then one per tap along H. No -inf frame is
 built: each pass skips the windows whose tap falls in the padding. Only a gradient
-needs each window's argmax, and taking it copies all k x k windows (k*k maps), so
-the forward does so only when asked (``need_arg``), as ``autograd.maxpool2d`` asks
-exactly when a tape records the op. Max is exact, so both paths give the same y.
+needs each window's argmax, so the forward takes it only when asked (``need_arg``),
+as ``autograd.maxpool2d`` asks exactly when a tape records the op: one compare of
+each tap's cells against y, no copy of the windows, and a uint8 index for k <= 16.
 Pool padding is at most k // 2, as in PyTorch, so every window holds a map cell.
 """
 
@@ -61,14 +61,13 @@ def _conv_out_dims(h, w, kh, kw, stride, padding):
     return ho, wo
 
 
-def _pad(x, padding, fill):
-    """x framed by ``padding`` cells of ``fill`` on each spatial side; x itself at 0."""
+def _pad(x, padding):
+    """x framed by ``padding`` zero cells on each spatial side; x itself at 0."""
     if not padding:
         return x
     n, c, h, w = x.shape
-    shape = (n, c, h + 2 * padding, w + 2 * padding)
     # np.zeros gets memory already zeroed, saving np.full's pass over the map
-    xp = np.full(shape, fill, dtype=x.dtype) if fill else np.zeros(shape, dtype=x.dtype)
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
     xp[:, :, padding:padding + h, padding:padding + w] = x
     return xp
 
@@ -117,7 +116,7 @@ def _scatter_taps(g6, x_shape, stride, padding):
 
 def _gather_slices(x, kh, kw, stride, padding, ho, wo):
     """(N, C, kh, kw, Ho, Wo) patches of x, one slice copy per tap."""
-    xp = _pad(x, padding, 0.0)
+    xp = _pad(x, padding)
     cols = np.empty(x.shape[:2] + (kh, kw, ho, wo), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
@@ -162,8 +161,13 @@ def conv2d_forward(x, w, b=None, stride=1, padding=0):
     return y.reshape(x.shape[0], cout, ho, wo), cols
 
 
-def conv2d_backward(gy, x, w, cols, stride=1, padding=0, with_bias=True, need_gx=True):
-    """Gradients of conv2d from its forward's cols: returns (gx or None, gw, gb or None)."""
+def conv2d_backward(gy, x_shape, w, cols, stride=1, padding=0, with_bias=True, need_gx=True):
+    """Gradients of conv2d: returns (gx or None, gw, gb or None).
+
+    Reads the input only through its forward's ``cols`` and ``x_shape``, so a caller
+    may free the input once the forward has run; ``cols`` is the one array backward
+    keeps. (A 1x1 stride-1 unpadded conv's cols is a view of the input, keeping it.)
+    """
     cout, _, kh, kw = w.shape
     gy3 = gy.reshape(gy.shape[0], cout, -1)
     gw = (gy3 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
@@ -172,10 +176,10 @@ def conv2d_backward(gy, x, w, cols, stride=1, padding=0, with_bias=True, need_gx
     if need_gx:  # column gradients (N, C*kh*kw, Ho*Wo) scattered back onto x
         gcols = w.reshape(cout, -1).T @ gy3
         if kh == kw == stride == 1 and padding == 0:
-            gx = gcols.reshape(x.shape)
+            gx = gcols.reshape(x_shape)
         else:
-            g6 = gcols.reshape(x.shape[:2] + (kh, kw) + gy.shape[2:])
-            gx = _scatter_taps(g6, x.shape, stride, padding)
+            g6 = gcols.reshape(x_shape[:2] + (kh, kw) + gy.shape[2:])
+            gx = _scatter_taps(g6, x_shape, stride, padding)
     return gx, gw, gb
 
 
@@ -301,50 +305,76 @@ def _pool_out_dims(h, w, k, stride, padding):
     return _conv_out_dims(h, w, k, k, stride, padding)
 
 
+def _tap_slices(size, out_size, i, stride, padding):
+    """(window slice, cell slice) along one axis of a map framed by ``padding`` cells:
+    the windows whose tap i lies in the map, and the cells it reads there; None if none."""
+    lo = max(0, -((i - padding) // stride))  # window o reads cell o * stride + i - padding
+    hi = min(out_size, (size - 1 + padding - i) // stride + 1)
+    if lo >= hi:
+        return None
+    first = lo * stride + i - padding
+    return slice(lo, hi), slice(first, first + stride * (hi - lo - 1) + 1, stride)
+
+
 def _running_max(a, k, stride, padding, axis):
     """Max over the k-cell windows along ``axis`` of a framed by ``padding`` -inf cells.
 
     From a -inf start, each tap's pass covers only the windows whose tap lies in a:
-    a frame cell would never change a max.
+    a frame cell would never change a max. The running max is the second operand,
+    which ``np.maximum`` returns on a tie, so of equal cells (0.0 and -0.0) the
+    first along the axis wins.
     """
     size = (a.shape[axis] + 2 * padding - k) // stride + 1
     out = np.full(a.shape[:axis] + (size,) + a.shape[axis + 1:], -np.inf, dtype=a.dtype)
-    for i in range(k):  # window o reads cell o * stride + i - padding
-        lo = max(0, -((i - padding) // stride))
-        hi = min(size, (a.shape[axis] - 1 + padding - i) // stride + 1)
-        if lo < hi:
-            first = lo * stride + i - padding
-            o = (slice(None),) * axis + (slice(lo, hi),)
-            t = (slice(None),) * axis + (slice(first, first + stride * (hi - lo - 1) + 1, stride),)
-            np.maximum(out[o], a[t], out=out[o])
+    lead = (slice(None),) * axis
+    for i in range(k):
+        taps = _tap_slices(a.shape[axis], size, i, stride, padding)
+        if taps:
+            o = lead + (taps[0],)
+            np.maximum(a[lead + (taps[1],)], out[o], out=out[o])
     return out
+
+
+def _first_argmax(x, y, k, stride, padding):
+    """Per window, the index in window order of the first tap holding the max ``y``,
+    a NaN matching a NaN and a frame cell holding -inf: what ``argmax`` over the
+    -inf-padded window gives. The smallest unsigned dtype that holds k*k - 1."""
+    (h, w), (ho, wo) = x.shape[2:], y.shape[2:]
+    arg = np.zeros(y.shape, np.min_scalar_type(k * k - 1))
+    nan = np.isnan(y).any()  # a window's max is NaN exactly when it holds a NaN
+    framed = y == -np.inf  # the windows a frame cell (-inf) can win, if there is a frame
+    framed = framed if padding and framed.any() else None
+    along_h = [_tap_slices(h, ho, i, stride, padding) for i in range(k)]
+    along_w = [_tap_slices(w, wo, j, stride, padding) for j in range(k)]
+    for t in reversed(range(k * k)):  # each tap overwrites the later taps' hits
+        rows, cols = along_h[t // k], along_w[t % k]
+        if framed is not None:  # windows where this tap is a frame cell
+            hit = framed.copy()
+            if rows and cols:
+                hit[:, :, rows[0], cols[0]] = False
+            np.copyto(arg, t, where=hit)
+        if rows and cols:
+            xs = x[:, :, rows[1], cols[1]]
+            hit = xs == y[:, :, rows[0], cols[0]]
+            if nan:
+                hit |= np.isnan(xs)
+            np.copyto(arg[:, :, rows[0], cols[0]], t, where=hit)
+    return arg
 
 
 def maxpool2d_forward(x, k, stride, padding, need_arg=False):
     """Max over k x k windows; returns (y, argmax index into each window or None).
 
-    Without ``need_arg``, y is running maxima along W, then along H, and no argmax
-    is taken. With it, y and the argmax come from an (N, C, Ho, Wo, k*k) copy of
-    the windows, which ``maxpool2d_backward`` needs. Both give the exact window
-    max, NaN included.
+    y is running maxima along W, then along H: the exact window max, NaN included,
+    and of tied cells the first in window order. With ``need_arg``, the argmax that
+    ``maxpool2d_backward`` needs is the first tap of each window equal to y, found
+    by one compare per tap, with no copy of the windows.
     """
     if x.ndim != 4:
         raise ShapeError(f"maxpool input must be 4-D, got rank {x.ndim}")
-    n, c, h, w = x.shape
-    ho, wo = _pool_out_dims(h, w, k, stride, padding)
-    if not need_arg:
-        return _running_max(_running_max(x, k, stride, padding, 3), k, stride, padding, 2), None
-    xp = _pad(x, padding, -np.inf)  # padded cells never win the max
-    sn, sc, sh, sw = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, ho, wo, k, k),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    ).reshape(n, c, ho, wo, k * k)
-    arg = win.argmax(axis=-1)
-    y = np.ascontiguousarray(np.take_along_axis(win, arg[..., None], axis=-1)[..., 0])
-    return y, arg
+    _pool_out_dims(x.shape[2], x.shape[3], k, stride, padding)
+    y = _running_max(_running_max(x, k, stride, padding, 3), k, stride, padding, 2)
+    return y, (_first_argmax(x, y, k, stride, padding) if need_arg else None)
 
 
 def maxpool2d_backward(gy, arg, x_shape, k, stride, padding):

@@ -156,6 +156,28 @@ class TestTapeSemantics:
         assert ag.backward(tape, loss) is None
         assert used.grad is not None and unused.grad is None
 
+    def test_a_tape_runs_backward_once(self):
+        # a second pass over kept records and gradients would make w.grad three times the first
+        tape = ag.Tape()
+        x = ag.Var(np.array([[0.3, -0.2]]), stop_grad=True)
+        w = ag.Var(np.array([[0.1, 0.2], [-0.3, 0.05]]))
+        loss = ag.softmax_cross_entropy(tape, ag.linear(tape, x, w, None), np.array([0]))
+        ag.backward(tape, loss)
+        first = w.grad.copy()
+        with pytest.raises(GraphError, match="backward already"):
+            ag.backward(tape, loss)
+        assert np.array_equal(w.grad, first)
+
+    def test_backward_consumes_the_tape_and_leaves_keep_their_gradients(self):
+        tape = ag.Tape()
+        x, w = ag.Var(np.ones((2, 3))), ag.Var(np.full((4, 3), 0.5))
+        hidden = ag.linear(tape, x, w, None)
+        loss = ag.softmax_cross_entropy(tape, ag.sigmoid(tape, hidden), np.array([0, 1]))
+        ag.backward(tape, loss)
+        assert len(tape) == 3 and tape._records == []  # counted, then consumed
+        assert hidden.grad is None and loss.grad is None
+        assert x.grad is not None and w.grad is not None
+
     def test_stop_grad_qdq_records_nothing(self):
         # pure data stays pure data through a quantizer, and nothing is taped for it
         tape = ag.Tape()

@@ -41,7 +41,7 @@ def _check_against_row_major(n, cin, cout, k, stride, padding, h, w_, seed, dtyp
     y, cols = ops.conv2d_forward(x, w, b, stride, padding)
     y_ref, cols_ref = conv_reference.conv2d_forward(x, w, b, stride, padding)
     gy = r.normal(size=y.shape).astype(dtype)
-    grads = ops.conv2d_backward(gy, x, w, cols, stride, padding)
+    grads = ops.conv2d_backward(gy, x.shape, w, cols, stride, padding)
     grads_ref = conv_reference.conv2d_backward(gy, x, w, cols_ref, stride, padding)
     y_mag, cols_mag = conv_reference.conv2d_forward(np.abs(x), np.abs(w), np.abs(b), stride, padding)
     mags = conv_reference.conv2d_backward(np.abs(gy), np.abs(x), np.abs(w), cols_mag, stride, padding)
@@ -108,8 +108,8 @@ class TestConv2d:
             y2, _ = ops.conv2d_forward(x, w, b, stride, padding)
             assert y1.tobytes() == y2.tobytes()
             gy = rng.normal(size=y1.shape).astype(np.float32)
-            g1 = ops.conv2d_backward(gy, x, w, cols, stride, padding)
-            g2 = ops.conv2d_backward(gy, x, w, cols, stride, padding)
+            g1 = ops.conv2d_backward(gy, x.shape, w, cols, stride, padding)
+            g2 = ops.conv2d_backward(gy, x.shape, w, cols, stride, padding)
             assert all(a.tobytes() == c.tobytes() for a, c in zip(g1, g2))
 
     @settings(max_examples=200, deadline=None)
@@ -135,7 +135,7 @@ class TestConv2d:
         b = rng.normal(size=3).astype(np.float32)
         y, cols = ops.conv2d_forward(x, w, b)
         assert np.shares_memory(cols, x)
-        ops.conv2d_backward(rng.normal(size=y.shape).astype(np.float32), x, w, cols)
+        ops.conv2d_backward(rng.normal(size=y.shape).astype(np.float32), x.shape, w, cols)
         assert np.array_equal(x, x0)
 
 
@@ -369,7 +369,7 @@ class TestSmallMapSelection:
         x = rng.normal(size=(2, 3, h, w)).astype(np.float32)
         y, cols = ops.conv2d_forward(x, rng.normal(size=(4, 3, 3, 3)).astype(np.float32),
                                      None, 1, 1)
-        ops.conv2d_backward(np.ones_like(y), x, np.ones((4, 3, 3, 3), np.float32), cols, 1, 1)
+        ops.conv2d_backward(np.ones_like(y), x.shape, np.ones((4, 3, 3, 3), np.float32), cols, 1, 1)
         assert keys == ([(h, w, 3, 3, 1, 1, np.dtype(np.float32))] * 2 if gemm else [])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -395,7 +395,7 @@ class TestSmallMapSelection:
 @st.composite
 def pool_cases(draw):
     """(x, k, stride, padding): maps of at most 64 cells or more, square or not, values
-    normal or integer-valued (ties), with some cells set to NaN or +-inf."""
+    normal or integer-valued (ties), with some cells set to NaN, +-inf or +-0."""
     k = draw(st.integers(1, 5))
     stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, k // 2))
     low = max(1, k - 2 * padding)  # the least side whose output does not collapse
@@ -409,26 +409,29 @@ def pool_cases(draw):
     r = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     values = r.integers(-3, 4, shape) if draw(st.booleans()) else r.normal(size=shape)
     x = values.astype(draw(st.sampled_from([np.float32, np.float64])))
-    for value in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3)):
+    for value in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+                               max_size=3)):
         x[tuple(r.integers(0, shape))] = value
     return x, k, stride, padding
 
 
-def _window_max(x, k, stride, padding):
-    """Max of each k x k window of the -inf-padded map, one window at a time."""
+def _window_argmax(x, k, stride, padding):
+    """(value, np.argmax) of each k x k window of the -inf-padded map, in window order."""
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
                 constant_values=-np.inf)
     ho = (xp.shape[2] - k) // stride + 1
     wo = (xp.shape[3] - k) // stride + 1
     y = np.empty(x.shape[:2] + (ho, wo), x.dtype)
-    for a, b in np.ndindex(ho, wo):
-        y[:, :, a, b] = xp[:, :, a * stride:a * stride + k, b * stride:b * stride + k].max(
-            axis=(2, 3))
-    return y
+    arg = np.empty(x.shape[:2] + (ho, wo), np.intp)
+    for n, c, a, b in np.ndindex(y.shape):
+        win = xp[n, c, a * stride:a * stride + k, b * stride:b * stride + k].ravel()
+        arg[n, c, a, b] = np.argmax(win)
+        y[n, c, a, b] = win[arg[n, c, a, b]]
+    return y, arg
 
 
 class TestMaxpoolRunningMaxima:
-    """Without need_arg the forward is running maxima; with it, the window argmax."""
+    """y is running maxima; with need_arg, the argmax is the first tap equal to y."""
 
     @settings(max_examples=400, deadline=None)
     @given(pool_cases())
@@ -436,12 +439,40 @@ class TestMaxpoolRunningMaxima:
         x, k, stride, padding = case
         y, none = ops.maxpool2d_forward(x, k, stride, padding)
         y_arg, arg = ops.maxpool2d_forward(x, k, stride, padding, need_arg=True)
-        ref = _window_max(x, k, stride, padding)
-        assert none is None and arg.shape == ref.shape
+        ref, arg_ref = _window_argmax(x, k, stride, padding)
+        assert none is None and np.array_equal(arg, arg_ref)
+        assert arg.dtype == np.min_scalar_type(k * k - 1)
         for got in (y, y_arg):
             assert got.dtype == x.dtype and got.flags.c_contiguous
-            # equal_nan: equal values and NaN in the same cells
-            assert np.array_equal(got, ref, equal_nan=True)
+            # bit for bit: NaN in the same cells and, of tied 0.0 and -0.0, the first
+            assert got.tobytes() == ref.tobytes()
+
+    def test_argmax_takes_the_first_nan_and_a_winning_frame_cell(self):
+        x = np.full((1, 1, 3, 3), -np.inf)
+        x[0, 0, 2, 1] = x[0, 0, 2, 2] = np.nan
+        y, arg = ops.maxpool2d_forward(x, 3, 1, 1, need_arg=True)
+        assert np.isnan(y[0, 0, 2]).all() and arg[0, 0, 2].tolist() == [5, 4, 3]
+        # in the -inf rows every tap ties, and the first is a frame cell unless it is in the map
+        assert arg[0, 0, 0].tolist() == [0, 0, 0] and y[0, 0, 0, 0] == -np.inf
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    @pytest.mark.parametrize("cells", [((0, 0), (0, 1)), ((0, 1), (1, 0))])
+    def test_of_tied_zeros_y_is_the_first_in_window_order(self, first, cells):
+        x = np.full((1, 1, 2, 2), -1.0, np.float32)
+        x[(0, 0) + cells[0]], x[(0, 0) + cells[1]] = first, -first
+        for need_arg in (False, True):
+            y, _ = ops.maxpool2d_forward(x, 2, 2, 0, need_arg=need_arg)
+            assert y[0, 0, 0, 0] == 0 and np.signbit(y[0, 0, 0, 0]) == np.signbit(first)
+
+    def test_taped_forward_peaks_below_three_inputs(self, rng):
+        x = rng.normal(size=(1, 128, 16, 16)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            ops.maxpool2d_forward(x, 5, 1, 2, need_arg=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * x.nbytes
 
     def test_untaped_forward_peaks_below_three_inputs(self, rng):
         x = rng.normal(size=(1, 128, 16, 16)).astype(np.float32)

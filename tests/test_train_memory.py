@@ -1,0 +1,152 @@
+"""What a training step holds in memory, and that releasing it changes no result.
+
+A taped ``run_graph`` releases each activation once its last reader has run, and
+``backward`` consumes its tape. ``train_reference`` keeps the retaining versions,
+under which every trained parameter must come out bit for bit the same.
+"""
+
+import functools
+import itertools
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+import train_reference
+from conftest import images
+from slimgraph import autograd as ag
+from slimgraph import build_mini_net, ops
+from slimgraph import pipeline as pl
+from slimgraph.builders import PRESETS, GraphBuilder
+from slimgraph.executor import RunState, run_graph
+from slimgraph.fakequant import calibrate, insert_fakequant
+from slimgraph.graph import buffer_items, trainable_items
+
+BATCH = 16
+
+# tracemalloc peak of one batch-16 QAT step, measured at 20.7 / 16.8 / 16.8 MiB;
+# when the tape retained every activation until the step returned: 36.4 / 30.4 / 30.7
+STEP_PEAK_MIB = {"ecoweed_mini": 22.5, "y11_mini": 18.5, "y12_mini": 18.5}
+
+
+@functools.cache
+def _task():
+    return pl.ToyTask(seed=0)
+
+
+@functools.cache
+def _qat_graph(preset):
+    """The preset at batch 16 with calibrated active quantizers (shared: do not mutate)."""
+    g = build_mini_net(preset, (BATCH, 3, 64, 64), 3, seed=0)
+    return calibrate(insert_fakequant(g), _task().calibration_batches(1, BATCH))
+
+
+def _batches(task, steps):
+    epochs = (task.batches(epoch, BATCH, 0) for epoch in itertools.count())
+    return list(itertools.islice(itertools.chain.from_iterable(epochs), steps))
+
+
+def _train(graph, steps):
+    """(losses, trained tensors and buffers) after ``steps`` SGD steps at batch 16."""
+    trainer = pl.Trainer(graph, _task(), pl.TrainConfig(epochs=1, qat_enabled=True))
+    losses = [trainer._step(xb, yb) for xb, yb in _batches(_task(), steps)]
+    state = {key: v.value for key, v in trainer.state.vars.items()}
+    return losses, {**state, **trainer.state.buffers}
+
+
+def _retaining(monkeypatch):
+    monkeypatch.setattr(pl, "run_graph", train_reference.run_graph)
+    monkeypatch.setattr(ag, "backward", train_reference.backward)
+
+
+def _assert_same_training(got, want):
+    assert got[0] == want[0]  # losses, as floats
+    assert got[1].keys() == want[1].keys()
+    assert all(got[1][k].tobytes() == want[1][k].tobytes() for k in want[1])
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_qat_steps_match_the_retaining_reference(preset, monkeypatch):
+    got = _train(_qat_graph(preset), 6)
+    _retaining(monkeypatch)
+    _assert_same_training(got, _train(_qat_graph(preset), 6))
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_step_peak_is_pinned(preset):
+    trainer = pl.Trainer(_qat_graph(preset), _task(), pl.TrainConfig(epochs=1, qat_enabled=True))
+    (x0, y0), (x1, y1) = _batches(_task(), 2)
+    trainer._step(x0, y0)  # fills the kernels' selection-matrix cache
+    tracemalloc.start()
+    try:
+        trainer._step(x1, y1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < STEP_PEAK_MIB[preset] * 2**20
+
+
+def _state(graph):
+    return RunState({k: ag.Var(a.copy()) for k, a in trainable_items(graph)},
+                    {k: a.copy() for k, a in buffer_items(graph)})
+
+
+def test_taped_forward_frees_conv_and_batchnorm_inputs(monkeypatch):
+    g = _qat_graph("y11_mini")
+    refs = {"conv": [], "batchnorm": []}
+    conv, bn = ops.conv2d_forward, ops.batchnorm_train_forward
+
+    def conv_spy(x, w, *args):
+        if w.shape[2:] != (1, 1):  # a 1x1 conv's patch matrix is a view of its input
+            refs["conv"].append(weakref.ref(x))
+        return conv(x, w, *args)
+
+    def bn_spy(x, *args):
+        refs["batchnorm"].append(weakref.ref(x))
+        return bn(x, *args)
+
+    monkeypatch.setattr(ops, "conv2d_forward", conv_spy)
+    monkeypatch.setattr(ops, "batchnorm_train_forward", bn_spy)
+    state, cls, tape = _state(g), g.meta["cls_output"], ag.Tape()
+    out = run_graph(g, images((BATCH, 3, 64, 64)), mode="train", tape=tape, state=state,
+                    outputs=[cls])
+    assert len(refs["conv"]) > 10 and len(refs["batchnorm"]) > 10
+    assert [r() for r in refs["conv"] + refs["batchnorm"]] == [None] * sum(map(len, refs.values()))
+    # what the tape kept is all that backward reads
+    ag.backward(tape, ag.softmax_cross_entropy(tape, out[cls], np.zeros(BATCH, int)))
+    assert all(np.isfinite(v.grad).all() for v in state.vars.values() if v.grad is not None)
+
+
+def _aliasing_graph():
+    """Disabled quantizers between a stem and its readers, and before the class output.
+
+    The stem's Var sits on three edges: the stem's own (read by the residual add,
+    after the quantizer's reader has run), the mid quantizer's, and the ``feat``
+    output's. The linear's Var sits on the linear's edge, the head quantizer's and
+    the ``cls`` output's.
+    """
+    b = GraphBuilder("alias", (BATCH, 3, 64, 64), meta={"cls_output": "cls"})
+    stem = b.conv_block(b.add("input", "image", []), 3, 8, k=3, stride=4, prefix="stem")
+    off = {"phase": "disabled", "samples": 0}
+    q = b.add("fakequant", "q", [stem], attrs=off, params={"amax": np.zeros(1, np.float32)})
+    b.add("output", "feat", [q])
+    y = b.add("add", "res", [b.conv_block(q, 8, 8, k=3, prefix="mid"), stem])
+    fc = b.add("linear", "fc", [b.add("gap", "pool", [y])],
+               params={"weight": b.linear_weight(3, 8), "bias": np.zeros(3, np.float32)})
+    qh = b.add("fakequant", "qh", [fc], attrs=off, params={"amax": np.zeros(1, np.float32)})
+    b.add("output", "cls", [qh])
+    b.graph.validate()
+    return b.graph
+
+
+def test_output_and_disabled_quantizer_aliasing_one_var_still_trains(monkeypatch):
+    g = _aliasing_graph()
+    got = _train(g, 6)
+    assert all(np.isfinite(got[0]))
+    x = images((BATCH, 3, 64, 64))
+    taped = run_graph(g, x, mode="train", tape=ag.Tape(), state=_state(g), outputs=["feat", "cls"])
+    plain = run_graph(g, x, mode="train", state=_state(g), outputs=["feat", "cls"])
+    assert all(taped[k].value.tobytes() == plain[k].value.tobytes() for k in ("feat", "cls"))
+    _retaining(monkeypatch)
+    _assert_same_training(got, _train(g, 6))
