@@ -5,7 +5,7 @@ from .autograd import Tape, Var, backward
 from .builders import PRESETS, build_fragment, build_mini_net
 from .depgraph import ChannelGroup, ChannelSlot, group_cost, resolve_groups
 from .executor import forward_arrays, run_graph
-from .fakequant import calibrate, export_fp16, insert_fakequant, qdq, qdq_backward
+from .fakequant import calibrate, export_fp16, insert_fakequant, qdq, qdq_backward, ste_mask
 from .graph import Graph, Node, infer_shapes
 from .metrics import CompressionReport, build_report, count_flops, count_params, emit_report, estimate_memory
 from .modelio import from_bytes, load, save, to_bytes

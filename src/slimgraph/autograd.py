@@ -10,12 +10,13 @@ What a tape holds, and when it lets go:
 
 * Each closure captures the arrays its gradient formula reads, taken at
   forward time: conv its patch matrix (the largest term), batchnorm its
-  normalized map, sigmoid its output, SiLU, linear, multiply, scale and qdq
-  the operands they multiply or compare, and maxpool its argmax; concat,
-  split, average pooling and conv keep only the shapes they need. No closure
-  reads an input Var's ``.value``, so a taped ``run_graph`` can drop each
-  activation (``Var.value = None``) once its last reader has run; the Var
-  stays, as the place its gradient accumulates.
+  normalized map, sigmoid its output, SiLU its derivative, qdq its clip mask
+  (one byte per element), linear, multiply and scale the operands they
+  multiply, and maxpool its argmax; concat, split, average pooling and conv
+  keep only the shapes they need. Untaped runs take no derivative and no
+  mask. No closure reads an input Var's ``.value``, so a taped ``run_graph``
+  can drop each activation (``Var.value = None``) once its last reader has
+  run; the Var stays, as the place its gradient accumulates.
 * A tape is used once. ``backward`` pops each record before running it, so
   its closure and what it captured are freed as the pass goes, and clears an
   op output's ``.grad`` once that gradient has been passed on. Leaves
@@ -160,17 +161,24 @@ def sigmoid(tape, x: Var) -> Var:
     return _taped(tape, s, grad)
 
 
+def silu_derivative(x, s):
+    """d(x·s)/dx = s·(1 + x·(1-s)) for s = sigmoid(x), in one buffer."""
+    d = 1.0 - s
+    d *= x
+    d += 1.0
+    d *= s
+    return d
+
+
 def silu(tape, x: Var) -> Var:
+    """x·sigmoid(x). A tape keeps only the derivative, taken at forward time, so
+    backward is one multiply, in place: the tape runs each closure once."""
     xv = x.value
     s = ops.sigmoid(xv)
+    d = None if tape is None else silu_derivative(xv, s)
 
     def grad(g):
-        t = 1.0 - s  # g*s*(1 + x*(1-s)) in one buffer
-        t *= xv
-        t += 1.0
-        t *= s
-        t *= g
-        _accum(x, t)
+        _accum(x, np.multiply(d, g, out=d))
     return _taped(tape, xv * s, grad)
 
 
@@ -262,12 +270,17 @@ def linear(tape, x: Var, w: Var, b: Var | None) -> Var:
 
 
 def qdq(tape, x: Var, scale: float) -> Var:
-    """Quantize-dequantize with clipped straight-through gradients."""
+    """Quantize-dequantize with clipped straight-through gradients. A tape keeps
+    only the clip mask (``fakequant.ste_mask``, one byte per element), taken at
+    forward time; nothing is taken for an untaped or ``stop_grad`` input."""
     from . import fakequant  # local import avoids a module cycle
     xv = x.value
-    return _taped(tape, fakequant.qdq(xv, scale),
-                  lambda g: _accum(x, fakequant.qdq_backward(g, xv, scale)),
-                  stop_grad=x.stop_grad)
+    y = fakequant.qdq(xv, scale)
+    inside = None if tape is None or x.stop_grad else fakequant.ste_mask(xv, scale)
+
+    def grad(g):
+        _accum(x, fakequant.qdq_backward(g, inside))
+    return _taped(tape, y, grad, stop_grad=x.stop_grad)
 
 
 def softmax_cross_entropy(tape, logits: Var, labels) -> Var:

@@ -31,10 +31,18 @@ def qdq(x: np.ndarray, scale: float) -> np.ndarray:
     return q.astype(x.dtype, copy=False)
 
 
-def qdq_backward(upstream_grad: np.ndarray, x: np.ndarray, scale: float) -> np.ndarray:
-    """Clipped straight-through estimator: identity inside the clamp range."""
+def ste_mask(x: np.ndarray, scale: float) -> np.ndarray:
+    """Where ``x`` lies inside the clamp range [QMIN·scale, QMAX·scale], as bools.
+
+    All the clipped straight-through estimator needs of ``x``; NaN lies outside."""
     inside = np.greater_equal(x, QMIN * scale)
     inside &= np.less_equal(x, QMAX * scale)
+    return inside
+
+
+def qdq_backward(upstream_grad: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Clipped straight-through estimator: the gradient where ``inside``
+    (``ste_mask`` of the forward input), zero elsewhere."""
     g = inside.astype(upstream_grad.dtype)
     g *= upstream_grad  # 1*g and 0*g, bit for bit what upstream_grad*inside gives
     return g

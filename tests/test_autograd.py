@@ -5,7 +5,7 @@ import pytest
 
 from conftest import finite_difference, rel_close
 from slimgraph import autograd as ag
-from slimgraph import build_mini_net, run_graph
+from slimgraph import build_mini_net, fakequant, run_graph
 from slimgraph.errors import GraphError, ShapeError
 
 H = 1e-3
@@ -178,8 +178,9 @@ class TestTapeSemantics:
         assert hidden.grad is None and loss.grad is None
         assert x.grad is not None and w.grad is not None
 
-    def test_stop_grad_qdq_records_nothing(self):
-        # pure data stays pure data through a quantizer, and nothing is taped for it
+    def test_stop_grad_qdq_records_nothing(self, monkeypatch):
+        # pure data stays pure data through a quantizer, and nothing is taped or masked for it
+        monkeypatch.setattr(fakequant, "ste_mask", None)
         tape = ag.Tape()
         out = ag.qdq(tape, ag.Var(np.ones((1, 2, 2, 2), np.float32), stop_grad=True), 0.1)
         assert out.stop_grad and len(tape) == 0

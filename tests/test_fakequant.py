@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slimgraph import autograd as ag
-from slimgraph import build_mini_net, forward_arrays, ops
+from slimgraph import build_mini_net, fakequant, forward_arrays, ops
 from slimgraph.builders import GraphBuilder
 from slimgraph.errors import CalibrationError, ExportError, QuantError
-from slimgraph.fakequant import (HistogramObserver, calibrate, calibration_rows,
+from slimgraph.fakequant import (QMAX, QMIN, HistogramObserver, calibrate, calibration_rows,
                                  cast_fp16, export_fp16, insert_fakequant, qdq,
-                                 qdq_backward, quantizer_ids)
+                                 qdq_backward, quantizer_ids, ste_mask)
 from slimgraph.pipeline import ToyTask
 
 
@@ -123,7 +123,44 @@ class TestQdq:
         assert got.tobytes() == expected.tobytes()
 
 
+def _edges(scale, dtype):
+    """The clamp bounds ±QMAX·scale and QMIN·scale in ``dtype``, their neighbours
+    one ulp either side, ±inf and NaN."""
+    bounds = [dtype(b * scale) for b in (QMAX, -QMAX, QMIN)]
+    return bounds + [np.nextafter(b, t, dtype=dtype) for b in bounds for t in (-np.inf, np.inf)] \
+        + [dtype(np.inf), dtype(-np.inf), dtype(np.nan)]
+
+
+@st.composite
+def ste_cases(draw):
+    """(x, scale): values anywhere, with the clamp edges mixed in, float32 or float64."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    scale = draw(st.floats(1e-3, 10.0))
+    edges = _edges(scale, dtype)
+    values = draw(st.lists(st.one_of(st.sampled_from(edges),
+                                     st.floats(-2e3, 2e3, width=32)), min_size=1, max_size=64))
+    return np.array(values, dtype), scale
+
+
 class TestSte:
+    @settings(max_examples=300, deadline=None)
+    @given(ste_cases())
+    def test_mask_is_the_two_comparisons(self, case):
+        x, s = case
+        inside = ste_mask(x, s)
+        assert inside.dtype == np.bool_ and inside.nbytes == x.size
+        assert inside.tobytes() == ((x >= QMIN * s) & (x <= QMAX * s)).tobytes()
+        # NaN lies outside, so its gradient is zero
+        assert not inside[np.isnan(x)].any()
+        assert (qdq_backward(np.ones_like(x), inside)[np.isnan(x)] == 0).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_clamp_edges_and_their_neighbours(self, dtype):
+        (hi, neg, lo, hi_dn, hi_up, neg_dn, neg_up, lo_dn, lo_up, inf, ninf, nan) = _edges(0.1, dtype)
+        x = np.array([hi, hi_dn, hi_up, neg, neg_dn, neg_up, lo, lo_dn, lo_up, inf, ninf, nan], dtype)
+        assert ste_mask(x, 0.1).tolist() == [True, True, False, True, True, True,
+                                              True, False, True, False, False, False]
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.floats(-2e3, 2e3, width=32),
                               st.floats(-1e3, 1e3, width=32)), min_size=1, max_size=64),
@@ -131,16 +168,27 @@ class TestSte:
     def test_bit_identical_to_mask_product(self, pairs, s):
         x, g = (np.array(col, np.float32) for col in zip(*pairs))
         expected = g * ((x >= -128 * s) & (x <= 127 * s))
-        assert qdq_backward(g, x, s).tobytes() == expected.tobytes()
+        assert qdq_backward(g, ste_mask(x, s)).tobytes() == expected.tobytes()
 
     def test_in_range_passthrough_and_clip(self):
         x = np.array([0.5, 1000.0, -0.2], np.float32)
         g = np.ones_like(x)
-        out = qdq_backward(g, x, 0.1)
+        out = qdq_backward(g, ste_mask(x, 0.1))
         assert np.array_equal(out, [1.0, 0.0, 1.0])
 
     def test_far_out_of_range_zero(self):
-        assert qdq_backward(np.ones(1, np.float32), np.array([1000.0], np.float32), 0.1)[0] == 0
+        x = np.array([1000.0], np.float32)
+        assert qdq_backward(np.ones(1, np.float32), ste_mask(x, 0.1))[0] == 0
+
+    def test_taped_qdq_calls_the_module_functions(self, monkeypatch):
+        # tracing patches ``fakequant.qdq_backward``, so the tape must look it up there
+        calls = []
+        monkeypatch.setattr(fakequant, "qdq_backward",
+                            lambda g, inside: calls.append(inside.dtype) or qdq_backward(g, inside))
+        tape, x = ag.Tape(), ag.Var(np.array([[0.5, 1000.0, -0.2]], np.float32))
+        y = ag.qdq(tape, x, 0.1)
+        ag.backward(tape, ag.linear(tape, y, ag.Var(np.ones((1, 3), np.float32)), None))
+        assert calls == [np.bool_] and x.grad.tolist() == [[1.0, 0.0, 1.0]]
 
 
 class TestObserver:

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conv_reference
+import train_reference
 from conftest import conv2d_reference
 from slimgraph import autograd as ag
 from slimgraph import build_mini_net, ops
 from slimgraph.builders import PRESETS
 from slimgraph.errors import ShapeError
-from slimgraph.fakequant import qdq, qdq_backward
+from slimgraph.fakequant import qdq, qdq_backward, ste_mask
 from slimgraph.graph import infer_shapes
 
 
@@ -526,6 +527,22 @@ def test_activation_backward_matches_unfused_formulas(rng, dtype, tol):
         assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name, library, reference", [
+    ("silu", ag.silu, train_reference.silu),
+    ("qdq", lambda t, v: ag.qdq(t, v, 0.05), lambda t, v: train_reference.qdq(t, v, 0.05)),
+])
+def test_backward_bit_identical_to_the_capturing_form(rng, dtype, name, library, reference):
+    # a tape keeps the SiLU derivative and the STE mask instead of the forward operands
+    special = [0.0, -0.0, 6.35, -6.35, -6.4, 30.0, -30.0, 1e4, -1e4, np.inf, -np.inf, np.nan]
+    x = np.concatenate([rng.normal(0.0, 4.0, 500), special]).astype(dtype)
+    g = np.concatenate([rng.normal(size=500), np.ones(len(special))]).astype(dtype)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = _backward_of(library)(x, g), _backward_of(reference)(x, g)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
 # every kernel that writes into buffers in place: (x, g) -> (kernel, *arguments)
 IN_PLACE_KERNELS = {
     "sigmoid": lambda x, g: (ops.sigmoid, x),
@@ -535,7 +552,8 @@ IN_PLACE_KERNELS = {
                                               _bn_cache(x)),
     "maxpool2d_forward": lambda x, g: (ops.maxpool2d_forward, x, 3, 1, 1),
     "qdq": lambda x, g: (qdq, x, 0.01),
-    "qdq_backward": lambda x, g: (qdq_backward, g, x, 0.01),
+    "ste_mask": lambda x, g: (ste_mask, x, 0.01),
+    "qdq_backward": lambda x, g: (qdq_backward, g, ste_mask(x, 0.01)),
     "autograd.sigmoid backward": lambda x, g: (_backward_of(ag.sigmoid), x, g),
     "autograd.silu backward": lambda x, g: (_backward_of(ag.silu), x, g),
 }

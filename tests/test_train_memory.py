@@ -1,8 +1,9 @@
 """What a training step holds in memory, and that releasing it changes no result.
 
 A taped ``run_graph`` releases each activation once its last reader has run, and
-``backward`` consumes its tape. ``train_reference`` keeps the retaining versions,
-under which every trained parameter must come out bit for bit the same.
+``backward`` consumes its tape. SiLU keeps only its derivative and a quantizer
+only its clip mask. ``train_reference`` keeps the retaining and capturing
+versions, under which every trained parameter must come out bit for bit the same.
 """
 
 import functools
@@ -16,7 +17,7 @@ import pytest
 import train_reference
 from conftest import images
 from slimgraph import autograd as ag
-from slimgraph import build_mini_net, ops
+from slimgraph import build_mini_net, fakequant, forward_arrays, ops
 from slimgraph import pipeline as pl
 from slimgraph.builders import PRESETS, GraphBuilder
 from slimgraph.executor import RunState, run_graph
@@ -25,9 +26,10 @@ from slimgraph.graph import buffer_items, trainable_items
 
 BATCH = 16
 
-# tracemalloc peak of one batch-16 QAT step, measured at 20.7 / 16.8 / 16.8 MiB;
-# when the tape retained every activation until the step returned: 36.4 / 30.4 / 30.7
-STEP_PEAK_MIB = {"ecoweed_mini": 22.5, "y11_mini": 18.5, "y12_mini": 18.5}
+# tracemalloc peak of one batch-16 QAT step, measured at 16.8 / 13.3 / 13.3 MiB; when
+# SiLU kept its operands and qdq its input: 20.7 / 16.8 / 16.8; when the tape retained
+# every activation until the step returned: 36.4 / 30.4 / 30.7
+STEP_PEAK_MIB = {"ecoweed_mini": 18.3, "y11_mini": 14.5, "y12_mini": 14.5}
 
 
 @functools.cache
@@ -60,6 +62,11 @@ def _retaining(monkeypatch):
     monkeypatch.setattr(ag, "backward", train_reference.backward)
 
 
+def _capturing(monkeypatch):
+    monkeypatch.setattr(ag, "silu", train_reference.silu)
+    monkeypatch.setattr(ag, "qdq", train_reference.qdq)
+
+
 def _assert_same_training(got, want):
     assert got[0] == want[0]  # losses, as floats
     assert got[1].keys() == want[1].keys()
@@ -70,6 +77,13 @@ def _assert_same_training(got, want):
 def test_qat_steps_match_the_retaining_reference(preset, monkeypatch):
     got = _train(_qat_graph(preset), 6)
     _retaining(monkeypatch)
+    _assert_same_training(got, _train(_qat_graph(preset), 6))
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_qat_steps_match_the_capturing_reference(preset, monkeypatch):
+    got = _train(_qat_graph(preset), 6)
+    _capturing(monkeypatch)
     _assert_same_training(got, _train(_qat_graph(preset), 6))
 
 
@@ -116,6 +130,62 @@ def test_taped_forward_frees_conv_and_batchnorm_inputs(monkeypatch):
     # what the tape kept is all that backward reads
     ag.backward(tape, ag.softmax_cross_entropy(tape, out[cls], np.zeros(BATCH, int)))
     assert all(np.isfinite(v.grad).all() for v in state.vars.values() if v.grad is not None)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_taped_forward_frees_batchnorm_outputs_and_quantizer_inputs(preset, monkeypatch):
+    g = _qat_graph(preset)
+    refs = {"batchnorm": [], "qdq": [], "multiply": []}
+    bn, qdq, mul = ops.batchnorm_train_forward, fakequant.qdq, ops.multiply
+
+    def bn_spy(*args):
+        y, cache = bn(*args)
+        refs["batchnorm"].append(weakref.ref(y))
+        return y, cache
+
+    def qdq_spy(x, scale):
+        refs["qdq"].append(weakref.ref(x))
+        return qdq(x, scale)
+
+    def mul_spy(a, b):
+        refs["multiply"] += [weakref.ref(a), weakref.ref(b)]
+        return mul(a, b)
+
+    monkeypatch.setattr(ops, "batchnorm_train_forward", bn_spy)
+    monkeypatch.setattr(fakequant, "qdq", qdq_spy)
+    monkeypatch.setattr(ops, "multiply", mul_spy)
+    cls, tape = g.meta["cls_output"], ag.Tape()
+    run_graph(g, images((BATCH, 3, 64, 64)), mode="train", tape=tape, state=_state(g),
+              outputs=[cls])
+    assert len(refs["batchnorm"]) > 10 and len(refs["qdq"]) > 10
+    assert [r() for r in refs["batchnorm"]] == [None] * len(refs["batchnorm"])
+    # a quantizer's input lives on only as an attention multiply's operand, which its
+    # gradient reads
+    operands = {id(r()) for r in refs["multiply"] if r() is not None}
+    assert all(r() is None or id(r()) in operands for r in refs["qdq"])
+    # each quantizer closure holds its clip mask, one byte per element, and nothing else
+    masks = [[c.cell_contents for c in fn.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+             for _, fn in tape._records if fn.__qualname__.startswith("qdq.")]
+    assert len(masks) == len(refs["qdq"]) - 1  # the stem's input is data: nothing taped
+    assert all(len(m) == 1 and m[0].dtype == np.bool_ and m[0].nbytes == m[0].size
+               for m in masks)
+
+
+def test_untaped_runs_take_no_mask_and_no_derivative(monkeypatch):
+    g = _qat_graph("ecoweed_mini")
+    x = images((BATCH, 3, 64, 64))
+    plain = forward_arrays(g, x)
+
+    def refuse(*args):
+        raise AssertionError("an untaped run computed what only backward reads")
+
+    monkeypatch.setattr(fakequant, "ste_mask", refuse)
+    monkeypatch.setattr(ag, "silu_derivative", refuse)
+    run_graph(g, x, mode="eval")
+    run_graph(g, x, mode="train", state=_state(g))  # batchnorm settling: no tape
+    calibrate(g, [x])
+    got = forward_arrays(g, x)
+    assert all(got[k].tobytes() == plain[k].tobytes() for k in plain)
 
 
 def _aliasing_graph():

@@ -1,18 +1,24 @@
-"""The retaining ``run_graph`` and ``backward``, kept as an oracle for training.
+"""The retaining ``run_graph`` and ``backward``, and the capturing ``silu`` and
+``qdq``, kept as an oracle for training.
 
 This is how a taped run worked before activations were released: ``run_graph``
 drops only its own reference to each value after the last reader, so the tape
 keeps every op output, and ``backward`` leaves the tape, its closures and every
-intermediate gradient in place until the caller drops them. The library frees
-each of these once nothing reads it again; the gradients, and so every trained
-parameter, must come out bit for bit the same.
+intermediate gradient in place until the caller drops them. ``silu`` keeps its
+input and sigmoid and builds the derivative in backward; ``qdq`` keeps its float
+input and builds the straight-through mask in backward. The library frees or
+never takes each of these; the gradients, and so every trained parameter, must
+come out bit for bit the same.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from slimgraph import ops
+from slimgraph.autograd import _accum, _taped
 from slimgraph.executor import _Run
+from slimgraph.fakequant import QMAX, QMIN, qdq as qdq_forward
 from slimgraph.kinds import SPECS
 
 
@@ -35,3 +41,32 @@ def backward(tape, loss) -> None:
     for out, fn in reversed(tape._records):
         if out.grad is not None:
             fn(out.grad)
+
+
+def silu(tape, x):
+    xv = x.value
+    s = ops.sigmoid(xv)
+
+    def grad(g):
+        t = 1.0 - s  # g*s*(1 + x*(1-s)) in one buffer
+        t *= xv
+        t += 1.0
+        t *= s
+        t *= g
+        _accum(x, t)
+    return _taped(tape, xv * s, grad)
+
+
+def qdq_backward(upstream_grad, x, scale):
+    inside = np.greater_equal(x, QMIN * scale)
+    inside &= np.less_equal(x, QMAX * scale)
+    g = inside.astype(upstream_grad.dtype)
+    g *= upstream_grad
+    return g
+
+
+def qdq(tape, x, scale):
+    xv = x.value
+    return _taped(tape, qdq_forward(xv, scale),
+                  lambda g: _accum(x, qdq_backward(g, xv, scale)),
+                  stop_grad=x.stop_grad)
