@@ -2,8 +2,12 @@
 
 Nodes are primitive operators; composite blocks (CSP blocks, pyramid pooling,
 attention stubs, detection heads) are built out of primitives by
-:mod:`slimgraph.builders`. Graphs are treated as immutable after construction:
-every transformation (pruning, instrumentation) returns a new graph.
+:mod:`slimgraph.builders`. Every transformation (pruning, instrumentation)
+returns a new graph, but a graph may also be edited in place: the executor
+builds one plan per graph (its schedule, and for inference its batchnorm
+folds), checks it against the graph's structure on every call and rebuilds it
+after a structural edit, at the cost of one build. Plans read attributes and
+parameter values live, so writing them needs no rebuild.
 """
 
 from __future__ import annotations

@@ -1,0 +1,288 @@
+"""Execution plans: ``forward_arrays`` and ``run_graph`` build one plan per graph, check it
+on every call, rebuild it after an edit, and match the per-call path bit for bit."""
+
+import collections
+import functools
+import gc
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import forward_reference as reference
+from conftest import (FRAGMENTS, chain_graph, fragment_graph, images, preset_graph,
+                      primitive_graphs, residual_graph)
+from slimgraph import executor, forward_arrays, run_graph
+from slimgraph import pipeline as pl
+from slimgraph.builders import PRESETS
+from slimgraph.errors import GraphError, ShapeError
+from slimgraph.graph import Graph, Node
+from slimgraph.pruner import apply_prune, build_plan
+
+
+def assert_matches_oracle(g, x, outputs=None):
+    want = reference.forward_arrays(g, x, outputs)
+    got = forward_arrays(g, x, outputs)
+    assert list(got) == list(want)
+    for k, a in want.items():
+        assert got[k].dtype == a.dtype and got[k].tobytes() == a.tobytes(), k
+
+
+def assert_runs_like_a_new_graph(g, x, outputs=None):
+    want = run_graph(reference.shell(g), x, mode="eval", outputs=outputs)
+    got = run_graph(g, x, mode="eval", outputs=outputs)
+    assert list(got) == list(want)
+    assert all(got[k].value.tobytes() == v.value.tobytes() for k, v in want.items())
+
+
+def activations(g):
+    return [nid for nid, n in g.nodes.items() if n.kind == "activation"]
+
+
+def changed(before, after):
+    """Whether an edit changed the outputs, so the test would see a stale plan."""
+    return before.keys() != after.keys() or any(
+        a.tobytes() != before[k].tobytes() for k, a in after.items())
+
+
+def with_statistics(g, seed=0):
+    """``g`` with random batchnorm statistics, so folded and unfolded runs differ in bits."""
+    rng = np.random.default_rng(seed)
+    for n in g.nodes.values():
+        if n.kind == "batchnorm":
+            c = len(n.params["gamma"])
+            n.params.update(gamma=rng.normal(1, 0.3, c), beta=rng.normal(0, 0.3, c),
+                            running_mean=rng.normal(0, 0.3, c),
+                            running_var=rng.uniform(0.2, 2, c))
+            n.params.update({k: v.astype(np.float32) for k, v in n.params.items()})
+    return g
+
+
+@functools.cache
+def pruned_preset(preset):
+    g = preset_graph(f"{preset}-calibrated")
+    return apply_prune(g, build_plan(g, 0.5))
+
+
+class TestOracle:
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("variant", ["plain", "calibrated", "pruned"])
+    def test_presets(self, preset, variant):
+        g = pruned_preset(preset) if variant == "pruned" else preset_graph(f"{preset}-{variant}")
+        x = images((2, 3, 64, 64))
+        for _ in range(3):
+            assert_matches_oracle(g, x)
+        assert_matches_oracle(g, x, ["cls"])
+        assert_matches_oracle(g, x, activations(g))  # the heads of untrained presets read 0
+
+    @pytest.mark.parametrize("module,width", FRAGMENTS)
+    def test_compress_fragments(self, module, width):
+        g = fragment_graph(module, width)
+        assert_matches_oracle(g, images((1, width, 16, 16)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(primitive_graphs(), st.data())
+    def test_random_graphs_and_outputs(self, g, data):
+        with_statistics(g, data.draw(st.integers(0, 9)))
+        x = images((2,) + g.input_shape[1:], data.draw(st.integers(0, 9)))
+        subset = data.draw(st.lists(st.sampled_from(sorted(g.nodes)), unique=True))
+        for outputs in (None, [], subset, None, subset):
+            assert_matches_oracle(g, x, outputs)
+            assert_runs_like_a_new_graph(g, x, outputs)
+
+
+class TestOutputs:
+    def test_an_iterator_is_read_once(self):
+        g, x = preset_graph("y11_mini-plain"), images((1, 3, 64, 64))
+        want = forward_arrays(g, x, ["det0"])["det0"]
+        assert list(forward_arrays(g, x, iter(["det0"]))) == ["det0"]
+        assert forward_arrays(g, x, (k for k in ["det0"]))["det0"].tobytes() == want.tobytes()
+        assert list(run_graph(g, x, outputs=iter(["det0"]))) == ["det0"]
+
+    @pytest.mark.parametrize("run", [forward_arrays, run_graph])
+    def test_a_string_is_refused(self, run):
+        g, x = preset_graph("y11_mini-plain"), images((1, 3, 64, 64))
+        with pytest.raises(GraphError, match="outputs must be a sequence of node ids"):
+            run(g, x, outputs="det0")
+
+    def test_none_and_empty_stay_apart(self):
+        g, x = preset_graph("y12_mini-calibrated"), images((1, 3, 64, 64))
+        for outputs in (None, [], None, [], ["det1"], []):
+            assert_matches_oracle(g, x, outputs)
+            want = g.output_ids if outputs is None else outputs
+            assert set(forward_arrays(g, x, outputs)) == set(want)
+            assert set(run_graph(g, x, outputs=outputs)) == set(want)
+
+
+def edit_in_place_running_var(g):
+    g.nodes["blk.bn"].params["running_var"] *= 1.7
+
+
+def edit_in_place_conv_weight(g):
+    g.nodes["blk.conv"].params["weight"][0] *= -2
+
+
+def replace_head_weight_by_another_shape(g):
+    head = g.nodes["head"]
+    head.params["weight"] = head.params["weight"][:, :, 1:2, 1:2].copy()
+    head.attrs["padding"] = 0
+
+
+def edit_stride(g):
+    g.nodes["blk.conv"].attrs["stride"] = 2
+
+
+def edit_padding(g):
+    g.nodes["blk.conv"].attrs["padding"] = 0
+
+
+def replace_attrs(g):
+    conv = g.nodes["blk.conv"]
+    conv.attrs = dict(conv.attrs, stride=2)
+
+
+def edit_eps(g):
+    g.nodes["blk.bn"].attrs["eps"] = 0.5
+
+
+def add_scale(g):
+    g.nodes["blk.scale"] = Node("blk.scale", "scale", {}, {"scale": np.full(8, 1.5, np.float32)},
+                                [("blk.act", 0)])
+    g.nodes["head"].inputs[0] = ("blk.scale", 0)
+
+
+def remove_activation(g):
+    g.nodes["head"].inputs = [("blk.bn", 0)]
+    del g.nodes["blk.act"]
+
+
+def add_output(g):
+    g.add(Node("mid", "output", inputs=[("blk.act", 0)]))
+
+
+def replace_node(g):
+    act = g.nodes["blk.act"]
+    g.nodes["blk.act"] = Node(act.id, "activation", {"fn": "sigmoid"}, {}, list(act.inputs))
+
+
+CHAIN_EDITS = [edit_in_place_running_var, edit_in_place_conv_weight,
+               replace_head_weight_by_another_shape, edit_stride, edit_padding, replace_attrs,
+               edit_eps, add_scale, remove_activation, add_output, replace_node]
+
+
+class TestRebuild:
+    @pytest.mark.parametrize("edit", CHAIN_EDITS, ids=lambda f: f.__name__)
+    def test_edit_after_a_forward(self, edit):
+        g, x = with_statistics(chain_graph()), images((2, 3, 8, 8))
+        before = forward_arrays(g, x)
+        run_graph(g, x)
+        edit(g)
+        assert_matches_oracle(g, x)
+        assert_runs_like_a_new_graph(g, x)
+        assert changed(before, forward_arrays(g, x))
+
+    def test_in_place_quantizer_amax(self):
+        g, x = preset_graph("ecoweed_mini-calibrated").clone(), images((2, 3, 64, 64))
+        before = forward_arrays(g, x, activations(g))
+        for n in g.nodes.values():
+            if n.kind == "fakequant":
+                n.params["amax"] *= 0.5
+        assert_matches_oracle(g, x, activations(g))
+        assert changed(before, forward_arrays(g, x, activations(g)))
+
+    def test_pair_that_starts_and_stops_folding(self):
+        """A width mismatch leaves the pair unfolded, and its unfolded run raises; restoring
+        the width folds it, bit for bit as a fresh fold, which differs from no fold."""
+        g, x = with_statistics(chain_graph()), images((2, 3, 8, 8))
+        bn = g.nodes["blk.bn"]
+        gamma = bn.params["gamma"]
+        for width in (-1, None, -1, None):
+            bn.params["gamma"] = gamma[:width]
+            if width is None:
+                assert_matches_oracle(g, x)
+                continue
+            with pytest.raises(ShapeError, match="gamma length") as want:
+                reference.forward_arrays(g, x)
+            with pytest.raises(ShapeError) as got:
+                forward_arrays(g, x)
+            assert str(got.value) == str(want.value)
+        unfolded = run_graph(g, x, mode="eval")["out"].value
+        assert forward_arrays(g, x)["out"].tobytes() != unfolded.tobytes()
+
+    def test_rewired_reader_unfolds_a_pair(self):
+        g, x = with_statistics(residual_graph()), images((2, 4, 6, 6))
+        assert_matches_oracle(g, x)
+        g.nodes["res"].inputs[0] = ("f.conv", 0)  # f.conv now has two readers
+        assert_matches_oracle(g, x)
+        assert_runs_like_a_new_graph(g, x)
+        g.nodes["res"].inputs[0] = ("stem.act", 0)
+        assert_matches_oracle(g, x, ["res"])
+        g.nodes["head"].inputs = [("stem.act", 0)]
+        assert_matches_oracle(g, x, ["res"])
+        assert_matches_oracle(g, x)
+
+    def test_wrong_input_shape_raises_as_before(self):
+        g = chain_graph()
+        forward_arrays(g, images((2, 3, 8, 8)))
+        bad = images((2, 5, 8, 8))
+        with pytest.raises(ShapeError) as want:
+            reference.forward_arrays(g, bad)
+        for _ in range(2):
+            with pytest.raises(ShapeError) as got:
+                forward_arrays(g, bad)
+            assert str(got.value) == str(want.value)
+        assert_matches_oracle(g, images((2, 3, 8, 8)))
+
+
+def test_plans_keep_no_graph_alive():
+    g, x = chain_graph(), images((1, 3, 8, 8))
+    forward_arrays(g, x)
+    forward_arrays(g, x, ["blk.act"])
+    run_graph(g, x)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of ``Graph.schedule``, pair finding and ``ops.batchnorm_infer`` calls."""
+    counts = collections.Counter()
+
+    def counting(name, f):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Graph, "schedule", counting("schedule", Graph.schedule))
+    monkeypatch.setattr(executor, "_fold_pairs", counting("pairs", executor._fold_pairs))
+    monkeypatch.setattr(executor.ops, "batchnorm_infer",
+                        counting("batchnorm_infer", executor.ops.batchnorm_infer))
+    return counts
+
+
+class TestBuiltOnce:
+    @pytest.mark.parametrize("outputs", [None, ["cls"]])
+    def test_repeated_forwards(self, calls, outputs):
+        g = preset_graph("ecoweed_mini-calibrated").clone(copy_params=False)
+        x = images((1, 3, 64, 64))
+        for _ in range(20):
+            forward_arrays(g, x, outputs)
+        assert calls == {"schedule": 1, "pairs": 1, "batchnorm_infer": 20}
+
+    def test_other_outputs_replace_the_plan(self, calls):
+        g, x = chain_graph(), images((1, 3, 8, 8))
+        for outputs in (None, None, ["blk.act"], ["blk.act"], None):
+            forward_arrays(g, x, outputs)
+        assert calls["schedule"] == calls["pairs"] == 3
+
+    def test_training_epoch(self, calls):
+        """Two steps and one evaluation share one schedule; training never folds."""
+        task = pl.ToyTask(n_train=32, n_val=8, seed=0)
+        trainer = pl.Trainer(preset_graph("y11_mini-plain").clone(), task, pl.TrainConfig(epochs=1))
+        trainer.run_epochs(0, 1, "dense")
+        assert calls["schedule"] == 1 and calls["pairs"] == 0
