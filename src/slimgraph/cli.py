@@ -246,7 +246,12 @@ def _cmd_verify(args) -> int:
         x = rng.normal(0.5, 0.25, (1,) + dense.input_shape[1:]).astype(np.float32)
         ya = forward_arrays(embedded, x)
         yb = forward_arrays(slim, x)
-        for k in ya:
+        for k in dict.fromkeys([*ya, *yb]):
+            want, got = (f"shape {y[k].shape}" if k in y else "missing" for y in (ya, yb))
+            if want != got:
+                print(f"verify: output {k!r} does not match: dense {want}, slim {got}",
+                      file=sys.stderr)
+                return 2
             denom = max(float(np.abs(ya[k]).max()), 1e-12)
             rel = float(np.abs(ya[k] - yb[k]).max()) / denom
             if not math.isfinite(rel):  # max() would silently keep the finite worst

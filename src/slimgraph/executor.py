@@ -52,10 +52,9 @@ class _Run:
             ).astype(np.float32)
 
 
-# Plans, weakly keyed by graph so that they never keep one alive: at most one per graph in
-# each cache, each stored with the snapshot it was built from.
-_SCHEDULES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # run_graph
-_FOLDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()      # forward_arrays
+# Plans, weakly keyed by graph so that they never keep one alive: at most one per graph,
+# stored with the snapshot it was built from.
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _node_ids(outputs) -> list | None:
@@ -65,25 +64,21 @@ def _node_ids(outputs) -> list | None:
     return None if outputs is None else list(outputs)
 
 
-def _snapshot(graph: Graph, outputs, fold: bool = False) -> list:
-    """What a plan is built from, compared on every call: the outputs, and each node object
-    in order with its id, kind and inputs, all that a schedule reads. A fold plan also reads
-    each attrs dict (folded convs share the conv's) and the count and shapes of the
-    parameters, which decide the pairs. Values and names are read on each run, so no array
-    is held. Ids are safe to compare: a plan holds the nodes it runs and the attrs dicts it
-    shares, and reads of any other node only the fields compared by value."""
-    if not fold:
-        return [outputs, *[(k, id(n), n.id, n.kind, *n.inputs) for k, n in graph.nodes.items()]]
-    return [outputs, *[(k, id(n), n.id, n.kind, id(n.attrs), len(n.params), *n.inputs)
-                       for k, n in graph.nodes.items()],
-            *[a.shape for n in graph.nodes.values() for a in n.params.values()]]
+def _plan(graph: Graph, outputs, build):
+    """``build(graph, outputs)``, kept for ``graph`` and rebuilt whenever its snapshot changes.
 
-
-def _cached(cache: weakref.WeakKeyDictionary, graph: Graph, snapshot: list, build):
-    """``build()``, kept for ``graph`` and rebuilt whenever its snapshot changes."""
-    hit = cache.get(graph)
+    The snapshot, compared on every call, is what a builder reads: the builder, the outputs,
+    each node object in order with its id, kind, attrs dict (folded convs share the conv's),
+    parameter count and inputs, then all parameter shapes (which decide the fold pairs; one
+    flat list is faster to build than one per node). Values and names are read on each run,
+    so no array is held. Ids are safe to compare: a plan holds the nodes it runs and the
+    attrs dicts it shares, and reads of any other node only the fields compared by value."""
+    snapshot = [build, outputs, *[(k, id(n), n.id, n.kind, id(n.attrs), len(n.params), *n.inputs)
+                                  for k, n in graph.nodes.items()],
+                *[a.shape for n in graph.nodes.values() for a in n.params.values()]]
+    hit = _PLANS.get(graph)
     if hit is None or hit[0] != snapshot:
-        hit = cache[graph] = (snapshot, build())
+        hit = _PLANS[graph] = (snapshot, build(graph, outputs))
     return hit[1]
 
 
@@ -106,9 +101,10 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
             mode, each other value is dropped after its last reader in ``graph.schedule``,
             which ``estimate_memory`` counts.
 
-    The schedule is built once per graph and requested outputs, and checked on every call
-    against the graph's structure (see ``_snapshot``); a structural edit costs one rebuild.
-    Node attributes and parameter values are always read live.
+    The schedule is kept for the graph and the outputs last requested, and checked on every
+    call against the graph's structure (see ``_plan``); a structural edit, other outputs or a
+    ``forward_arrays`` call on the graph cost one rebuild. Node attributes and parameter values
+    are always read live.
 
     With a tape, the tape's records hold every op output Var (backward accumulates its
     gradient there), so dropping an edge would not free its array. A taped run therefore
@@ -126,9 +122,7 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
         raise GraphError("training mode requires a RunState")
     if tape is not None and mode != "train":
         raise GraphError(f"a tape records gradients in mode='train' only, not mode={mode!r}")
-    wanted = _node_ids(outputs)
-    plan, returned = _cached(_SCHEDULES, graph, _snapshot(graph, wanted),
-                             lambda: _schedule(graph, wanted))
+    plan, returned = _plan(graph, _node_ids(outputs), _schedule)
     values: dict[tuple[str, int], Var] = {}
     # id(Var) -> live edges; a Var is freed only at 0, so a reused id starts from 0
     edges: dict[int, int] | None = {} if tape is not None else None
@@ -165,11 +159,12 @@ def _fold_pairs(nodes: dict[str, Node], keep) -> list[tuple[Node, Node]]:
             and {bn.params[k].shape for k in _BN} == {c.params["weight"].shape[:1]}]
 
 
-def _fold_params(pairs) -> list[dict[str, np.ndarray]]:
-    """Each pair's folded conv ``weight`` and ``bias``, from the current parameter values
-    (one vectorized pass and one ``ops.batchnorm_infer`` call over all pairs)."""
+def _fold_params(pairs) -> dict[tuple[str, str], Var]:
+    """The ``RunState`` vars of each pair's folded conv, its ``weight`` and ``bias`` under the
+    batchnorm's id, from the current parameter values (one vectorized pass and one
+    ``ops.batchnorm_infer`` call over all pairs)."""
     if not pairs:
-        return []
+        return {}
     gamma, beta, mean, var = (np.concatenate([bn.params[k] for _, bn in pairs]) for k in _BN)
     widths = [len(bn.params["gamma"]) for _, bn in pairs]
     eps = np.repeat(np.array([bn.attrs.get("eps", 1e-5) for _, bn in pairs], var.dtype), widths)
@@ -178,58 +173,46 @@ def _fold_params(pairs) -> list[dict[str, np.ndarray]]:
     bias = ops.batchnorm_infer(bias[None, :, None, None], gamma, beta, mean, var, eps).ravel()
     inv = gamma / np.sqrt(var + eps)
     at = np.cumsum([0] + widths)
-    return [{"weight": c.params["weight"] * inv[i:j, None, None, None], "bias": bias[i:j]}
-            for (c, _), i, j in zip(pairs, at, at[1:])]
+    folded = {}
+    for (c, bn), i, j in zip(pairs, at, at[1:]):
+        folded[(bn.id, "weight")] = Var(c.params["weight"] * inv[i:j, None, None, None])
+        folded[(bn.id, "bias")] = Var(bias[i:j])
+    return folded
 
 
-def _folded(graph: Graph, nodes: dict[str, Node], pairs, params) -> Graph:
-    """A new graph of ``nodes`` with each pair replaced by one conv under the batchnorm's
-    id, holding ``params``; every other node is shared."""
-    out = Graph(graph.name, graph.input_shape, graph.meta)
-    out.nodes = dict(nodes)
-    for (c, bn), p in zip(pairs, params):
-        del out.nodes[c.id]
-        out.nodes[bn.id] = Node(bn.id, "conv", c.attrs, p, c.inputs, bn.protected)
-    return out
-
-
-def fold_batchnorm(graph: Graph, keep=()) -> Graph:
-    """Each conv -> batchnorm pair folded into one conv, as an inference engine does:
-    ``w' = w·γ/√(σ²+ε)``, ``b' = β + (b−μ)·γ/√(σ²+ε)``. A pair folds when nothing else
-    reads the conv, their widths agree and neither id is in ``keep``. The folded conv takes
-    the batchnorm's id; other nodes are shared, and with nothing to fold ``graph`` returns."""
-    pairs = _fold_pairs(graph.nodes, keep)
-    return _folded(graph, graph.nodes, pairs, _fold_params(pairs)) if pairs else graph
-
-
-def _fold_plan(graph: Graph, outputs):
-    """What ``forward_arrays`` runs: the nodes ``outputs`` need (every node for None),
-    folded by the rule of ``fold_batchnorm`` into convs without parameters, and the pairs
-    it folded, whose weights each call computes."""
+def _fold(graph: Graph, outputs):
+    """What ``forward_arrays`` runs: a new graph of the nodes ``outputs`` need (every node
+    for None), each folding pair replaced by one conv without parameters under the
+    batchnorm's id, every other node shared; and the pairs, whose weights each call computes."""
     nodes = graph.nodes
     if outputs is not None:
         needed = graph.ancestors_of(outputs)
         nodes = {nid: n for nid, n in nodes.items() if nid in needed}
     pairs = _fold_pairs(nodes, outputs or ())
-    return _folded(graph, nodes, pairs, [{} for _ in pairs]), pairs
+    folded = Graph(graph.name, graph.input_shape, graph.meta)
+    folded.nodes = dict(nodes)
+    for c, bn in pairs:
+        del folded.nodes[c.id]
+        folded.nodes[bn.id] = Node(bn.id, "conv", c.attrs, {}, c.inputs, bn.protected)
+    return folded, pairs
 
 
 def forward_arrays(graph: Graph, x: np.ndarray, outputs=None) -> dict[str, np.ndarray]:
-    """Pure inference with each conv -> batchnorm pair folded (``fold_batchnorm``), as an
-    inference engine runs; returns plain arrays keyed by output node id. The fold changes
-    float rounding only, but an active quantizer after a folded conv can turn that into
-    whole int8 steps. ``run_graph``, and so training, calibration, evaluation and export,
-    stays unfolded. With ``outputs``, only the nodes they need are folded and run, so no
-    other batchnorm is read.
+    """Pure inference with each conv -> batchnorm pair folded into one conv, as an inference
+    engine runs; returns plain arrays keyed by output node id. A pair folds when nothing
+    else reads the conv, their widths agree and neither id is in ``outputs``; the folded conv
+    takes the batchnorm's id, with ``w' = w·γ/√(σ²+ε)`` and ``b' = β + (b−μ)·γ/√(σ²+ε)``.
+    The fold changes float rounding only, but an active quantizer after a folded conv can
+    turn that into whole int8 steps. ``run_graph``, and so training, calibration, evaluation
+    and export, stays unfolded. With ``outputs``, only the nodes they need are folded and
+    run, so no other batchnorm is read.
 
     Like an engine's, the plan (the nodes run, which pairs fold, the schedule) is built once
     per graph and outputs; unlike one, it is checked on every call and rebuilt after an
     edit, and it holds no parameters: the folded weights are recomputed from the current
     values on each call, so outputs equal a fresh fold's bit for bit."""
     outputs = _node_ids(outputs)
-    folded, pairs = _cached(_FOLDS, graph, _snapshot(graph, outputs, fold=True),
-                            lambda: _fold_plan(graph, outputs))
-    weights = {(bn.id, k): Var(a) for (_, bn), p in zip(pairs, _fold_params(pairs))
-               for k, a in p.items()}
-    out = run_graph(folded, x, mode="eval", state=RunState(weights, {}), outputs=outputs)
+    folded, pairs = _plan(graph, outputs, _fold)
+    out = run_graph(folded, x, mode="eval", state=RunState(_fold_params(pairs), {}),
+                    outputs=outputs)
     return {k: v.value for k, v in out.items()}

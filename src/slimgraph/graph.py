@@ -4,9 +4,10 @@ Nodes are primitive operators; composite blocks (CSP blocks, pyramid pooling,
 attention stubs, detection heads) are built out of primitives by
 :mod:`slimgraph.builders`. Every transformation (pruning, instrumentation)
 returns a new graph, but a graph may also be edited in place: the executor
-builds one plan per graph (its schedule, and for inference its batchnorm
-folds), checks it against the graph's structure on every call and rebuilds it
-after a structural edit, at the cost of one build. Plans read attributes and
+keeps one plan per graph (the schedule of ``run_graph``, or the batchnorm
+folds of ``forward_arrays``, for the outputs last requested), checks it
+against the graph's structure on every call and rebuilds it after a structural
+edit or for other outputs, at the cost of one build. Plans read attributes and
 parameter values live, so writing them needs no rebuild.
 """
 

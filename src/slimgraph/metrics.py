@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import modelio
+from .errors import GraphError
 from .graph import Graph, infer_shapes, io_shapes, trainable_items
 from .kinds import SPECS
 from .pruner import ratio_percent
@@ -112,7 +113,7 @@ def _rows(reports):
 def emit_report(reports) -> tuple[str, str]:
     """Render reports as (csv text, aligned table text)."""
     if not reports:
-        raise ValueError("emit_report needs at least one report")
+        raise GraphError("emit_report needs at least one report")
     header = ("# FLOPs = 2 x multiply-accumulates at the row's input size; "
               "ratio = 1 - params/dense_params (percent)")
     rows = _rows(reports)

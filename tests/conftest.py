@@ -10,6 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from slimgraph.builders import GraphBuilder, build_fragment, build_mini_net
+from slimgraph.executor import BN_MOMENTUM, RunState, run_graph
 from slimgraph.fakequant import calibrate, insert_fakequant
 from slimgraph.graph import infer_shapes
 from slimgraph.modelio import MAGIC
@@ -25,6 +26,41 @@ def preset_graph(name):
     preset, variant = name.split("-")
     g = build_mini_net(preset, (1, 3, 64, 64), 3, seed=0)
     return g if variant == "plain" else calibrate(insert_fakequant(g), [images((8, 3, 64, 64), 1)])
+
+
+def settle(graph, x):
+    """A copy of ``graph`` whose batchnorm running statistics are the batch statistics of
+    ``x`` (the rule of the benchmark's ``settle_batchnorm``). One train-mode forward, with
+    no tape, moves each running statistic one momentum step toward its batch value;
+    undoing that step recovers the batch statistics."""
+    stats = ("running_mean", "running_var")
+    bns = [n for n in graph.nodes.values() if n.kind == "batchnorm"]
+    state = RunState({}, {(n.id, k): n.params[k] for n in bns for k in stats})
+    run_graph(graph, x, mode="train", state=state)
+    settled = graph.clone()
+    for n in bns:
+        for k in stats:
+            est = (state.buffers[(n.id, k)] - (1 - BN_MOMENTUM) * n.params[k]) / BN_MOMENTUM
+            if k == "running_var":
+                est = np.maximum(est, 0.0)
+            settled.node(n.id).params[k] = est.astype(np.float32)
+    return settled
+
+
+@functools.cache
+def settled_graph(name):
+    """``preset_graph(name)`` settled on a fixed batch (shared: do not mutate). A preset's
+    default statistics (mean 0, variance 1) shrink activations below half an int8 step, so
+    the heads of a calibrated preset read exactly 0; a settled one's do not."""
+    return settle(preset_graph(name), images((8, 3, 64, 64), 2))
+
+
+def assert_same_bits(got, want, what=None):
+    """``got`` equals ``want`` bit for bit, in dtype and shape too, and ``want`` is finite
+    and not all zero: equal outputs that read exactly 0 or NaN would show nothing."""
+    assert np.isfinite(want).all() and want.any(), (what, "all zero or not finite")
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
 
 
 # the compress benchmark's fragments: each module at three widths on 16x16 maps

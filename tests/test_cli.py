@@ -141,6 +141,27 @@ class TestVerify:
         assert run(["verify", "--dense", str(model_path), "--slim", str(other),
                     "--plan", str(plan), "--trials", "2", "--tol", "1e-5"]) == 2
 
+    def test_renamed_slim_output_exits_2_naming_it(self, model_path, tmp_path, capsys):
+        slim, plan = self.make_pair(model_path, tmp_path)
+        g, bits = load(slim)
+        cls = g.nodes.pop("cls")
+        cls.id = "logits"
+        g.nodes["logits"] = cls
+        save(g, bits, slim)
+        assert run(["verify", "--dense", str(model_path), "--slim", str(slim),
+                    "--plan", str(plan), "--trials", "2", "--tol", "1e-5"]) == 2
+        assert "output 'cls' does not match: dense shape (1, 3), slim missing" in \
+            capsys.readouterr().err
+
+    def test_reshaped_slim_output_exits_2_naming_it(self, model_path, tmp_path, capsys):
+        slim, plan = self.make_pair(model_path, tmp_path)
+        g, bits = load(slim)
+        g.node(g.node("det0").inputs[0][0]).attrs["stride"] = 2
+        save(g, bits, slim)
+        assert run(["verify", "--dense", str(model_path), "--slim", str(slim),
+                    "--plan", str(plan), "--trials", "2", "--tol", "1e-5"]) == 2
+        err = capsys.readouterr().err
+        assert "output 'det0' does not match: dense shape" in err and "slim shape" in err
 
     def test_non_finite_slim_outputs_exit_2_naming_the_output(self, model_path, tmp_path,
                                                                capsys):

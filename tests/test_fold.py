@@ -1,16 +1,19 @@
-"""Batchnorm folding for inference: ``fold_batchnorm`` and the ``forward_arrays`` that runs
-it, against the unfolded ``run_graph(mode="eval")``."""
+"""Batchnorm folding for inference: ``forward_arrays`` against the per-call fold of
+``forward_reference`` and the unfolded ``run_graph(mode="eval")``."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_graph, images, preset_graph, residual_graph
-from slimgraph import build_mini_net, forward_arrays, run_graph
+import forward_reference as reference
+from conftest import (assert_same_bits, chain_graph, images, preset_graph, residual_graph,
+                      settled_graph)
+from slimgraph import build_mini_net, forward_arrays, ops, run_graph
 from slimgraph.builders import PRESETS, GraphBuilder
 from slimgraph.errors import ShapeError
-from slimgraph.executor import fold_batchnorm
 from slimgraph.fakequant import export_fp16
 from slimgraph.metrics import build_report, count_params
 from slimgraph.modelio import to_bytes
@@ -20,8 +23,17 @@ def unfolded(g, x, outputs=None):
     return {k: v.value for k, v in run_graph(g, x, mode="eval", outputs=outputs).items()}
 
 
-def kinds(g):
-    return {nid: n.kind for nid, n in g.nodes.items()}
+def folded_forward(g, x, outputs=None):
+    """``forward_arrays``, checked bit for bit against the per-call oracle, and the number of
+    ``ops.batchnorm_infer`` calls it made: one for all folded pairs, one per unfolded
+    batchnorm."""
+    want = reference.forward_arrays(g, x, outputs)
+    with mock.patch.object(ops, "batchnorm_infer", wraps=ops.batchnorm_infer) as spy:
+        got = forward_arrays(g, x, outputs)
+    assert list(got) == list(want)
+    for k, a in want.items():
+        assert_same_bits(got[k], a, k)
+    return got, spy.call_count
 
 
 @st.composite
@@ -67,9 +79,11 @@ class TestFold:
         for n in g.nodes.values():
             n.params = {k: v.astype(np.float64) for k, v in n.params.items()}
         x = images(g.input_shape, seed).astype(np.float64)
-        assert "batchnorm" not in kinds(fold_batchnorm(g)).values()
         want = unfolded(g, x)
-        for k, got in forward_arrays(g, x).items():
+        assume(all(a.any() for a in want.values()))  # a saturated SiLU can give all -0.0
+        folded, calls = folded_forward(g, x)
+        assert calls == 1  # every pair folds
+        for k, got in folded.items():
             assert got.dtype == np.float64
             assert np.abs(got - want[k]).max() <= 1e-9 * np.abs(want[k]).max(), k
 
@@ -82,10 +96,11 @@ class TestFold:
                 c = len(n.params["gamma"])
                 n.params["running_mean"] = rng.normal(0, 0.2, c).astype(np.float32)
                 n.params["running_var"] = rng.uniform(0.2, 2, c).astype(np.float32)
-        assert "batchnorm" not in kinds(fold_batchnorm(g)).values()
         x = images((2, 3, 64, 64))
+        folded, calls = folded_forward(g, x)
+        assert calls == 1  # every pair folds
         want = unfolded(g, x)
-        for k, got in forward_arrays(g, x).items():
+        for k, got in folded.items():
             assert np.abs(got - want[k]).max() <= 1e-5 * np.abs(want[k]).max(), k
 
     def test_conv_read_twice_is_not_folded(self):
@@ -93,55 +108,57 @@ class TestFold:
         y = b.conv(b.add("input", "image", []), 3, 4, 3, prefix="stem")
         z = b.batchnorm(y, 4)
         b.add("output", "out", [b.add("add", "sum", [y, z])])
-        g = b.graph
-        assert fold_batchnorm(g) is g
-        x = images((2, 3, 6, 6))
-        assert forward_arrays(g, x)["out"].tobytes() == unfolded(g, x)["out"].tobytes()
+        g, x = b.graph, images((2, 3, 6, 6))
+        got, calls = folded_forward(g, x)
+        assert calls == 1  # the batchnorm, unfolded
+        assert_same_bits(got["out"], unfolded(g, x)["out"])
 
     def test_pair_of_other_widths_is_not_folded(self):
         g = chain_graph()
         bn = next(n for n in g.nodes.values() if n.kind == "batchnorm")
         bn.params["gamma"] = bn.params["gamma"][:-1]
-        assert fold_batchnorm(g) is g
         with pytest.raises(ShapeError, match="gamma length"):
             forward_arrays(g, images((1, 3, 8, 8)))
 
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("part", ["conv", "bn"])
     def test_requested_pair_member_is_unfolded_eval_bit_for_bit(self, preset, part):
-        g = preset_graph(f"{preset}-calibrated")
+        """Requesting a pair member leaves that pair unfolded and folds every other pair:
+        one fold call and one unfolded batchnorm."""
+        g = settled_graph(f"{preset}-calibrated")
         stem_bn = next(g.nodes[nid] for nid in g.topo_order() if g.nodes[nid].kind == "batchnorm")
         nid = stem_bn.id if part == "bn" else stem_bn.inputs[0][0]
-        folded = kinds(fold_batchnorm(g, [nid]))
-        assert folded[stem_bn.id] == "batchnorm" and stem_bn.inputs[0][0] in folded
-        assert list(folded.values()).count("batchnorm") == 1
         x = images((2, 3, 64, 64))
-        got = forward_arrays(g, x, outputs=[nid])[nid]
-        assert got.tobytes() == unfolded(g, x, outputs=[nid])[nid].tobytes()
+        got, calls = folded_forward(g, x, [nid] + g.output_ids)
+        assert calls == 2
+        assert_same_bits(got[nid], unfolded(g, x, outputs=[nid])[nid], nid)
+        assert_same_bits(forward_arrays(g, x, outputs=[nid])[nid], got[nid], nid)
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_input_graph_untouched(self, preset):
         g = preset_graph(f"{preset}-calibrated")
         nodes = dict(g.nodes)
         before = {(nid, k): (a, a.tobytes()) for nid, n in nodes.items() for k, a in n.params.items()}
-        folded = fold_batchnorm(g)
         forward_arrays(g, images((2, 3, 64, 64)))
         assert g.nodes == nodes and all(g.nodes[nid] is n for nid, n in nodes.items())
         for (nid, k), (a, raw) in before.items():
             assert g.nodes[nid].params[k] is a and a.tobytes() == raw, (nid, k)
-        assert all(folded.nodes[nid] is n for nid, n in nodes.items()
-                   if n.kind not in ("conv", "batchnorm"))
-        assert folded.meta == g.meta and folded.meta is not g.meta
 
-    def test_graph_with_nothing_to_fold_comes_back_itself(self):
-        g = chain_graph()
+    def test_graph_with_nothing_to_fold_runs_unfolded_bit_for_bit(self):
+        g, x = chain_graph(), images((2, 3, 8, 8))
         for n in g.nodes.values():
             if n.kind == "batchnorm":
                 n.kind, n.attrs, n.params = "scale", {}, {"scale": n.params["gamma"]}
-        assert fold_batchnorm(g) is g
-        g = residual_graph()
-        bns = [nid for nid, kind in kinds(g).items() if kind == "batchnorm"]
-        assert bns and fold_batchnorm(g, bns) is g
+        got, calls = folded_forward(g, x)
+        assert calls == 0
+        assert_same_bits(got["out"], unfolded(g, x)["out"])
+        g, x = residual_graph(), images((2, 4, 6, 6))
+        bns = [nid for nid, n in g.nodes.items() if n.kind == "batchnorm"]
+        got, calls = folded_forward(g, x, bns)
+        assert bns and calls == len(bns)
+        want = unfolded(g, x, bns)
+        for k in bns:
+            assert_same_bits(got[k], want[k], k)
 
 
 class TestBadVariance:

@@ -6,7 +6,7 @@ import pytest
 from conftest import FRAGMENTS, fragment_graph, preset_graph
 from slimgraph import build_fragment, build_mini_net
 from slimgraph.builders import PRESETS, GraphBuilder
-from slimgraph.errors import ExportError
+from slimgraph.errors import ExportError, GraphError
 from slimgraph.metrics import (build_report, count_flops, count_params, emit_report,
                                estimate_memory)
 from slimgraph.modelio import to_bytes
@@ -170,5 +170,5 @@ class TestReports:
         assert dense["input"] == pruned["input"] == "64x64"
 
     def test_emit_requires_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphError, match="at least one report"):
             emit_report([])

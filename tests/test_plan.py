@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forward_reference as reference
-from conftest import (FRAGMENTS, chain_graph, fragment_graph, images, preset_graph,
-                      primitive_graphs, residual_graph)
+from conftest import (FRAGMENTS, assert_same_bits, chain_graph, fragment_graph, images,
+                      preset_graph, primitive_graphs, residual_graph, settle, settled_graph)
 from slimgraph import executor, forward_arrays, run_graph
 from slimgraph import pipeline as pl
 from slimgraph.builders import PRESETS
@@ -27,14 +27,15 @@ def assert_matches_oracle(g, x, outputs=None):
     got = forward_arrays(g, x, outputs)
     assert list(got) == list(want)
     for k, a in want.items():
-        assert got[k].dtype == a.dtype and got[k].tobytes() == a.tobytes(), k
+        assert_same_bits(got[k], a, k)
 
 
 def assert_runs_like_a_new_graph(g, x, outputs=None):
     want = run_graph(reference.shell(g), x, mode="eval", outputs=outputs)
     got = run_graph(g, x, mode="eval", outputs=outputs)
     assert list(got) == list(want)
-    assert all(got[k].value.tobytes() == v.value.tobytes() for k, v in want.items())
+    for k, v in want.items():
+        assert_same_bits(got[k].value, v.value, k)
 
 
 def activations(g):
@@ -63,19 +64,19 @@ def with_statistics(g, seed=0):
 @functools.cache
 def pruned_preset(preset):
     g = preset_graph(f"{preset}-calibrated")
-    return apply_prune(g, build_plan(g, 0.5))
+    return settle(apply_prune(g, build_plan(g, 0.5)), images((8, 3, 64, 64), 2))
 
 
 class TestOracle:
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("variant", ["plain", "calibrated", "pruned"])
     def test_presets(self, preset, variant):
-        g = pruned_preset(preset) if variant == "pruned" else preset_graph(f"{preset}-{variant}")
+        g = pruned_preset(preset) if variant == "pruned" else settled_graph(f"{preset}-{variant}")
         x = images((2, 3, 64, 64))
         for _ in range(3):
             assert_matches_oracle(g, x)
         assert_matches_oracle(g, x, ["cls"])
-        assert_matches_oracle(g, x, activations(g))  # the heads of untrained presets read 0
+        assert_matches_oracle(g, x, activations(g))
 
     @pytest.mark.parametrize("module,width", FRAGMENTS)
     def test_compress_fragments(self, module, width):
@@ -95,10 +96,10 @@ class TestOracle:
 
 class TestOutputs:
     def test_an_iterator_is_read_once(self):
-        g, x = preset_graph("y11_mini-plain"), images((1, 3, 64, 64))
+        g, x = settled_graph("y11_mini-plain"), images((1, 3, 64, 64))
         want = forward_arrays(g, x, ["det0"])["det0"]
         assert list(forward_arrays(g, x, iter(["det0"]))) == ["det0"]
-        assert forward_arrays(g, x, (k for k in ["det0"]))["det0"].tobytes() == want.tobytes()
+        assert_same_bits(forward_arrays(g, x, (k for k in ["det0"]))["det0"], want)
         assert list(run_graph(g, x, outputs=iter(["det0"]))) == ["det0"]
 
     @pytest.mark.parametrize("run", [forward_arrays, run_graph])
@@ -108,7 +109,7 @@ class TestOutputs:
             run(g, x, outputs="det0")
 
     def test_none_and_empty_stay_apart(self):
-        g, x = preset_graph("y12_mini-calibrated"), images((1, 3, 64, 64))
+        g, x = settled_graph("y12_mini-calibrated"), images((1, 3, 64, 64))
         for outputs in (None, [], None, [], ["det1"], []):
             assert_matches_oracle(g, x, outputs)
             want = g.output_ids if outputs is None else outputs
@@ -183,14 +184,28 @@ class TestRebuild:
         assert_runs_like_a_new_graph(g, x)
         assert changed(before, forward_arrays(g, x))
 
+    @pytest.mark.parametrize("edit", CHAIN_EDITS, ids=lambda f: f.__name__)
+    def test_edit_right_after_forward_arrays(self, edit):
+        """The edit finds the fold plan current: a graph keeps one plan, so in
+        ``test_edit_after_a_forward`` the ``run_graph`` has replaced it."""
+        g, x = with_statistics(chain_graph()), images((2, 3, 8, 8))
+        before = forward_arrays(g, x)
+        edit(g)
+        assert_matches_oracle(g, x)
+        assert changed(before, forward_arrays(g, x))
+
     def test_in_place_quantizer_amax(self):
-        g, x = preset_graph("ecoweed_mini-calibrated").clone(), images((2, 3, 64, 64))
-        before = forward_arrays(g, x, activations(g))
-        for n in g.nodes.values():
-            if n.kind == "fakequant":
-                n.params["amax"] *= 0.5
-        assert_matches_oracle(g, x, activations(g))
-        assert changed(before, forward_arrays(g, x, activations(g)))
+        """Halving each quantizer's amax in place is seen in the heads and in every
+        activation, each matching a fresh fold."""
+        x = images((2, 3, 64, 64))
+        for outputs in (None, activations(settled_graph("ecoweed_mini-calibrated"))):
+            g = settled_graph("ecoweed_mini-calibrated").clone()
+            before = forward_arrays(g, x, outputs)
+            for n in g.nodes.values():
+                if n.kind == "fakequant":
+                    n.params["amax"] *= 0.5
+            assert_matches_oracle(g, x, outputs)
+            assert changed(before, forward_arrays(g, x, outputs))
 
     def test_pair_that_starts_and_stops_folding(self):
         """A width mismatch leaves the pair unfolded, and its unfolded run raises; restoring
