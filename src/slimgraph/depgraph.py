@@ -55,8 +55,9 @@ class ChannelGroup:
     """Channels that share one pruning decision, addressed by local index.
 
     ``index`` maps each port the group touches to two equally long int arrays
-    ``(local, channel)``: the port's channel ``channel[j]`` belongs to local
-    index ``local[j]``. Entries run by local index, then by channel.
+    ``(local, channel)``: the port's channel ``channel[j]`` belongs to local index
+    ``local[j]``. Entries run by local index, then by channel. Treat the arrays
+    as read-only: ports may share one, and a shared one refuses writes.
     """
     gid: str
     length: int
@@ -171,13 +172,18 @@ def resolve_groups(graph: Graph) -> list[ChannelGroup]:
 
 def _make_group(graph: Graph, sig, bucket) -> ChannelGroup:
     lengths = [length for _, length, _ in bucket]
-    firsts = np.cumsum([0] + lengths[:-1])
+    locals_ = [np.arange(sum(lengths[:i]), sum(lengths[:i + 1])) for i in range(len(lengths))]
+    for local in locals_:
+        local.flags.writeable = False  # built once per component, shared by its ports
     index, slots = {}, []
     for port in sig:
         starts = [comp[port] for _, _, comp in bucket]
+        if len(starts) == 1 and len(starts[0]) == 1:  # one segment: its run is the slot
+            index[port] = (locals_[0], locals_[0] + starts[0][0])
+            slots.append(ChannelSlot(*port, starts[0][0], lengths[0]))
+            continue
         index[port] = (
-            np.concatenate([np.repeat(np.arange(f, f + n), len(s))
-                            for f, n, s in zip(firsts, lengths, starts)]),
+            np.concatenate([np.repeat(local, len(s)) for local, s in zip(locals_, starts)]),
             np.concatenate([np.add.outer(np.arange(n), s).ravel()
                             for n, s in zip(lengths, starts)]))
         runs = sorted((x, x + n) for n, s in zip(lengths, starts) for x in s)

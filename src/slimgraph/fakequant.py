@@ -185,15 +185,17 @@ def cast_fp16(arr: np.ndarray) -> np.ndarray:
 def export_fp16(graph: Graph):
     """Serialize the graph at 16-bit precision.
 
-    Returns (model bytes, cast report) where the report lists the maximum
-    absolute cast error per tensor. ``modelio.to_bytes`` refuses weights
-    beyond the half-precision range.
+    Returns (model bytes, cast report): per tensor, in ``n.params`` order, the
+    maximum absolute error of its one binary16 cast, which the container holds.
+    ``modelio`` refuses weights beyond the half-precision range.
     """
     from . import modelio  # local import avoids a module cycle
-    data = modelio.to_bytes(graph, precision_bits=16)
+    data, halves = modelio._encode(graph, 16)
+    cast = dict(zip([(n.id, k) for n in graph.nodes.values() for k in sorted(n.params)], halves))
     report = []
     for n in graph.nodes.values():
-        for name, arr in n.params.items():
-            err = float(np.abs(arr - cast_fp16(arr).astype(np.float32)).max()) if arr.size else 0.0
-            report.append((f"{n.id}.{name}", err))
+        for name, arr in n.params.items():  # upcast, subtract, abs and max in one buffer
+            diff = cast[n.id, name].astype(np.result_type(arr, np.float32))
+            np.abs(np.subtract(arr, diff, out=diff), out=diff)
+            report.append((f"{n.id}.{name}", float(diff.max()) if arr.size else 0.0))
     return data, report

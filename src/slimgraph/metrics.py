@@ -25,7 +25,10 @@ def count_params(graph: Graph) -> int:
 
 def count_flops(graph: Graph, input_shape=None) -> int:
     """Forward-pass FLOPs at the given input size (2 FLOPs per MAC)."""
-    shapes = infer_shapes(graph, input_shape)
+    return _flops(graph, infer_shapes(graph, input_shape))
+
+
+def _flops(graph: Graph, shapes) -> int:
     return sum(SPECS[n.kind].flops(n, *io_shapes(n, shapes)) for n in graph.nodes.values())
 
 
@@ -42,12 +45,14 @@ def estimate_memory(graph: Graph, precision_bits: int = 32, input_shape=None) ->
     Scratch is the peak of simultaneously-live edge tensors, at the inference precision,
     over the ``graph.schedule`` ``run_graph`` follows: each edge dies after its last reader.
     """
+    return _memory(graph, precision_bits, infer_shapes(graph, input_shape))
+
+
+def _memory(graph: Graph, precision_bits: int, shapes) -> MemoryEstimate:
     elem = precision_bits // 8
     weight_bytes = sum(arr.size * elem for n in graph.nodes.values()
                        for arr in n.params.values())
     engine_bytes = modelio.container_size(graph, precision_bits)
-
-    shapes = infer_shapes(graph, input_shape)
     live = peak = 0
     for n, last_read in graph.schedule(graph.output_ids):
         live += sum(math.prod(shapes[(n.id, p)]) for p in range(n.n_out_ports())) * elem
@@ -76,8 +81,9 @@ def build_report(graph: Graph, *, dense_params: int | None = None,
                  val_accuracy: float | None = None, input_shape=None) -> CompressionReport:
     params = count_params(graph)
     dense = dense_params if dense_params is not None else params
-    mem = estimate_memory(graph, precision_bits, input_shape)
     shape = tuple(input_shape or graph.input_shape)
+    shapes = infer_shapes(graph, shape)  # shared by the FLOPs and the scratch memory
+    mem = _memory(graph, precision_bits, shapes)
     return CompressionReport(
         model=graph.name,
         stage=graph.meta.get("stage", "dense"),
@@ -86,7 +92,7 @@ def build_report(graph: Graph, *, dense_params: int | None = None,
         ratio_pct=ratio_percent(dense, params),
         params=params,
         input_hw=(shape[2], shape[3]),
-        flops=count_flops(graph, shape),
+        flops=_flops(graph, shapes),
         weight_bytes=mem.weight_bytes,
         engine_bytes=mem.engine_bytes,
         val_accuracy=val_accuracy,

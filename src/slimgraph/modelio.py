@@ -49,10 +49,11 @@ def _layout(graph: Graph, precision_bits: int):
         tensors = []
         for name in sorted(n.params):
             arr = n.params[name]
-            if precision_bits == 16:
-                if not np.all(np.isfinite(arr)):
+            if precision_bits == 16 and arr.size:
+                hi, lo = float(arr.max()), float(arr.min())  # NaN or inf in one of them if any
+                if not (math.isfinite(hi) and math.isfinite(lo)):
                     raise ExportError(f"tensor {n.id}.{name} contains non-finite values")
-                peak = float(np.abs(arr).max()) if arr.size else 0.0
+                peak = max(hi, -lo)  # from the values, not the cast: 65505 casts to 65504
                 if peak > HALF_MAX:
                     raise ExportError(
                         f"tensor {n.id}.{name} magnitude {peak:.4g} overflows half precision")
@@ -91,13 +92,18 @@ def to_bytes(graph: Graph, precision_bits: int = 32) -> bytes:
     hold. Each tensor is cast once (not at all if already in the blob dtype), the
     CRC is chained over the casts, and one join copies them into the result.
     """
+    return _encode(graph, precision_bits)[0]
+
+
+def _encode(graph: Graph, precision_bits: int):
+    """(``to_bytes`` result, each tensor's one cast in blob order: node order, then by name)."""
     topo, arrays, np_dtype, _ = _layout(graph, precision_bits)
     blob = [np.ascontiguousarray(arr, dtype=np_dtype) for arr in arrays]
     crc = 0
     for data in blob:
         crc = zlib.crc32(data, crc)
     return b"".join([MAGIC, struct.pack("<IQ", VERSION, len(topo)), topo, *blob,
-                     struct.pack("<I", crc & 0xFFFFFFFF)])
+                     struct.pack("<I", crc & 0xFFFFFFFF)]), blob
 
 
 def save(graph: Graph, precision_bits: int, path) -> int:

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import group_reference
 import per_channel_reference as reference
-from conftest import chain_graph, primitive_graphs, residual_graph, uneven_replication_graph
+from conftest import (FRAGMENTS, chain_graph, fragment_graph, preset_graph, primitive_graphs,
+                      residual_graph, uneven_replication_graph)
 from slimgraph import build_fragment, build_mini_net, infer_shapes, resolve_groups
 from slimgraph.builders import PRESETS
-from slimgraph.depgraph import format_groups, group_cost
+from slimgraph.depgraph import _make_group, format_groups, group_cost
 from slimgraph.errors import GroupError
 from slimgraph.metrics import count_flops, count_params
 from slimgraph.pruner import PrunePlan, apply_prune, build_plan
@@ -212,6 +214,70 @@ class TestSegmentResolutionMatchesPerChannel:
         stem = next(gr for gr in groups if ("stem", "out", 0) in gr.index)
         assert [sum(1 for m in cls if m[:3] == ("split", "out", 0)) for cls in stem.classes] == [1, 2]
         assert stem.index[("stem", "out", 0)][1].tolist() == [1, 0]
+
+
+def group_record(groups):
+    """Every field of every group; each port's index arrays in key order, with dtypes."""
+    return [(g.gid, g.kind, g.length, g.protected, g.slots,
+             [(port, local.dtype, local.tolist(), chans.dtype, chans.tolist())
+              for port, (local, chans) in g.index.items()]) for g in groups]
+
+
+# the compress benchmark's graphs, and each preset with quantizers and pruned at 0.5
+CORPUS = ([f"{p}-{v}" for p in PRESETS for v in ("plain", "calibrated", "pruned")]
+          + [f"{m}@{w}" for m, w in FRAGMENTS])
+
+
+def corpus_graph(name):
+    module, _, width = name.partition("@")
+    if width:
+        return fragment_graph(module, int(width))
+    if name.endswith("-pruned"):
+        g = preset_graph(name.replace("-pruned", "-plain"))
+        return apply_prune(g, build_plan(g, 0.5))
+    return preset_graph(name)
+
+
+class TestGroupAssemblyMatchesOracle:
+    """Groups against ``group_reference``, which assembles every port from scratch."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_corpus(self, name):
+        g = corpus_graph(name)
+        assert group_record(resolve_groups(g)) == group_record(group_reference.resolve_groups(g))
+
+    def test_corpus_holds_a_replicated_port(self):
+        # a local index with several channels on one port: the general path runs
+        assert any(len(np.unique(local)) < len(local)
+                   for name in CORPUS for g in resolve_groups(corpus_graph(name))
+                   for local, _ in g.index.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(primitive_graphs())
+    def test_generated_primitive_graphs(self, g):
+        assert group_record(resolve_groups(g)) == group_record(group_reference.resolve_groups(g))
+
+    @pytest.mark.parametrize("bucket", [
+        [(0, 2, {"a": [0], "b": [3]}), (2, 1, {"a": [2], "b": [0, 5]})],
+        [(0, 1, {"a": [0, 4], "b": [1]}), (1, 2, {"a": [1, 5], "b": [2]})],
+    ])
+    def test_two_component_bucket(self, bucket):
+        # no graph above aligns two components into one group, so build the bucket by hand
+        g = uneven_replication_graph()
+        ports = {"a": ("join", "in", 0), "b": ("split", "out", 0)}
+        bucket = [(anchor, n, {ports[k]: s for k, s in starts.items()})
+                  for anchor, n, starts in bucket]
+        sig = tuple(sorted(ports.values()))
+        assert (group_record([_make_group(g, sig, bucket)])
+                == group_record([group_reference.make_group(g, sig, bucket)]))
+
+    def test_shared_index_arrays_refuse_writes(self):
+        groups = resolve_groups(preset_graph("ecoweed_mini-plain"))
+        shared = [a for g in groups for (a, _), (b, _) in
+                  zip(g.index.values(), list(g.index.values())[1:]) if a is b]
+        assert shared
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0][0] = 1
 
 
 class TestGroupCost:

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import settled_graph
+from container_reference import reference_to_bytes
 from slimgraph import autograd as ag
 from slimgraph import build_mini_net, fakequant, forward_arrays, ops
-from slimgraph.builders import GraphBuilder
+from slimgraph.builders import PRESETS, GraphBuilder
 from slimgraph.errors import CalibrationError, ExportError, QuantError
 from slimgraph.fakequant import (QMAX, QMIN, HistogramObserver, calibrate, calibration_rows,
                                  cast_fp16, export_fp16, insert_fakequant, qdq,
@@ -367,6 +369,15 @@ class TestExportFp16:
         # bit-exact against the software oracle
         ours = np.array([f32_to_f16_bits(float(v)) for v in w.ravel()[:256]], np.uint16)
         assert np.array_equal(ours, cast_fp16(w.ravel()[:256]).view(np.uint16))
+
+    @pytest.mark.parametrize("name", [f"{p}-{v}" for p in PRESETS for v in ("plain", "calibrated")])
+    def test_report_is_each_tensors_cast_error_in_params_order(self, name):
+        g = settled_graph(name)
+        want = [(f"{n.id}.{k}", float(np.abs(a - a.astype(np.float16).astype(np.float32)).max())
+                 if a.size else 0.0) for n in g.nodes.values() for k, a in n.params.items()]
+        data, report = export_fp16(g)
+        assert report == want and any(err > 0 for _, err in report)
+        assert data == reference_to_bytes(g, 16)
 
     def test_overflow_rejected(self):
         g = build_mini_net("y11_mini", (1, 3, 64, 64), 3, seed=0)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import FRAGMENTS, container, fragment_graph, preset_graph, split_container
+from conftest import (FRAGMENTS, chain_graph, container, fragment_graph, preset_graph,
+                      split_container)
 from container_reference import reference_to_bytes
 from slimgraph import build_mini_net, count_flops, forward_arrays, resolve_groups
 from slimgraph.builders import PRESETS, build_fragment
 from slimgraph.errors import ExportError, ModelFormatError, SlimgraphError
-from slimgraph.fakequant import calibrate, insert_fakequant
+from slimgraph.fakequant import calibrate, export_fp16, insert_fakequant
 from slimgraph.modelio import MAGIC, from_bytes, load, save, to_bytes
 from slimgraph.pipeline import ToyTask, TrainConfig, train
 
@@ -90,6 +91,56 @@ class TestHalfRange:
         back, _ = from_bytes(to_bytes(g, 32))  # 32-bit writes keep the value
         assert np.array_equal(back.node("s0.conv").params["weight"][0, 0, 0, 0], value,
                               equal_nan=True)
+
+
+def serialized(serialize, g, bits):
+    """("bytes", the container) or ("error", the ``ExportError`` message)."""
+    try:
+        return "bytes", serialize(g, bits)
+    except ExportError as e:
+        return "error", str(e)
+
+
+class TestHalfRangeEdges:
+    """The 16-bit range check against the reference serializer, value by value.
+
+    Keys are positions in blob order (``blk.conv.bias``, then ``blk.conv.weight``);
+    a list fills the tensor's first entries, ``None`` empties the tensor."""
+
+    @pytest.mark.parametrize("case, verdict", [
+        ({1: np.nan}, "blk.conv.weight contains non-finite"),
+        ({1: np.inf}, "blk.conv.weight contains non-finite"),
+        ({1: -np.inf}, "blk.conv.weight contains non-finite"),
+        ({1: 65504.0}, None),
+        ({1: [65504.0, -65504.0]}, None),
+        # the cast rounds these to 65504, so the verdict must come from the values
+        ({1: 65505.0}, "blk.conv.weight magnitude 6.55e+04 overflows"),
+        ({1: 65519.0}, "blk.conv.weight magnitude 6.552e+04 overflows"),
+        ({1: -70000.0}, "blk.conv.weight magnitude 7e+04 overflows"),
+        ({0: 70000.0, 1: np.nan}, "blk.conv.bias magnitude 7e+04 overflows"),
+        ({0: np.nan, 1: 70000.0}, "blk.conv.bias contains non-finite"),
+        ({1: [70000.0, np.nan]}, "blk.conv.weight contains non-finite"),
+        ({0: None}, None),
+        ({0: None, 1: np.inf}, "blk.conv.weight contains non-finite"),
+    ])
+    def test_verdict_and_bytes_equal_the_reference(self, case, verdict):
+        g = chain_graph()
+        n = g.node("blk.conv")
+        for pos, value in case.items():
+            name = sorted(n.params)[pos]
+            shape, flat = n.params[name].shape, n.params[name].flatten()
+            if value is not None:
+                flat[:np.size(value)] = value
+            n.params[name] = flat[:0] if value is None else flat.reshape(shape)
+        got = serialized(to_bytes, g, 16)
+        assert got == serialized(reference_to_bytes, g, 16)
+        if verdict is None:
+            assert got[0] == "bytes" and export_fp16(g)[0] == got[1]
+        else:
+            assert got[0] == "error" and got[1].startswith(f"tensor {verdict}")
+            with pytest.raises(ExportError) as e:
+                export_fp16(g)
+            assert str(e.value) == got[1]
 
 
 class TestCanonical:
