@@ -48,10 +48,6 @@ class Var:
         self.grad = None
         self.stop_grad = stop_grad
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self):
         shape = "released" if self.value is None else self.value.shape
         return f"Var(shape={shape}, grad={'set' if self.grad is not None else 'none'})"

@@ -66,9 +66,6 @@ class ChannelGroup:
     slots: list        # list[ChannelSlot], contiguous runs per port
     index: dict        # Port -> (local, channel) int arrays, in sorted port order
 
-    def __len__(self):
-        return self.length
-
     @cached_property
     def classes(self) -> list:
         """Per local index: the sorted tuple of (node, side, port, channel) members."""

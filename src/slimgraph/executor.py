@@ -67,12 +67,15 @@ def _node_ids(outputs) -> list | None:
 def _plan(graph: Graph, outputs, build):
     """``build(graph, outputs)``, kept for ``graph`` and rebuilt whenever its snapshot changes.
 
-    The snapshot, compared on every call, is what a builder reads: the builder, the outputs,
+    One plan is kept per graph: ``run_graph``'s schedule or ``forward_arrays``' folds, for
+    the outputs last requested, so another builder or other outputs cost one rebuild. The
+    snapshot, compared on every call, is what a builder reads: the builder, the outputs,
     each node object in order with its id, kind, attrs dict (folded convs share the conv's),
     parameter count and inputs, then all parameter shapes (which decide the fold pairs; one
-    flat list is faster to build than one per node). Values and names are read on each run,
-    so no array is held. Ids are safe to compare: a plan holds the nodes it runs and the
-    attrs dicts it shares, and reads of any other node only the fields compared by value."""
+    flat list is faster to build than one per node). Attributes and parameter values are
+    read on each run, so writing them needs no rebuild and no array is held. Ids are safe
+    to compare: a plan holds the nodes it runs and the attrs dicts it shares, and reads of
+    any other node only the fields compared by value."""
     snapshot = [build, outputs, *[(k, id(n), n.id, n.kind, id(n.attrs), len(n.params), *n.inputs)
                                   for k, n in graph.nodes.items()],
                 *[a.shape for n in graph.nodes.values() for a in n.params.values()]]
@@ -101,10 +104,7 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
             mode, each other value is dropped after its last reader in ``graph.schedule``,
             which ``estimate_memory`` counts.
 
-    The schedule is kept for the graph and the outputs last requested, and checked on every
-    call against the graph's structure (see ``_plan``); a structural edit, other outputs or a
-    ``forward_arrays`` call on the graph cost one rebuild. Node attributes and parameter values
-    are always read live.
+    The schedule is kept per graph and outputs, and rebuilt after a structural edit (``_plan``).
 
     With a tape, the tape's records hold every op output Var (backward accumulates its
     gradient there), so dropping an edge would not free its array. A taped run therefore
@@ -205,12 +205,8 @@ def forward_arrays(graph: Graph, x: np.ndarray, outputs=None) -> dict[str, np.nd
     The fold changes float rounding only, but an active quantizer after a folded conv can
     turn that into whole int8 steps. ``run_graph``, and so training, calibration, evaluation
     and export, stays unfolded. With ``outputs``, only the nodes they need are folded and
-    run, so no other batchnorm is read.
-
-    Like an engine's, the plan (the nodes run, which pairs fold, the schedule) is built once
-    per graph and outputs; unlike one, it is checked on every call and rebuilt after an
-    edit, and it holds no parameters: the folded weights are recomputed from the current
-    values on each call, so outputs equal a fresh fold's bit for bit."""
+    run, so no other batchnorm is read. The fold plan is kept per graph and outputs
+    (``_plan``), yet outputs equal a fresh fold's bit for bit, also after an edit."""
     outputs = _node_ids(outputs)
     folded, pairs = _plan(graph, outputs, _fold)
     out = run_graph(folded, x, mode="eval", state=RunState(_fold_params(pairs), {}),

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import modelio
 from .errors import CalibrationError, QuantError
+from .executor import run_graph
 from .graph import Graph, Node
 
 HIST_BINS = 2048
@@ -124,7 +126,6 @@ def calibrate(graph: Graph, batches) -> Graph:
     Returns a new graph with every quantizer active. Raises if a quantizer
     never saw a non-zero activation (amax would be undefined).
     """
-    from .executor import run_graph  # local import avoids a module cycle
     batches = list(batches)
     if not batches:
         raise CalibrationError("calibration needs at least one batch")
@@ -189,13 +190,11 @@ def export_fp16(graph: Graph):
     maximum absolute error of its one binary16 cast, which the container holds.
     ``modelio`` refuses weights beyond the half-precision range.
     """
-    from . import modelio  # local import avoids a module cycle
     data, halves = modelio._encode(graph, 16)
-    cast = dict(zip([(n.id, k) for n in graph.nodes.values() for k in sorted(n.params)], halves))
     report = []
     for n in graph.nodes.values():
         for name, arr in n.params.items():  # upcast, subtract, abs and max in one buffer
-            diff = cast[n.id, name].astype(np.result_type(arr, np.float32))
+            diff = halves[n.id, name].astype(np.result_type(arr, np.float32))
             np.abs(np.subtract(arr, diff, out=diff), out=diff)
             report.append((f"{n.id}.{name}", float(diff.max()) if arr.size else 0.0))
     return data, report

@@ -3,12 +3,7 @@
 Nodes are primitive operators; composite blocks (CSP blocks, pyramid pooling,
 attention stubs, detection heads) are built out of primitives by
 :mod:`slimgraph.builders`. Every transformation (pruning, instrumentation)
-returns a new graph, but a graph may also be edited in place: the executor
-keeps one plan per graph (the schedule of ``run_graph``, or the batchnorm
-folds of ``forward_arrays``, for the outputs last requested), checks it
-against the graph's structure on every call and rebuilds it after a structural
-edit or for other outputs, at the cost of one build. Plans read attributes and
-parameter values live, so writing them needs no rebuild.
+returns a new graph, but a graph may also be edited in place between runs.
 """
 
 from __future__ import annotations
@@ -99,16 +94,13 @@ class Graph:
 
     def topo_order(self) -> list[str]:
         """Deterministic topological order (ties broken by node id)."""
-        indeg = {nid: 0 for nid in self.nodes}
-        for n in self.nodes.values():
-            indeg[n.id] = len(n.inputs)
-        ready = sorted(nid for nid, d in indeg.items() if d == 0)
+        indeg = {nid: len(n.inputs) for nid, n in self.nodes.items()}
+        ready = sorted(nid for nid, d in indeg.items() if d == 0)  # a sorted list is a heap
         consumer_map: dict[str, list[str]] = {nid: [] for nid in self.nodes}
         for n in self.nodes.values():
             for (src, _) in n.inputs:
                 consumer_map[src].append(n.id)
         order = []
-        heapq.heapify(ready)
         while ready:
             nid = heapq.heappop(ready)
             order.append(nid)

@@ -25,11 +25,13 @@ def count_params(graph: Graph) -> int:
 
 def count_flops(graph: Graph, input_shape=None) -> int:
     """Forward-pass FLOPs at the given input size (2 FLOPs per MAC)."""
-    return _flops(graph, infer_shapes(graph, input_shape))
-
-
-def _flops(graph: Graph, shapes) -> int:
+    shapes = infer_shapes(graph, input_shape)
     return sum(SPECS[n.kind].flops(n, *io_shapes(n, shapes)) for n in graph.nodes.values())
+
+
+def _weight_bytes(graph: Graph, precision_bits: int) -> int:
+    elems = sum(arr.size for n in graph.nodes.values() for arr in n.params.values())
+    return elems * (precision_bits // 8)
 
 
 @dataclass
@@ -44,21 +46,17 @@ def estimate_memory(graph: Graph, precision_bits: int = 32, input_shape=None) ->
 
     Scratch is the peak of simultaneously-live edge tensors, at the inference precision,
     over the ``graph.schedule`` ``run_graph`` follows: each edge dies after its last reader.
+    ``build_report`` reads the same weight and engine bytes, and walks no schedule.
     """
-    return _memory(graph, precision_bits, infer_shapes(graph, input_shape))
-
-
-def _memory(graph: Graph, precision_bits: int, shapes) -> MemoryEstimate:
+    shapes = infer_shapes(graph, input_shape)
     elem = precision_bits // 8
-    weight_bytes = sum(arr.size * elem for n in graph.nodes.values()
-                       for arr in n.params.values())
     engine_bytes = modelio.container_size(graph, precision_bits)
     live = peak = 0
     for n, last_read in graph.schedule(graph.output_ids):
         live += sum(math.prod(shapes[(n.id, p)]) for p in range(n.n_out_ports())) * elem
         peak = max(peak, live)
         live -= sum(math.prod(shapes[ref]) for ref in last_read) * elem
-    return MemoryEstimate(int(weight_bytes), int(engine_bytes), peak)
+    return MemoryEstimate(_weight_bytes(graph, precision_bits), engine_bytes, peak)
 
 
 @dataclass
@@ -82,8 +80,6 @@ def build_report(graph: Graph, *, dense_params: int | None = None,
     params = count_params(graph)
     dense = dense_params if dense_params is not None else params
     shape = tuple(input_shape or graph.input_shape)
-    shapes = infer_shapes(graph, shape)  # shared by the FLOPs and the scratch memory
-    mem = _memory(graph, precision_bits, shapes)
     return CompressionReport(
         model=graph.name,
         stage=graph.meta.get("stage", "dense"),
@@ -91,10 +87,10 @@ def build_report(graph: Graph, *, dense_params: int | None = None,
         channel_fraction=channel_fraction,
         ratio_pct=ratio_percent(dense, params),
         params=params,
+        flops=count_flops(graph, shape),  # first, so that infer_shapes names a bad shape
         input_hw=(shape[2], shape[3]),
-        flops=_flops(graph, shapes),
-        weight_bytes=mem.weight_bytes,
-        engine_bytes=mem.engine_bytes,
+        weight_bytes=_weight_bytes(graph, precision_bits),
+        engine_bytes=modelio.container_size(graph, precision_bits),
         val_accuracy=val_accuracy,
     )
 

@@ -31,7 +31,8 @@ _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 
 
 def _layout(graph: Graph, precision_bits: int):
-    """(topology document bytes, tensors in blob order, blob dtype, blob length).
+    """(topology document bytes, tensors keyed by (node id, name) in blob order: nodes in
+    graph order, each one's tensors by name; blob dtype, blob length).
 
     At 16 bits a non-finite weight or one beyond the half-precision range is
     an ``ExportError``: silent inf weights mean training went wrong.
@@ -41,7 +42,7 @@ def _layout(graph: Graph, precision_bits: int):
     np_dtype = np.dtype(_DTYPES[precision_bits])
     tag = _DTYPE_TAGS[_DTYPES[precision_bits]]
 
-    arrays = []
+    arrays = {}
     offset = 0
     node_docs = []
     for nid in graph.nodes:  # stored in construction order
@@ -58,7 +59,7 @@ def _layout(graph: Graph, precision_bits: int):
                     raise ExportError(
                         f"tensor {n.id}.{name} magnitude {peak:.4g} overflows half precision")
             tensors.append([name, tag, list(arr.shape), offset, int(arr.size)])
-            arrays.append(arr)
+            arrays[n.id, name] = arr
             offset += arr.size * np_dtype.itemsize
         node_docs.append({
             "id": n.id,
@@ -96,13 +97,13 @@ def to_bytes(graph: Graph, precision_bits: int = 32) -> bytes:
 
 
 def _encode(graph: Graph, precision_bits: int):
-    """(``to_bytes`` result, each tensor's one cast in blob order: node order, then by name)."""
+    """(``to_bytes`` result, each tensor's one cast keyed as ``_layout`` keys it)."""
     topo, arrays, np_dtype, _ = _layout(graph, precision_bits)
-    blob = [np.ascontiguousarray(arr, dtype=np_dtype) for arr in arrays]
+    blob = {key: np.ascontiguousarray(arr, dtype=np_dtype) for key, arr in arrays.items()}
     crc = 0
-    for data in blob:
+    for data in blob.values():
         crc = zlib.crc32(data, crc)
-    return b"".join([MAGIC, struct.pack("<IQ", VERSION, len(topo)), topo, *blob,
+    return b"".join([MAGIC, struct.pack("<IQ", VERSION, len(topo)), topo, *blob.values(),
                      struct.pack("<I", crc & 0xFFFFFFFF)]), blob
 
 

@@ -97,9 +97,7 @@ def _scatter_slices(g6, x_shape, stride, padding):
     for i in range(kh):
         for j in range(kw):
             gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g6[:, :, i, j]
-    if padding:
-        return np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + w])
-    return gxp
+    return np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + w])
 
 
 def _scatter_taps(g6, x_shape, stride, padding):
@@ -337,28 +335,23 @@ def _running_max(a, k, stride, padding, axis):
 
 def _first_argmax(x, y, k, stride, padding):
     """Per window, the index in window order of the first tap holding the max ``y``,
-    a NaN matching a NaN and a frame cell holding -inf: what ``argmax`` over the
-    -inf-padded window gives. The smallest unsigned dtype that holds k*k - 1."""
+    a NaN matching a NaN: what ``argmax`` over the -inf-padded window gives. A window
+    whose max is -inf holds only -inf, frame cells included, so its tap 0 wins.
+    The smallest unsigned dtype that holds k*k - 1."""
     (h, w), (ho, wo) = x.shape[2:], y.shape[2:]
     arg = np.zeros(y.shape, np.min_scalar_type(k * k - 1))
     nan = np.isnan(y).any()  # a window's max is NaN exactly when it holds a NaN
-    framed = y == -np.inf  # the windows a frame cell (-inf) can win, if there is a frame
-    framed = framed if padding and framed.any() else None
     along_h = [_tap_slices(h, ho, i, stride, padding) for i in range(k)]
     along_w = [_tap_slices(w, wo, j, stride, padding) for j in range(k)]
     for t in reversed(range(k * k)):  # each tap overwrites the later taps' hits
         rows, cols = along_h[t // k], along_w[t % k]
-        if framed is not None:  # windows where this tap is a frame cell
-            hit = framed.copy()
-            if rows and cols:
-                hit[:, :, rows[0], cols[0]] = False
-            np.copyto(arg, t, where=hit)
         if rows and cols:
             xs = x[:, :, rows[1], cols[1]]
             hit = xs == y[:, :, rows[0], cols[0]]
             if nan:
                 hit |= np.isnan(xs)
             np.copyto(arg[:, :, rows[0], cols[0]], t, where=hit)
+    arg[y == -np.inf] = 0
     return arg
 
 

@@ -56,6 +56,9 @@ class TrainConfig:
         if not (0.0 <= self.channel_fraction < 1.0):
             raise TrainingError(
                 f"channel_fraction must be in [0, 1), got {self.channel_fraction}")
+        if self.channel_fraction > 0.0 and self.prune_epoch is None:
+            raise TrainingError(
+                f"channel_fraction {self.channel_fraction} needs a prune_epoch to prune at")
         if self.qat_enabled and self.calibration_batches < 1:
             raise TrainingError("qat needs at least one calibration batch")
 

@@ -303,6 +303,8 @@ class TestExitCodes:
          "--tol must be finite and >= 0, got nan"),
         ({}, "verify --dense {model} --slim {slim} --plan {plan} --tol -0.5", 2, "got -0.5"),
         ({}, "verify --dense {model} --slim {slim} --plan {plan} --tol inf", 2, "got inf"),
+        ({}, "pipeline --preset y11_mini --fraction 0.5 --epochs 1 --out-dir {out}", 2,
+         "needs a prune_epoch"),
     ])
     def test_out_of_range_value_exit_code(self, model_path, tmp_path, monkeypatch, capsys,
                                           env, argv, code, message):

@@ -158,6 +158,19 @@ class TestReports:
         assert rpt.ratio_pct == round(100 * (1 - rpt.params / dense_params), 1)
         assert rpt.flops == count_flops(slim) and rpt.input_hw == (64, 64)
 
+    @pytest.mark.parametrize("bits", [16, 32])
+    @pytest.mark.parametrize("shape", [None, (1, 3, 128, 128)])
+    def test_report_reads_the_estimate_and_the_flops(self, bits, shape):
+        g = build_mini_net("y11_mini", (1, 3, 64, 64), 3, seed=0)
+        slim = apply_prune(g, build_plan(g, 0.3))
+        rpt = build_report(slim, precision_bits=bits, input_shape=shape)
+        mem = estimate_memory(slim, bits, shape)
+        assert (rpt.weight_bytes, rpt.engine_bytes) == (mem.weight_bytes, mem.engine_bytes)
+        assert rpt.engine_bytes == len(to_bytes(slim, bits))
+        assert rpt.flops == count_flops(slim, shape)
+        assert rpt.input_hw == ((64, 64) if shape is None else (128, 128))
+        assert rpt.precision_bits == bits
+
     def test_dense_and_pruned_rows_differ_in_flops(self):
         g = build_mini_net("y11_mini", (1, 3, 64, 64), 3, seed=0)
         slim = apply_prune(g, build_plan(g, 0.5))

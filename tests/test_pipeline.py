@@ -126,6 +126,8 @@ class TestConfigValidation:
             TrainConfig(epochs=10, qat_enabled=True, calibration_batches=0)
         with pytest.raises(TrainingError, match="batch_size must be >= 1"):
             TrainConfig(epochs=10, batch_size=0)
+        with pytest.raises(TrainingError, match="channel_fraction 0.5 needs a prune_epoch"):
+            TrainConfig(epochs=10, channel_fraction=0.5)
 
     @pytest.mark.parametrize("field, value", [
         ("lr", -0.5), ("lr", float("nan")), ("lr", float("inf")),

@@ -396,7 +396,8 @@ class TestSmallMapSelection:
 @st.composite
 def pool_cases(draw):
     """(x, k, stride, padding): maps of at most 64 cells or more, square or not, values
-    normal or integer-valued (ties), with some cells set to NaN, +-inf or +-0."""
+    normal or integer-valued (ties), in half the draws with 80% of cells set to -inf, and
+    with some cells set to NaN, +-inf or +-0."""
     k = draw(st.integers(1, 5))
     stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, k // 2))
     low = max(1, k - 2 * padding)  # the least side whose output does not collapse
@@ -410,6 +411,8 @@ def pool_cases(draw):
     r = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     values = r.integers(-3, 4, shape) if draw(st.booleans()) else r.normal(size=shape)
     x = values.astype(draw(st.sampled_from([np.float32, np.float64])))
+    if draw(st.booleans()):  # most windows -inf, many of them framed: the -inf argmax rule
+        x[r.random(shape) < 0.8] = -np.inf
     for value in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
                                max_size=3)):
         x[tuple(r.integers(0, shape))] = value
