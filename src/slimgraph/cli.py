@@ -199,8 +199,8 @@ def _cmd_pipeline(args) -> int:
         channel_fraction=args.fraction, qat_enabled=args.qat,
         calibration_batches=args.calibration_batches, lr=args.lr,
         batch_size=args.batch_size, seed=args.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
     task = pipeline.ToyTask(n_classes=args.classes, seed=args.seed)
+    os.makedirs(args.out_dir, exist_ok=True)
     result = pipeline.run_compression_pipeline(args.preset, task, cfg)
 
     out = lambda name: os.path.join(args.out_dir, name)

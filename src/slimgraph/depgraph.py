@@ -33,7 +33,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GroupError
 from .graph import Graph, infer_shapes, io_shapes
 from .kinds import SPECS
 
@@ -217,45 +216,25 @@ def _group_kind(graph: Graph, sig, first, slots) -> str:
 # costs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupCost:
-    params_per_channel: int
-    flops_per_channel: int
-
-
-def group_cost(graph: Graph, group: ChannelGroup, shapes=None) -> GroupCost:
-    """Marginal cost of removing one channel of the group from the dense graph.
-
-    Parameters: the trainable entries whose prune axes index a removed
-    channel, each counted once, also where a tensor's rows and columns both
-    lose one (a conv whose input and output share the group). FLOPs: the
-    drop in every touched node's FLOP rule at the narrowed port widths.
-    Replicated classes remove each of their channels on a port.
+def group_cost(graph: Graph, group: ChannelGroup) -> np.ndarray:
+    """Per local index (one int64 each), the trainable entries that removing that
+    class alone takes away: every entry one of whose prune axes indexes a removed
+    channel, counted once. A class replicated on a port loses each of its channels
+    there, so the classes of one group may cost differently.
     """
-    shapes = shapes or infer_shapes(graph)
-    # node -> (side, port) -> how many channels each class holds on that port
-    counts: dict[str, dict] = {}
+    cut: dict[str, dict] = {}  # node -> side -> each class's channel count on port 0
     for (nid, side, port), (local, _) in group.index.items():
-        counts.setdefault(nid, {})[(side, port)] = np.bincount(local, minlength=group.length)
-    nodes = [(graph.node(nid), per_port) for nid, per_port in counts.items()]
-    costs = set()
-    for li in range(group.length):
-        params = flops = 0
-        for n, per_port in nodes:
-            spec = SPECS[n.kind]
-            cut = {key: int(c[li]) for key, c in per_port.items()}
-            for name in n.params.keys() & spec.trainable:
-                arr = n.params[name]  # an axis keeps its width less the class's cut on it
-                params += arr.size - math.prod(d - cut.get((t, 0), 0)
-                                               for d, t in zip(arr.shape, spec.params[name]))
-            ins, outs = io_shapes(n, shapes)
-            narrow = [[s[:1] + (s[1] - cut.get((side, p), 0),) + s[2:] for p, s in enumerate(ss)]
-                      for side, ss in (("in", ins), ("out", outs))]
-            flops += spec.flops(n, ins, outs) - spec.flops(n, *narrow)
-        costs.add((params, flops))
-    if len(costs) > 1:
-        raise GroupError(f"group {group.gid} has non-uniform per-channel cost")
-    return GroupCost(*costs.pop())
+        if port == 0:  # the one port that weights index
+            cut.setdefault(nid, {})[side] = np.bincount(local, minlength=group.length)
+    cost = np.zeros(group.length, dtype=np.int64)
+    for nid, per_side in cut.items():
+        n = graph.node(nid)
+        spec = SPECS[n.kind]
+        for name in n.params.keys() & spec.trainable:
+            arr = n.params[name]  # an axis keeps its width less the class's cut on it
+            cost += arr.size - math.prod(d - per_side.get(t, 0)
+                                         for d, t in zip(arr.shape, spec.params[name]))
+    return cost
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +242,19 @@ def group_cost(graph: Graph, group: ChannelGroup, shapes=None) -> GroupCost:
 # ---------------------------------------------------------------------------
 
 def format_groups(graph: Graph, groups: list[ChannelGroup] | None = None) -> str:
-    """Human-readable group listing for inspection and golden tests."""
+    """Human-readable group listing for inspection and golden tests.
+
+    Each group's line gives ``params/ch=N`` when every class costs N
+    parameters (``group_cost``), and ``params/ch=LO..HI`` otherwise.
+    """
     groups = groups or resolve_groups(graph)
-    shapes = infer_shapes(graph)
     lines = []
     for g in groups:
-        cost = group_cost(graph, g, shapes)
+        cost = group_cost(graph, g)
+        lo, hi = int(cost.min()), int(cost.max())
         flag = "protected" if g.protected else "free"
         lines.append(f"{g.gid} kind={g.kind} len={g.length} {flag} "
-                     f"params/ch={cost.params_per_channel}")
+                     f"params/ch={lo}" + (f"..{hi}" if hi > lo else ""))
         for s in g.slots:
             lines.append(f"  {s.node} {s.side}{s.port} [{s.offset}:{s.offset + s.length})")
     return "\n".join(lines) + "\n"

@@ -28,6 +28,7 @@ HALF_MAX = 65504.0  # largest finite binary16 magnitude
 _DTYPES = {32: "<f4", 16: "<f2"}
 _DTYPE_TAGS = {"<f4": "f32", "<f2": "f16"}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
+_META_FIELDS = {"n_classes": int, "cls_output": str, "stage": str}  # the meta the package reads
 
 
 def _layout(graph: Graph, precision_bits: int):
@@ -175,6 +176,9 @@ def _graph_from_doc(doc, blob: bytes) -> tuple[Graph, int]:
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ModelFormatError(f"topology field 'meta' is a {type(meta).__name__}")
+    for key, kind in _META_FIELDS.items():
+        if key in meta:
+            _field(meta, key, kind, "topology meta")
     g = Graph(_field(doc, "name", str, "topology"), input_shape, meta)
     spans = []
     for nd in _field(doc, "nodes", list, "topology"):
@@ -192,6 +196,8 @@ def _graph_from_doc(doc, blob: bytes) -> tuple[Graph, int]:
                 raise ModelFormatError(
                     f"{where} tensor entry {t} is not [name, tag, shape, offset, nelems]")
             name, tag, shape, offset, nelems = t
+            if name in params:
+                raise ModelFormatError(f"tensor {nid}.{name} is listed twice")
             if tag not in _TAG_DTYPES:
                 raise ModelFormatError(f"unknown tensor dtype tag {tag!r}")
             if nelems != math.prod(shape):

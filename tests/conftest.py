@@ -189,6 +189,27 @@ def uneven_replication_graph():
     return g
 
 
+def uneven_weighted_graph():
+    """A 2-wide stem repeated three times by a concat and split 3 + 3 into convs
+    with 4 and 5 outputs, rejoined into a one-channel head.
+
+    Stem channel 0 feeds the 4-output conv twice and the 5-output conv once,
+    channel 1 the reverse, so removing one stem channel takes away 4 + 2*4 + 5
+    = 17 or 4 + 4 + 2*5 = 18 parameters: the classes of one group cost unevenly.
+    """
+    b = GraphBuilder("uneven_weighted", (1, 3, 4, 4))
+    x = b.conv(b.add("input", "image", []), 3, 2, 1, prefix="stem")
+    sid, _ = b.add("split", "split", [b.add("concat", "rep", [x, x, x])],
+                   attrs={"sizes": [3, 3]})
+    y = b.add("concat", "join", [b.conv((sid, 0), 3, 4, 1, prefix="a"),
+                                 b.conv((sid, 1), 3, 5, 1, prefix="b")])
+    b.add("output", "out", [b.conv(y, 9, 1, 1, prefix="head")])
+    g = b.graph
+    g.validate()
+    infer_shapes(g)
+    return g
+
+
 @st.composite
 def primitive_graphs(draw):
     """Small random DAGs of 1x1 convs, per-channel ops, add/mul, concat and split.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import container, split_container
+from conftest import container, split_container, uneven_weighted_graph
 from slimgraph.cli import run
 from slimgraph.graph import infer_shapes
 from slimgraph.modelio import load, save
@@ -218,6 +218,12 @@ class TestReportInspect:
         out = capsys.readouterr().out
         assert "protected" in out and "params/ch=" in out
 
+    def test_inspect_prints_the_cost_range_of_uneven_classes(self, tmp_path, capsys):
+        path = tmp_path / "uneven.twnm"
+        save(uneven_weighted_graph(), 32, path)
+        assert run(["inspect", "--model", str(path)]) == 0
+        assert " len=2 free params/ch=17..18\n" in capsys.readouterr().out
+
 
 class TestExitCodes:
     def test_usage_error_unknown_flag(self, capsys):
@@ -257,6 +263,19 @@ class TestExitCodes:
         args = ["--models", str(bad)] if cmd == "report" else ["--model", str(bad)]
         assert run([cmd] + args) == 3
         assert f"attr {attr!r} = {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd, key, value", [
+        ("train", "n_classes", "3"), ("train", "cls_output", ["cls"]), ("report", "stage", 5),
+    ])
+    def test_format_error_meta_of_the_wrong_type(self, tmp_path, model_path, capsys,
+                                                 cmd, key, value):
+        doc, blob = split_container(model_path.read_bytes())
+        doc["meta"][key] = value
+        bad = tmp_path / "bad.twnm"
+        bad.write_bytes(container(doc, blob))
+        args = ["--models", str(bad)] if cmd == "report" else ["--model", str(bad), "--epochs", "1"]
+        assert run([cmd] + args) == 3
+        assert f"meta field {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd", ["inspect", "report"])
     def test_format_error_pool_padding_beyond_half_the_window(self, tmp_path, model_path,
@@ -305,6 +324,8 @@ class TestExitCodes:
         ({}, "verify --dense {model} --slim {slim} --plan {plan} --tol inf", 2, "got inf"),
         ({}, "pipeline --preset y11_mini --fraction 0.5 --epochs 1 --out-dir {out}", 2,
          "needs a prune_epoch"),
+        ({}, "pipeline --preset y11_mini --classes 5 --epochs 1 --out-dir {out}", 2,
+         "supports 2..3 classes, got 5"),
     ])
     def test_out_of_range_value_exit_code(self, model_path, tmp_path, monkeypatch, capsys,
                                           env, argv, code, message):

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 import group_reference
 import per_channel_reference as reference
 from conftest import (FRAGMENTS, chain_graph, fragment_graph, preset_graph, primitive_graphs,
-                      residual_graph, uneven_replication_graph)
+                      residual_graph, uneven_replication_graph, uneven_weighted_graph)
 from slimgraph import build_fragment, build_mini_net, infer_shapes, resolve_groups
 from slimgraph.builders import PRESETS
 from slimgraph.depgraph import _make_group, format_groups, group_cost
-from slimgraph.errors import GroupError
-from slimgraph.metrics import count_flops, count_params
+from slimgraph.metrics import count_params
 from slimgraph.pruner import PrunePlan, apply_prune, build_plan
 
 
@@ -287,13 +286,14 @@ class TestGroupCost:
         mid = next(gr for gr in groups if not gr.protected and gr.length == 8)
         cost = group_cost(g, mid)
         # producer row 3*9 + bias 1 + bn pair 2 + consumer columns 4*9
-        assert cost.params_per_channel == 27 + 1 + 2 + 36 == 66
+        assert cost.dtype == np.int64
+        assert cost.tolist() == [27 + 1 + 2 + 36] * 8 == [66] * 8
 
     def test_protected_group_cost_reported_but_removal_forbidden(self):
         g = chain_graph()
         groups = resolve_groups(g)
         img = next(gr for gr in groups if gr.protected and gr.length == 3)
-        assert group_cost(g, img).params_per_channel > 0
+        assert (group_cost(g, img) > 0).all()
         from slimgraph.errors import PlanError
         from slimgraph.pruner import validate_plan
         with pytest.raises(PlanError, match="protected"):
@@ -305,7 +305,7 @@ class TestGroupCost:
         rep = next(gr for gr in groups if gr.kind == "sppf-replicated")
         cost = group_cost(g, rep)
         # cv1 row (16 in, k1) + bias + bn + cv1's bn, then 4 cv2 columns (16 out, k1)
-        assert cost.params_per_channel == (16 + 1 + 2) + 4 * 16
+        assert cost.tolist() == [(16 + 1 + 2) + 4 * 16] * rep.length
 
     def test_exact_accounting_on_presets(self):
         for preset in PRESETS:
@@ -325,7 +325,7 @@ class TestGroupCost:
         mid = next(gr for gr in groups if not gr.protected and gr.length == 8)
         plan = PrunePlan(removals={mid.gid: (1, 5)})
         slim = apply_prune(g, plan, groups)
-        assert count_params(g) - 2 * group_cost(g, mid).params_per_channel == count_params(slim)
+        assert count_params(g) - group_cost(g, mid)[[1, 5]].sum() == count_params(slim)
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_cost_equals_removing_one_channel(self, preset):
@@ -336,9 +336,38 @@ class TestGroupCost:
             if gr.protected or gr.length < 2:
                 continue
             slim = apply_prune(g, PrunePlan({gr.gid: (0,)}), groups)
-            cost = group_cost(g, gr)
-            assert cost.params_per_channel == count_params(g) - count_params(slim), gr.gid
-            assert cost.flops_per_channel == count_flops(g) - count_flops(slim), gr.gid
+            assert group_cost(g, gr)[0] == count_params(g) - count_params(slim), gr.gid
+
+    def test_uneven_classes_cost_apart(self):
+        g = uneven_weighted_graph()
+        stem = next(gr for gr in resolve_groups(g) if ("stem", "out", 0) in gr.index)
+        assert not stem.protected and sorted(group_cost(g, stem).tolist()) == [17, 18]
+        assert f"{stem.gid} kind=sppf-replicated len=2 free params/ch=17..18\n" in format_groups(g)
+
+    @pytest.mark.parametrize("name", ["uneven_weighted"]
+                             + [f"{p}-{v}" for p in PRESETS for v in ("plain", "calibrated", "pruned")])
+    def test_every_class_costs_what_pruning_it_alone_removes(self, name):
+        assert_costs_match_one_class_prunes(
+            uneven_weighted_graph() if name == "uneven_weighted" else corpus_graph(name))
+
+    @settings(max_examples=100, deadline=None)
+    @given(primitive_graphs())
+    def test_generated_primitive_graphs(self, g):
+        assert_costs_match_one_class_prunes(g)
+
+
+def assert_costs_match_one_class_prunes(g):
+    """Each class of each free group of length >= 2 costs what pruning it alone removes."""
+    groups = resolve_groups(g)
+    dense = count_params(g)
+    for gr in groups:
+        if gr.protected or gr.length < 2:
+            continue
+        cost = group_cost(g, gr)
+        assert cost.dtype == np.int64 and cost.shape == (gr.length,), gr.gid
+        for li in range(gr.length):
+            slim = apply_prune(g, PrunePlan({gr.gid: (li,)}), groups)
+            assert cost[li] == dense - count_params(slim), (gr.gid, li)
 
 
 class TestDump:

@@ -272,6 +272,25 @@ class TestMalformedTopology:
         with pytest.raises(ModelFormatError, match=r"padding 2 exceeds k // 2 = 1"):
             from_bytes(container(doc, blob))
 
+    def test_tensor_named_twice_in_one_node(self):
+        doc, blob = split_container(to_bytes(build(), 32))
+        tensors = next(nd for nd in doc["nodes"] if nd["id"] == "s0.conv")["tensors"]
+        bias = next(t for t in tensors if t[0] == "bias")
+        tensors.append(["bias", "f32", bias[2], len(blob), bias[4]])  # fresh, non-overlapping
+        blob += np.full(bias[4], 7.0, "<f4").tobytes()
+        with pytest.raises(ModelFormatError, match=r"tensor s0\.conv\.bias is listed twice"):
+            from_bytes(container(doc, blob))
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_classes", "3"), ("n_classes", 3.0), ("n_classes", True),
+        ("cls_output", ["cls"]), ("stage", 5),
+    ])
+    def test_meta_the_package_reads_has_its_json_type(self, key, value):
+        doc, blob = split_container(to_bytes(build(), 32))
+        doc["meta"][key] = value
+        with pytest.raises(ModelFormatError, match=f"meta field '{key}' is a {type(value).__name__}"):
+            from_bytes(container(doc, blob))
+
     def test_inconsistent_graph_is_a_format_error(self):
         doc, blob = split_container(SMALL)
         doc["input_shape"][1] = 5  # no longer matches the first conv's Cin
