@@ -95,40 +95,40 @@ class GraphBuilder:
 # module zoo
 # ---------------------------------------------------------------------------
 
-def build_c3k2(b: GraphBuilder, x: Ref, cin, cout, n_bottlenecks, shortcut, prefix="c3k2") -> Ref:
-    """Split projection, stacked bottlenecks on one half, concat, aggregation."""
+def _csp(b: GraphBuilder, x: Ref, cin, cout, module, prefix, body) -> Ref:
+    """The CSP shell: projection, split in halves, ``body(half, width)`` on the second
+    half, concat with the first, projection."""
     if cout % 2:
-        raise GraphError(f"c3k2 output width must be even, got {cout}")
+        raise GraphError(f"{module} output width must be even, got {cout}")
     h = cout // 2
     y = b.conv_block(x, cin, cout, k=1, prefix=f"{prefix}.cv1")
     sid, _ = b.add("split", f"{prefix}.split", [y], attrs={"sizes": [h, h]})
-    a: Ref = (sid, 0)
-    z: Ref = (sid, 1)
-    for i in range(n_bottlenecks):
-        t = b.conv_block(z, h, h, k=3, prefix=f"{prefix}.m{i}.cv1")
-        t = b.conv_block(t, h, h, k=3, prefix=f"{prefix}.m{i}.cv2")
-        if shortcut:
-            # residual needs matching widths; both branches are h by construction
-            z = b.add("add", f"{prefix}.m{i}.add", [z, t])
-        else:
-            z = t
-    cat = b.add("concat", f"{prefix}.cat", [a, z])
+    cat = b.add("concat", f"{prefix}.cat", [(sid, 0), body((sid, 1), h)])
     return b.conv_block(cat, cout, cout, k=1, prefix=f"{prefix}.cv2")
+
+
+def build_c3k2(b: GraphBuilder, x: Ref, cin, cout, n_bottlenecks, shortcut, prefix="c3k2") -> Ref:
+    """CSP shell with stacked bottlenecks on the processed half."""
+    def body(z: Ref, h) -> Ref:
+        for i in range(n_bottlenecks):
+            t = b.conv_block(z, h, h, k=3, prefix=f"{prefix}.m{i}.cv1")
+            t = b.conv_block(t, h, h, k=3, prefix=f"{prefix}.m{i}.cv2")
+            if shortcut:
+                # residual needs matching widths; both branches are h by construction
+                z = b.add("add", f"{prefix}.m{i}.add", [z, t])
+            else:
+                z = t
+        return z
+    return _csp(b, x, cin, cout, "c3k2", prefix, body)
 
 
 def build_c2psa(b: GraphBuilder, x: Ref, cin, cout, n_blocks, prefix="c2psa") -> Ref:
-    """Split projection with attention stubs on the processed half."""
-    if cout % 2:
-        raise GraphError(f"c2psa output width must be even, got {cout}")
-    h = cout // 2
-    y = b.conv_block(x, cin, cout, k=1, prefix=f"{prefix}.cv1")
-    sid, _ = b.add("split", f"{prefix}.split", [y], attrs={"sizes": [h, h]})
-    a: Ref = (sid, 0)
-    z: Ref = (sid, 1)
-    for i in range(n_blocks):
-        z = b.attention_stub(z, h, prefix=f"{prefix}.psa{i}")
-    cat = b.add("concat", f"{prefix}.cat", [a, z])
-    return b.conv_block(cat, cout, cout, k=1, prefix=f"{prefix}.cv2")
+    """CSP shell with attention stubs on the processed half."""
+    def body(z: Ref, h) -> Ref:
+        for i in range(n_blocks):
+            z = b.attention_stub(z, h, prefix=f"{prefix}.psa{i}")
+        return z
+    return _csp(b, x, cin, cout, "c2psa", prefix, body)
 
 
 def build_sppf(b: GraphBuilder, x: Ref, cin, cout, pool_k, prefix="sppf") -> Ref:
@@ -217,10 +217,14 @@ def build_fragment(module: str, input_shape, seed=0, **kwargs) -> Graph:
     else:
         raise GraphError(f"unknown fragment module {module!r}")
     b.add("output", "out", [y])
-    g = b.graph
-    g.validate()
-    infer_shapes(g)
-    return g
+    return _finished(b)
+
+
+def _finished(b: GraphBuilder) -> Graph:
+    """The built graph, validated and with its shapes inferred."""
+    b.graph.validate()
+    infer_shapes(b.graph)
+    return b.graph
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +285,6 @@ def build_mini_net(preset: str, input_shape=(1, 3, 64, 64), n_classes=3, seed=0)
     })
     cls_ref = b.add("output", "cls", [logits], protected=True)
 
-    g = b.graph
-    g.meta["detect_outputs"] = det_ids
-    g.meta["cls_output"] = cls_ref[0]
-    g.validate()
-    infer_shapes(g)
-    return g
+    b.graph.meta["detect_outputs"] = det_ids
+    b.graph.meta["cls_output"] = cls_ref[0]
+    return _finished(b)

@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 validation/verification failure,
 3 I/O or container-format error. Every run echoes its resolved configuration
 before doing work so artifacts can be traced back to exact flags. The
 ``SLIMGRAPH_SEED`` environment variable supplies the default ``--seed``.
+``qat`` is ``calibrate`` followed by ``train``: one helper instruments and
+calibrates for both, and ``qat`` then runs ``train``'s body.
 """
 
 from __future__ import annotations
@@ -43,6 +45,20 @@ def _echo_config(cmd: str, args: argparse.Namespace) -> None:
     print(f"[slimgraph] {cmd}: {pairs}")
 
 
+def _training_flags(sp, batches=False) -> None:
+    """The flags ``train`` and ``qat`` share, with ``qat``'s ``--batches`` after ``--epochs``."""
+    cfg = pipeline.TrainConfig  # training defaults live on its fields
+    sp.add_argument("--model", required=True)
+    sp.add_argument("--epochs", type=int, required=True)
+    if batches:
+        sp.add_argument("--batches", type=int, default=cfg.calibration_batches)
+    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--lr", type=float, default=cfg.lr)
+    sp.add_argument("--momentum", type=float, default=cfg.momentum)
+    sp.add_argument("--batch-size", type=int, default=cfg.batch_size)
+    sp.add_argument("--log", default=None)
+
+
 def _build_parser() -> _Parser:
     cfg = pipeline.TrainConfig  # training defaults live on its fields
     p = _Parser(prog="slimgraph", description=__doc__ and __doc__.splitlines()[0])
@@ -56,13 +72,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("train", help="train a model on the toy task")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--epochs", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=_default_seed())
-    sp.add_argument("--lr", type=float, default=cfg.lr)
-    sp.add_argument("--momentum", type=float, default=cfg.momentum)
-    sp.add_argument("--batch-size", type=int, default=cfg.batch_size)
-    sp.add_argument("--log", default=None)
+    _training_flags(sp)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("prune", help="score channels, build a plan, emit the slim model")
@@ -79,14 +89,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("qat", help="insert + calibrate quantizers, then train under them")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--epochs", type=int, required=True)
-    sp.add_argument("--batches", type=int, default=cfg.calibration_batches)
-    sp.add_argument("--seed", type=int, default=_default_seed())
-    sp.add_argument("--lr", type=float, default=cfg.lr)
-    sp.add_argument("--momentum", type=float, default=cfg.momentum)
-    sp.add_argument("--batch-size", type=int, default=cfg.batch_size)
-    sp.add_argument("--log", default=None)
+    _training_flags(sp, batches=True)
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("pipeline", help="integrated train -> prune -> recalibrate -> finetune -> export")
@@ -135,17 +138,28 @@ def _make_task(graph, seed):
     return pipeline.ToyTask(n_classes=graph.meta.get("n_classes", 3), seed=seed)
 
 
+def _calibrated(g, task, batches, batch_size):
+    """``g``, instrumented if it has no quantizers, calibrated on ``batches`` task batches."""
+    if not fakequant.quantizer_ids(g):
+        g = fakequant.insert_fakequant(g)
+    return fakequant.calibrate(g, task.calibration_batches(batches, batch_size))
+
+
 def _cmd_train(args) -> int:
+    qat = args.cmd == "qat"  # calibrate, then the same training
     g, _ = modelio.load(args.model)
     cfg = pipeline.TrainConfig(epochs=args.epochs, seed=args.seed, lr=args.lr,
-                               momentum=args.momentum, batch_size=args.batch_size)
+                               momentum=args.momentum, batch_size=args.batch_size, qat_enabled=qat,
+                               calibration_batches=args.batches if qat else 1)
     task = _make_task(g, args.seed)
+    if qat:
+        g = _calibrated(g, task, args.batches, args.batch_size)
     trained, rows = pipeline.train(g, task, cfg)
     if args.log:
         pipeline.write_metric_log(rows, args.log)
     if args.out:
         modelio.save(trained, 32, args.out)
-    print(f"trained {args.epochs} epochs; final val_acc={rows[-1][2]:.4f}")
+    print(f"{'qat-' if qat else ''}trained {args.epochs} epochs; final val_acc={rows[-1][2]:.4f}")
     return 0
 
 
@@ -165,31 +179,11 @@ def _cmd_prune(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     g, _ = modelio.load(args.model)
-    if not fakequant.quantizer_ids(g):
-        g = fakequant.insert_fakequant(g)
-    task = _make_task(g, args.seed)
-    g = fakequant.calibrate(g, task.calibration_batches(args.batches, pipeline.TrainConfig.batch_size))
+    g = _calibrated(g, _make_task(g, args.seed), args.batches, pipeline.TrainConfig.batch_size)
     if args.calib_out:
         fakequant.write_calibration(g, args.calib_out)
     modelio.save(g, 32, args.out)
     print(f"calibrated {len(fakequant.quantizer_ids(g))} quantizers over {args.batches} batches")
-    return 0
-
-
-def _cmd_qat(args) -> int:
-    g, _ = modelio.load(args.model)
-    if not fakequant.quantizer_ids(g):
-        g = fakequant.insert_fakequant(g)
-    cfg = pipeline.TrainConfig(epochs=args.epochs, seed=args.seed, lr=args.lr,
-                               momentum=args.momentum, batch_size=args.batch_size,
-                               qat_enabled=True, calibration_batches=args.batches)
-    task = _make_task(g, args.seed)
-    g = fakequant.calibrate(g, task.calibration_batches(args.batches, args.batch_size))
-    trained, rows = pipeline.train(g, task, cfg)
-    if args.log:
-        pipeline.write_metric_log(rows, args.log)
-    modelio.save(trained, 32, args.out)
-    print(f"qat-trained {args.epochs} epochs; final val_acc={rows[-1][2]:.4f}")
     return 0
 
 
@@ -291,7 +285,7 @@ _COMMANDS = {
     "train": _cmd_train,
     "prune": _cmd_prune,
     "calibrate": _cmd_calibrate,
-    "qat": _cmd_qat,
+    "qat": _cmd_train,
     "pipeline": _cmd_pipeline,
     "verify": _cmd_verify,
     "report": _cmd_report,

@@ -10,7 +10,7 @@ from . import ops
 from .autograd import Tape, Var
 from .errors import GraphError
 from .graph import Graph, Node
-from .kinds import _BN, SPECS
+from .kinds import _BN, _BN_EPS, SPECS
 
 BN_MOMENTUM = 0.1  # running-statistics update rate in training mode
 
@@ -167,7 +167,7 @@ def _fold_params(pairs) -> dict[tuple[str, str], Var]:
         return {}
     gamma, beta, mean, var = (np.concatenate([bn.params[k] for _, bn in pairs]) for k in _BN)
     widths = [len(bn.params["gamma"]) for _, bn in pairs]
-    eps = np.repeat(np.array([bn.attrs.get("eps", 1e-5) for _, bn in pairs], var.dtype), widths)
+    eps = np.repeat(np.array([bn.attrs.get("eps", _BN_EPS) for _, bn in pairs], var.dtype), widths)
     bias = np.concatenate([c.params.get("bias", np.zeros(w, np.float32))
                            for (c, _), w in zip(pairs, widths)])
     bias = ops.batchnorm_infer(bias[None, :, None, None], gamma, beta, mean, var, eps).ravel()

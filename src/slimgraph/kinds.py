@@ -27,6 +27,7 @@ from .errors import GraphError, QuantError, ShapeError
 
 PHASES = ("disabled", "active")               # quantizer lifecycle, in order
 _ACTIVATION_FLOPS = {"silu": 4, "sigmoid": 3}  # per output element
+_BN_EPS = 1e-5                                 # a batchnorm's eps when its node sets none
 
 # -- channel coupling: (input widths, output widths) -> ties (port_a, offset_a,
 # port_b, offset_b, length), each coupling channel offset_a + k of port_a with
@@ -164,7 +165,7 @@ def _batchnorm_forward(run, n, ins):
     out, mean, var = ag.batchnorm(
         run.tape, ins[0], run.param(n, "gamma"), run.param(n, "beta"),
         run.buffer(n, "running_mean"), run.buffer(n, "running_var"),
-        n.attrs.get("eps", 1e-5), run.mode != "eval")
+        n.attrs.get("eps", _BN_EPS), run.mode != "eval")
     run.track(n, "running_mean", mean)
     run.track(n, "running_var", var)
     return out

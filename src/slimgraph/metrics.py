@@ -29,11 +29,6 @@ def count_flops(graph: Graph, input_shape=None) -> int:
     return sum(SPECS[n.kind].flops(n, *io_shapes(n, shapes)) for n in graph.nodes.values())
 
 
-def _weight_bytes(graph: Graph, precision_bits: int) -> int:
-    elems = sum(arr.size for n in graph.nodes.values() for arr in n.params.values())
-    return elems * (precision_bits // 8)
-
-
 @dataclass
 class MemoryEstimate:
     weight_bytes: int
@@ -50,13 +45,13 @@ def estimate_memory(graph: Graph, precision_bits: int = 32, input_shape=None) ->
     """
     shapes = infer_shapes(graph, input_shape)
     elem = precision_bits // 8
-    engine_bytes = modelio.container_size(graph, precision_bits)
+    sizes = modelio.container_size(graph, precision_bits)
     live = peak = 0
     for n, last_read in graph.schedule(graph.output_ids):
         live += sum(math.prod(shapes[(n.id, p)]) for p in range(n.n_out_ports())) * elem
         peak = max(peak, live)
         live -= sum(math.prod(shapes[ref]) for ref in last_read) * elem
-    return MemoryEstimate(_weight_bytes(graph, precision_bits), engine_bytes, peak)
+    return MemoryEstimate(*sizes, peak)
 
 
 @dataclass
@@ -78,19 +73,21 @@ def build_report(graph: Graph, *, dense_params: int | None = None,
                  precision_bits: int = 32, channel_fraction: float | None = None,
                  val_accuracy: float | None = None, input_shape=None) -> CompressionReport:
     params = count_params(graph)
-    dense = dense_params if dense_params is not None else params
+    ratio = ratio_percent(dense_params if dense_params is not None else params, params)
     shape = tuple(input_shape or graph.input_shape)
+    flops = count_flops(graph, shape)  # before the sizes, so that infer_shapes names a bad shape
+    weight_bytes, engine_bytes = modelio.container_size(graph, precision_bits)
     return CompressionReport(
         model=graph.name,
         stage=graph.meta.get("stage", "dense"),
         precision_bits=precision_bits,
         channel_fraction=channel_fraction,
-        ratio_pct=ratio_percent(dense, params),
+        ratio_pct=ratio,
         params=params,
-        flops=count_flops(graph, shape),  # first, so that infer_shapes names a bad shape
+        flops=flops,
         input_hw=(shape[2], shape[3]),
-        weight_bytes=_weight_bytes(graph, precision_bits),
-        engine_bytes=modelio.container_size(graph, precision_bits),
+        weight_bytes=weight_bytes,
+        engine_bytes=engine_bytes,
         val_accuracy=val_accuracy,
     )
 

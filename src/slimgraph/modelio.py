@@ -81,10 +81,11 @@ def _layout(graph: Graph, precision_bits: int):
     return topo, arrays, np_dtype, offset
 
 
-def container_size(graph: Graph, precision_bits: int = 32) -> int:
-    """``len(to_bytes(graph, precision_bits))`` without serializing the weights."""
+def container_size(graph: Graph, precision_bits: int = 32) -> tuple[int, int]:
+    """(weight blob bytes, ``len(to_bytes(graph, precision_bits))``), without serializing
+    the weights."""
     topo, _, _, blob_len = _layout(graph, precision_bits)
-    return 16 + len(topo) + blob_len + 4
+    return blob_len, 16 + len(topo) + blob_len + 4
 
 
 def to_bytes(graph: Graph, precision_bits: int = 32) -> bytes:

@@ -23,7 +23,7 @@ from .builders import PRESETS, build_mini_net
 from .errors import SlimgraphError, TrainingError
 from .executor import RunState, run_graph
 from .fakequant import calibrate, export_fp16, insert_fakequant, quantizer_ids
-from .graph import Graph, buffer_items, trainable_items
+from .graph import Graph, buffer_items, infer_shapes, trainable_items
 from .metrics import CompressionReport, build_report, count_params
 from .modelio import from_bytes, to_bytes
 from .pruner import PrunePlan, apply_prune, build_plan
@@ -154,7 +154,8 @@ class Trainer:
     """SGD-with-momentum loop over a fixed graph topology.
 
     Weights and batchnorm buffers live in a RunState; ``to_graph`` copies
-    them out, which is all a schedule needs to branch mid-run.
+    them out, which is all a schedule needs to branch mid-run. A classifier
+    with fewer outputs than the task has classes is a ``TrainingError`` here.
     """
 
     def __init__(self, graph: Graph, task: ToyTask, config: TrainConfig):
@@ -162,6 +163,10 @@ class Trainer:
         self.task = task
         self.config = config
         self.cls = _cls_output(graph)
+        width = infer_shapes(graph)[(self.cls, 0)][1]
+        if width < task.n_classes:
+            raise TrainingError(f"classifier {self.cls!r} has {width} outputs, "
+                                f"fewer than the task's {task.n_classes} classes")
         vars_ = {key: ag.Var(arr.copy()) for key, arr in trainable_items(graph)}
         buffers = {key: arr.copy() for key, arr in buffer_items(graph)}
         self.state = RunState(vars_, buffers)
@@ -360,19 +365,17 @@ def prune_recovery_study(preset: str = "ecoweed_mini", seeds=(0, 1, 2), *,
             marks[mark] = trunk.to_graph()
             cursor = mark
 
-        def arm(mark: int, fraction: float):
+        def arm(mark: int, fraction: float, before: bool = False) -> float:
             tr = Trainer(_prune(marks[mark], fraction, mark, calib)[1], task, cfg)
-            acc_before = tr.evaluate()
+            if before:  # the one arm whose accuracy before fine-tuning is reported
+                res.nofinetune_acc[seed] = tr.evaluate()
             tr.run_epochs(mark, epochs, "pruned")
-            return acc_before, tr.evaluate()
+            return tr.evaluate()
 
         for f in fractions:
-            before, after = arm(prune_epoch, f)
-            res.finetuned_acc[(seed, f)] = after
-            if f == base_fraction:
-                res.nofinetune_acc[seed] = before
-        _, res.early_acc[seed] = arm(early_epoch, base_fraction)
-        _, res.late_acc[seed] = arm(late_epoch, base_fraction)
+            res.finetuned_acc[(seed, f)] = arm(prune_epoch, f, before=f == base_fraction)
+        res.early_acc[seed] = arm(early_epoch, base_fraction)
+        res.late_acc[seed] = arm(late_epoch, base_fraction)
     return res
 
 

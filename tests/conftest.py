@@ -210,6 +210,25 @@ def uneven_weighted_graph():
     return g
 
 
+def two_component_graph():
+    """A 4-wide stem repeated three times by a concat, split 5 + 7 into two 1x1
+    convs, each feeding its own output.
+
+    The split cuts the second copy of the stem after its channel 0, so the stem's
+    channel 0 and its channels 1..3 resolve as two components (lengths 1 and 3)
+    with the same ports, aligned into one free group of length 4.
+    """
+    b = GraphBuilder("two_component", (1, 3, 4, 4))
+    x = b.conv(b.add("input", "image", []), 3, 4, 1)
+    sid, _ = b.add("split", "split", [b.add("concat", "cat", [x, x, x])], attrs={"sizes": [5, 7]})
+    b.add("output", "out", [b.conv((sid, 0), 5, 1, 1)])
+    b.add("output", "out", [b.conv((sid, 1), 7, 1, 1)])
+    g = b.graph
+    g.validate()
+    infer_shapes(g)
+    return g
+
+
 @st.composite
 def primitive_graphs(draw):
     """Small random DAGs of 1x1 convs, per-channel ops, add/mul, concat and split.

@@ -104,6 +104,21 @@ class TestCalibrateQat:
         from slimgraph.fakequant import quantizer_ids
         assert quantizer_ids(g)
 
+    @pytest.mark.parametrize("cmd", [["train"], ["qat", "--batches", "1"]], ids=["train", "qat"])
+    def test_classifier_narrower_than_the_task_exits_2_before_training(self, tmp_path, capsys,
+                                                                       cmd):
+        path = tmp_path / "two.twnm"
+        assert run(["build", "--preset", "y11_mini", "--classes", "2", "--out", str(path)]) == 0
+        doc, blob = split_container(path.read_bytes())
+        doc["meta"]["n_classes"] = 3
+        path.write_bytes(container(doc, blob))
+        out, log = tmp_path / "t.twnm", tmp_path / "t.csv"
+        assert run(cmd + ["--model", str(path), "--epochs", "1",
+                          "--log", str(log), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "classifier 'cls' has 2 outputs, fewer than the task's 3 classes" in err
+        assert not out.exists() and not log.exists()
+
 
 class TestVerify:
     def make_pair(self, model_path, tmp_path, fraction="0.3"):

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 import group_reference
 import per_channel_reference as reference
-from conftest import (FRAGMENTS, chain_graph, fragment_graph, preset_graph, primitive_graphs,
-                      residual_graph, uneven_replication_graph, uneven_weighted_graph)
-from slimgraph import build_fragment, build_mini_net, infer_shapes, resolve_groups
+from conftest import (FRAGMENTS, assert_same_bits, chain_graph, fragment_graph, preset_graph,
+                      primitive_graphs, residual_graph, two_component_graph,
+                      uneven_replication_graph, uneven_weighted_graph)
+from slimgraph import (build_fragment, build_mini_net, depgraph, forward_arrays, infer_shapes,
+                       resolve_groups)
 from slimgraph.builders import PRESETS
 from slimgraph.depgraph import _make_group, format_groups, group_cost
 from slimgraph.metrics import count_params
-from slimgraph.pruner import PrunePlan, apply_prune, build_plan
+from slimgraph.pruner import PrunePlan, apply_prune, build_plan, zero_embed_oracle
 
 
 def groups_by_slot(groups):
@@ -261,7 +263,7 @@ class TestGroupAssemblyMatchesOracle:
         [(0, 1, {"a": [0, 4], "b": [1]}), (1, 2, {"a": [1, 5], "b": [2]})],
     ])
     def test_two_component_bucket(self, bucket):
-        # no graph above aligns two components into one group, so build the bucket by hand
+        # buckets whose components replicate unevenly across a port, built by hand
         g = uneven_replication_graph()
         ports = {"a": ("join", "in", 0), "b": ("split", "out", 0)}
         bucket = [(anchor, n, {ports[k]: s for k, s in starts.items()})
@@ -277,6 +279,43 @@ class TestGroupAssemblyMatchesOracle:
         assert shared
         with pytest.raises(ValueError, match="read-only"):
             shared[0][0] = 1
+
+
+class TestTwoComponentGroup:
+    """``two_component_graph``: one free group aligned from two components, through
+    ``resolve_groups``."""
+
+    def test_group_is_aligned_from_components_of_length_1_and_3(self, monkeypatch):
+        lengths = []
+
+        def spy(graph, sig, bucket):
+            lengths.append([n for _, n, _ in bucket])
+            return _make_group(graph, sig, bucket)
+        monkeypatch.setattr(depgraph, "_make_group", spy)
+        groups = resolve_groups(two_component_graph())
+        free = [(g.gid, g.length) for g in groups if not g.protected]
+        assert free == [("g000.cat", 4)]
+        assert [n for n in lengths if len(n) > 1] == [[1, 3]]
+
+    def test_groups_match_both_references(self):
+        g = two_component_graph()
+        groups = resolve_groups(g)
+        assert group_fields(groups) == group_fields(reference.resolve_groups(g))
+        assert group_record(groups) == group_record(group_reference.resolve_groups(g))
+
+    def test_prune_at_half_equals_the_zero_embedding(self):
+        g = two_component_graph()
+        groups = resolve_groups(g)
+        plan = build_plan(g, 0.5, groups)
+        assert [(gid, len(r)) for gid, r in plan.removals.items()] == [("g000.cat", 2)]
+        slim = apply_prune(g, plan, groups)
+        assert (count_params(g), count_params(slim)) == (30, 16)
+        embedded = zero_embed_oracle(g, plan, groups)
+        x = np.random.default_rng(0).normal(0.5, 0.3, (2, 3, 4, 4)).astype(np.float32)
+        want, got = forward_arrays(embedded, x), forward_arrays(slim, x)
+        assert want.keys() == got.keys() == {"out", "out.1"}
+        for k in want:
+            assert_same_bits(got[k], want[k], k)
 
 
 class TestGroupCost:

@@ -184,6 +184,14 @@ class TestPipeline:
         with pytest.raises(SlimgraphError, match=r"\[stage "):
             run_compression_pipeline(g, task, cfg)
 
+    def test_classifier_narrower_than_the_task_fails_before_training(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("training started")
+        monkeypatch.setattr(Trainer, "_step", no_step)
+        g = build_mini_net("y11_mini", (1, 3, 64, 64), 2, seed=0)
+        with pytest.raises(TrainingError, match="'cls' has 2 outputs, fewer than the task's 3"):
+            run_compression_pipeline(g, ToyTask(seed=0, n_train=8, n_val=4), TrainConfig(epochs=1))
+
     def test_study_arms_equal_standalone_pipeline_runs(self, monkeypatch):
         # each arm branches off the shared QAT trunk; it must end exactly where a
         # standalone pipeline run pruning at the same epoch ends
@@ -217,6 +225,28 @@ class TestPipeline:
                 for name, arr in n.params.items():
                     got = final.node(nid).params[name]
                     assert got.dtype == arr.dtype and got.tobytes() == arr.tobytes(), (nid, name)
+
+    def test_study_evaluates_only_the_base_arm_before_fine_tuning(self, monkeypatch):
+        before = []  # accuracies read from a trainer that has not run an epoch yet
+
+        class Counting(Trainer):
+            tuned = False
+
+            def run_epochs(self, *args):
+                self.tuned = True
+                return super().run_epochs(*args)
+
+            def evaluate(self):
+                acc = super().evaluate()
+                if not self.tuned:
+                    before.append(acc)
+                return acc
+
+        monkeypatch.setattr(pipeline, "Trainer", Counting)
+        res = prune_recovery_study("ecoweed_mini", (3, 4), epochs=2, prune_epoch=1,
+                                   fractions=(0.25, 0.5), early_epoch=0, late_epoch=1,
+                                   base_fraction=0.5, task_kwargs={"n_train": 8, "n_val": 4})
+        assert before == [res.nofinetune_acc[3], res.nofinetune_acc[4]]
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"epochs": 2, "prune_epoch": 3, "late_epoch": 4}, "prune_epoch 3 must lie inside"),
