@@ -47,7 +47,7 @@ def _echo_config(cmd: str, args: argparse.Namespace) -> None:
 
 def _training_flags(sp, batches=False) -> None:
     """The flags ``train`` and ``qat`` share, with ``qat``'s ``--batches`` after ``--epochs``."""
-    cfg = pipeline.TrainConfig  # training defaults live on its fields
+    cfg = pipeline.TrainConfig
     sp.add_argument("--model", required=True)
     sp.add_argument("--epochs", type=int, required=True)
     if batches:
