@@ -22,6 +22,8 @@ class GraphBuilder:
     """Accumulates nodes with unique ids and seeded weight initialization."""
 
     def __init__(self, name: str, input_shape, seed: int = 0, meta: dict | None = None):
+        if seed < 0:
+            raise GraphError(f"builder seed must be >= 0, got {seed}")
         self.graph = Graph(name, input_shape, meta)
         self.rng = np.random.default_rng(seed)
         self._counts: dict[str, int] = {}
@@ -194,28 +196,38 @@ def build_detect_head(b: GraphBuilder, taps: list[tuple[Ref, int]], n_classes,
     return maps
 
 
+# module -> (its builder, its required keywords, its optional keywords and their defaults)
+_FRAGMENTS = {
+    "conv_block": (lambda b, x, cin, cout, k, stride: b.conv_block(x, cin, cout, k, stride),
+                   ("cout",), {"k": 3, "stride": 1}),
+    "c3k2": (build_c3k2, ("cout",), {"n": 1, "shortcut": True}),
+    "c2psa": (build_c2psa, ("cout",), {"n": 1}),
+    "sppf": (build_sppf, ("cout",), {"pool_k": 5}),
+    "spab": (build_spab, (), {}),
+    "a2c2f": (build_a2c2f, ("cout",), {"n": 1, "residual": True}),
+}
+
+
 def build_fragment(module: str, input_shape, seed=0, **kwargs) -> Graph:
     """Wrap a single zoo module as input -> module -> output, for tests/tools.
 
-    ``module`` is one of conv_block, c3k2, c2psa, sppf, spab, a2c2f.
+    ``module`` is one of conv_block, c3k2, c2psa, sppf, spab, a2c2f. A missing
+    or unknown keyword is a GraphError that names it.
     """
+    if module not in _FRAGMENTS:
+        raise GraphError(f"unknown fragment module {module!r}")
+    fn, required, optional = _FRAGMENTS[module]
+    for name in required:
+        if name not in kwargs:
+            raise GraphError(f"fragment {module!r} needs the keyword {name!r}")
+    for name in kwargs:
+        if name not in required and name not in optional:
+            raise GraphError(f"fragment {module!r} takes no keyword {name!r}; "
+                             f"it takes {[*required, *optional]}")
     b = GraphBuilder(f"fragment::{module}", input_shape, seed=seed)
     x = b.add("input", "image", [])
-    cin = input_shape[1]
-    if module == "conv_block":
-        y = b.conv_block(x, cin, kwargs["cout"], kwargs.get("k", 3), kwargs.get("stride", 1))
-    elif module == "c3k2":
-        y = build_c3k2(b, x, cin, kwargs["cout"], kwargs.get("n", 1), kwargs.get("shortcut", True))
-    elif module == "c2psa":
-        y = build_c2psa(b, x, cin, kwargs["cout"], kwargs.get("n", 1))
-    elif module == "sppf":
-        y = build_sppf(b, x, cin, kwargs["cout"], kwargs.get("pool_k", 5))
-    elif module == "spab":
-        y = build_spab(b, x, cin)
-    elif module == "a2c2f":
-        y = build_a2c2f(b, x, cin, kwargs["cout"], kwargs.get("n", 1), kwargs.get("residual", True))
-    else:
-        raise GraphError(f"unknown fragment module {module!r}")
+    args = {**optional, **kwargs}
+    y = fn(b, x, input_shape[1], *(args[name] for name in (*required, *optional)))
     b.add("output", "out", [y])
     return _finished(b)
 

@@ -35,9 +35,12 @@ class _Parser(argparse.ArgumentParser):
 def _default_seed() -> int:
     value = os.environ.get("SLIMGRAPH_SEED", "0")
     try:
-        return int(value)
+        seed = int(value)
     except ValueError:
-        raise _UsageError(f"SLIMGRAPH_SEED must be an integer, got {value!r}") from None
+        seed = -1
+    if seed < 0:
+        raise _UsageError(f"SLIMGRAPH_SEED must be an integer >= 0, got {value!r}")
+    return seed
 
 
 def _echo_config(cmd: str, args: argparse.Namespace) -> None:
@@ -145,8 +148,16 @@ def _calibrated(g, task, batches, batch_size):
     return fakequant.calibrate(g, task.calibration_batches(batches, batch_size))
 
 
+def _check_out_dirs(*paths) -> None:
+    """Fail before any work when the directory an output path names does not exist."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"no directory to write {path!r} into")
+
+
 def _cmd_train(args) -> int:
     qat = args.cmd == "qat"  # calibrate, then the same training
+    _check_out_dirs(args.log, args.out)
     g, _ = modelio.load(args.model)
     cfg = pipeline.TrainConfig(epochs=args.epochs, seed=args.seed, lr=args.lr,
                                momentum=args.momentum, batch_size=args.batch_size, qat_enabled=qat,
@@ -296,6 +307,8 @@ _COMMANDS = {
 def run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
+            raise _UsageError(f"argument --seed: must be >= 0, got {args.seed}")
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -55,15 +55,22 @@ class ChannelGroup:
 
     ``index`` maps each port the group touches to two equally long int arrays
     ``(local, channel)``: the port's channel ``channel[j]`` belongs to local index
-    ``local[j]``. Entries run by local index, then by channel. Treat the arrays
-    as read-only: ports may share one, and a shared one refuses writes.
+    ``local[j]``. Entries run by local index, then by channel, and no channel
+    repeats on a port. Treat the arrays as read-only: ports may share one, and a
+    shared one refuses writes.
     """
     gid: str
     length: int
     protected: bool
     kind: str          # plain | residual | concat-segment | split-half | sppf-replicated
-    slots: list        # list[ChannelSlot], contiguous runs per port
     index: dict        # Port -> (local, channel) int arrays, in sorted port order
+
+    @cached_property
+    def slots(self) -> list:
+        """Per port in ``index`` order, each maximal run of its channels as a ChannelSlot."""
+        ports = ((port, np.sort(chans)) for port, (_, chans) in self.index.items())
+        return [ChannelSlot(*port, int(run[0]), len(run)) for port, c in ports
+                for run in np.split(c, np.flatnonzero(np.diff(c) != 1) + 1)]
 
     @cached_property
     def classes(self) -> list:
@@ -171,44 +178,36 @@ def _make_group(graph: Graph, sig, bucket) -> ChannelGroup:
     locals_ = [np.arange(sum(lengths[:i]), sum(lengths[:i + 1])) for i in range(len(lengths))]
     for local in locals_:
         local.flags.writeable = False  # built once per component, shared by its ports
-    index, slots = {}, []
+    index = {}
     for port in sig:
         starts = [comp[port] for _, _, comp in bucket]
-        if len(starts) == 1 and len(starts[0]) == 1:  # one segment: its run is the slot
+        if len(starts) == 1 and len(starts[0]) == 1:  # one segment: a shifted local
             index[port] = (locals_[0], locals_[0] + starts[0][0])
-            slots.append(ChannelSlot(*port, starts[0][0], lengths[0]))
-            continue
-        index[port] = (
-            np.concatenate([np.repeat(local, len(s)) for local, s in zip(locals_, starts)]),
-            np.concatenate([np.add.outer(np.arange(n), s).ravel()
-                            for n, s in zip(lengths, starts)]))
-        runs = sorted((x, x + n) for n, s in zip(lengths, starts) for x in s)
-        lo, hi = runs[0]
-        for a, b in runs[1:]:
-            if a != hi:
-                slots.append(ChannelSlot(*port, lo, hi - lo))
-                lo = a
-            hi = b
-        slots.append(ChannelSlot(*port, lo, hi - lo))
+        else:
+            index[port] = (
+                np.concatenate([np.repeat(local, len(s)) for local, s in zip(locals_, starts)]),
+                np.concatenate([np.add.outer(np.arange(n), s).ravel()
+                                for n, s in zip(lengths, starts)]))
     nodes = [graph.node(n) for (n, _, _) in sig]
     protected = any(n.protected or n.kind in ("input", "output") for n in nodes)
     return ChannelGroup(gid="", length=sum(lengths), protected=protected,
-                        kind=_group_kind(graph, sig, bucket[0][2], slots),
-                        slots=slots, index=index)
+                        kind=_group_kind(graph, index), index=index)
 
 
-def _group_kind(graph: Graph, sig, first, slots) -> str:
-    """Group kind, from its port signature, the first component's segments and its slots."""
-    if any(len(starts) >= 2 for starts in first.values()):
+def _group_kind(graph: Graph, index) -> str:
+    """Group kind, read from its index: local index 0 on two channels of one port
+    is pyramid replication, and a conv or linear input port whose channels are
+    not exactly 0..k-1 takes a concat segment."""
+    if any(local[:2].tolist() == [0, 0] for local, _ in index.values()):
         return "sppf-replicated"
-    kinds = {graph.node(n).kind for (n, _, _) in sig}
+    kinds = {graph.node(n).kind for (n, _, _) in index}
     if "add" in kinds or "mul" in kinds:
         return "residual"
-    if any(graph.node(n).kind == "split" and s == "out" for (n, s, _) in sig):
+    if any(graph.node(n).kind == "split" and s == "out" for (n, s, _) in index):
         return "split-half"
-    for slot in slots:
-        if slot.side == "in" and slot.offset > 0 and graph.node(slot.node).kind in ("conv", "linear"):
-            return "concat-segment"
+    if any(s == "in" and graph.node(n).kind in ("conv", "linear") and chans.max() != len(chans) - 1
+           for (n, s, _), (_, chans) in index.items()):
+        return "concat-segment"
     return "plain"
 
 

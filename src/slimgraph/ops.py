@@ -191,7 +191,7 @@ def _validate_bn_args(arrays, names, c):
             raise ShapeError(f"batchnorm {name} length {a.shape} != channel count {c}")
 
 
-def batchnorm_infer(x, gamma, beta, mean, var, eps=1e-5):
+def batchnorm_infer(x, gamma, beta, mean, var, eps):
     """Per-channel affine normalization with stored statistics."""
     if x.ndim != 4:
         raise ShapeError(f"batchnorm input must be 4-D, got rank {x.ndim}")
@@ -205,7 +205,7 @@ def batchnorm_infer(x, gamma, beta, mean, var, eps=1e-5):
     return y
 
 
-def batchnorm_train_forward(x, gamma, beta, eps=1e-5):
+def batchnorm_train_forward(x, gamma, beta, eps):
     """Normalize with batch statistics; returns (y, cache) for backward.
 
     Uses population (ddof=0) mean/variance over (N, H, W) per channel: the

@@ -46,6 +46,8 @@ class TrainConfig:
             raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise TrainingError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise TrainingError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.lr) and self.lr >= 0.0):
             raise TrainingError(f"lr must be finite and >= 0, got {self.lr}")
         if not (0.0 <= self.momentum < 1.0):
@@ -82,6 +84,8 @@ class ToyTask:
             raise TrainingError(f"toy task needs n_train and n_val >= 1, got {n_train} and {n_val}")
         if size < 45:  # a shape of radius up to 20 sits 2 pixels clear of each border
             raise TrainingError(f"toy task needs size >= 45, got {size}")
+        if seed < 0:
+            raise TrainingError(f"toy task needs seed >= 0, got {seed}")
         self.n_classes = n_classes
         self.size = size
         rng = np.random.default_rng(seed)
@@ -277,7 +281,7 @@ def run_compression_pipeline(preset_or_graph, task: ToyTask, config: TrainConfig
     trainer = Trainer(g, task, config)
     log = _stage("train", trainer.run_epochs, 0, prune_at, "dense")
     dense_graph = trainer.to_graph()
-    dense_acc = trainer.evaluate()
+    dense_acc = log[-1][2] if log else trainer.evaluate()  # no dense epoch at prune_epoch=0
 
     if config.prune_epoch is not None:
         plan, slim = _prune(dense_graph, config.channel_fraction, config.prune_epoch, calib)
@@ -285,7 +289,7 @@ def run_compression_pipeline(preset_or_graph, task: ToyTask, config: TrainConfig
         log += _stage("finetune", trainer.run_epochs, config.prune_epoch,
                       config.epochs, "pruned")
         final = trainer.to_graph()
-        final_acc = trainer.evaluate()
+        final_acc = log[-1][2]
     else:
         plan = None
         final = dense_graph
@@ -369,8 +373,7 @@ def prune_recovery_study(preset: str = "ecoweed_mini", seeds=(0, 1, 2), *,
             tr = Trainer(_prune(marks[mark], fraction, mark, calib)[1], task, cfg)
             if before:  # the one arm whose accuracy before fine-tuning is reported
                 res.nofinetune_acc[seed] = tr.evaluate()
-            tr.run_epochs(mark, epochs, "pruned")
-            return tr.evaluate()
+            return tr.run_epochs(mark, epochs, "pruned")[-1][2]
 
         for f in fractions:
             res.finetuned_acc[(seed, f)] = arm(prune_epoch, f, before=f == base_fraction)

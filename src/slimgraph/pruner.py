@@ -94,8 +94,11 @@ def validate_plan(groups, plan: PrunePlan) -> None:
             raise PlanError(f"plan would remove every channel of group {gid!r}")
 
 
-def _removed_channels(groups, plan: PrunePlan) -> dict:
-    """(node, side, port) -> the channels of that port the plan removes."""
+def _removed_channels(graph: Graph, plan: PrunePlan, groups=None) -> dict:
+    """Validate the plan against ``groups`` (resolved when none are given) and map
+    each (node, side, port) of a group the plan names to the channels it loses."""
+    groups = groups or resolve_groups(graph)
+    validate_plan(groups, plan)
     by_gid = {g.gid: g for g in groups}
     removed: dict[tuple, list] = {}
     for gid, idxs in plan.removals.items():
@@ -107,25 +110,15 @@ def _removed_channels(groups, plan: PrunePlan) -> dict:
     return {port: np.concatenate(parts) for port, parts in removed.items()}
 
 
-def _survivors(removed: dict, port, width: int) -> np.ndarray:
-    """Channels of one port that the plan keeps, in order, from a boolean keep mask."""
-    keep = np.ones(width, dtype=bool)
-    if port in removed:
-        keep[removed[port]] = False
-    return np.flatnonzero(keep)
-
-
 def apply_prune(graph: Graph, plan: PrunePlan, groups=None) -> Graph:
     """Rebuild the graph with the planned channels removed everywhere.
 
     Producer filter rows, bias entries, normalization and scale entries, and
     every consumer's input columns are deleted consistently; surviving weights
-    are copied bit-exactly. Protected (head) tensors are untouched.
+    are copied bit-exactly into C-contiguous arrays. Protected (head) tensors
+    are untouched.
     """
-    groups = groups or resolve_groups(graph)
-    validate_plan(groups, plan)
-    removed = _removed_channels(groups, plan)
-
+    removed = _removed_channels(graph, plan, groups)
     slim = graph.clone(copy_params=False)
     for nid, n in slim.nodes.items():
         spec = SPECS[n.kind]
@@ -133,13 +126,13 @@ def apply_prune(graph: Graph, plan: PrunePlan, groups=None) -> Graph:
         for name, arr in n.params.items():
             kept = arr
             for axis, side in enumerate(spec.params[name]):
-                if side in ("in", "out"):
-                    kept = kept.take(_survivors(removed, (nid, side, 0), arr.shape[axis]), axis)
-            params[name] = kept.copy() if kept is arr else kept
+                if (nid, side, 0) in removed:
+                    kept = np.delete(kept, removed[(nid, side, 0)], axis)
+            params[name] = arr.copy() if kept is arr else np.ascontiguousarray(kept)
         n.params = params
         if spec.resize is not None:
-            n.attrs = spec.resize(n.attrs, lambda p, width, nid=nid: len(
-                _survivors(removed, (nid, "out", p), width)))
+            n.attrs = spec.resize(n.attrs, lambda p, width, nid=nid: width - len(
+                removed.get((nid, "out", p), ())))
     if plan.removals:
         slim.meta["stage"] = "pruned"
     try:
@@ -156,10 +149,9 @@ def zero_embed_oracle(graph: Graph, plan: PrunePlan, groups=None) -> Graph:
     producer weights stay untouched. Restricted to surviving channels, its
     forward equals the slim graph's forward.
     """
-    groups = groups or resolve_groups(graph)
-    validate_plan(groups, plan)
+    removed = _removed_channels(graph, plan, groups)
     dense = graph.clone(copy_params=True)
-    for (nid, side, _), chans in _removed_channels(groups, plan).items():
+    for (nid, side, _), chans in removed.items():
         n = dense.node(nid)
         for name, template in SPECS[n.kind].params.items():
             if side == "in" and "in" in template and name in n.params:

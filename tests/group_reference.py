@@ -4,8 +4,9 @@ This is ``depgraph._make_group`` as it was first written: for every port it
 builds each component's local indices and channels from ``arange``,
 ``repeat``, ``add.outer`` and ``concatenate``, and sorts and merges the
 segment runs into slots. The library builds each component's local indices
-once and takes a single-segment port's run as its slot; the groups must not
-change, down to the dtypes and key order of the index arrays.
+once and derives the slots from the index on demand; the groups must not
+change, down to the dtypes and key order of the index arrays, and the merged
+runs must equal ``ChannelGroup.slots``.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ def make_group(graph, sig, bucket) -> ChannelGroup:
         slots.append(ChannelSlot(*port, lo, hi - lo))
     nodes = [graph.node(n) for (n, _, _) in sig]
     protected = any(n.protected or n.kind in ("input", "output") for n in nodes)
-    return ChannelGroup(gid="", length=sum(lengths), protected=protected,
-                        kind=depgraph._group_kind(graph, sig, bucket[0][2], slots),
-                        slots=slots, index=index)
+    group = ChannelGroup(gid="", length=sum(lengths), protected=protected,
+                         kind=depgraph._group_kind(graph, index), index=index)
+    assert group.slots == slots, (group.slots, slots)
+    return group
 
 
 def resolve_groups(graph) -> list[ChannelGroup]:

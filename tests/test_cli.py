@@ -1,9 +1,16 @@
 """Command-line contract: subcommands, artifacts, exit-code taxonomy."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import slimgraph
 from conftest import container, split_container, uneven_weighted_graph
+from slimgraph import fakequant, pipeline
 from slimgraph.cli import run
 from slimgraph.graph import infer_shapes
 from slimgraph.modelio import load, save
@@ -354,6 +361,52 @@ class TestExitCodes:
         assert run(argv.format(model=model_path, slim=slim, plan=plan, out=out).split()) == code
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        "build --preset y11_mini {seed} --out {out}",
+        "train --model {model} --epochs 1 {seed} --out {out}",
+        "qat --model {model} --epochs 1 {seed} --out {out}",
+        "calibrate --model {model} {seed} --out {out}",
+        "pipeline --preset y11_mini --epochs 1 {seed} --out-dir {out}",
+        "verify --dense {model} --slim {model} --plan {out} {seed}",
+    ], ids=lambda argv: argv.split()[0])
+    @pytest.mark.parametrize("env, seed, message", [
+        ({}, "--seed -3", "usage error: argument --seed: must be >= 0, got -3"),
+        ({"SLIMGRAPH_SEED": "-5"}, "", "usage error: SLIMGRAPH_SEED must be an integer >= 0, got '-5'"),
+    ], ids=["flag", "env"])
+    def test_negative_seed_is_a_usage_error(self, model_path, tmp_path, monkeypatch, capsys,
+                                            argv, env, seed, message):
+        for k, v in env.items():
+            monkeypatch.setenv(k, v)
+        out = tmp_path / "out"
+        assert run(argv.format(model=model_path, out=out, seed=seed).split()) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exits_1_without_a_traceback(self, tmp_path):
+        src = Path(slimgraph.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "slimgraph.cli", "build", "--preset", "y11_mini",
+                               "--seed", "-3", "--out", str(tmp_path / "m.twnm")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert "--seed: must be >= 0" in proc.stderr
+
+    @pytest.mark.parametrize("cmd", ["train", "qat"])
+    @pytest.mark.parametrize("flag", ["--log", "--out"])
+    def test_missing_output_directory_fails_before_any_work(self, model_path, tmp_path, monkeypatch,
+                                                            capsys, cmd, flag):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+        monkeypatch.setattr(pipeline.Trainer, "run_epochs", no_work)
+        monkeypatch.setattr(fakequant, "calibrate", no_work)
+        missing = tmp_path / "nodir" / "x"
+        argv = [cmd, "--model", str(model_path), "--epochs", "1", flag, str(missing)]
+        if flag == "--log":
+            argv += ["--out", str(tmp_path / "m.twnm")]
+        assert run(argv) == 3
+        assert f"i/o error: no directory to write {str(missing)!r} into" in capsys.readouterr().err
+        assert not (tmp_path / "m.twnm").exists()
 
     def test_env_seed_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SLIMGRAPH_SEED", "7")

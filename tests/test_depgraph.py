@@ -13,7 +13,7 @@ from conftest import (FRAGMENTS, assert_same_bits, chain_graph, fragment_graph, 
 from slimgraph import (build_fragment, build_mini_net, depgraph, forward_arrays, infer_shapes,
                        resolve_groups)
 from slimgraph.builders import PRESETS
-from slimgraph.depgraph import _make_group, format_groups, group_cost
+from slimgraph.depgraph import ChannelGroup, ChannelSlot, _make_group, format_groups, group_cost
 from slimgraph.metrics import count_params
 from slimgraph.pruner import PrunePlan, apply_prune, build_plan, zero_embed_oracle
 
@@ -410,6 +410,15 @@ def assert_costs_match_one_class_prunes(g):
 
 
 class TestDump:
+    def test_slots_are_the_runs_of_each_ports_channels(self):
+        # channels 0-1, 3 and 5-7 of one port, listed by local index as in a pyramid
+        rep = (np.array([0, 0, 1, 1, 2, 2]), np.array([0, 5, 1, 6, 3, 7]))
+        group = ChannelGroup(gid="g000.a", length=3, protected=False, kind="sppf-replicated",
+                             index={("a", "in", 0): rep, ("b", "out", 1): (np.arange(3), np.arange(2, 5))})
+        assert group.slots == [ChannelSlot("a", "in", 0, 0, 2), ChannelSlot("a", "in", 0, 3, 1),
+                               ChannelSlot("a", "in", 0, 5, 3), ChannelSlot("b", "out", 1, 2, 3)]
+        assert {type(v) for s in group.slots for v in (s.port, s.offset, s.length)} == {int}
+
     def test_format_groups_lists_every_group(self):
         g = build_fragment("sppf", (1, 8, 8, 8), cout=8, pool_k=3)
         groups = resolve_groups(g)

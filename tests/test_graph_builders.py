@@ -226,12 +226,42 @@ class TestPresets:
                 buffer = pname in ("running_mean", "running_var", "amax")
                 assert trainable or buffer, (n.id, pname)
 
+    @pytest.mark.parametrize("build", [
+        lambda: build_mini_net("y11_mini", (1, 3, 64, 64), 3, seed=-1),
+        lambda: build_fragment("spab", (1, 4, 6, 6), seed=-1),
+        lambda: GraphBuilder("g", (1, 3, 4, 4), seed=-2),
+    ], ids=["preset", "fragment", "builder"])
+    def test_negative_seed_rejected(self, build):
+        with pytest.raises(GraphError, match="seed must be >= 0, got -"):
+            build()
+
     def test_seeded_build_is_deterministic(self):
         a = build_mini_net("ecoweed_mini", (1, 3, 64, 64), 3, seed=5)
         b = build_mini_net("ecoweed_mini", (1, 3, 64, 64), 3, seed=5)
         for nid in a.nodes:
             for pname, arr in a.nodes[nid].params.items():
                 assert arr.tobytes() == b.nodes[nid].params[pname].tobytes()
+
+
+class TestFragmentKeywords:
+    def test_missing_keyword_named(self):
+        with pytest.raises(GraphError, match="fragment 'c3k2' needs the keyword 'cout'"):
+            build_fragment("c3k2", (1, 8, 8, 8))
+
+    def test_misspelt_keyword_named(self):
+        with pytest.raises(GraphError, match="fragment 'c3k2' takes no keyword 'n_bottlenecks'"):
+            build_fragment("c3k2", (1, 8, 8, 8), cout=8, n_bottlenecks=2)
+
+    @pytest.mark.parametrize("module, kwargs", [
+        ("spab", {"cout": 8}), ("sppf", {"cout": 8, "k": 3}), ("conv_block", {"cout": 8, "n": 1}),
+    ])
+    def test_keyword_of_another_module_named(self, module, kwargs):
+        with pytest.raises(GraphError, match=f"fragment '{module}' takes no keyword"):
+            build_fragment(module, (1, 8, 8, 8), **kwargs)
+
+    def test_unknown_module_rejected(self):
+        with pytest.raises(GraphError, match="unknown fragment module 'c4k2'"):
+            build_fragment("c4k2", (1, 8, 8, 8), cout=8)
 
 
 class TestInferShapesErrors:

@@ -52,6 +52,10 @@ class TestToyTask:
         with pytest.raises(TrainingError, match=f"size >= 45, got {size}"):
             ToyTask(size=size)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(TrainingError, match="seed >= 0, got -1"):
+            ToyTask(seed=-1)
+
     def test_smallest_legal_size_renders_every_seed(self):
         for seed in range(20):
             assert ToyTask(seed=seed, n_train=6, n_val=3, size=45).train_images.shape[-1] == 45
@@ -136,6 +140,11 @@ class TestConfigValidation:
     def test_optimizer_bounds(self, field, value):
         with pytest.raises(TrainingError, match=f"{field} must be"):
             TrainConfig(epochs=10, **{field: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(TrainingError, match="seed must be >= 0, got -1"):
+            TrainConfig(epochs=10, seed=-1)
+        TrainConfig(epochs=10, seed=0)
 
     def test_optimizer_edges_are_legal(self):
         TrainConfig(epochs=10, lr=0.0, momentum=0.0)
@@ -247,6 +256,38 @@ class TestPipeline:
                                    fractions=(0.25, 0.5), early_epoch=0, late_epoch=1,
                                    base_fraction=0.5, task_kwargs={"n_train": 8, "n_val": 4})
         assert before == [res.nofinetune_acc[3], res.nofinetune_acc[4]]
+
+    def test_each_accuracy_is_evaluated_once(self, monkeypatch):
+        # an epoch's val_acc is the accuracy of the state it ends in, so a run
+        # evaluates once per epoch, and again only where no epoch ran
+        counts = {"epochs": 0, "evaluate": 0}
+        run_epochs, evaluate_ = Trainer.run_epochs, Trainer.evaluate
+
+        def counting_epochs(self, start, end, phase):
+            counts["epochs"] += end - start
+            return run_epochs(self, start, end, phase)
+
+        def counting_evaluate(self):
+            counts["evaluate"] += 1
+            return evaluate_(self)
+
+        monkeypatch.setattr(Trainer, "run_epochs", counting_epochs)
+        monkeypatch.setattr(Trainer, "evaluate", counting_evaluate)
+        task = ToyTask(seed=0, n_train=8, n_val=4)
+        for prune_epoch, extra in ((1, 0), (0, 1)):  # no dense epoch: the dense graph is evaluated
+            counts.update(epochs=0, evaluate=0)
+            res = run_compression_pipeline("y11_mini", task, TrainConfig(
+                epochs=2, prune_epoch=prune_epoch, channel_fraction=0.5, seed=0))
+            assert counts == {"epochs": 2, "evaluate": 2 + extra}
+            assert res.final_accuracy == res.slim_report.val_accuracy == res.log[-1][2]
+            if prune_epoch:
+                assert res.dense_report.val_accuracy == res.log[prune_epoch - 1][2]
+        counts.update(epochs=0, evaluate=0)
+        prune_recovery_study("ecoweed_mini", (3,), epochs=2, prune_epoch=1, fractions=(0.25, 0.5),
+                             early_epoch=0, late_epoch=1, base_fraction=0.5,
+                             task_kwargs={"n_train": 8, "n_val": 4})
+        # one evaluation per epoch, and the base arm's before fine-tuning
+        assert counts == {"epochs": 8, "evaluate": 9}
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"epochs": 2, "prune_epoch": 3, "late_epoch": 4}, "prune_epoch 3 must lie inside"),

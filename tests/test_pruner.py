@@ -93,6 +93,16 @@ class TestApplyPrune:
             for pname, arr in n.params.items():
                 assert arr.tobytes() == slim.node(nid).params[pname].tobytes()
 
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_every_tensor_is_c_contiguous_and_its_own(self, preset):
+        g = build_mini_net(preset, (1, 3, 64, 64), 3, seed=0)
+        for fraction in (0.0, 0.1, 0.5, 0.9):
+            slim = apply_prune(g, build_plan(g, fraction))
+            for nid, n in slim.nodes.items():
+                for name, arr in n.params.items():
+                    assert arr.flags.c_contiguous, (fraction, nid, name)
+                    assert not np.shares_memory(arr, g.node(nid).params[name]), (nid, name)
+
     def test_detect_head_bytes_identical_after_prune(self):
         g = build_mini_net("ecoweed_mini", (1, 3, 64, 64), 3, seed=0)
         slim = apply_prune(g, build_plan(g, 0.4))

@@ -158,7 +158,7 @@ class TestBatchnorm:
         x = rng.normal(size=(1, 2, 3, 3)).astype(np.float32)
         beta = np.array([0.5, -1.5], np.float32)
         y = ops.batchnorm_infer(x, np.zeros(2, np.float32), beta,
-                                np.zeros(2, np.float32), np.ones(2, np.float32))
+                                np.zeros(2, np.float32), np.ones(2, np.float32), 1e-5)
         assert np.allclose(y, beta[None, :, None, None])
 
     @pytest.mark.parametrize("shape", _bn_map_shapes())
@@ -168,7 +168,7 @@ class TestBatchnorm:
         spread = rng.uniform(0.1, 2.0, c)[None, :, None, None]
         x = (rng.normal(size=shape) * spread + loc).astype(np.float32)
         _, (_, _, mu, var) = ops.batchnorm_train_forward(
-            x, np.ones(c, np.float32), np.zeros(c, np.float32))
+            x, np.ones(c, np.float32), np.zeros(c, np.float32), 1e-5)
         x64 = x.astype(np.float64)
         ref_mu = x64.mean(axis=(0, 2, 3))
         ref_var = ((x64 - ref_mu[None, :, None, None]) ** 2).mean(axis=(0, 2, 3))
@@ -183,7 +183,7 @@ class TestBatchnorm:
         x = rng.normal(0.3, 1.2, (4, 3, 5, 5))
         gamma, beta = rng.normal(size=3), rng.normal(size=3)
         gy = rng.normal(size=x.shape)
-        _, cache = ops.batchnorm_train_forward(x, gamma, beta)
+        _, cache = ops.batchnorm_train_forward(x, gamma, beta, 1e-5)
         gx, dgamma, dbeta = ops.batchnorm_train_backward(gy, gamma, cache)
         xhat, inv, _, _ = cache
         m = x.size // x.shape[1]
@@ -199,11 +199,11 @@ class TestBatchnorm:
         x = np.zeros((1, 3, 2, 2), dtype=np.float32)
         good = np.ones(3, np.float32)
         with pytest.raises(ShapeError, match="gamma"):
-            ops.batchnorm_infer(x, np.ones(2, np.float32), good, good, good)
+            ops.batchnorm_infer(x, np.ones(2, np.float32), good, good, good, 1e-5)
         with pytest.raises(ShapeError, match="non-negative"):
-            ops.batchnorm_infer(x, good, good, good, np.array([1, 1, -1], np.float32))
+            ops.batchnorm_infer(x, good, good, good, np.array([1, 1, -1], np.float32), 1e-5)
         with pytest.raises(ShapeError, match="non-negative"):
-            ops.batchnorm_infer(x, good, good, good, np.array([1, np.nan, 1], np.float32))
+            ops.batchnorm_infer(x, good, good, good, np.array([1, np.nan, 1], np.float32), 1e-5)
 
 
 class TestElementwiseAndStructural:
@@ -516,7 +516,7 @@ def _channels(*values):
 
 
 def _bn_cache(x):
-    return ops.batchnorm_train_forward(x, *_channels(1.5, 0.2))[1]
+    return ops.batchnorm_train_forward(x, *_channels(1.5, 0.2), 1e-5)[1]
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-14)])
@@ -549,8 +549,9 @@ def test_backward_bit_identical_to_the_capturing_form(rng, dtype, name, library,
 # every kernel that writes into buffers in place: (x, g) -> (kernel, *arguments)
 IN_PLACE_KERNELS = {
     "sigmoid": lambda x, g: (ops.sigmoid, x),
-    "batchnorm_infer": lambda x, g: (ops.batchnorm_infer, x, *_channels(1.5, 0.2, 0.1, 2.0)),
-    "batchnorm_train_forward": lambda x, g: (ops.batchnorm_train_forward, x, *_channels(1.5, 0.2)),
+    "batchnorm_infer": lambda x, g: (ops.batchnorm_infer, x, *_channels(1.5, 0.2, 0.1, 2.0), 1e-5),
+    "batchnorm_train_forward": lambda x, g: (ops.batchnorm_train_forward, x, *_channels(1.5, 0.2),
+                                             1e-5),
     "batchnorm_train_backward": lambda x, g: (ops.batchnorm_train_backward, g, *_channels(1.5),
                                               _bn_cache(x)),
     "maxpool2d_forward": lambda x, g: (ops.maxpool2d_forward, x, 3, 1, 1),
