@@ -126,9 +126,10 @@ def apply_prune(graph: Graph, plan: PrunePlan, groups=None) -> Graph:
         for name, arr in n.params.items():
             kept = arr
             for axis, side in enumerate(spec.params[name]):
-                if (nid, side, 0) in removed:
-                    kept = np.delete(kept, removed[(nid, side, 0)], axis)
-            params[name] = arr.copy() if kept is arr else np.ascontiguousarray(kept)
+                if (nid, side, 0) in removed:  # take, unlike np.delete, gives C order
+                    keep = np.delete(np.arange(kept.shape[axis]), removed[(nid, side, 0)])
+                    kept = kept.take(keep, axis)
+            params[name] = arr.copy() if kept is arr else kept
         n.params = params
         if spec.resize is not None:
             n.attrs = spec.resize(n.attrs, lambda p, width, nid=nid: width - len(
