@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 1 usage error, 2 validation/verification failure,
 3 I/O or container-format error. Every run echoes its resolved configuration
-before doing work so artifacts can be traced back to exact flags. The
-``SLIMGRAPH_SEED`` environment variable supplies the default ``--seed``.
-``qat`` is ``calibrate`` followed by ``train``: one helper instruments and
-calibrates for both, and ``qat`` then runs ``train``'s body.
+so artifacts can be traced back to exact flags, then checks that the directory
+of each output flag exists, before doing any work. Each subparser names its
+body; a body fails by raising, and ``run`` alone maps the error to its exit
+code. The ``SLIMGRAPH_SEED`` environment variable supplies the default
+``--seed``. ``fakequant.calibrate`` instruments a graph that has no quantizers,
+and ``qat`` is ``calibrate`` followed by ``train``'s body.
 """
 
 from __future__ import annotations
@@ -67,35 +69,41 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="slimgraph", description=__doc__ and __doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("build", help="construct a preset graph and save it")
+    def command(name, body, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(body=body)
+        return sp
+
+    sp = command("build", _cmd_build, "construct a preset graph and save it")
     sp.add_argument("--preset", required=True, choices=PRESETS)
     sp.add_argument("--classes", type=int, default=3)
     sp.add_argument("--input-size", type=int, default=64)
     sp.add_argument("--seed", type=int, default=_default_seed())
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("train", help="train a model on the toy task")
+    sp = command("train", _cmd_train, "train a model on the toy task")
     _training_flags(sp)
     sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("prune", help="score channels, build a plan, emit the slim model")
+    sp = command("prune", _cmd_prune, "score channels, build a plan, emit the slim model")
     sp.add_argument("--model", required=True)
     sp.add_argument("--fraction", type=float, required=True)
     sp.add_argument("--plan-out", default=None)
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("calibrate", help="instrument (if needed) and calibrate quantizers")
+    sp = command("calibrate", _cmd_calibrate, "instrument (if needed) and calibrate quantizers")
     sp.add_argument("--model", required=True)
     sp.add_argument("--batches", type=int, default=cfg.calibration_batches)
     sp.add_argument("--seed", type=int, default=_default_seed())
     sp.add_argument("--calib-out", default=None)
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("qat", help="insert + calibrate quantizers, then train under them")
+    sp = command("qat", _cmd_train, "insert + calibrate quantizers, then train under them")
     _training_flags(sp, batches=True)
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("pipeline", help="integrated train -> prune -> recalibrate -> finetune -> export")
+    sp = command("pipeline", _cmd_pipeline,
+                 "integrated train -> prune -> recalibrate -> finetune -> export")
     sp.add_argument("--preset", required=True, choices=PRESETS)
     sp.add_argument("--classes", type=int, default=3)
     sp.add_argument("--fraction", type=float, default=cfg.channel_fraction)
@@ -108,7 +116,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--batch-size", type=int, default=cfg.batch_size)
     sp.add_argument("--out-dir", required=True)
 
-    sp = sub.add_parser("verify", help="prune-equivalence check of a slim model against its dense source")
+    sp = command("verify", _cmd_verify,
+                 "prune-equivalence check of a slim model against its dense source")
     sp.add_argument("--dense", required=True)
     sp.add_argument("--slim", required=True)
     sp.add_argument("--plan", required=True)
@@ -116,11 +125,11 @@ def _build_parser() -> _Parser:
     sp.add_argument("--tol", type=float, default=1e-5)
     sp.add_argument("--seed", type=int, default=_default_seed())
 
-    sp = sub.add_parser("report", help="emit a compression report for one or more models")
+    sp = command("report", _cmd_report, "emit a compression report for one or more models")
     sp.add_argument("--models", nargs="+", required=True)
     sp.add_argument("--csv", default=None)
 
-    sp = sub.add_parser("inspect", help="dump the resolved channel groups of a model")
+    sp = command("inspect", _cmd_inspect, "dump the resolved channel groups of a model")
     sp.add_argument("--model", required=True)
     return p
 
@@ -141,30 +150,15 @@ def _make_task(graph, seed):
     return pipeline.ToyTask(n_classes=graph.meta.get("n_classes", 3), seed=seed)
 
 
-def _calibrated(g, task, batches, batch_size):
-    """``g``, instrumented if it has no quantizers, calibrated on ``batches`` task batches."""
-    if not fakequant.quantizer_ids(g):
-        g = fakequant.insert_fakequant(g)
-    return fakequant.calibrate(g, task.calibration_batches(batches, batch_size))
-
-
-def _check_out_dirs(*paths) -> None:
-    """Fail before any work when the directory an output path names does not exist."""
-    for path in paths:
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            raise FileNotFoundError(f"no directory to write {path!r} into")
-
-
 def _cmd_train(args) -> int:
     qat = args.cmd == "qat"  # calibrate, then the same training
-    _check_out_dirs(args.log, args.out)
     g, _ = modelio.load(args.model)
     cfg = pipeline.TrainConfig(epochs=args.epochs, seed=args.seed, lr=args.lr,
                                momentum=args.momentum, batch_size=args.batch_size, qat_enabled=qat,
                                calibration_batches=args.batches if qat else 1)
     task = _make_task(g, args.seed)
     if qat:
-        g = _calibrated(g, task, args.batches, args.batch_size)
+        g = fakequant.calibrate(g, task.calibration_batches(args.batches, args.batch_size))
     trained, rows = pipeline.train(g, task, cfg)
     if args.log:
         pipeline.write_metric_log(rows, args.log)
@@ -190,7 +184,8 @@ def _cmd_prune(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     g, _ = modelio.load(args.model)
-    g = _calibrated(g, _make_task(g, args.seed), args.batches, pipeline.TrainConfig.batch_size)
+    calib = _make_task(g, args.seed).calibration_batches(args.batches, pipeline.TrainConfig.batch_size)
+    g = fakequant.calibrate(g, calib)
     if args.calib_out:
         fakequant.write_calibration(g, args.calib_out)
     modelio.save(g, 32, args.out)
@@ -209,10 +204,8 @@ def _cmd_pipeline(args) -> int:
     result = pipeline.run_compression_pipeline(args.preset, task, cfg)
 
     out = lambda name: os.path.join(args.out_dir, name)
-    with open(out("model_fp32.twnm"), "wb") as f:
-        f.write(result.fp32_bytes)
-    with open(out("model_fp16.twnm"), "wb") as f:
-        f.write(result.fp16_bytes)
+    modelio.save(result.slim_graph, 32, out("model_fp32.twnm"))
+    modelio.save(result.slim_graph, 16, out("model_fp16.twnm"))
     if result.plan is not None:
         pruner.write_plan(result.plan, out("plan.txt"))
     if args.qat:
@@ -230,21 +223,17 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.trials < 1:
-        print(f"verify: --trials must be >= 1, got {args.trials}", file=sys.stderr)
-        return 2
+        raise SlimgraphError(f"verify: --trials must be >= 1, got {args.trials}")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        print(f"verify: --tol must be finite and >= 0, got {args.tol}", file=sys.stderr)
-        return 2
+        raise SlimgraphError(f"verify: --tol must be finite and >= 0, got {args.tol}")
     dense, _ = modelio.load(args.dense)
     slim, _ = modelio.load(args.slim)
     plan = pruner.read_plan(args.plan)
     groups = depgraph.resolve_groups(dense)
-    pruner.validate_plan(groups, plan)  # PlanError -> exit 2 with the group id
-    embedded = pruner.zero_embed_oracle(dense, plan, groups)
+    embedded = pruner.zero_embed_oracle(dense, plan, groups)  # validates the plan
     expected = pruner.apply_prune(dense, plan, groups)
     if metrics.count_params(expected) != metrics.count_params(slim):
-        print("verify: slim model parameter count does not match the plan", file=sys.stderr)
-        return 2
+        raise SlimgraphError("verify: slim model parameter count does not match the plan")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.trials):
@@ -254,15 +243,13 @@ def _cmd_verify(args) -> int:
         for k in dict.fromkeys([*ya, *yb]):
             want, got = (f"shape {y[k].shape}" if k in y else "missing" for y in (ya, yb))
             if want != got:
-                print(f"verify: output {k!r} does not match: dense {want}, slim {got}",
-                      file=sys.stderr)
-                return 2
+                raise SlimgraphError(
+                    f"verify: output {k!r} does not match: dense {want}, slim {got}")
             denom = max(float(np.abs(ya[k]).max()), 1e-12)
             rel = float(np.abs(ya[k] - yb[k]).max()) / denom
             if not math.isfinite(rel):  # max() would silently keep the finite worst
-                print(f"verify: output {k!r} is not finite "
-                      f"(relative deviation {rel})", file=sys.stderr)
-                return 2
+                raise SlimgraphError(
+                    f"verify: output {k!r} is not finite (relative deviation {rel})")
             worst = max(worst, rel)
     print(f"verify: {args.trials} trials, worst relative deviation {worst:.3e} (tol {args.tol})")
     return 0 if worst <= args.tol else 2
@@ -291,17 +278,13 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "build": _cmd_build,
-    "train": _cmd_train,
-    "prune": _cmd_prune,
-    "calibrate": _cmd_calibrate,
-    "qat": _cmd_train,
-    "pipeline": _cmd_pipeline,
-    "verify": _cmd_verify,
-    "report": _cmd_report,
-    "inspect": _cmd_inspect,
-}
+def _check_out_dirs(args) -> None:
+    """Fail before any work when the directory an output flag names does not exist.
+    Flags are checked in the order the bodies write them."""
+    for flag in ("log", "calib_out", "plan_out", "csv", "out"):
+        path = getattr(args, flag, None)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"no directory to write {path!r} into")
 
 
 def run(argv) -> int:
@@ -312,9 +295,11 @@ def run(argv) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
+    body = vars(args).pop("body")
     _echo_config(args.cmd, args)
     try:
-        return _COMMANDS[args.cmd](args)
+        _check_out_dirs(args)
+        return body(args)
     except PlanError as e:
         print(f"plan error: {e}", file=sys.stderr)
         return 2

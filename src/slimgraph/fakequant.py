@@ -16,10 +16,10 @@ from . import modelio
 from .errors import CalibrationError, QuantError
 from .executor import run_graph
 from .graph import Graph, Node
+from .kinds import QMAX, QMIN
 
 HIST_BINS = 2048
 MASS_FRACTION = 0.9999
-QMIN, QMAX = -128, 127
 
 
 def qdq(x: np.ndarray, scale: float) -> np.ndarray:
@@ -123,16 +123,18 @@ def insert_fakequant(graph: Graph) -> Graph:
 def calibrate(graph: Graph, batches) -> Graph:
     """Observe |activations| over the batches, then fix amax/scale per quantizer.
 
-    Returns a new graph with every quantizer active. Raises if a quantizer
-    never saw a non-zero activation (amax would be undefined).
+    A graph without quantizers is instrumented first (``insert_fakequant``).
+    Returns a new graph with every quantizer active. Raises ``QuantError`` if
+    no quantizer could be placed, and ``CalibrationError`` if a quantizer never
+    saw a non-zero activation (amax would be undefined).
     """
     batches = list(batches)
     if not batches:
         raise CalibrationError("calibration needs at least one batch")
-    qids = quantizer_ids(graph)
+    g = graph.clone(copy_params=True) if quantizer_ids(graph) else insert_fakequant(graph)
+    qids = quantizer_ids(g)
     if not qids:
         raise QuantError("graph has no quantizers to calibrate")
-    g = graph.clone(copy_params=True)
     for qid in qids:  # observers read unquantized activations, also when recalibrating
         g.node(qid).attrs["phase"] = "disabled"
     observers = {qid: HistogramObserver(qid) for qid in qids}
@@ -163,7 +165,7 @@ def calibration_rows(graph: Graph) -> list[tuple[str, float, float, int]]:
     for qid in quantizer_ids(graph):
         n = graph.node(qid)
         amax = float(n.params["amax"][0])
-        rows.append((qid, amax, amax / 127.0, int(n.attrs.get("samples", 0))))
+        rows.append((qid, amax, amax / QMAX, int(n.attrs.get("samples", 0))))
     return rows
 
 

@@ -26,6 +26,7 @@ from . import ops
 from .errors import GraphError, QuantError, ShapeError
 
 PHASES = ("disabled", "active")               # quantizer lifecycle, in order
+QMIN, QMAX = -128, 127                         # the signed int8 range a quantizer clamps to
 _ACTIVATION_FLOPS = {"silu": 4, "sigmoid": 3}  # per output element
 _BN_EPS = 1e-5                                 # a batchnorm's eps when its node sets none
 
@@ -183,7 +184,7 @@ def _fakequant_forward(run, n, ins):
         amax = float(n.params["amax"][0])
         if not 0 < amax < math.inf:
             raise QuantError(f"quantizer {n.id!r} is active but its amax {amax} is not in (0, inf)")
-        return ag.qdq(run.tape, ins[0], amax / 127.0)
+        return ag.qdq(run.tape, ins[0], amax / QMAX)
     if phase not in PHASES:
         raise QuantError(f"quantizer {n.id!r} has unknown phase {phase!r}")
     return ins[0]

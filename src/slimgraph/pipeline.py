@@ -22,7 +22,7 @@ from . import autograd as ag
 from .builders import PRESETS, build_mini_net
 from .errors import SlimgraphError, TrainingError
 from .executor import RunState, run_graph
-from .fakequant import calibrate, export_fp16, insert_fakequant, quantizer_ids
+from .fakequant import calibrate, export_fp16, quantizer_ids
 from .graph import Graph, buffer_items, infer_shapes, trainable_items
 from .metrics import CompressionReport, build_report, count_params
 from .modelio import from_bytes, to_bytes
@@ -274,7 +274,6 @@ def run_compression_pipeline(preset_or_graph, task: ToyTask, config: TrainConfig
 
     calib = task.calibration_batches(config.calibration_batches, config.batch_size)
     if config.qat_enabled:
-        g = _stage("instrument", insert_fakequant, g)
         g = _stage("calibrate", calibrate, g, calib)
 
     prune_at = config.prune_epoch if config.prune_epoch is not None else config.epochs
@@ -360,7 +359,7 @@ def prune_recovery_study(preset: str = "ecoweed_mini", seeds=(0, 1, 2), *,
         g0 = build_mini_net(preset, (1, 3, 64, 64), task.n_classes, seed=seed)
         res.dense_acc[seed] = train(g0, task, cfg)[1][-1][2]
 
-        gq = calibrate(insert_fakequant(g0), calib)
+        gq = calibrate(g0, calib)
         trunk = Trainer(gq, task, cfg)
         marks = {}
         cursor = 0

@@ -229,6 +229,23 @@ def two_component_graph():
     return g
 
 
+def concat_segment_graph():
+    """Two 1x1 convs (4 and 6 wide) on the input, concatenated into one 1x1 conv
+    that feeds the output.
+
+    The second producer's channels reach the consumer at offset 4, so its group
+    takes a concat segment; the first producer's sit at offset 0.
+    """
+    b = GraphBuilder("concat_segment", (1, 3, 4, 4))
+    x = b.add("input", "image", [])
+    cat = b.add("concat", "cat", [b.conv(x, 3, 4, 1), b.conv(x, 3, 6, 1)])
+    b.add("output", "out", [b.conv(cat, 10, 2, 1)])
+    g = b.graph
+    g.validate()
+    infer_shapes(g)
+    return g
+
+
 @st.composite
 def primitive_graphs(draw):
     """Small random DAGs of 1x1 convs, per-channel ops, add/mul, concat and split.

@@ -1,16 +1,21 @@
 """Command-line contract: subcommands, artifacts, exit-code taxonomy."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slimgraph
 from conftest import container, split_container, uneven_weighted_graph
-from slimgraph import fakequant, pipeline
+from slimgraph import cli, depgraph, fakequant, metrics, pipeline
 from slimgraph.cli import run
 from slimgraph.graph import infer_shapes
 from slimgraph.modelio import load, save
@@ -392,27 +397,155 @@ class TestExitCodes:
         assert proc.returncode == 1 and "Traceback" not in proc.stderr
         assert "--seed: must be >= 0" in proc.stderr
 
-    @pytest.mark.parametrize("cmd", ["train", "qat"])
-    @pytest.mark.parametrize("flag", ["--log", "--out"])
+    @pytest.mark.parametrize("cmd, flag", [
+        pytest.param(cmd, flag, id=f"{flag}-{cmd}") for cmd, flag in [
+            ("train", "--log"), ("qat", "--log"), ("train", "--out"), ("qat", "--out"),
+            ("build", "--out"), ("calibrate", "--calib-out"), ("calibrate", "--out"),
+            ("prune", "--plan-out"), ("prune", "--out"), ("report", "--csv")]])
     def test_missing_output_directory_fails_before_any_work(self, model_path, tmp_path, monkeypatch,
                                                             capsys, cmd, flag):
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
         monkeypatch.setattr(pipeline.Trainer, "run_epochs", no_work)
         monkeypatch.setattr(fakequant, "calibrate", no_work)
+        monkeypatch.setattr(cli, "build_mini_net", no_work)
+        monkeypatch.setattr(depgraph, "resolve_groups", no_work)
+        monkeypatch.setattr(metrics, "build_report", no_work)
         missing = tmp_path / "nodir" / "x"
-        argv = [cmd, "--model", str(model_path), "--epochs", "1", flag, str(missing)]
-        if flag == "--log":
-            argv += ["--out", str(tmp_path / "m.twnm")]
-        assert run(argv) == 3
+        out = tmp_path / "m.twnm"
+        argv = {"build": ["--preset", "y11_mini"], "report": ["--models", str(model_path)],
+                "calibrate": [], "prune": ["--fraction", "0.5"],
+                "train": ["--epochs", "1"], "qat": ["--epochs", "1"]}[cmd]
+        if cmd not in ("build", "report"):
+            argv += ["--model", str(model_path)]
+        if flag != "--out" and cmd != "report":
+            argv += ["--out", str(out)]
+        assert run([cmd] + argv + [flag, str(missing)]) == 3
         assert f"i/o error: no directory to write {str(missing)!r} into" in capsys.readouterr().err
-        assert not (tmp_path / "m.twnm").exists()
+        assert not out.exists()
 
     def test_env_seed_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SLIMGRAPH_SEED", "7")
         path = tmp_path / "m.twnm"
         assert run(["build", "--preset", "y11_mini", "--out", str(path)]) == 0
         assert "seed=7" in capsys.readouterr().out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+ECHO = {  # argv that fails right after the echo, and the echoed line
+    "build": ("build --preset y11_mini --classes 5 --out m.twnm", 2,
+              "build: classes=5 cmd='build' input_size=64 out='m.twnm' preset='y11_mini' seed=0"),
+    "train": ("train --model missing.twnm --epochs 1 --log t.csv --out t.twnm", 3,
+              "train: batch_size=16 cmd='train' epochs=1 log='t.csv' lr=0.015 "
+              "model='missing.twnm' momentum=0.9 out='t.twnm' seed=0"),
+    "prune": ("prune --model missing.twnm --fraction 0.5 --plan-out p.txt --out s.twnm", 3,
+              "prune: cmd='prune' fraction=0.5 model='missing.twnm' out='s.twnm' plan_out='p.txt'"),
+    "calibrate": ("calibrate --model missing.twnm --calib-out c.txt --out c.twnm", 3,
+                  "calibrate: batches=2 calib_out='c.txt' cmd='calibrate' model='missing.twnm' "
+                  "out='c.twnm' seed=0"),
+    "qat": ("qat --model missing.twnm --epochs 1 --batches 1 --log q.csv --out q.twnm", 3,
+            "qat: batch_size=16 batches=1 cmd='qat' epochs=1 log='q.csv' lr=0.015 "
+            "model='missing.twnm' momentum=0.9 out='q.twnm' seed=0"),
+    "pipeline": ("pipeline --preset y11_mini --classes 5 --epochs 2 --qat --out-dir run", 2,
+                 "pipeline: batch_size=16 calibration_batches=2 classes=5 cmd='pipeline' epochs=2 "
+                 "fraction=0.0 lr=0.015 out_dir='run' preset='y11_mini' prune_epoch=None "
+                 "qat=True seed=0"),
+    "verify": ("verify --dense missing.twnm --slim s.twnm --plan p.txt --trials 3", 3,
+               "verify: cmd='verify' dense='missing.twnm' plan='p.txt' seed=0 slim='s.twnm' "
+               "tol=1e-05 trials=3"),
+    "report": ("report --models missing.twnm s.twnm --csv r.csv", 3,
+               "report: cmd='report' csv='r.csv' models=['missing.twnm', 's.twnm']"),
+    "inspect": ("inspect --model missing.twnm", 3, "inspect: cmd='inspect' model='missing.twnm'"),
+}
+
+
+class TestSurface:
+    """The help texts and the echoed configuration line, pinned byte for byte."""
+
+    @pytest.mark.parametrize("cmd", ["slimgraph", *ECHO])
+    def test_help_matches_the_golden(self, monkeypatch, capsys, cmd):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_:
+            run(([] if cmd == "slimgraph" else [cmd]) + ["--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{cmd}.help.txt").read_text()
+
+    @pytest.mark.parametrize("cmd", ECHO)
+    def test_echoed_line_matches_the_golden(self, tmp_path, monkeypatch, capsys, cmd):
+        monkeypatch.delenv("SLIMGRAPH_SEED", raising=False)
+        monkeypatch.chdir(tmp_path)
+        argv, code, line = ECHO[cmd]
+        assert run(argv.split()) == code
+        assert capsys.readouterr().out.splitlines()[0] == f"[slimgraph] {line}"
+        assert not list(tmp_path.iterdir())
+
+
+# A valid argv per subcommand. Sizes stay small whatever is drawn: epochs and batch
+# counts <= 2, --batch-size <= 64, --trials <= 3 (calibration materialises every batch).
+FUZZ = {
+    "build": "--preset y11_mini --classes 3 --input-size 64 --seed 0 --out m.twnm",
+    "train": "--model {dense} --epochs 1 --seed 0 --lr 0.015 --momentum 0.9 --batch-size 16 "
+             "--log t.csv --out t.twnm",
+    "prune": "--model {dense} --fraction 0.5 --plan-out p.txt --out s.twnm",
+    "calibrate": "--model {dense} --batches 1 --seed 0 --calib-out c.txt --out c.twnm",
+    "qat": "--model {dense} --epochs 1 --batches 2 --seed 0 --lr 0.015 --momentum 0.9 "
+           "--batch-size 64 --log q.csv --out q.twnm",
+    "pipeline": "--qat --preset y11_mini --classes 3 --fraction 0.5 --prune-epoch 0 --epochs 1 "
+                "--calibration-batches 1 --seed 0 --lr 0.015 --batch-size 16 --out-dir run",
+    "verify": "--dense {dense} --slim {slim} --plan {plan} --trials 3 --tol 1e-5 --seed 0",
+    "report": "--models {dense} {slim} --csv r.csv",
+    "inspect": "--model {dense}",
+}
+# negative, zero, non-finite, empty, a missing file (or directory), a directory; None drops the flag
+BOUNDARY = ["-1", "0", "nan", "inf", "", "nodir/missing", "sub", None]
+
+
+@pytest.fixture(scope="module")
+def fuzz_models(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    paths = {"dense": d / "m.twnm", "slim": d / "s.twnm", "plan": d / "p.txt"}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["build", "--preset", "y11_mini", "--out", str(paths["dense"])]) == 0
+        assert run(["prune", "--model", str(paths["dense"]), "--fraction", "0.5",
+                    "--plan-out", str(paths["plan"]), "--out", str(paths["slim"])]) == 0
+    return paths
+
+
+class TestFlagFuzz:
+    """Every flag at its boundary: each run ends in a documented exit code, never a traceback."""
+
+    @pytest.mark.parametrize("cmd", FUZZ)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_boundary_values_exit_with_a_code(self, fuzz_models, cmd, data):
+        flags = {}  # flag -> its values (none for a switch)
+        for tok in FUZZ[cmd].format(**fuzz_models).split():
+            if tok.startswith("--"):
+                flag = tok
+                flags[flag] = []
+            else:
+                flags[flag].append(tok)
+        drawn = data.draw(st.dictionaries(st.sampled_from([f for f, v in flags.items() if v]),
+                                          st.sampled_from(BOUNDARY), max_size=3))
+        for flag, value in drawn.items():
+            flags[flag] = None if value is None else [value]
+        argv = [cmd] + [tok for flag, values in flags.items() if values is not None
+                        for tok in [flag, *values]]
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory(dir=fuzz_models["dense"].parent) as d:
+            os.mkdir(os.path.join(d, "sub"))
+            cwd = os.getcwd()
+            os.chdir(d)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run(argv)
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 1, 2, 3), argv
+        # a failure says why: on stderr, or in verify's tolerance verdict on stdout
+        assert code == 0 or err.getvalue() or "worst relative deviation" in out.getvalue(), argv
+        assert "Traceback" not in err.getvalue(), argv
 
 
 class TestPipelineCommand:

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import group_reference
 import per_channel_reference as reference
-from conftest import (FRAGMENTS, assert_same_bits, chain_graph, fragment_graph, preset_graph,
-                      primitive_graphs, residual_graph, two_component_graph,
-                      uneven_replication_graph, uneven_weighted_graph)
+from conftest import (FRAGMENTS, assert_same_bits, chain_graph, concat_segment_graph,
+                      fragment_graph, preset_graph, primitive_graphs, residual_graph,
+                      two_component_graph, uneven_replication_graph, uneven_weighted_graph)
 from slimgraph import (build_fragment, build_mini_net, depgraph, forward_arrays, infer_shapes,
                        resolve_groups)
 from slimgraph.builders import PRESETS
@@ -316,6 +316,26 @@ class TestTwoComponentGroup:
         assert want.keys() == got.keys() == {"out", "out.1"}
         for k in want:
             assert_same_bits(got[k], want[k], k)
+
+
+class TestConcatSegmentGroup:
+    """``concat_segment_graph``: the ``concat-segment`` kind on a fixed graph (no preset
+    or fragment yields one)."""
+
+    def test_second_producer_takes_a_concat_segment(self):
+        groups = resolve_groups(concat_segment_graph())
+        producers = {n: g.kind for g in groups for (n, side, _) in g.index
+                     if side == "out" and n.startswith("conv")}
+        assert producers == {"conv": "plain", "conv.1": "concat-segment", "conv.2": "plain"}
+        free = {g.kind: g.length for g in groups if not g.protected}
+        assert free == {"plain": 4, "concat-segment": 6}
+
+    def test_groups_match_both_references(self):
+        """Kinds included: ``per_channel_reference`` labels them on its own."""
+        g = concat_segment_graph()
+        groups = resolve_groups(g)
+        assert group_fields(groups) == group_fields(reference.resolve_groups(g))
+        assert group_record(groups) == group_record(group_reference.resolve_groups(g))
 
 
 class TestGroupCost:

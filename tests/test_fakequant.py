@@ -13,6 +13,7 @@ from slimgraph import autograd as ag
 from slimgraph import build_mini_net, fakequant, forward_arrays, ops
 from slimgraph.builders import PRESETS, GraphBuilder
 from slimgraph.errors import CalibrationError, ExportError, QuantError
+from slimgraph.modelio import to_bytes
 from slimgraph.fakequant import (QMAX, QMIN, HistogramObserver, calibrate, calibration_rows,
                                  cast_fp16, export_fp16, insert_fakequant, qdq,
                                  qdq_backward, quantizer_ids, ste_mask)
@@ -290,6 +291,20 @@ class TestCalibration:
         # zero input + zero first-conv bias keeps the first quantizer silent
         with pytest.raises(CalibrationError, match="s0.conv__q"):
             calibrate(gq, batches)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_uninstrumented_graph_is_instrumented_first(self, preset):
+        g = build_mini_net(preset, (1, 3, 64, 64), 3, seed=0)
+        batches = ToyTask(seed=0, n_train=16).calibration_batches(1, 8)
+        gc = calibrate(g, batches)
+        assert not quantizer_ids(g) and quantizer_ids(gc) == quantizer_ids(insert_fakequant(g))
+        assert to_bytes(gc) == to_bytes(calibrate(insert_fakequant(g), batches))
+
+    def test_graph_with_only_protected_convs_raises(self):
+        b = GraphBuilder("protected", (1, 3, 4, 4))
+        b.add("output", "out", [b.conv(b.add("input", "image", []), 3, 2, 1, protected=True)])
+        with pytest.raises(QuantError, match="no quantizers to calibrate"):
+            calibrate(b.graph, [np.ones((1, 3, 4, 4), np.float32)])
 
     def test_non_finite_batch_error_names_node(self):
         gq = insert_fakequant(build_mini_net("y11_mini", (1, 3, 64, 64), 3, seed=0))
