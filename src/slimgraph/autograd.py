@@ -13,10 +13,12 @@ What a tape holds, and when it lets go:
   normalized map, sigmoid its output, SiLU its derivative, qdq its clip mask
   (one byte per element), linear, multiply and scale the operands they
   multiply, and maxpool its argmax; concat, split, average pooling and conv
-  keep only the shapes they need. Untaped runs take no derivative and no
-  mask. No closure reads an input Var's ``.value``, so a taped ``run_graph``
-  can drop each activation (``Var.value = None``) once its last reader has
-  run; the Var stays, as the place its gradient accumulates.
+  keep only the shapes they need. Called without a tape, the wrappers take
+  no derivative and no mask; an untaped ``run_graph`` calls none of them, but
+  the array rules of :mod:`slimgraph.kinds`. No closure reads an input Var's
+  ``.value``, so a taped ``run_graph`` can drop each activation
+  (``Var.value = None``) once its last reader has run; the Var stays, as the
+  place its gradient accumulates.
 * A tape is used once. ``backward`` pops each record before running it, so
   its closure and what it captured are freed as the pass goes, and clears an
   op output's ``.grad`` once that gradient has been passed on. Leaves
@@ -167,15 +169,16 @@ def silu_derivative(x, s):
 
 
 def silu(tape, x: Var) -> Var:
-    """x·sigmoid(x). A tape keeps only the derivative, taken at forward time, so
-    backward is one multiply, in place: the tape runs each closure once."""
+    """x·sigmoid(x), written into the sigmoid's buffer. A tape keeps only the
+    derivative, taken at forward time before that multiply, so backward is one
+    multiply, in place: the tape runs each closure once."""
     xv = x.value
     s = ops.sigmoid(xv)
     d = None if tape is None else silu_derivative(xv, s)
 
     def grad(g):
         _accum(x, np.multiply(d, g, out=d))
-    return _taped(tape, xv * s, grad)
+    return _taped(tape, np.multiply(xv, s, out=s), grad)
 
 
 def add(tape, a: Var, b: Var) -> Var:
@@ -201,14 +204,12 @@ def add_const(tape, x: Var, c: float) -> Var:
 def scale_channels(tape, x: Var, s: Var) -> Var:
     """Per-channel multiplication of a (N,C,H,W) map by a length-C vector."""
     xv, sv = x.value, s.value
-    if xv.ndim != 4 or sv.shape != (xv.shape[1],):
-        raise ShapeError(
-            f"scale_channels needs 4-D input and per-channel vector, got {xv.shape} and {sv.shape}")
+    y = ops.scale_channels(xv, sv)
 
     def grad(g):
         _accum(x, g * sv[None, :, None, None])
         _accum(s, (g * xv).sum(axis=(0, 2, 3)))
-    return _taped(tape, xv * sv[None, :, None, None], grad)
+    return _taped(tape, y, grad)
 
 
 def concat_channels(tape, parts: list[Var]) -> Var:
@@ -267,15 +268,14 @@ def linear(tape, x: Var, w: Var, b: Var | None) -> Var:
 
 def qdq(tape, x: Var, scale: float) -> Var:
     """Quantize-dequantize with clipped straight-through gradients. A tape keeps
-    only the clip mask (``fakequant.ste_mask``, one byte per element), taken at
+    only the clip mask (``ops.ste_mask``, one byte per element), taken at
     forward time; nothing is taken for an untaped or ``stop_grad`` input."""
-    from . import fakequant  # local import avoids a module cycle
     xv = x.value
-    y = fakequant.qdq(xv, scale)
-    inside = None if tape is None or x.stop_grad else fakequant.ste_mask(xv, scale)
+    y = ops.qdq(xv, scale)
+    inside = None if tape is None or x.stop_grad else ops.ste_mask(xv, scale)
 
     def grad(g):
-        _accum(x, fakequant.qdq_backward(g, inside))
+        _accum(x, ops.qdq_backward(g, inside))
     return _taped(tape, y, grad, stop_grad=x.stop_grad)
 
 

@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 validation/verification failure,
 3 I/O or container-format error. Every run echoes its resolved configuration
-so artifacts can be traced back to exact flags, then checks that the directory
-of each output flag exists, before doing any work. Each subparser names its
-body; a body fails by raising, and ``run`` alone maps the error to its exit
-code. The ``SLIMGRAPH_SEED`` environment variable supplies the default
+so artifacts can be traced back to exact flags, then checks that each output
+flag is not empty and that its directory exists, before doing any work. Each
+subparser names its body; a body fails by raising, and ``run`` alone maps the
+error to its exit code. The ``SLIMGRAPH_SEED`` environment variable supplies the default
 ``--seed``. ``fakequant.calibrate`` instruments a graph that has no quantizers,
 and ``qat`` is ``calibrate`` followed by ``train``'s body.
 """
@@ -204,8 +204,8 @@ def _cmd_pipeline(args) -> int:
     result = pipeline.run_compression_pipeline(args.preset, task, cfg)
 
     out = lambda name: os.path.join(args.out_dir, name)
-    modelio.save(result.slim_graph, 32, out("model_fp32.twnm"))
-    modelio.save(result.slim_graph, 16, out("model_fp16.twnm"))
+    modelio.save_bytes(result.fp32_bytes, out("model_fp32.twnm"))
+    modelio.save_bytes(result.fp16_bytes, out("model_fp16.twnm"))
     if result.plan is not None:
         pruner.write_plan(result.plan, out("plan.txt"))
     if args.qat:
@@ -279,11 +279,14 @@ def _cmd_inspect(args) -> int:
 
 
 def _check_out_dirs(args) -> None:
-    """Fail before any work when the directory an output flag names does not exist.
-    Flags are checked in the order the bodies write them."""
-    for flag in ("log", "calib_out", "plan_out", "csv", "out"):
+    """Fail before any work when an output flag is empty or the directory of an output
+    file does not exist (``--out-dir`` is made). Flags are checked in the order the
+    bodies write them."""
+    for flag in ("log", "calib_out", "plan_out", "csv", "out", "out_dir"):
         path = getattr(args, flag, None)
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+        if path == "":
+            raise FileNotFoundError(f"--{flag.replace('_', '-')} is empty")
+        if path and flag != "out_dir" and not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"no directory to write {path!r} into")
 
 

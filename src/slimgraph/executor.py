@@ -19,8 +19,9 @@ class RunState:
     """Mutable training-time storage for parameters and buffers.
 
     ``vars`` maps (node_id, param_name) to the trained autograd variables;
-    ``buffers`` maps (node_id, buffer_name) to plain arrays (batchnorm
-    running statistics). Pure inference runs pass ``state=None``.
+    ``buffers`` maps (node_id, buffer_name) to plain arrays that are never
+    trained: batchnorm running statistics, or the folded conv tensors of
+    ``forward_arrays``. Pure inference runs pass ``state=None``.
     """
 
     def __init__(self, vars: dict, buffers: dict):
@@ -41,6 +42,13 @@ class _Run:
             return self.vars[(n.id, name)]
         return Var(n.params[name]) if name in n.params else None
 
+    def array(self, n, name):
+        """A tensor as array rules read it: a state var's value, else a buffer, else the
+        node's own; None for an absent optional tensor."""
+        key = (n.id, name)
+        v = self.vars.get(key)
+        return self.buffers.get(key, n.params.get(name)) if v is None else v.value
+
     def buffer(self, n, name):
         return self.buffers[(n.id, name)] if (n.id, name) in self.buffers else n.params[name]
 
@@ -51,6 +59,10 @@ class _Run:
                 (1 - BN_MOMENTUM) * self.buffer(n, name) + BN_MOMENTUM * batch_value
             ).astype(np.float32)
 
+
+# kind -> forward rule: untaped runs walk arrays, taped runs Vars
+_ARRAY_RULES = {kind: spec.array for kind, spec in SPECS.items()}
+_VAR_RULES = {kind: spec.forward for kind, spec in SPECS.items()}
 
 # Plans, weakly keyed by graph so that they never keep one alive: at most one per graph,
 # stored with the snapshot it was built from.
@@ -106,13 +118,19 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
 
     The schedule is kept per graph and outputs, and rebuilt after a structural edit (``_plan``).
 
+    Only a taped run walks ``Var``s, through each kind's ``forward`` rule. Every other run
+    (``eval``, ``calibrate``, and ``train`` without a tape) walks plain arrays through each
+    kind's ``array`` rule, which calls the same kernel on the same arguments: it makes no
+    ``Var`` and no closure, and reads a ``state`` var's ``.value``. Only the returned
+    outputs are wrapped in ``Var``s.
+
     With a tape, the tape's records hold every op output Var (backward accumulates its
     gradient there), so dropping an edge would not free its array. A taped run therefore
     also releases the value (``Var.value = None``) once no live edge holds the Var: rules
     that return an input Var (``output``, a disabled ``fakequant``) put one Var on several
     edges, so live edges are counted per Var. Requested outputs are never released, and
     no backward closure reads a released value (see :mod:`slimgraph.autograd`). Untaped
-    runs keep no count: their dropped Vars are freed with their arrays.
+    runs keep no count: each dropped array is freed with its last edge.
 
     Returns a dict mapping each requested node id to its Var, in topological order.
     """
@@ -123,12 +141,13 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
     if tape is not None and mode != "train":
         raise GraphError(f"a tape records gradients in mode='train' only, not mode={mode!r}")
     plan, returned = _plan(graph, _node_ids(outputs), _schedule)
-    values: dict[tuple[str, int], Var] = {}
+    rules = _ARRAY_RULES if tape is None else _VAR_RULES
+    values: dict[tuple[str, int], object] = {}  # a Var each when taped, else an array
     # id(Var) -> live edges; a Var is freed only at 0, so a reused id starts from 0
-    edges: dict[int, int] | None = {} if tape is not None else None
+    edges: dict[int, int] | None = None if tape is None else {}
     run = _Run(x, mode, tape, state)
     for n, last_read in plan:
-        out = SPECS[n.kind].forward(run, n, [values[ref] for ref in n.inputs])
+        out = rules[n.kind](run, n, [values[ref] for ref in n.inputs])
         for p, v in enumerate(out if isinstance(out, list) else [out]):
             values[(n.id, p)] = v
             if edges is not None:
@@ -139,7 +158,10 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
                 edges[id(v)] -= 1
                 if not edges[id(v)]:
                     v.value = None
+    if edges is None:
+        return {nid: Var(values[(nid, 0)]) for nid in returned}
     return {nid: values[(nid, 0)] for nid in returned}
+
 
 
 def _schedule(graph: Graph, outputs):
@@ -159,9 +181,9 @@ def _fold_pairs(nodes: dict[str, Node], keep) -> list[tuple[Node, Node]]:
             and {bn.params[k].shape for k in _BN} == {c.params["weight"].shape[:1]}]
 
 
-def _fold_params(pairs) -> dict[tuple[str, str], Var]:
-    """The ``RunState`` vars of each pair's folded conv, its ``weight`` and ``bias`` under the
-    batchnorm's id, from the current parameter values (one vectorized pass and one
+def _fold_params(pairs) -> dict[tuple[str, str], np.ndarray]:
+    """The ``RunState`` buffers of each pair's folded conv, its ``weight`` and ``bias`` under
+    the batchnorm's id, from the current parameter values (one vectorized pass and one
     ``ops.batchnorm_infer`` call over all pairs)."""
     if not pairs:
         return {}
@@ -175,8 +197,8 @@ def _fold_params(pairs) -> dict[tuple[str, str], Var]:
     at = np.cumsum([0] + widths)
     folded = {}
     for (c, bn), i, j in zip(pairs, at, at[1:]):
-        folded[(bn.id, "weight")] = Var(c.params["weight"] * inv[i:j, None, None, None])
-        folded[(bn.id, "bias")] = Var(bias[i:j])
+        folded[(bn.id, "weight")] = c.params["weight"] * inv[i:j, None, None, None]
+        folded[(bn.id, "bias")] = bias[i:j]
     return folded
 
 
@@ -206,9 +228,11 @@ def forward_arrays(graph: Graph, x: np.ndarray, outputs=None) -> dict[str, np.nd
     turn that into whole int8 steps. ``run_graph``, and so training, calibration, evaluation
     and export, stays unfolded. With ``outputs``, only the nodes they need are folded and
     run, so no other batchnorm is read. The fold plan is kept per graph and outputs
-    (``_plan``), yet outputs equal a fresh fold's bit for bit, also after an edit."""
+    (``_plan``), yet outputs equal a fresh fold's bit for bit, also after an edit. Each
+    call recomputes the folded tensors, which nothing holds between calls, and passes
+    them as ``RunState`` buffers to ``run_graph(mode="eval")``, an untaped array walk."""
     outputs = _node_ids(outputs)
     folded, pairs = _plan(graph, outputs, _fold)
-    out = run_graph(folded, x, mode="eval", state=RunState(_fold_params(pairs), {}),
+    out = run_graph(folded, x, mode="eval", state=RunState({}, _fold_params(pairs)),
                     outputs=outputs)
     return {k: v.value for k, v in out.items()}

@@ -5,7 +5,9 @@ Quantizers sit on the input edge of every non-head convolution. Lifecycle:
 8-bit range [-128, 127]). Calibration runs the graph with every quantizer
 disabled, reads each quantizer's output into a histogram of |x|, then picks
 amax as the smallest histogram bin edge covering 99.99% of the observed mass;
-scale is amax/127.
+scale is amax/127. The quantize-dequantize kernels ``qdq``, ``ste_mask`` and
+``qdq_backward`` live in :mod:`slimgraph.ops`, below the executor that this module
+imports, so that forward rules reach them without a module cycle; they are public here.
 """
 
 from __future__ import annotations
@@ -16,38 +18,10 @@ from . import modelio
 from .errors import CalibrationError, QuantError
 from .executor import run_graph
 from .graph import Graph, Node
-from .kinds import QMAX, QMIN
+from .ops import QMAX, QMIN, qdq, qdq_backward, ste_mask
 
 HIST_BINS = 2048
 MASS_FRACTION = 0.9999
-
-
-def qdq(x: np.ndarray, scale: float) -> np.ndarray:
-    """Quantize-dequantize: clamp(round_half_to_even(x/scale)) * scale."""
-    if scale <= 0:
-        raise QuantError(f"qdq scale must be positive, got {scale}")
-    q = np.divide(x, scale)  # the one allocation; the other steps run in place
-    np.rint(q, out=q)
-    np.clip(q, QMIN, QMAX, out=q)
-    q *= scale
-    return q.astype(x.dtype, copy=False)
-
-
-def ste_mask(x: np.ndarray, scale: float) -> np.ndarray:
-    """Where ``x`` lies inside the clamp range [QMIN·scale, QMAX·scale], as bools.
-
-    All the clipped straight-through estimator needs of ``x``; NaN lies outside."""
-    inside = np.greater_equal(x, QMIN * scale)
-    inside &= np.less_equal(x, QMAX * scale)
-    return inside
-
-
-def qdq_backward(upstream_grad: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """Clipped straight-through estimator: the gradient where ``inside``
-    (``ste_mask`` of the forward input), zero elsewhere."""
-    g = inside.astype(upstream_grad.dtype)
-    g *= upstream_grad  # 1*g and 0*g, bit for bit what upstream_grad*inside gives
-    return g
 
 
 class HistogramObserver:

@@ -6,8 +6,14 @@ zero-embedding and FLOP counting read it instead of branching on kinds, so a
 new kind is one entry. ``params`` maps each tensor to a shape template:
 ``"out"``/``"in"`` is the channel count of output/input port 0 and marks an
 axis that pruning slices (a prune axis), ``None`` is any size and an int a
-fixed one. ``coupling`` is one of the five channel-tie rules below. Forward
-rules reach operators through their modules at call time, so a tracer that
+fixed one. ``coupling`` is one of the five channel-tie rules below.
+
+Each kind has two forward rules. ``forward`` works on autograd ``Var``s through
+the :mod:`slimgraph.autograd` wrappers, and is what a taped (training) run
+records. ``array`` works on plain arrays and is what every untaped run uses:
+it calls the same :mod:`slimgraph.ops` kernel with the same arguments as the
+wrapper, so both give the same bits, but makes no ``Var`` and no closure.
+Both reach operators through their modules at call time, so a tracer that
 rebinds module attributes sees every call.
 """
 
@@ -26,7 +32,6 @@ from . import ops
 from .errors import GraphError, QuantError, ShapeError
 
 PHASES = ("disabled", "active")               # quantizer lifecycle, in order
-QMIN, QMAX = -128, 127                         # the signed int8 range a quantizer clamps to
 _ACTIVATION_FLOPS = {"silu": 4, "sigmoid": 3}  # per output element
 _BN_EPS = 1e-5                                 # a batchnorm's eps when its node sets none
 
@@ -61,6 +66,7 @@ def split(ins, outs):  # each output ties to its range of the input
 @dataclass(frozen=True)
 class OpSpec:
     forward: Callable                 # (run context, node, input Vars) -> Var, or one per port
+    array: Callable                   # the same on plain arrays, for untaped runs
     arity: int = 1                    # input count; the least one when variadic
     variadic: bool = False
     ports: Callable = lambda attrs: 1                 # output port count
@@ -172,22 +178,39 @@ def _batchnorm_forward(run, n, ins):
     return out
 
 
-def _activation_forward(run, n, ins):
+def _batchnorm_array(run, n, ins):
+    gamma, beta, eps = run.array(n, "gamma"), run.array(n, "beta"), n.attrs.get("eps", _BN_EPS)
+    if run.mode == "eval":
+        return ops.batchnorm_infer(ins[0], gamma, beta, run.array(n, "running_mean"),
+                                   run.array(n, "running_var"), eps)
+    out, cache = ops.batchnorm_train_forward(ins[0], gamma, beta, eps)
+    run.track(n, "running_mean", cache[2])
+    run.track(n, "running_var", cache[3])
+    return out
+
+
+def _activation(n) -> str:
     if n.attrs["fn"] not in _ACTIVATION_FLOPS:
         raise GraphError(f"unknown activation {n.attrs['fn']!r} on node {n.id!r}")
-    return getattr(ag, n.attrs["fn"])(run.tape, ins[0])
+    return n.attrs["fn"]
 
 
-def _fakequant_forward(run, n, ins):
+def _activation_array(run, n, ins):
+    fn, s = _activation(n), ops.sigmoid(ins[0])
+    return s if fn == "sigmoid" else np.multiply(ins[0], s, out=s)  # silu, as ag.silu
+
+
+def _qdq_scale(n) -> float | None:
+    """An active quantizer's scale; None for a disabled one, which passes its input on."""
     phase = n.attrs.get("phase", "disabled")
     if phase == "active":
         amax = float(n.params["amax"][0])
         if not 0 < amax < math.inf:
             raise QuantError(f"quantizer {n.id!r} is active but its amax {amax} is not in (0, inf)")
-        return ag.qdq(run.tape, ins[0], amax / QMAX)
+        return amax / ops.QMAX
     if phase not in PHASES:
         raise QuantError(f"quantizer {n.id!r} has unknown phase {phase!r}")
-    return ins[0]
+    return None
 
 
 _BN = ("gamma", "beta", "running_mean", "running_var")
@@ -195,65 +218,87 @@ _BN = ("gamma", "beta", "running_mean", "running_var")
 SPECS: dict[str, OpSpec] = {
     "input": OpSpec(
         arity=0, coupling=decouple,
-        forward=lambda run, n, ins: ag.Var(np.ascontiguousarray(run.x), stop_grad=True)),
-    "output": OpSpec(coupling=decouple, forward=lambda run, n, ins: ins[0]),
+        forward=lambda run, n, ins: ag.Var(np.ascontiguousarray(run.x), stop_grad=True),
+        array=lambda run, n, ins: np.ascontiguousarray(run.x)),
+    "output": OpSpec(
+        coupling=decouple, forward=lambda run, n, ins: ins[0], array=lambda run, n, ins: ins[0]),
     "conv": OpSpec(
         attrs={"stride": _int(1), "padding": _int(0)},
         params={"weight": ("out", "in", None, None), "bias": ("out",)}, optional=("bias",),
         shape=_conv_shape, coupling=decouple, flops=_matmul_flops,
         forward=lambda run, n, ins: ag.conv2d(
             run.tape, ins[0], run.param(n, "weight"), run.param(n, "bias"),
-            n.attrs.get("stride", 1), n.attrs.get("padding", 0))),
+            n.attrs.get("stride", 1), n.attrs.get("padding", 0)),
+        array=lambda run, n, ins: ops.conv2d_forward(
+            ins[0], run.array(n, "weight"), run.array(n, "bias"),
+            n.attrs.get("stride", 1), n.attrs.get("padding", 0))[0]),
     "batchnorm": OpSpec(
         attrs={"eps": (False, "a positive finite number", lambda v: _is_number(v) and v > 0)},
         params={name: ("out",) for name in _BN}, buffers=_BN[2:],
-        flops=_per_output(2), forward=_batchnorm_forward),
+        flops=_per_output(2), forward=_batchnorm_forward, array=_batchnorm_array),
     "activation": OpSpec(
         attrs={"fn": _one_of(_ACTIVATION_FLOPS, required=True)},
         flops=lambda n, ins, outs: _ACTIVATION_FLOPS[n.attrs["fn"]] * math.prod(outs[0]),
-        forward=_activation_forward),
+        forward=lambda run, n, ins: getattr(ag, _activation(n))(run.tape, ins[0]),
+        array=_activation_array),
     "maxpool": OpSpec(
         attrs={"k": _int(1, required=True), "stride": _int(1), "padding": _int(0)},
         shape=_pool_shape, flops=_per_output(1),
         forward=lambda run, n, ins: ag.maxpool2d(
             run.tape, ins[0], n.attrs["k"], n.attrs.get("stride", n.attrs["k"]),
-            n.attrs.get("padding", 0))),
+            n.attrs.get("padding", 0)),
+        array=lambda run, n, ins: ops.maxpool2d_forward(
+            ins[0], n.attrs["k"], n.attrs.get("stride", n.attrs["k"]),
+            n.attrs.get("padding", 0))[0]),
     "gap": OpSpec(
         shape=lambda n, ins: [_rank(n, ins[0], 4)[:2]],
         flops=lambda n, ins, outs: math.prod(ins[0]),  # one add per input element
-        forward=lambda run, n, ins: ag.global_avg_pool(run.tape, ins[0])),
+        forward=lambda run, n, ins: ag.global_avg_pool(run.tape, ins[0]),
+        array=lambda run, n, ins: ops.global_avg_pool(ins[0])),
     "linear": OpSpec(
         params={"weight": ("out", "in"), "bias": ("out",)}, optional=("bias",),
         shape=lambda n, ins: [(_rank(n, ins[0], 2)[0], n.params["weight"].shape[0])],
         coupling=decouple, flops=_matmul_flops,
         forward=lambda run, n, ins: ag.linear(run.tape, ins[0], run.param(n, "weight"),
-                                              run.param(n, "bias"))),
+                                              run.param(n, "bias")),
+        array=lambda run, n, ins: ops.linear(ins[0], run.array(n, "weight"),
+                                             run.array(n, "bias"))),
     "concat": OpSpec(
         arity=2, variadic=True, shape=_concat_shape, coupling=concat,
-        forward=lambda run, n, ins: ag.concat_channels(run.tape, ins)),
+        forward=lambda run, n, ins: ag.concat_channels(run.tape, ins),
+        array=lambda run, n, ins: ops.concat_channels(ins)),
     "add": OpSpec(
         arity=2, variadic=True, shape=_equal_shapes, coupling=tie_all, flops=_per_output(1),
-        forward=lambda run, n, ins: reduce(lambda a, b: ag.add(run.tape, a, b), ins)),
+        forward=lambda run, n, ins: reduce(lambda a, b: ag.add(run.tape, a, b), ins),
+        array=lambda run, n, ins: reduce(ops.add, ins)),
     "mul": OpSpec(
         arity=2, variadic=True, shape=_equal_shapes, coupling=tie_all, flops=_per_output(1),
-        forward=lambda run, n, ins: reduce(lambda a, b: ag.multiply(run.tape, a, b), ins)),
+        forward=lambda run, n, ins: reduce(lambda a, b: ag.multiply(run.tape, a, b), ins),
+        array=lambda run, n, ins: reduce(ops.multiply, ins)),
     "addconst": OpSpec(
         attrs={"c": (True, "a finite number", _is_number)}, flops=_per_output(1),
-        forward=lambda run, n, ins: ag.add_const(run.tape, ins[0], n.attrs["c"])),
+        forward=lambda run, n, ins: ag.add_const(run.tape, ins[0], n.attrs["c"]),
+        array=lambda run, n, ins: ins[0] + n.attrs["c"]),
     "split": OpSpec(
         ports=lambda attrs: len(attrs["sizes"]),
         attrs={"sizes": (True, "a non-empty list of ints >= 1", lambda v: isinstance(
             v, (list, tuple)) and len(v) > 0 and all(is_int(s, 1) for s in v))},
         shape=_split_shape, coupling=split,
         forward=lambda run, n, ins: ag.split_channels(run.tape, ins[0], n.attrs["sizes"]),
+        array=lambda run, n, ins: ops.split_channels(ins[0], n.attrs["sizes"]),
         resize=lambda attrs, kept: {
             **attrs, "sizes": [kept(p, size) for p, size in enumerate(attrs["sizes"])]}),
     "scale": OpSpec(
         params={"scale": ("out",)}, flops=_per_output(1),
-        forward=lambda run, n, ins: ag.scale_channels(run.tape, ins[0], run.param(n, "scale"))),
+        forward=lambda run, n, ins: ag.scale_channels(run.tape, ins[0], run.param(n, "scale")),
+        array=lambda run, n, ins: ops.scale_channels(ins[0], run.array(n, "scale"))),
     "fakequant": OpSpec(
         attrs={"phase": _one_of(PHASES), "samples": _int(0)},
-        params={"amax": (1,)}, buffers=("amax",), forward=_fakequant_forward),
+        params={"amax": (1,)}, buffers=("amax",),
+        forward=lambda run, n, ins: ins[0] if (s := _qdq_scale(n)) is None
+        else ag.qdq(run.tape, ins[0], s),
+        array=lambda run, n, ins: ins[0] if (s := _qdq_scale(n)) is None
+        else ops.qdq(ins[0], s)),
 }
 
 

@@ -111,7 +111,12 @@ def _encode(graph: Graph, precision_bits: int):
 
 def save(graph: Graph, precision_bits: int, path) -> int:
     """Atomically write the container; returns bytes written."""
-    data = to_bytes(graph, precision_bits)
+    return save_bytes(to_bytes(graph, precision_bits), path)
+
+
+def save_bytes(data: bytes, path) -> int:
+    """Atomically write container bytes already made (a temp file in the target's
+    directory, then a rename); returns bytes written."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".twnm-")
     try:

@@ -44,7 +44,7 @@ import functools
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import QuantError, ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +273,14 @@ def multiply(a, b):
     return a * b
 
 
+def scale_channels(x, s):
+    """Per-channel multiplication of a (N,C,H,W) map by a length-C vector."""
+    if x.ndim != 4 or s.shape != (x.shape[1],):
+        raise ShapeError(
+            f"scale_channels needs 4-D input and per-channel vector, got {x.shape} and {s.shape}")
+    return x * s[None, :, None, None]
+
+
 def concat_channels(parts):
     if not parts:
         raise ShapeError("concat_channels needs at least one input")
@@ -396,3 +404,38 @@ def linear(x, w, b=None):
             raise ShapeError(f"linear bias length {b.shape} != out features {w.shape[0]}")
         y = y + b
     return y
+
+
+# ---------------------------------------------------------------------------
+# int8 quantize-dequantize (public as ``slimgraph.fakequant``'s)
+# ---------------------------------------------------------------------------
+
+QMIN, QMAX = -128, 127  # the signed int8 range a quantizer clamps to
+
+
+def qdq(x: np.ndarray, scale: float) -> np.ndarray:
+    """Quantize-dequantize: clamp(round_half_to_even(x/scale)) * scale."""
+    if scale <= 0:
+        raise QuantError(f"qdq scale must be positive, got {scale}")
+    q = np.divide(x, scale)  # the one allocation; the other steps run in place
+    np.rint(q, out=q)
+    np.clip(q, QMIN, QMAX, out=q)
+    q *= scale
+    return q.astype(x.dtype, copy=False)
+
+
+def ste_mask(x: np.ndarray, scale: float) -> np.ndarray:
+    """Where ``x`` lies inside the clamp range [QMIN·scale, QMAX·scale], as bools.
+
+    All the clipped straight-through estimator needs of ``x``; NaN lies outside."""
+    inside = np.greater_equal(x, QMIN * scale)
+    inside &= np.less_equal(x, QMAX * scale)
+    return inside
+
+
+def qdq_backward(upstream_grad: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Clipped straight-through estimator: the gradient where ``inside``
+    (``ste_mask`` of the forward input), zero elsewhere."""
+    g = inside.astype(upstream_grad.dtype)
+    g *= upstream_grad  # 1*g and 0*g, bit for bit what upstream_grad*inside gives
+    return g

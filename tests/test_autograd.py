@@ -5,7 +5,7 @@ import pytest
 
 from conftest import finite_difference, rel_close
 from slimgraph import autograd as ag
-from slimgraph import build_mini_net, fakequant, run_graph
+from slimgraph import build_mini_net, ops, run_graph
 from slimgraph.errors import GraphError, ShapeError
 
 H = 1e-3
@@ -180,7 +180,7 @@ class TestTapeSemantics:
 
     def test_stop_grad_qdq_records_nothing(self, monkeypatch):
         # pure data stays pure data through a quantizer, and nothing is taped or masked for it
-        monkeypatch.setattr(fakequant, "ste_mask", None)
+        monkeypatch.setattr(ops, "ste_mask", None)
         tape = ag.Tape()
         out = ag.qdq(tape, ag.Var(np.ones((1, 2, 2, 2), np.float32), stop_grad=True), 0.1)
         assert out.stop_grad and len(tape) == 0

@@ -397,13 +397,14 @@ class TestExitCodes:
         assert proc.returncode == 1 and "Traceback" not in proc.stderr
         assert "--seed: must be >= 0" in proc.stderr
 
-    @pytest.mark.parametrize("cmd, flag", [
-        pytest.param(cmd, flag, id=f"{flag}-{cmd}") for cmd, flag in [
-            ("train", "--log"), ("qat", "--log"), ("train", "--out"), ("qat", "--out"),
-            ("build", "--out"), ("calibrate", "--calib-out"), ("calibrate", "--out"),
-            ("prune", "--plan-out"), ("prune", "--out"), ("report", "--csv")]])
-    def test_missing_output_directory_fails_before_any_work(self, model_path, tmp_path, monkeypatch,
-                                                            capsys, cmd, flag):
+    OUTPUT_FLAGS = [pytest.param(cmd, flag, id=f"{flag}-{cmd}") for cmd, flag in [
+        ("train", "--log"), ("qat", "--log"), ("train", "--out"), ("qat", "--out"),
+        ("build", "--out"), ("calibrate", "--calib-out"), ("calibrate", "--out"),
+        ("prune", "--plan-out"), ("prune", "--out"), ("report", "--csv")]]
+
+    @staticmethod
+    def _no_work_argv(monkeypatch, model_path, out, cmd, flag):
+        """``cmd``'s argv, but for ``flag``, with every body's first work made to raise."""
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
         monkeypatch.setattr(pipeline.Trainer, "run_epochs", no_work)
@@ -411,18 +412,41 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "build_mini_net", no_work)
         monkeypatch.setattr(depgraph, "resolve_groups", no_work)
         monkeypatch.setattr(metrics, "build_report", no_work)
-        missing = tmp_path / "nodir" / "x"
-        out = tmp_path / "m.twnm"
+        monkeypatch.setattr(pipeline, "ToyTask", no_work)
         argv = {"build": ["--preset", "y11_mini"], "report": ["--models", str(model_path)],
                 "calibrate": [], "prune": ["--fraction", "0.5"],
-                "train": ["--epochs", "1"], "qat": ["--epochs", "1"]}[cmd]
-        if cmd not in ("build", "report"):
+                "train": ["--epochs", "1"], "qat": ["--epochs", "1"],
+                "pipeline": ["--preset", "y11_mini", "--epochs", "1"]}[cmd]
+        if cmd not in ("build", "report", "pipeline"):
             argv += ["--model", str(model_path)]
-        if flag != "--out" and cmd != "report":
+        if flag != "--out" and cmd not in ("report", "pipeline"):
             argv += ["--out", str(out)]
-        assert run([cmd] + argv + [flag, str(missing)]) == 3
+        return [cmd] + argv
+
+    @pytest.mark.parametrize("cmd, flag", OUTPUT_FLAGS)
+    def test_missing_output_directory_fails_before_any_work(self, model_path, tmp_path, monkeypatch,
+                                                            capsys, cmd, flag):
+        missing = tmp_path / "nodir" / "x"
+        out = tmp_path / "m.twnm"
+        argv = self._no_work_argv(monkeypatch, model_path, out, cmd, flag)
+        assert run(argv + [flag, str(missing)]) == 3
         assert f"i/o error: no directory to write {str(missing)!r} into" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("cmd, flag", OUTPUT_FLAGS + [
+        pytest.param("pipeline", "--out-dir", id="--out-dir-pipeline")])
+    def test_empty_output_path_fails_before_any_work(self, model_path, tmp_path, monkeypatch,
+                                                     capsys, cmd, flag):
+        # an empty --out once built, then made its temp file in the parent of the working
+        # directory and failed; an empty --log wrote nothing and exited 0
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        before = {d: sorted(os.listdir(d)) for d in (work, tmp_path)}
+        argv = self._no_work_argv(monkeypatch, model_path, work / "m.twnm", cmd, flag)
+        assert run(argv + [flag, ""]) == 3
+        assert f"i/o error: {flag} is empty" in capsys.readouterr().err
+        assert {d: sorted(os.listdir(d)) for d in (work, tmp_path)} == before
 
     def test_env_seed_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SLIMGRAPH_SEED", "7")

@@ -184,9 +184,10 @@ class TestSte:
         assert qdq_backward(np.ones(1, np.float32), ste_mask(x, 0.1))[0] == 0
 
     def test_taped_qdq_calls_the_module_functions(self, monkeypatch):
-        # tracing patches ``fakequant.qdq_backward``, so the tape must look it up there
+        # tracing patches each namespace that binds ``fakequant.qdq_backward``, its home
+        # ``ops`` too, so the tape must look it up there at call time
         calls = []
-        monkeypatch.setattr(fakequant, "qdq_backward",
+        monkeypatch.setattr(ops, "qdq_backward",
                             lambda g, inside: calls.append(inside.dtype) or qdq_backward(g, inside))
         tape, x = ag.Tape(), ag.Var(np.array([[0.5, 1000.0, -0.2]], np.float32))
         y = ag.qdq(tape, x, 0.1)

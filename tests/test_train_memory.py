@@ -152,7 +152,7 @@ def test_taped_forward_frees_batchnorm_outputs_and_quantizer_inputs(preset, monk
         return mul(a, b)
 
     monkeypatch.setattr(ops, "batchnorm_train_forward", bn_spy)
-    monkeypatch.setattr(fakequant, "qdq", qdq_spy)
+    monkeypatch.setattr(ops, "qdq", qdq_spy)
     monkeypatch.setattr(ops, "multiply", mul_spy)
     cls, tape = g.meta["cls_output"], ag.Tape()
     run_graph(g, images((BATCH, 3, 64, 64)), mode="train", tape=tape, state=_state(g),
@@ -179,7 +179,7 @@ def test_untaped_runs_take_no_mask_and_no_derivative(monkeypatch):
     def refuse(*args):
         raise AssertionError("an untaped run computed what only backward reads")
 
-    monkeypatch.setattr(fakequant, "ste_mask", refuse)
+    monkeypatch.setattr(ops, "ste_mask", refuse)
     monkeypatch.setattr(ag, "silu_derivative", refuse)
     run_graph(g, x, mode="eval")
     run_graph(g, x, mode="train", state=_state(g))  # batchnorm settling: no tape
