@@ -13,12 +13,14 @@ What a tape holds, and when it lets go:
   normalized map, sigmoid its output, SiLU its derivative, qdq its clip mask
   (one byte per element), linear, multiply and scale the operands they
   multiply, and maxpool its argmax; concat, split, average pooling and conv
-  keep only the shapes they need. Called without a tape, the wrappers take
-  no derivative and no mask; an untaped ``run_graph`` calls none of them, but
-  the array rules of :mod:`slimgraph.kinds`. No closure reads an input Var's
-  ``.value``, so a taped ``run_graph`` can drop each activation
-  (``Var.value = None``) once its last reader has run; the Var stays, as the
-  place its gradient accumulates.
+  keep only the shapes they need, and identity nothing. Called without a
+  tape, the wrappers take no derivative and no mask; an untaped ``run_graph``
+  calls none of them, but the array rules of :mod:`slimgraph.kinds`. No
+  closure reads an input Var's ``.value``, and ``identity`` gives a rule that
+  passes its input on a Var of its own, so each Var sits on one graph edge
+  and a taped ``run_graph`` can drop each activation (``Var.value = None``)
+  once that edge's last reader has run; the Var stays, as the place its
+  gradient accumulates.
 * A tape is used once. ``backward`` pops each record before running it, so
   its closure and what it captured are freed as the pass goes, and clears an
   op output's ``.grad`` once that gradient has been passed on. Leaves
@@ -110,6 +112,12 @@ def _taped(tape, value, grad, stop_grad=False) -> Var:
 # ---------------------------------------------------------------------------
 # differentiable wrappers; tape=None degrades to a plain forward computation
 # ---------------------------------------------------------------------------
+
+def identity(tape, x: Var) -> Var:
+    """A new Var on the same array, its gradient passed on unchanged. A rule that
+    passes its input on returns this, so that no Var sits on two edges."""
+    return _taped(tape, x.value, lambda g: _accum(x, g), stop_grad=x.stop_grad)
+
 
 def conv2d(tape, x: Var, w: Var, b: Var | None, stride=1, padding=0) -> Var:
     wv, x_shape, need_gx = w.value, x.value.shape, not x.stop_grad

@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 usage error, 2 validation/verification failure,
 3 I/O or container-format error. Every run echoes its resolved configuration
 so artifacts can be traced back to exact flags, then checks that each output
-flag is not empty and that its directory exists, before doing any work. Each
-subparser names its body; a body fails by raising, and ``run`` alone maps the
-error to its exit code. The ``SLIMGRAPH_SEED`` environment variable supplies the default
-``--seed``. ``fakequant.calibrate`` instruments a graph that has no quantizers,
-and ``qat`` is ``calibrate`` followed by ``train``'s body.
+flag is not empty, names no directory and has an existing directory, before doing
+any work. Each subparser names its body; a body fails by raising, and ``run`` alone
+maps the error to its exit code. ``SLIMGRAPH_SEED`` supplies ``--seed``; it is read
+after parsing, only for a subcommand that takes ``--seed`` and only when the flag is
+absent. ``fakequant.calibrate`` instruments a graph that has no quantizers, and
+``qat`` is ``calibrate`` followed by ``train``'s body.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_seed() -> int:
+def _env_seed() -> int:
+    """``--seed`` when the flag is absent: ``SLIMGRAPH_SEED``, else 0."""
     value = os.environ.get("SLIMGRAPH_SEED", "0")
     try:
         seed = int(value)
@@ -57,7 +59,7 @@ def _training_flags(sp, batches=False) -> None:
     sp.add_argument("--epochs", type=int, required=True)
     if batches:
         sp.add_argument("--batches", type=int, default=cfg.calibration_batches)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--lr", type=float, default=cfg.lr)
     sp.add_argument("--momentum", type=float, default=cfg.momentum)
     sp.add_argument("--batch-size", type=int, default=cfg.batch_size)
@@ -78,7 +80,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--preset", required=True, choices=PRESETS)
     sp.add_argument("--classes", type=int, default=3)
     sp.add_argument("--input-size", type=int, default=64)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--out", required=True)
 
     sp = command("train", _cmd_train, "train a model on the toy task")
@@ -94,7 +96,7 @@ def _build_parser() -> _Parser:
     sp = command("calibrate", _cmd_calibrate, "instrument (if needed) and calibrate quantizers")
     sp.add_argument("--model", required=True)
     sp.add_argument("--batches", type=int, default=cfg.calibration_batches)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--calib-out", default=None)
     sp.add_argument("--out", required=True)
 
@@ -111,7 +113,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--epochs", type=int, required=True)
     sp.add_argument("--qat", action="store_true")
     sp.add_argument("--calibration-batches", type=int, default=cfg.calibration_batches)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--lr", type=float, default=cfg.lr)
     sp.add_argument("--batch-size", type=int, default=cfg.batch_size)
     sp.add_argument("--out-dir", required=True)
@@ -123,7 +125,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--plan", required=True)
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--tol", type=float, default=1e-5)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int)
 
     sp = command("report", _cmd_report, "emit a compression report for one or more models")
     sp.add_argument("--models", nargs="+", required=True)
@@ -212,10 +214,8 @@ def _cmd_pipeline(args) -> int:
         fakequant.write_calibration(result.slim_graph, out("calib.txt"))
     pipeline.write_metric_log(result.log, out("metrics.csv"))
     csv_text, table = metrics.emit_report([result.dense_report, result.slim_report])
-    with open(out("report.csv"), "w") as f:
-        f.write(csv_text)
-    with open(out("report.txt"), "w") as f:
-        f.write(table)
+    modelio.save_bytes(csv_text.encode("utf-8"), out("report.csv"))
+    modelio.save_bytes(table.encode("utf-8"), out("report.txt"))
     print(table, end="")
     print(f"fp16 val_acc={result.fp16_accuracy:.4f} (fp32 {result.final_accuracy:.4f})")
     return 0
@@ -266,8 +266,7 @@ def _cmd_report(args) -> int:
                                             precision_bits=bits))
     csv_text, table = metrics.emit_report(reports)
     if args.csv:
-        with open(args.csv, "w") as f:
-            f.write(csv_text)
+        modelio.save_bytes(csv_text.encode("utf-8"), args.csv)
     print(table, end="")
     return 0
 
@@ -279,13 +278,15 @@ def _cmd_inspect(args) -> int:
 
 
 def _check_out_dirs(args) -> None:
-    """Fail before any work when an output flag is empty or the directory of an output
-    file does not exist (``--out-dir`` is made). Flags are checked in the order the
-    bodies write them."""
+    """Fail before any work when an output flag is empty, an output file names a directory,
+    or its directory does not exist (``--out-dir`` is made). Flags are checked in the
+    order the bodies write them."""
     for flag in ("log", "calib_out", "plan_out", "csv", "out", "out_dir"):
-        path = getattr(args, flag, None)
+        path, name = getattr(args, flag, None), "--" + flag.replace("_", "-")
         if path == "":
-            raise FileNotFoundError(f"--{flag.replace('_', '-')} is empty")
+            raise FileNotFoundError(f"{name} is empty")
+        if path and flag != "out_dir" and os.path.isdir(path):
+            raise IsADirectoryError(f"{name} {path!r} is a directory")
         if path and flag != "out_dir" and not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"no directory to write {path!r} into")
 
@@ -293,6 +294,8 @@ def _check_out_dirs(args) -> None:
 def run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if "seed" in vars(args) and args.seed is None:  # only commands that take --seed
+            args.seed = _env_seed()
         if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
             raise _UsageError(f"argument --seed: must be >= 0, got {args.seed}")
     except _UsageError as e:

@@ -49,14 +49,11 @@ class _Run:
         v = self.vars.get(key)
         return self.buffers.get(key, n.params.get(name)) if v is None else v.value
 
-    def buffer(self, n, name):
-        return self.buffers[(n.id, name)] if (n.id, name) in self.buffers else n.params[name]
-
     def track(self, n, name, batch_value) -> None:
         """Fold a batch statistic into a running buffer, in training mode only."""
         if self.mode == "train":
             self.buffers[(n.id, name)] = (
-                (1 - BN_MOMENTUM) * self.buffer(n, name) + BN_MOMENTUM * batch_value
+                (1 - BN_MOMENTUM) * self.array(n, name) + BN_MOMENTUM * batch_value
             ).astype(np.float32)
 
 
@@ -126,11 +123,12 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
 
     With a tape, the tape's records hold every op output Var (backward accumulates its
     gradient there), so dropping an edge would not free its array. A taped run therefore
-    also releases the value (``Var.value = None``) once no live edge holds the Var: rules
-    that return an input Var (``output``, a disabled ``fakequant``) put one Var on several
-    edges, so live edges are counted per Var. Requested outputs are never released, and
-    no backward closure reads a released value (see :mod:`slimgraph.autograd`). Untaped
-    runs keep no count: each dropped array is freed with its last edge.
+    also releases the value (``Var.value = None``) once the last reader of its edge has
+    run. No Var sits on two edges: the rules that pass their input on (``output``, a
+    disabled ``fakequant``) return an ``autograd.identity`` record, a new Var on the same
+    array. Requested outputs are never released, and no backward closure reads a
+    released value (see :mod:`slimgraph.autograd`). Untaped runs free each dropped array
+    with its last edge.
 
     Returns a dict mapping each requested node id to its Var, in topological order.
     """
@@ -143,22 +141,16 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
     plan, returned = _plan(graph, _node_ids(outputs), _schedule)
     rules = _ARRAY_RULES if tape is None else _VAR_RULES
     values: dict[tuple[str, int], object] = {}  # a Var each when taped, else an array
-    # id(Var) -> live edges; a Var is freed only at 0, so a reused id starts from 0
-    edges: dict[int, int] | None = None if tape is None else {}
     run = _Run(x, mode, tape, state)
     for n, last_read in plan:
         out = rules[n.kind](run, n, [values[ref] for ref in n.inputs])
         for p, v in enumerate(out if isinstance(out, list) else [out]):
             values[(n.id, p)] = v
-            if edges is not None:
-                edges[id(v)] = edges.get(id(v), 0) + 1
         for ref in last_read:
             v = values.pop(ref)
-            if edges is not None:
-                edges[id(v)] -= 1
-                if not edges[id(v)]:
-                    v.value = None
-    if edges is None:
+            if tape is not None:
+                v.value = None
+    if tape is None:
         return {nid: Var(values[(nid, 0)]) for nid in returned}
     return {nid: values[(nid, 0)] for nid in returned}
 

@@ -144,10 +144,10 @@ def calibration_rows(graph: Graph) -> list[tuple[str, float, float, int]]:
 
 
 def write_calibration(graph: Graph, path) -> None:
-    with open(path, "w") as f:
-        f.write("# slimgraph calibration v1\n")
-        for qid, amax, scale, samples in calibration_rows(graph):
-            f.write(f"{qid} amax {amax!r} scale {scale!r} samples {samples}\n")
+    """Write the calibration sidecar, UTF-8, through ``modelio.save_bytes``."""
+    rows = "".join(f"{qid} amax {amax!r} scale {scale!r} samples {samples}\n"
+                   for qid, amax, scale, samples in calibration_rows(graph))
+    modelio.save_bytes(f"# slimgraph calibration v1\n{rows}".encode("utf-8"), path)
 
 
 # ---------------------------------------------------------------------------

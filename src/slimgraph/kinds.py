@@ -171,7 +171,7 @@ def _matmul_flops(n, ins, outs):
 def _batchnorm_forward(run, n, ins):
     out, mean, var = ag.batchnorm(
         run.tape, ins[0], run.param(n, "gamma"), run.param(n, "beta"),
-        run.buffer(n, "running_mean"), run.buffer(n, "running_var"),
+        run.array(n, "running_mean"), run.array(n, "running_var"),
         n.attrs.get("eps", _BN_EPS), run.mode != "eval")
     run.track(n, "running_mean", mean)
     run.track(n, "running_var", var)
@@ -221,7 +221,8 @@ SPECS: dict[str, OpSpec] = {
         forward=lambda run, n, ins: ag.Var(np.ascontiguousarray(run.x), stop_grad=True),
         array=lambda run, n, ins: np.ascontiguousarray(run.x)),
     "output": OpSpec(
-        coupling=decouple, forward=lambda run, n, ins: ins[0], array=lambda run, n, ins: ins[0]),
+        coupling=decouple, forward=lambda run, n, ins: ag.identity(run.tape, ins[0]),
+        array=lambda run, n, ins: ins[0]),
     "conv": OpSpec(
         attrs={"stride": _int(1), "padding": _int(0)},
         params={"weight": ("out", "in", None, None), "bias": ("out",)}, optional=("bias",),
@@ -295,7 +296,7 @@ SPECS: dict[str, OpSpec] = {
     "fakequant": OpSpec(
         attrs={"phase": _one_of(PHASES), "samples": _int(0)},
         params={"amax": (1,)}, buffers=("amax",),
-        forward=lambda run, n, ins: ins[0] if (s := _qdq_scale(n)) is None
+        forward=lambda run, n, ins: ag.identity(run.tape, ins[0]) if (s := _qdq_scale(n)) is None
         else ag.qdq(run.tape, ins[0], s),
         array=lambda run, n, ins: ins[0] if (s := _qdq_scale(n)) is None
         else ops.qdq(ins[0], s)),

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import struct
-import tempfile
 import zlib
 
 import numpy as np
@@ -110,22 +109,37 @@ def _encode(graph: Graph, precision_bits: int):
 
 
 def save(graph: Graph, precision_bits: int, path) -> int:
-    """Atomically write the container; returns bytes written."""
+    """Write the container through ``save_bytes``; returns bytes written."""
     return save_bytes(to_bytes(graph, precision_bits), path)
 
 
 def save_bytes(data: bytes, path) -> int:
-    """Atomically write container bytes already made (a temp file in the target's
-    directory, then a rename); returns bytes written."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".twnm-")
+    """Write ``data`` to ``path``; returns bytes written. Every file the package writes,
+    models and their text sidecars, logs and reports (UTF-8), goes through here.
+
+    A target that exists and is not a regular file (a FIFO, ``/dev/stdout``, a device)
+    is written in place, as ``open`` writes it. This is checked first, because the
+    resolved path of ``/dev/stdout`` may name no file (``/proc/<pid>/fd/pipe:[...]``).
+    Any other path is resolved through symlinks, so a link keeps pointing at its
+    target, and written atomically: a temp file beside the resolved path, created as
+    ``open`` creates files (mode 0o666 less the umask), then renamed into place; on any
+    failure it is removed and the old file stays intact. A rewrite therefore replaces
+    the file: a hard link to the old file keeps the old bytes, and the new file takes
+    the umask's mode, not the old file's.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as f:
+            f.write(data)
+        return len(data)
+    path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path), f".slimgraph-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
     return len(data)
 

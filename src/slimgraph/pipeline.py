@@ -20,12 +20,13 @@ import numpy as np
 
 from . import autograd as ag
 from .builders import PRESETS, build_mini_net
+from .depgraph import resolve_groups
 from .errors import SlimgraphError, TrainingError
 from .executor import RunState, run_graph
 from .fakequant import calibrate, export_fp16, quantizer_ids
 from .graph import Graph, buffer_items, infer_shapes, trainable_items
 from .metrics import CompressionReport, build_report, count_params
-from .modelio import from_bytes, to_bytes
+from .modelio import from_bytes, save_bytes, to_bytes
 from .pruner import PrunePlan, apply_prune, build_plan
 
 
@@ -255,9 +256,11 @@ def _stage(name, fn, *args, **kwargs):
 
 def _prune(graph: Graph, fraction: float, epoch: int, calib) -> tuple[PrunePlan, Graph]:
     """Plan, prune and, when the graph has quantizers, recalibrate them:
-    scales fixed for the dense graph are stale after pruning."""
-    plan = _stage("plan", build_plan, graph, fraction, epoch_trigger=epoch)
-    slim = _stage("prune", apply_prune, graph, plan)
+    scales fixed for the dense graph are stale after pruning. The channel groups are
+    resolved once, for both the plan and the prune."""
+    groups = _stage("plan", resolve_groups, graph)
+    plan = _stage("plan", build_plan, graph, fraction, groups, epoch_trigger=epoch)
+    slim = _stage("prune", apply_prune, graph, plan, groups)
     if quantizer_ids(slim):
         slim = _stage("recalibrate", calibrate, slim, calib)
     return plan, slim
@@ -382,8 +385,7 @@ def prune_recovery_study(preset: str = "ecoweed_mini", seeds=(0, 1, 2), *,
 
 
 def write_metric_log(rows, path) -> None:
-    """One CSV line per epoch: epoch, train_loss, val_acc, phase."""
-    with open(path, "w") as f:
-        f.write("epoch,train_loss,val_acc,phase\n")
-        for epoch, loss, acc, phase in rows:
-            f.write(f"{epoch},{loss:.6f},{acc:.4f},{phase}\n")
+    """One CSV line per epoch: epoch, train_loss, val_acc, phase; UTF-8, written through
+    ``modelio.save_bytes``."""
+    lines = "".join(f"{epoch},{loss:.6f},{acc:.4f},{phase}\n" for epoch, loss, acc, phase in rows)
+    save_bytes(f"epoch,train_loss,val_acc,phase\n{lines}".encode("utf-8"), path)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import modelio
 from .depgraph import ChannelGroup, resolve_groups
 from .errors import GroupError, PlanError
 from .graph import Graph, infer_shapes
@@ -180,6 +181,7 @@ def ratio_percent(dense_params: int, slim_params: int) -> float:
 # ---------------------------------------------------------------------------
 
 def write_plan(plan: PrunePlan, path) -> None:
+    """Write the plan sidecar, UTF-8, through ``modelio.save_bytes``."""
     lines = ["# slimgraph prune plan v1"]
     if plan.channel_fraction is not None:
         lines.append(f"fraction {plan.channel_fraction}")
@@ -188,8 +190,7 @@ def write_plan(plan: PrunePlan, path) -> None:
     for gid in sorted(plan.removals):
         idxs = ",".join(str(i) for i in plan.removals[gid])
         lines.append(f"group {gid} remove {idxs}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    modelio.save_bytes(("\n".join(lines) + "\n").encode("utf-8"), path)
 
 
 def read_plan(path) -> PrunePlan:

@@ -102,6 +102,17 @@ class TestPrimitiveGradients:
             lambda t, v: weighted_sum(t, ag.split_channels(t, v[0], [2, 2])[1], r_half),
             [rnd((1, 4, 2, 2))])
 
+    def test_identity(self):
+        r_out = np.random.default_rng(18).normal(size=(2, 3, 2, 2))
+        check_grad(lambda t, v: weighted_sum(t, ag.identity(t, v[0]), r_out), [rnd((2, 3, 2, 2))])
+
+    def test_identity_is_a_new_var_on_the_same_array(self):
+        tape, x = ag.Tape(), ag.Var(np.ones(3))
+        y = ag.identity(tape, x)
+        assert y is not x and y.value is x.value and len(tape) == 1
+        data = ag.Var(np.ones(3), stop_grad=True)  # pure data records nothing
+        assert ag.identity(tape, data).stop_grad and len(tape) == 1
+
     def test_maxpool(self):
         # elements drawn from a well-separated grid so the FD step cannot
         # cross a tie between window elements

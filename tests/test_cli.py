@@ -230,6 +230,10 @@ class TestReportInspect:
         out = capsys.readouterr().out
         assert "ratio_pct" in out and "pruned" in out
         assert csv_path.read_text().count("\n") >= 3
+        graphs = [load(p)[0] for p in (model_path, slim)]
+        csv_text, table = metrics.emit_report([metrics.build_report(
+            g, dense_params=metrics.count_params(graphs[0]), precision_bits=32) for g in graphs])
+        assert csv_path.read_bytes() == csv_text.encode("utf-8") and out.endswith(table)
 
     def test_report_labels_the_built_input_size(self, tmp_path, capsys):
         path = tmp_path / "m128.twnm"
@@ -447,6 +451,33 @@ class TestExitCodes:
         assert run(argv + [flag, ""]) == 3
         assert f"i/o error: {flag} is empty" in capsys.readouterr().err
         assert {d: sorted(os.listdir(d)) for d in (work, tmp_path)} == before
+
+    @pytest.mark.parametrize("cmd, flag", OUTPUT_FLAGS)
+    def test_output_path_naming_a_directory_fails_before_any_work(self, model_path, tmp_path,
+                                                                  monkeypatch, capsys, cmd, flag):
+        # caught before any work: each body would fail only when it writes
+        work = tmp_path / "work"
+        (work / "sub").mkdir(parents=True)
+        monkeypatch.chdir(work)
+        before = {d: sorted(os.listdir(d)) for d in (work, work / "sub", tmp_path)}
+        argv = self._no_work_argv(monkeypatch, model_path, work / "m.twnm", cmd, flag)
+        assert run(argv + [flag, "sub"]) == 3
+        assert f"i/o error: {flag} 'sub' is a directory" in capsys.readouterr().err
+        assert {d: sorted(os.listdir(d)) for d in (work, work / "sub", tmp_path)} == before
+
+    @pytest.mark.parametrize("argv", [
+        "inspect --model {model}",
+        "report --models {model}",
+        "prune --model {model} --fraction 0.5 --out {out}",
+        "build --preset y11_mini --seed 3 --out {out}",
+    ], ids=lambda argv: argv.split()[0])
+    def test_env_seed_is_read_only_where_a_seed_is_taken_and_not_given(
+            self, model_path, tmp_path, monkeypatch, capsys, argv):
+        # only a subcommand that takes --seed, and is not given one, reads the variable
+        monkeypatch.setenv("SLIMGRAPH_SEED", "abc")
+        assert run(argv.format(model=model_path, out=tmp_path / "out.twnm").split()) == 0
+        echo = capsys.readouterr().out.splitlines()[0]
+        assert ("seed=3" in echo) == ("--seed" in argv) and "seed=0" not in echo
 
     def test_env_seed_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SLIMGRAPH_SEED", "7")

@@ -1,6 +1,9 @@
-"""Container format: round-trips, determinism, corruption rejection."""
+"""Container format: round-trips, determinism, corruption rejection; the one file writer."""
 
+import os
+import stat
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -13,9 +16,10 @@ from container_reference import reference_to_bytes
 from slimgraph import build_mini_net, count_flops, forward_arrays, resolve_groups
 from slimgraph.builders import PRESETS, build_fragment
 from slimgraph.errors import ExportError, ModelFormatError, SlimgraphError
-from slimgraph.fakequant import calibrate, export_fp16, insert_fakequant
-from slimgraph.modelio import MAGIC, from_bytes, load, save, to_bytes
-from slimgraph.pipeline import ToyTask, TrainConfig, train
+from slimgraph.fakequant import calibrate, export_fp16, insert_fakequant, write_calibration
+from slimgraph.modelio import MAGIC, from_bytes, load, save, save_bytes, to_bytes
+from slimgraph.pipeline import ToyTask, TrainConfig, train, write_metric_log
+from slimgraph.pruner import PrunePlan, write_plan
 
 
 def build(seed=0, preset="y11_mini"):
@@ -203,6 +207,97 @@ class TestCorruption:
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(ModelFormatError, match="cannot read"):
             load(tmp_path / "missing.twnm")
+
+
+def _mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+class TestSaveBytes:
+    """``save_bytes`` writes every file the package writes: through links, with the umask,
+    atomically for paths, in place for FIFOs and devices."""
+
+    @pytest.fixture(params=[0o022, 0o077], ids=["umask-022", "umask-077"])
+    def umask(self, request):
+        old = os.umask(request.param)
+        yield request.param
+        os.umask(old)
+
+    def test_new_file_takes_the_mode_open_gives(self, tmp_path, umask):
+        save_bytes(b"x", tmp_path / "a")
+        (tmp_path / "b").write_bytes(b"x")
+        assert _mode(tmp_path / "a") == _mode(tmp_path / "b") == 0o666 & ~umask
+
+    def test_a_rewrite_replaces_the_file(self, tmp_path, umask):
+        # a hard link keeps the old bytes and the new file takes the umask's mode
+        path, old = tmp_path / "m.twnm", tmp_path / "old.twnm"
+        path.write_bytes(b"old")
+        path.chmod(0o600)
+        os.link(path, old)
+        save_bytes(b"new", path)
+        assert path.read_bytes() == b"new" and old.read_bytes() == b"old"
+        assert _mode(path) == 0o666 & ~umask and _mode(old) == 0o600
+
+    def test_a_symlinked_path_keeps_its_link_and_rewrites_its_target(self, tmp_path):
+        target = tmp_path / "real" / "m.twnm"
+        target.parent.mkdir()
+        target.write_bytes(b"old")
+        link = tmp_path / "link.twnm"
+        link.symlink_to(target)
+        assert save_bytes(b"new", link) == 3
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == b"new"
+        assert sorted(os.listdir(tmp_path)) == ["link.twnm", "real"]
+        assert os.listdir(target.parent) == ["m.twnm"]
+
+    def test_a_dangling_link_gets_its_target_made(self, tmp_path):
+        link = tmp_path / "link.twnm"
+        link.symlink_to(tmp_path / "m.twnm")
+        save_bytes(b"new", link)
+        assert link.is_symlink() and (tmp_path / "m.twnm").read_bytes() == b"new"
+
+    def test_a_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        data = bytes(range(256)) * 1024  # more than a pipe buffer holds
+        assert save_bytes(data, fifo) == len(data)
+        reader.join(timeout=30)
+        assert not reader.is_alive() and got == [data]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and os.listdir(tmp_path) == ["pipe"]
+
+    def test_a_failed_write_leaves_the_old_file_and_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.twnm"
+        path.write_bytes(b"old")
+
+        def fail(*args):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename refused"):
+            save_bytes(b"new", path)
+        assert os.listdir(tmp_path) == ["m.twnm"] and path.read_bytes() == b"old"
+
+    def test_text_writers_write_the_bytes_they_always_wrote(self, tmp_path):
+        g = insert_fakequant(chain_graph())
+        for i, q in enumerate(n for n in g.nodes.values() if n.kind == "fakequant"):
+            q.params["amax"] = np.array([0.75 + i], np.float32)
+            q.attrs.update(phase="active", samples=96)
+        write_calibration(g, tmp_path / "c.txt")
+        write_plan(PrunePlan({"g2": (1, 3), "g0": (0,)}, 0.5, 3), tmp_path / "p.txt")
+        write_metric_log([(0, 1.23456789, 0.5, "dense"), (1, 0.5, 2 / 3, "pruned")],
+                         tmp_path / "m.csv")
+        assert (tmp_path / "c.txt").read_bytes() == (
+            b"# slimgraph calibration v1\n"
+            b"blk.conv__q amax 0.75 scale 0.005905511811023622 samples 96\n"
+            b"head__q amax 1.75 scale 0.013779527559055118 samples 96\n")
+        assert (tmp_path / "p.txt").read_bytes() == (
+            b"# slimgraph prune plan v1\nfraction 0.5\nepoch 3\n"
+            b"group g0 remove 0\ngroup g2 remove 1,3\n")
+        assert (tmp_path / "m.csv").read_bytes() == (
+            b"epoch,train_loss,val_acc,phase\n0,1.234568,0.5000,dense\n1,0.500000,0.6667,pruned\n")
 
 
 SMALL = to_bytes(build_fragment("sppf", (1, 4, 8, 8), cout=4, pool_k=3), 32)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from slimgraph import build_mini_net, pipeline
+from slimgraph import build_mini_net, depgraph, pipeline, pruner
 from slimgraph.errors import SlimgraphError, TrainingError
 from slimgraph.pipeline import (ToyTask, TrainConfig, Trainer, evaluate, prune_recovery_study,
                                 run_compression_pipeline, train, write_metric_log)
@@ -183,6 +183,20 @@ class TestPipeline:
         b = run_compression_pipeline("y11_mini", task, cfg)
         assert a.fp32_bytes == b.fp32_bytes
         assert a.fp16_bytes == b.fp16_bytes
+
+    def test_prune_resolves_the_groups_once(self, monkeypatch):
+        calls = []
+
+        def counting(graph):
+            calls.append(graph)
+            return depgraph.resolve_groups(graph)
+
+        monkeypatch.setattr(pipeline, "resolve_groups", counting)
+        monkeypatch.setattr(pruner, "resolve_groups", counting)
+        task = ToyTask(seed=0, n_train=16, n_val=8)
+        cfg = TrainConfig(epochs=2, prune_epoch=1, channel_fraction=0.5, seed=0)
+        res = run_compression_pipeline("y11_mini", task, cfg)
+        assert len(calls) == 1 and res.plan.removals
 
     def test_stage_boundary_recorded_in_failure(self):
         task = ToyTask(seed=0, n_train=16, n_val=8)

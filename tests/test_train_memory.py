@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import train_reference
-from conftest import images
+from conftest import FRAGMENTS, fragment_graph, images, preset_graph
 from slimgraph import autograd as ag
-from slimgraph import build_mini_net, fakequant, forward_arrays, ops
+from slimgraph import build_mini_net, executor, fakequant, forward_arrays, ops
 from slimgraph import pipeline as pl
 from slimgraph.builders import PRESETS, GraphBuilder
 from slimgraph.executor import RunState, run_graph
@@ -191,10 +191,11 @@ def test_untaped_runs_take_no_mask_and_no_derivative(monkeypatch):
 def _aliasing_graph():
     """Disabled quantizers between a stem and its readers, and before the class output.
 
-    The stem's Var sits on three edges: the stem's own (read by the residual add,
-    after the quantizer's reader has run), the mid quantizer's, and the ``feat``
-    output's. The linear's Var sits on the linear's edge, the head quantizer's and
-    the ``cls`` output's.
+    A disabled quantizer and an output pass their input on as an ``autograd.identity``
+    record, a Var of their own, so each Var sits on one edge. The stem's edge is read by
+    the mid quantizer and, after the quantizer's reader has run, by the residual add; the
+    mid quantizer's by the mid block and the ``feat`` output. The linear's edge is read by
+    the head quantizer alone, whose edge the ``cls`` output reads.
     """
     b = GraphBuilder("alias", (BATCH, 3, 64, 64), meta={"cls_output": "cls"})
     stem = b.conv_block(b.add("input", "image", []), 3, 8, k=3, stride=4, prefix="stem")
@@ -208,6 +209,35 @@ def _aliasing_graph():
     b.add("output", "cls", [qh])
     b.graph.validate()
     return b.graph
+
+
+@pytest.mark.parametrize("which", [f"{p}-disabled" for p in PRESETS] + [
+    f"{p}-calibrated" for p in PRESETS] + [f"{m}-{w}" for m, w in FRAGMENTS])
+def test_no_kind_returns_an_input_var_in_a_taped_run(which, monkeypatch):
+    # a Var on two edges would be released when its first edge is dropped
+    name, variant = which.split("-")
+    x = images((4, 3, 64, 64))
+    if variant == "disabled":
+        g = insert_fakequant(build_mini_net(name, (4, 3, 64, 64), 3, seed=0))
+    elif variant == "calibrated":
+        g = preset_graph(which)
+    else:
+        g, x = fragment_graph(name, int(variant)), images((2, int(variant), 16, 16))
+    seen = set()
+
+    def checked(rule):
+        def run_rule(run, n, ins):
+            out = rule(run, n, ins)
+            outs = out if isinstance(out, list) else [out]
+            assert not any(o is i for o in outs for i in ins), n.id
+            seen.add(n.kind)
+            return out
+        return run_rule
+
+    for kind, rule in list(executor._VAR_RULES.items()):
+        monkeypatch.setitem(executor._VAR_RULES, kind, checked(rule))
+    run_graph(g, x, mode="train", tape=ag.Tape(), state=_state(g))
+    assert "output" in seen and ("fakequant" in seen) == (name in PRESETS)
 
 
 def test_output_and_disabled_quantizer_aliasing_one_var_still_trains(monkeypatch):

@@ -84,7 +84,7 @@ def test_an_untaped_run_makes_no_var_but_its_outputs(preset, monkeypatch):
         raise AssertionError("an untaped run called an autograd wrapper")
 
     monkeypatch.setattr(ag.Var, "__init__", counting)
-    for name in ("_taped", "conv2d", "batchnorm", "sigmoid", "silu", "add", "multiply",
+    for name in ("_taped", "identity", "conv2d", "batchnorm", "sigmoid", "silu", "add", "multiply",
                  "add_const", "scale_channels", "concat_channels", "split_channels",
                  "maxpool2d", "global_avg_pool", "linear", "qdq"):
         monkeypatch.setattr(ag, name, refuse)
