@@ -279,16 +279,20 @@ def _cmd_inspect(args) -> int:
 
 def _check_out_dirs(args) -> None:
     """Fail before any work when an output flag is empty, an output file names a directory,
-    or its directory does not exist (``--out-dir`` is made). Flags are checked in the
-    order the bodies write them."""
+    or the directory of the file it resolves to through links does not exist (``--out-dir``
+    is made). Flags are checked in the order the bodies write them."""
     for flag in ("log", "calib_out", "plan_out", "csv", "out", "out_dir"):
         path, name = getattr(args, flag, None), "--" + flag.replace("_", "-")
         if path == "":
             raise FileNotFoundError(f"{name} is empty")
-        if path and flag != "out_dir" and os.path.isdir(path):
+        if not path or flag == "out_dir":
+            continue
+        if os.path.isdir(path):
             raise IsADirectoryError(f"{name} {path!r} is a directory")
-        if path and flag != "out_dir" and not os.path.isdir(os.path.dirname(path) or "."):
-            raise FileNotFoundError(f"no directory to write {path!r} into")
+        real = os.path.realpath(path)
+        if not os.path.isdir(os.path.dirname(real)):
+            via = f" (a link to {real!r})" if real != os.path.abspath(path) else ""
+            raise FileNotFoundError(f"no directory to write {path!r}{via} into")
 
 
 def run(argv) -> int:

@@ -62,8 +62,9 @@ _ARRAY_RULES = {kind: spec.array for kind, spec in SPECS.items()}
 _VAR_RULES = {kind: spec.forward for kind, spec in SPECS.items()}
 
 # Plans, weakly keyed by graph so that they never keep one alive: at most one per graph,
-# stored with the snapshot it was built from.
+# stored with the snapshot it was built from, or with _FOLDED for a graph that ``_fold`` made.
 _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_FOLDED = object()
 
 
 def _node_ids(outputs) -> list | None:
@@ -73,22 +74,33 @@ def _node_ids(outputs) -> list | None:
     return None if outputs is None else list(outputs)
 
 
+def _snapshot(graph: Graph, outputs, build) -> list:
+    """What a plan's builder reads of ``graph``: the builder, the outputs, each node object in
+    order with its id, kind, attrs dict (folded convs share the conv's), parameter count and
+    inputs, then all parameter shapes (which decide the fold pairs; one flat list is faster
+    to build than one per node)."""
+    return [build, outputs, *[(k, id(n), n.id, n.kind, id(n.attrs), len(n.params), *n.inputs)
+                              for k, n in graph.nodes.items()],
+            *[a.shape for n in graph.nodes.values() for a in n.params.values()]]
+
+
 def _plan(graph: Graph, outputs, build):
     """``build(graph, outputs)``, kept for ``graph`` and rebuilt whenever its snapshot changes.
 
     One plan is kept per graph: ``run_graph``'s schedule or ``forward_arrays``' folds, for
     the outputs last requested, so another builder or other outputs cost one rebuild. The
-    snapshot, compared on every call, is what a builder reads: the builder, the outputs,
-    each node object in order with its id, kind, attrs dict (folded convs share the conv's),
-    parameter count and inputs, then all parameter shapes (which decide the fold pairs; one
-    flat list is faster to build than one per node). Attributes and parameter values are
+    snapshot (``_snapshot``) is compared on every call. Attributes and parameter values are
     read on each run, so writing them needs no rebuild and no array is held. Ids are safe
     to compare: a plan holds the nodes it runs and the attrs dicts it shares, and reads of
-    any other node only the fields compared by value."""
-    snapshot = [build, outputs, *[(k, id(n), n.id, n.kind, id(n.attrs), len(n.params), *n.inputs)
-                                  for k, n in graph.nodes.items()],
-                *[a.shape for n in graph.nodes.values() for a in n.params.values()]]
+    any other node only the fields compared by value.
+
+    A graph made by ``_fold`` is private to ``forward_arrays``, which runs it only for the
+    outputs it was folded for, and is replaced whenever its source's snapshot changes; its
+    schedule, compiled with it, is returned unchecked."""
     hit = _PLANS.get(graph)
+    if hit is not None and hit[0] is _FOLDED:
+        return hit[1]
+    snapshot = _snapshot(graph, outputs, build)
     if hit is None or hit[0] != snapshot:
         hit = _PLANS[graph] = (snapshot, build(graph, outputs))
     return hit[1]
@@ -114,6 +126,7 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
             which ``estimate_memory`` counts.
 
     The schedule is kept per graph and outputs, and rebuilt after a structural edit (``_plan``).
+    It is compiled to list slots (``_schedule``), so the walk indexes a list, not a dict.
 
     Only a taped run walks ``Var``s, through each kind's ``forward`` rule. Every other run
     (``eval``, ``calibrate``, and ``train`` without a tape) walks plain arrays through each
@@ -138,29 +151,39 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
         raise GraphError("training mode requires a RunState")
     if tape is not None and mode != "train":
         raise GraphError(f"a tape records gradients in mode='train' only, not mode={mode!r}")
-    plan, returned = _plan(graph, _node_ids(outputs), _schedule)
+    steps, n_slots, returned = _plan(graph, _node_ids(outputs), _schedule)
     rules = _ARRAY_RULES if tape is None else _VAR_RULES
-    values: dict[tuple[str, int], object] = {}  # a Var each when taped, else an array
+    values = [None] * n_slots  # a Var each when taped, else an array
     run = _Run(x, mode, tape, state)
-    for n, last_read in plan:
-        out = rules[n.kind](run, n, [values[ref] for ref in n.inputs])
-        for p, v in enumerate(out if isinstance(out, list) else [out]):
-            values[(n.id, p)] = v
-        for ref in last_read:
-            v = values.pop(ref)
+    for n, ins, outs, free in steps:
+        out = rules[n.kind](run, n, [values[i] for i in ins])
+        if isinstance(out, list):
+            for i, v in zip(outs, out, strict=True):
+                values[i] = v
+        else:
+            values[outs[0]] = out
+        for i in free:
             if tape is not None:
-                v.value = None
+                values[i].value = None
+            values[i] = None
     if tape is None:
-        return {nid: Var(values[(nid, 0)]) for nid in returned}
-    return {nid: values[(nid, 0)] for nid in returned}
-
+        return {nid: Var(values[i]) for nid, i in returned}
+    return {nid: values[i] for nid, i in returned}
 
 
 def _schedule(graph: Graph, outputs):
-    """``graph.schedule`` for ``outputs``, and the ids ``run_graph`` returns, in its order."""
+    """``graph.schedule`` for ``outputs``, compiled for ``run_graph`` to keep its values in a
+    list: one slot per output port of each scheduled node. Returns the steps, each a node
+    with the slots it reads, the slots of its ports and the slots it reads last; the slot
+    count; and the (id, slot) pairs returned, in schedule order."""
     wanted = graph.output_ids if outputs is None else outputs
     plan = graph.schedule(wanted)
-    return plan, [n.id for n, _ in plan if n.id in wanted]
+    slot = {ref: i for i, ref in enumerate((n.id, p) for n, _ in plan
+                                           for p in range(n.n_out_ports()))}
+    steps = [(n, [slot[ref] for ref in n.inputs],
+              [slot[(n.id, p)] for p in range(n.n_out_ports())], [slot[ref] for ref in last_read])
+             for n, last_read in plan]
+    return steps, len(slot), [(n.id, slot[(n.id, 0)]) for n, _ in plan if n.id in wanted]
 
 
 def _fold_pairs(nodes: dict[str, Node], keep) -> list[tuple[Node, Node]]:
@@ -208,6 +231,7 @@ def _fold(graph: Graph, outputs):
     for c, bn in pairs:
         del folded.nodes[c.id]
         folded.nodes[bn.id] = Node(bn.id, "conv", c.attrs, {}, c.inputs, bn.protected)
+    _PLANS[folded] = (_FOLDED, _schedule(folded, outputs))
     return folded, pairs
 
 
@@ -219,8 +243,9 @@ def forward_arrays(graph: Graph, x: np.ndarray, outputs=None) -> dict[str, np.nd
     The fold changes float rounding only, but an active quantizer after a folded conv can
     turn that into whole int8 steps. ``run_graph``, and so training, calibration, evaluation
     and export, stays unfolded. With ``outputs``, only the nodes they need are folded and
-    run, so no other batchnorm is read. The fold plan is kept per graph and outputs
-    (``_plan``), yet outputs equal a fresh fold's bit for bit, also after an edit. Each
+    run, so no other batchnorm is read. The fold plan, with the folded graph's compiled
+    schedule, is kept per graph and outputs (``_plan``), so a call checks the structure
+    once, yet outputs equal a fresh fold's bit for bit, also after an edit. Each
     call recomputes the folded tensors, which nothing holds between calls, and passes
     them as ``RunState`` buffers to ``run_graph(mode="eval")``, an untaped array walk."""
     outputs = _node_ids(outputs)

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import struct
+import sys
 import zlib
 
 import numpy as np
@@ -113,13 +114,30 @@ def save(graph: Graph, precision_bits: int, path) -> int:
     return save_bytes(to_bytes(graph, precision_bits), path)
 
 
+def _descriptor(path) -> int | None:
+    """The descriptor of this process that ``path`` reaches through its links (``/dev/stdout``,
+    ``/dev/stderr``, ``/dev/fd/N``, ``/proc/self/fd/N``), else None."""
+    path = os.path.abspath(path)
+    for _ in range(40):  # the kernel's own limit on links followed
+        head, tail = os.path.split(path)
+        if tail.isdigit() and os.path.realpath(head) in (f"/proc/{os.getpid()}/fd", "/dev/fd"):
+            return int(tail)
+        if not os.path.islink(path):
+            return None
+        path = os.path.join(head, os.readlink(path))
+    return None
+
+
 def save_bytes(data: bytes, path) -> int:
     """Write ``data`` to ``path``; returns bytes written. Every file the package writes,
     models and their text sidecars, logs and reports (UTF-8), goes through here.
 
-    A target that exists and is not a regular file (a FIFO, ``/dev/stdout``, a device)
-    is written in place, as ``open`` writes it. This is checked first, because the
-    resolved path of ``/dev/stdout`` may name no file (``/proc/<pid>/fd/pipe:[...]``).
+    A path that reaches an open descriptor (``/dev/stdout``, ``/dev/fd/N``) is written
+    through that descriptor, at its offset, whatever it is open on: a regular file keeps
+    its inode and what was written before. Any other target that exists and is not a
+    regular file (a FIFO, a device) is written in place, as ``open`` writes it. Both
+    flush Python's own streams first, so the bytes land in order with what the process
+    prints.
     Any other path is resolved through symlinks, so a link keeps pointing at its
     target, and written atomically: a temp file beside the resolved path, created as
     ``open`` creates files (mode 0o666 less the umask), then renamed into place; on any
@@ -127,8 +145,11 @@ def save_bytes(data: bytes, path) -> int:
     the file: a hard link to the old file keeps the old bytes, and the new file takes
     the umask's mode, not the old file's.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "wb") as f:
+    fd = _descriptor(path)
+    if fd is not None or (os.path.exists(path) and not os.path.isfile(path)):
+        for stream in (sys.stdout, sys.stderr):
+            stream.flush()
+        with open(path if fd is None else fd, "wb", closefd=fd is None) as f:
             f.write(data)
         return len(data)
     path = os.path.realpath(path)

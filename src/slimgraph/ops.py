@@ -22,9 +22,9 @@ repeated runs on identical inputs are bit-identical.
 How patches are gathered, and tap gradients scattered back, is a property of
 the map's shape. On a map of at most 64 cells the inner runs of a per-tap slice
 are a few floats long and numpy's per-call cost rules, so one GEMM with a cached
-read-only 0/1 selection matrix does the whole copy, each way. The gather is then
-bit-identical to the slices; the scatter sums in another order, so it differs in
-float rounding. A 0*inf term would spread NaN over a whole (image, channel) row,
+read-only 0/1 selection matrix does the whole copy, each way. The gather then equals
+the slices in value, but a -0.0 cell reads +0.0 (``rint`` in ``qdq`` makes -0.0 of small
+negatives); the scatter sums in another order, so it differs in float rounding. A 0*inf term would spread NaN over a whole (image, channel) row,
 so a non-finite operand takes the slice path, which keeps it local. Larger maps
 always take one slice copy per tap: there the GEMM's many zero products cost more
 than the copies.
@@ -419,7 +419,7 @@ def qdq(x: np.ndarray, scale: float) -> np.ndarray:
         raise QuantError(f"qdq scale must be positive, got {scale}")
     q = np.divide(x, scale)  # the one allocation; the other steps run in place
     np.rint(q, out=q)
-    np.clip(q, QMIN, QMAX, out=q)
+    q.clip(QMIN, QMAX, out=q)  # the method skips two of np.clip's Python layers
     q *= scale
     return q.astype(x.dtype, copy=False)
 

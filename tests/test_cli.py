@@ -235,6 +235,25 @@ class TestReportInspect:
             g, dense_params=metrics.count_params(graphs[0]), precision_bits=32) for g in graphs])
         assert csv_path.read_bytes() == csv_text.encode("utf-8") and out.endswith(table)
 
+    def test_report_csv_to_stdout_on_a_regular_file(self, model_path, tmp_path):
+        """``--csv /dev/stdout`` with stdout on a file: the echo, the CSV, then the table,
+        all in the file the shell opened."""
+        src = Path(slimgraph.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = tmp_path / "out.txt"
+        with open(out, "wb") as f:
+            inode = os.fstat(f.fileno()).st_ino
+            proc = subprocess.run([sys.executable, "-m", "slimgraph.cli", "report", "--models",
+                                   str(model_path), "--csv", "/dev/stdout"],
+                                  env=env, stdout=f, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 0, proc.stderr
+        csv_text, table = metrics.emit_report([metrics.build_report(
+            load(model_path)[0], dense_params=None, precision_bits=32)])
+        echo = f"[slimgraph] report: cmd='report' csv='/dev/stdout' models=[{str(model_path)!r}]\n"
+        assert out.read_text() == echo + csv_text + table
+        assert os.stat(out).st_ino == inode and sorted(os.listdir(tmp_path)) == [
+            "model.twnm", "out.txt"]
+
     def test_report_labels_the_built_input_size(self, tmp_path, capsys):
         path = tmp_path / "m128.twnm"
         assert run(["build", "--preset", "y11_mini", "--input-size", "128",
@@ -436,6 +455,20 @@ class TestExitCodes:
         assert run(argv + [flag, str(missing)]) == 3
         assert f"i/o error: no directory to write {str(missing)!r} into" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("cmd, flag", OUTPUT_FLAGS)
+    def test_link_into_a_missing_directory_fails_before_any_work(self, model_path, tmp_path,
+                                                                 monkeypatch, capsys, cmd, flag):
+        # the link's own directory exists; the check once passed, and the write failed
+        # after the work, naming its temp file
+        link, target = tmp_path / "l.twnm", tmp_path / "nodir" / "x.twnm"
+        link.symlink_to(target)
+        before = sorted(os.listdir(tmp_path))
+        argv = self._no_work_argv(monkeypatch, model_path, tmp_path / "m.twnm", cmd, flag)
+        assert run(argv + [flag, str(link)]) == 3
+        assert (f"i/o error: no directory to write {str(link)!r} (a link to {str(target)!r})"
+                in capsys.readouterr().err)
+        assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.parametrize("cmd, flag", OUTPUT_FLAGS + [
         pytest.param("pipeline", "--out-dir", id="--out-dir-pipeline")])

@@ -268,6 +268,22 @@ class TestSaveBytes:
         assert not reader.is_alive() and got == [data]
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and os.listdir(tmp_path) == ["pipe"]
 
+    @pytest.mark.parametrize("form", ["/dev/fd/{fd}", "/proc/self/fd/{fd}", "link"])
+    def test_a_path_to_an_open_descriptor_writes_through_it(self, tmp_path, form):
+        # at its offset, keeping the file it is open on: no rename over the file
+        path = tmp_path / "out.txt"
+        with open(path, "wb") as f:
+            f.write(b"before,")
+            f.flush()
+            target = form.format(fd=f.fileno())
+            if form == "link":
+                target = tmp_path / "link"
+                target.symlink_to(f"/dev/fd/{f.fileno()}")
+            inode = os.stat(path).st_ino
+            assert save_bytes(b"data,", target) == 5
+            f.write(b"after")
+        assert path.read_bytes() == b"before,data,after" and os.stat(path).st_ino == inode
+
     def test_a_failed_write_leaves_the_old_file_and_no_temp_file(self, tmp_path, monkeypatch):
         path = tmp_path / "m.twnm"
         path.write_bytes(b"old")

@@ -264,7 +264,8 @@ def test_plans_keep_no_graph_alive():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of ``Graph.schedule``, pair finding and ``ops.batchnorm_infer`` calls."""
+    """Counts of structure snapshots, ``Graph.schedule``, pair finding and
+    ``ops.batchnorm_infer`` calls."""
     counts = collections.Counter()
 
     def counting(name, f):
@@ -273,6 +274,7 @@ def calls(monkeypatch):
             return f(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(executor, "_snapshot", counting("snapshot", executor._snapshot))
     monkeypatch.setattr(Graph, "schedule", counting("schedule", Graph.schedule))
     monkeypatch.setattr(executor, "_fold_pairs", counting("pairs", executor._fold_pairs))
     monkeypatch.setattr(executor.ops, "batchnorm_infer",
@@ -287,7 +289,7 @@ class TestBuiltOnce:
         x = images((1, 3, 64, 64))
         for _ in range(20):
             forward_arrays(g, x, outputs)
-        assert calls == {"schedule": 1, "pairs": 1, "batchnorm_infer": 20}
+        assert calls == {"snapshot": 20, "schedule": 1, "pairs": 1, "batchnorm_infer": 20}
 
     def test_other_outputs_replace_the_plan(self, calls):
         g, x = chain_graph(), images((1, 3, 8, 8))

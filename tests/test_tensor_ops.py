@@ -373,6 +373,17 @@ class TestSmallMapSelection:
         ops.conv2d_backward(np.ones_like(y), x.shape, np.ones((4, 3, 3, 3), np.float32), cols, 1, 1)
         assert keys == ([(h, w, 3, 3, 1, 1, np.dtype(np.float32))] * 2 if gemm else [])
 
+    def test_a_signed_zero_cell_reads_plus_zero(self, rng):
+        """The GEMM gather equals the slices in value, but sums -0.0 * 1 with +0.0 terms."""
+        x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
+        x[1, 2, 3, 4] = -0.0
+        cols = ops._im2col(x, 3, 3, 1, 1)[0]
+        slices = ops._gather_slices(x, 3, 3, 1, 1, 8, 8).reshape(cols.shape)
+        assert np.array_equal(cols, slices)
+        flipped = np.signbit(cols) != np.signbit(slices)
+        assert (slices[flipped] == 0).all() and flipped.sum() == 9  # each 3x3 tap reads it
+        assert not np.signbit(cols[cols == 0]).any()
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_cell_stays_local(self, rng, bad):
         x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
