@@ -543,8 +543,9 @@ def test_activation_backward_matches_unfused_formulas(rng, dtype, tol):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("name, library, reference", [
-    ("silu", ag.silu, train_reference.silu),
-    ("qdq", lambda t, v: ag.qdq(t, v, 0.05), lambda t, v: train_reference.qdq(t, v, 0.05)),
+    ("silu", ag.silu, train_reference.capturing_silu),
+    ("qdq", lambda t, v: ag.qdq(t, v, 0.05),
+     lambda t, v: train_reference.capturing_qdq(t, v, 0.05)),
 ])
 def test_backward_bit_identical_to_the_capturing_form(rng, dtype, name, library, reference):
     # a tape keeps the SiLU derivative and the STE mask instead of the forward operands

@@ -58,13 +58,16 @@ def _train(graph, steps):
 
 
 def _retaining(monkeypatch):
-    monkeypatch.setattr(pl, "run_graph", train_reference.run_graph)
-    monkeypatch.setattr(ag, "backward", train_reference.backward)
+    """Run every ``Trainer`` step through ``train_reference`` instead of the library."""
+    for owner, name in ((pl, "run_graph"), (ag, "Tape"), (ag, "backward"),
+                        (ag, "softmax_cross_entropy")):
+        monkeypatch.setattr(owner, name, getattr(train_reference, name))
 
 
 def _capturing(monkeypatch):
-    monkeypatch.setattr(ag, "silu", train_reference.silu)
-    monkeypatch.setattr(ag, "qdq", train_reference.qdq)
+    _retaining(monkeypatch)
+    monkeypatch.setattr(train_reference, "silu", train_reference.capturing_silu)
+    monkeypatch.setattr(train_reference, "qdq", train_reference.capturing_qdq)
 
 
 def _assert_same_training(got, want):
