@@ -1,77 +1,88 @@
-"""Reverse-mode differentiation over the operators in :mod:`slimgraph.ops`.
+"""Reverse-mode differentiation of a taped ``run_graph`` and the loss on its outputs.
 
-A ``Tape`` only records: each primitive run with a tape appends its output
-and a backward closure, in execution order. ``backward`` replays the records
-strictly in reverse and accumulates into each input Var's ``.grad``; a Var
-the forward pass never reached keeps ``grad=None``. Callers read gradients
-off the Vars they hold.
+A ``Tape`` records one taped run. Each node that passes a gradient saves a record
+of itself, the slots of its inputs and outputs, and what its forward rule saved for
+its ``backward`` rule (:mod:`slimgraph.kinds`); nothing else holds that state. A
+loss on the run's outputs records a closure over the output ``Var``s it read.
+``backward`` runs the losses, then the node records strictly in reverse: it
+accumulates each input's gradient into its slot and each trained tensor's into
+the run state's ``Var``. A trained Var the pass never reaches keeps ``grad=None``.
 
-What a tape holds, and when it lets go:
+Pure data takes no gradient: the batch is never recorded, a quantizer or output
+that passes it on records nothing (and a quantizer takes no clip mask), and a conv
+on it computes no input gradient.
 
-* Each closure captures the arrays its gradient formula reads, taken at
-  forward time: conv its patch matrix (the largest term), batchnorm its
-  normalized map, sigmoid its output, SiLU its derivative, qdq its clip mask
-  (one byte per element), linear, multiply and scale the operands they
-  multiply, and maxpool its argmax; concat, split, average pooling and conv
-  keep only the shapes they need, and identity nothing. Called without a
-  tape, the wrappers take no derivative and no mask; an untaped ``run_graph``
-  calls none of them, but the array rules of :mod:`slimgraph.kinds`. No
-  closure reads an input Var's ``.value``, and ``identity`` gives a rule that
-  passes its input on a Var of its own, so each Var sits on one graph edge
-  and a taped ``run_graph`` can drop each activation (``Var.value = None``)
-  once that edge's last reader has run; the Var stays, as the place its
-  gradient accumulates.
-* A tape is used once. ``backward`` pops each record before running it, so
-  its closure and what it captured are freed as the pass goes, and clears an
-  op output's ``.grad`` once that gradient has been passed on. Leaves
-  (parameters, inputs: Vars no record outputs) keep their gradients.
-  ``len(tape)`` still counts every record made.
+A tape is used once. A second run on it raises ``GraphError``, since slot numbers
+of two runs would collide. ``backward`` pops each record before it runs, so what it
+saved is freed as the pass goes, and drops each slot's gradient once that gradient
+has been passed on. Trained Vars keep their gradients. ``len(tape)`` still counts
+every record made.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import ops
 from .errors import GraphError, ShapeError
+from .kinds import SPECS
 
 
 class Var:
-    """A value flowing through a taped forward pass.
+    """A trained tensor, a run's returned output or a loss: a value, and the gradient
+    ``backward`` accumulates into it. ``backward`` resets a returned output's or a
+    loss's ``grad`` to None once it is passed on."""
 
-    ``stop_grad`` marks pure data (e.g. the network input): operators skip
-    computing its upstream gradient entirely. A taped ``run_graph`` sets
-    ``value`` to None once no later node reads it (backward never does), and
-    ``backward`` resets an op output's ``grad`` to None once it is passed on.
-    """
+    __slots__ = ("value", "grad")
 
-    __slots__ = ("value", "grad", "stop_grad")
-
-    def __init__(self, value, stop_grad=False):
+    def __init__(self, value):
         self.value = value
         self.grad = None
-        self.stop_grad = stop_grad
-
-    def __repr__(self):
-        shape = "released" if self.value is None else self.value.shape
-        return f"Var(shape={shape}, grad={'set' if self.grad is not None else 'none'})"
 
 
-def _accum(var: Var, g):
-    # accumulation always rebinds, so aliasing the upstream gradient is safe
-    var.grad = g if var.grad is None else var.grad + g
+def _accum(total, g):
+    """``total + g``, or ``g`` itself when there is no total yet. A sum is a new array, so
+    no rule's output is written into, and one array may reach two slots."""
+    return g if total is None else total + g
 
 
 class Tape:
-    """Ordered record of executed primitives and their backward closures; single-use."""
+    """What backward reads of one taped run and the losses on its outputs; single-use."""
 
     def __init__(self):
-        self._records = []  # (output Var, backward closure), consumed by backward
+        self._records = []  # (node, input slots, output slots, saved), consumed by backward
+        self._losses = []   # (loss Var, backward closure), consumed by backward
+        self._slots = None  # node id -> (input slots, output slots) of the recorded run
+        self._live = []     # per slot: whether a record made it, so that it takes a gradient
+        self._vars = {}     # the run's trained Vars, by (node id, tensor name)
+        self._outputs = []  # (slot, returned Var)
         self._made = 0
         self._spent = False
 
-    def record(self, out: Var, backward_fn):
-        self._records.append((out, backward_fn))
+    def _open(self, steps, n_slots: int, vars_: dict) -> None:
+        """Take the schedule of the run about to be recorded."""
+        if self._spent or self._slots is not None:
+            raise GraphError("a tape records one run; record a new one")
+        self._slots = {n.id: (ins, outs) for n, ins, outs, _ in steps}
+        self._live = [False] * n_slots
+        self._vars = vars_
+
+    def save(self, n, *saved) -> None:
+        """Record node ``n`` of the run, with what its backward rule reads."""
+        ins, outs = self._slots[n.id]
+        self._records.append((n, ins, outs, saved))
+        self._made += 1
+        for i in outs:
+            self._live[i] = True
+
+    def takes_grad(self, n) -> bool:
+        """Whether the first input of ``n`` takes a gradient: a record made it, so it is
+        not pure data."""
+        return self._live[self._slots[n.id][0][0]]
+
+    def record(self, out: Var, backward_fn) -> None:
+        """Record a loss on the run's outputs: ``backward_fn(g)`` accumulates ``out``'s
+        gradient into the Vars it was computed from."""
+        self._losses.append((out, backward_fn))
         self._made += 1
 
     def __len__(self):
@@ -80,12 +91,12 @@ class Tape:
 
 
 def backward(tape: Tape, loss: Var) -> None:
-    """Run the tape in reverse from a scalar loss, accumulating into ``.grad``.
+    """Run the tape in reverse from a scalar loss, accumulating into the trained Vars.
 
-    Consumes the tape: each record is popped before it runs, so its closure and
-    the arrays it captured are freed as the pass goes, and each op output's
-    ``.grad`` is reset to None once passed on. Only leaves keep gradients, and
-    a second ``backward`` on the same tape raises ``GraphError``.
+    Consumes the tape: each record is popped before it runs, so what it saved is
+    freed as the pass goes, and each gradient is dropped once passed on. Only the
+    trained Vars keep gradients, and a second ``backward`` on the same tape raises
+    ``GraphError``.
     """
     if tape._spent:
         raise GraphError("this tape has run backward already; record a new one")
@@ -93,198 +104,32 @@ def backward(tape: Tape, loss: Var) -> None:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     tape._spent = True
     loss.grad = np.ones_like(loss.value)
-    records = tape._records
-    while records:
-        out, fn = records.pop()
+    grads = [None] * len(tape._live)  # per slot
+    for out, fn in reversed(tape._losses):
         g, out.grad = out.grad, None
         if g is not None:
             fn(g)
-
-
-def _taped(tape, value, grad, stop_grad=False) -> Var:
-    """Wrap a result, recording its backward closure if taping and differentiable."""
-    out = Var(value, stop_grad)
-    if tape is not None and not stop_grad:
-        tape.record(out, grad)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# differentiable wrappers; tape=None degrades to a plain forward computation
-# ---------------------------------------------------------------------------
-
-def identity(tape, x: Var) -> Var:
-    """A new Var on the same array, its gradient passed on unchanged. A rule that
-    passes its input on returns this, so that no Var sits on two edges."""
-    return _taped(tape, x.value, lambda g: _accum(x, g), stop_grad=x.stop_grad)
-
-
-def conv2d(tape, x: Var, w: Var, b: Var | None, stride=1, padding=0) -> Var:
-    wv, x_shape, need_gx = w.value, x.value.shape, not x.stop_grad
-    y, cols = ops.conv2d_forward(x.value, wv, None if b is None else b.value, stride, padding)
-
-    def grad(g):
-        gx, gw, gb = ops.conv2d_backward(g, x_shape, wv, cols, stride, padding,
-                                         with_bias=b is not None, need_gx=need_gx)
-        if gx is not None:
-            _accum(x, gx)
-        _accum(w, gw)
-        if b is not None:
-            _accum(b, gb)
-    return _taped(tape, y, grad)
-
-
-def batchnorm(tape, x: Var, gamma: Var, beta: Var, mean, var, eps, training: bool) -> Var:
-    """Batch statistics when training, stored statistics otherwise.
-
-    ``mean``/``var`` are plain arrays (running statistics, never trained).
-    Returns (out, batch_mean, batch_var); the batch stats are None in eval.
-    Tapes work in training only: with stored statistics nothing is recorded,
-    and ``run_graph`` refuses a tape outside ``mode="train"``.
-    """
-    if not training:
-        y = ops.batchnorm_infer(x.value, gamma.value, beta.value, mean, var, eps)
-        return Var(y), None, None
-    gv = gamma.value
-    y, cache = ops.batchnorm_train_forward(x.value, gv, beta.value, eps)
-
-    def grad(g):
-        gx, dgamma, dbeta = ops.batchnorm_train_backward(g, gv, cache)
-        _accum(x, gx)
-        _accum(gamma, dgamma)
-        _accum(beta, dbeta)
-    return _taped(tape, y, grad), cache[2], cache[3]
-
-
-def sigmoid(tape, x: Var) -> Var:
-    s = ops.sigmoid(x.value)
-
-    def grad(g):
-        t = 1.0 - s  # g*s*(1-s) in one buffer
-        t *= s
-        t *= g
-        _accum(x, t)
-    return _taped(tape, s, grad)
-
-
-def silu_derivative(x, s):
-    """d(x·s)/dx = s·(1 + x·(1-s)) for s = sigmoid(x), in one buffer."""
-    d = 1.0 - s
-    d *= x
-    d += 1.0
-    d *= s
-    return d
-
-
-def silu(tape, x: Var) -> Var:
-    """x·sigmoid(x), written into the sigmoid's buffer. A tape keeps only the
-    derivative, taken at forward time before that multiply, so backward is one
-    multiply, in place: the tape runs each closure once."""
-    xv = x.value
-    s = ops.sigmoid(xv)
-    d = None if tape is None else silu_derivative(xv, s)
-
-    def grad(g):
-        _accum(x, np.multiply(d, g, out=d))
-    return _taped(tape, np.multiply(xv, s, out=s), grad)
-
-
-def add(tape, a: Var, b: Var) -> Var:
-    def grad(g):
-        _accum(a, g)
-        _accum(b, g)
-    return _taped(tape, ops.add(a.value, b.value), grad)
-
-
-def multiply(tape, a: Var, b: Var) -> Var:
-    av, bv = a.value, b.value
-
-    def grad(g):
-        _accum(a, g * bv)
-        _accum(b, g * av)
-    return _taped(tape, ops.multiply(av, bv), grad)
-
-
-def add_const(tape, x: Var, c: float) -> Var:
-    return _taped(tape, x.value + c, lambda g: _accum(x, g))
-
-
-def scale_channels(tape, x: Var, s: Var) -> Var:
-    """Per-channel multiplication of a (N,C,H,W) map by a length-C vector."""
-    xv, sv = x.value, s.value
-    y = ops.scale_channels(xv, sv)
-
-    def grad(g):
-        _accum(x, g * sv[None, :, None, None])
-        _accum(s, (g * xv).sum(axis=(0, 2, 3)))
-    return _taped(tape, y, grad)
-
-
-def concat_channels(tape, parts: list[Var]) -> Var:
-    widths = [p.value.shape[1] for p in parts]
-
-    def grad(g):
-        off = 0
-        for p, s in zip(parts, widths):
-            _accum(p, g[:, off:off + s])
-            off += s
-    return _taped(tape, ops.concat_channels([p.value for p in parts]), grad)
-
-
-def split_channels(tape, x: Var, sizes) -> list[Var]:
-    # one record per piece; each accumulates into its own slice
-    outs, off, shape, dtype = [], 0, x.value.shape, x.value.dtype
-    for v, s in zip(ops.split_channels(x.value, sizes), sizes):
-        def grad(g, off=off, s=s):
-            gx = np.zeros(shape, dtype)
-            gx[:, off:off + s] = g
-            _accum(x, gx)
-        outs.append(_taped(tape, v, grad))
-        off += s
-    return outs
-
-
-def maxpool2d(tape, x: Var, k, stride, padding) -> Var:
-    """Window max. The backward routes each gradient to its window's argmax cell,
-    so the kernel computes the argmax only when a tape records the op."""
-    shape = x.value.shape
-    y, arg = ops.maxpool2d_forward(x.value, k, stride, padding, need_arg=tape is not None)
-
-    def grad(g):
-        _accum(x, ops.maxpool2d_backward(g, arg, shape, k, stride, padding))
-    return _taped(tape, y, grad)
-
-
-def global_avg_pool(tape, x: Var) -> Var:
-    n, c, h, w = x.value.shape
-
-    def grad(g):
-        _accum(x, np.broadcast_to(g[:, :, None, None] / (h * w), (n, c, h, w)).astype(g.dtype))
-    return _taped(tape, ops.global_avg_pool(x.value), grad)
-
-
-def linear(tape, x: Var, w: Var, b: Var | None) -> Var:
-    xv, wv = x.value, w.value
-
-    def grad(g):
-        _accum(x, g @ wv)
-        _accum(w, g.T @ xv)
-        if b is not None:
-            _accum(b, g.sum(axis=0))
-    return _taped(tape, ops.linear(xv, wv, None if b is None else b.value), grad)
-
-
-def qdq(tape, x: Var, scale: float) -> Var:
-    """Quantize-dequantize with clipped straight-through gradients. A tape keeps
-    only the clip mask (``ops.ste_mask``, one byte per element), taken at
-    forward time; nothing is taken for an untaped or ``stop_grad`` input."""
-    xv = x.value
-    y = ops.qdq(xv, scale)
-    inside = None if tape is None or x.stop_grad else ops.ste_mask(xv, scale)
-
-    def grad(g):
-        _accum(x, ops.qdq_backward(g, inside))
-    return _taped(tape, y, grad, stop_grad=x.stop_grad)
+    tape._losses.clear()
+    for i, var in tape._outputs:
+        grads[i], var.grad = var.grad, None
+    records, vars_ = tape._records, tape._vars
+    while records:
+        n, ins, outs, saved = records.pop()
+        g, reached = [], False
+        for i in outs:
+            gi, grads[i] = grads[i], None
+            g.append(gi)
+            reached = reached or gi is not None
+        if not reached:  # no output of the node reaches the loss
+            continue
+        into_ins, into_tensors = SPECS[n.kind].backward(n, saved, g)
+        for i, gi in zip(ins, into_ins):
+            if gi is not None:
+                grads[i] = _accum(grads[i], gi)
+        for name, gt in into_tensors.items():
+            var = vars_.get((n.id, name))
+            if var is not None:
+                var.grad = _accum(var.grad, gt)
 
 
 def softmax_cross_entropy(tape, logits: Var, labels) -> Var:
@@ -297,10 +142,12 @@ def softmax_cross_entropy(tape, logits: Var, labels) -> Var:
     ez = np.exp(z - zmax)
     denom = ez.sum(axis=1, keepdims=True)
     logp = (z - zmax) - np.log(denom)
-    loss = -logp[np.arange(n), labels].mean()
+    loss = Var(np.asarray(-logp[np.arange(n), labels].mean(), dtype=z.dtype))
 
     def grad(g):
         gz = ez / denom
         gz[np.arange(n), labels] -= 1.0
-        _accum(logits, gz * (g / n))
-    return _taped(tape, np.asarray(loss, dtype=z.dtype), grad)
+        logits.grad = _accum(logits.grad, gz * (g / n))
+    if tape is not None:
+        tape.record(loss, grad)
+    return loss

@@ -37,13 +37,8 @@ class _Run:
         self.x, self.mode, self.tape = x, mode, tape
         self.vars, self.buffers = (state.vars, state.buffers) if state is not None else ({}, {})
 
-    def param(self, n, name) -> Var | None:
-        if (n.id, name) in self.vars:
-            return self.vars[(n.id, name)]
-        return Var(n.params[name]) if name in n.params else None
-
     def array(self, n, name):
-        """A tensor as array rules read it: a state var's value, else a buffer, else the
+        """A tensor as forward rules read it: a state var's value, else a buffer, else the
         node's own; None for an absent optional tensor."""
         key = (n.id, name)
         v = self.vars.get(key)
@@ -57,9 +52,7 @@ class _Run:
             ).astype(np.float32)
 
 
-# kind -> forward rule: untaped runs walk arrays, taped runs Vars
-_ARRAY_RULES = {kind: spec.array for kind, spec in SPECS.items()}
-_VAR_RULES = {kind: spec.forward for kind, spec in SPECS.items()}
+_RULES = {kind: spec.array for kind, spec in SPECS.items()}  # kind -> forward rule
 
 # Plans, weakly keyed by graph so that they never keep one alive: at most one per graph,
 # stored with the snapshot it was built from, or with _FOLDED for a graph that ``_fold`` made.
@@ -128,20 +121,11 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
     The schedule is kept per graph and outputs, and rebuilt after a structural edit (``_plan``).
     It is compiled to list slots (``_schedule``), so the walk indexes a list, not a dict.
 
-    Only a taped run walks ``Var``s, through each kind's ``forward`` rule. Every other run
-    (``eval``, ``calibrate``, and ``train`` without a tape) walks plain arrays through each
-    kind's ``array`` rule, which calls the same kernel on the same arguments: it makes no
-    ``Var`` and no closure, and reads a ``state`` var's ``.value``. Only the returned
-    outputs are wrapped in ``Var``s.
-
-    With a tape, the tape's records hold every op output Var (backward accumulates its
-    gradient there), so dropping an edge would not free its array. A taped run therefore
-    also releases the value (``Var.value = None``) once the last reader of its edge has
-    run. No Var sits on two edges: the rules that pass their input on (``output``, a
-    disabled ``fakequant``) return an ``autograd.identity`` record, a new Var on the same
-    array. Requested outputs are never released, and no backward closure reads a
-    released value (see :mod:`slimgraph.autograd`). Untaped runs free each dropped array
-    with its last edge.
+    Every run walks plain arrays through each kind's forward rule, which reads a ``state``
+    var's ``.value``; only the returned outputs are wrapped in ``Var``s. With a tape, each
+    rule also records its node with what its backward rule reads, and backward reads
+    nothing else (see :mod:`slimgraph.autograd`). A tape records one run: a second run on
+    it raises ``GraphError``.
 
     Returns a dict mapping each requested node id to its Var, in topological order.
     """
@@ -152,23 +136,23 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
     if tape is not None and mode != "train":
         raise GraphError(f"a tape records gradients in mode='train' only, not mode={mode!r}")
     steps, n_slots, returned = _plan(graph, _node_ids(outputs), _schedule)
-    rules = _ARRAY_RULES if tape is None else _VAR_RULES
-    values = [None] * n_slots  # a Var each when taped, else an array
     run = _Run(x, mode, tape, state)
+    if tape is not None:
+        tape._open(steps, n_slots, run.vars)
+    values = [None] * n_slots
     for n, ins, outs, free in steps:
-        out = rules[n.kind](run, n, [values[i] for i in ins])
+        out = _RULES[n.kind](run, n, [values[i] for i in ins])
         if isinstance(out, list):
             for i, v in zip(outs, out, strict=True):
                 values[i] = v
         else:
             values[outs[0]] = out
         for i in free:
-            if tape is not None:
-                values[i].value = None
             values[i] = None
-    if tape is None:
-        return {nid: Var(values[i]) for nid, i in returned}
-    return {nid: values[i] for nid, i in returned}
+    out = {nid: Var(values[i]) for nid, i in returned}
+    if tape is not None:
+        tape._outputs = [(i, out[nid]) for nid, i in returned]
+    return out
 
 
 def _schedule(graph: Graph, outputs):

@@ -8,13 +8,15 @@ new kind is one entry. ``params`` maps each tensor to a shape template:
 axis that pruning slices (a prune axis), ``None`` is any size and an int a
 fixed one. ``coupling`` is one of the five channel-tie rules below.
 
-Each kind has two forward rules. ``forward`` works on autograd ``Var``s through
-the :mod:`slimgraph.autograd` wrappers, and is what a taped (training) run
-records. ``array`` works on plain arrays and is what every untaped run uses:
-it calls the same :mod:`slimgraph.ops` kernel with the same arguments as the
-wrapper, so both give the same bits, but makes no ``Var`` and no closure.
-Both reach operators through their modules at call time, so a tracer that
-rebinds module attributes sees every call.
+Each kind has one forward rule, ``array``, on plain arrays, which every run
+walks. In a taped run it also saves on the tape what the kind's ``backward``
+rule reads: conv its patch matrix, batchnorm its cache, sigmoid its output,
+SiLU its derivative, an active quantizer its clip mask, maxpool its argmax, mul,
+linear and scale their operands, and concat, split and gap the shapes they
+need. ``backward`` maps that and the upstream gradient of each output port to
+the gradient of each input and of each trained tensor. Both rules reach
+operators through their modules at call time, so a tracer that rebinds module
+attributes sees every call.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import autograd as ag
 from . import ops
 from .errors import GraphError, QuantError, ShapeError
 
@@ -65,8 +66,9 @@ def split(ins, outs):  # each output ties to its range of the input
 
 @dataclass(frozen=True)
 class OpSpec:
-    forward: Callable                 # (run context, node, input Vars) -> Var, or one per port
-    array: Callable                   # the same on plain arrays, for untaped runs
+    array: Callable                   # (run context, node, input arrays) -> array, or one per port
+    backward: Callable | None         # (node, saved, upstream gradient per port) ->
+    #                                   (gradient per input, {trained tensor: gradient})
     arity: int = 1                    # input count; the least one when variadic
     variadic: bool = False
     ports: Callable = lambda attrs: 1                 # output port count
@@ -106,7 +108,7 @@ def _one_of(choices, required=False):
     return required, f"one of {list(choices)}", lambda v: isinstance(v, str) and v in choices
 
 
-# -- shape, FLOP and forward rules -------------------------------------------
+# -- shape, FLOP, forward and backward rules ----------------------------------
 
 def _rank(n, s, r):
     if len(s) != r:
@@ -168,17 +170,7 @@ def _matmul_flops(n, ins, outs):
     return math.prod(outs[0]) * (2 * ins[0][1] * taps + ("bias" in n.params))
 
 
-def _batchnorm_forward(run, n, ins):
-    out, mean, var = ag.batchnorm(
-        run.tape, ins[0], run.param(n, "gamma"), run.param(n, "beta"),
-        run.array(n, "running_mean"), run.array(n, "running_var"),
-        n.attrs.get("eps", _BN_EPS), run.mode != "eval")
-    run.track(n, "running_mean", mean)
-    run.track(n, "running_var", var)
-    return out
-
-
-def _batchnorm_array(run, n, ins):
+def _batchnorm(run, n, ins):
     gamma, beta, eps = run.array(n, "gamma"), run.array(n, "beta"), n.attrs.get("eps", _BN_EPS)
     if run.mode == "eval":
         return ops.batchnorm_infer(ins[0], gamma, beta, run.array(n, "running_mean"),
@@ -186,7 +178,33 @@ def _batchnorm_array(run, n, ins):
     out, cache = ops.batchnorm_train_forward(ins[0], gamma, beta, eps)
     run.track(n, "running_mean", cache[2])
     run.track(n, "running_var", cache[3])
+    if run.tape is not None:
+        run.tape.save(n, gamma, cache)
     return out
+
+
+def _batchnorm_backward(n, saved, g):
+    gx, dgamma, dbeta = ops.batchnorm_train_backward(g[0], *saved)
+    return [gx], {"gamma": dgamma, "beta": dbeta}
+
+
+def _conv_args(n):
+    return n.attrs.get("stride", 1), n.attrs.get("padding", 0)
+
+
+def _conv(run, n, ins):
+    w, b = run.array(n, "weight"), run.array(n, "bias")
+    y, cols = ops.conv2d_forward(ins[0], w, b, *_conv_args(n))
+    if run.tape is not None:  # pure data takes no input gradient
+        run.tape.save(n, cols, ins[0].shape, w, b is not None, run.tape.takes_grad(n))
+    return y
+
+
+def _conv_backward(n, saved, g):
+    cols, x_shape, w, with_bias, need_gx = saved
+    gx, gw, gb = ops.conv2d_backward(g[0], x_shape, w, cols, *_conv_args(n),
+                                     with_bias=with_bias, need_gx=need_gx)
+    return [gx], {"weight": gw, "bias": gb}
 
 
 def _activation(n) -> str:
@@ -197,7 +215,120 @@ def _activation(n) -> str:
 
 def _activation_array(run, n, ins):
     fn, s = _activation(n), ops.sigmoid(ins[0])
-    return s if fn == "sigmoid" else np.multiply(ins[0], s, out=s)  # silu, as ag.silu
+    if fn == "sigmoid":
+        if run.tape is not None:
+            run.tape.save(n, s)
+        return s
+    if run.tape is not None:  # taken before x·s is written into the sigmoid's buffer
+        run.tape.save(n, ops.silu_derivative(ins[0], s))
+    return np.multiply(ins[0], s, out=s)
+
+
+def _activation_backward(n, saved, g):
+    if n.attrs["fn"] == "silu":  # the tape runs each rule once: the derivative is spent
+        return [np.multiply(saved[0], g[0], out=saved[0])], {}
+    t = 1.0 - saved[0]  # g·s·(1-s) in one buffer
+    t *= saved[0]
+    t *= g[0]
+    return [t], {}
+
+
+def _pool_args(n):
+    return n.attrs["k"], n.attrs.get("stride", n.attrs["k"]), n.attrs.get("padding", 0)
+
+
+def _maxpool(run, n, ins):
+    """The argmax, which routes the gradient, is computed only when a tape records it."""
+    y, arg = ops.maxpool2d_forward(ins[0], *_pool_args(n), need_arg=run.tape is not None)
+    if run.tape is not None:
+        run.tape.save(n, arg, ins[0].shape)
+    return y
+
+
+def _gap_backward(n, saved, g):
+    (b, c, h, w), = saved
+    return [np.broadcast_to(g[0][:, :, None, None] / (h * w), (b, c, h, w)).astype(g[0].dtype)], {}
+
+
+def _linear(run, n, ins):
+    w, b = run.array(n, "weight"), run.array(n, "bias")
+    return _saved(run, n, ops.linear(ins[0], w, b), ins[0], w, b is not None)
+
+
+def _linear_backward(n, saved, g):
+    (x, w, with_bias), g = saved, g[0]
+    return [g @ w], {"weight": g.T @ x, "bias": g.sum(axis=0) if with_bias else None}
+
+
+def _concat(run, n, ins):
+    if run.tape is not None:
+        run.tape.save(n, [x.shape[1] for x in ins])
+    return ops.concat_channels(ins)
+
+
+def _concat_backward(n, saved, g):
+    return [g[0][:, off:off + w] for off, w in zip(accumulate(saved[0], initial=0), saved[0])], {}
+
+
+def _mul(run, n, ins):
+    products = list(accumulate(ins, ops.multiply))
+    if run.tape is not None:  # each multiply's operands
+        run.tape.save(n, ins, products[:-1])
+    return products[-1]
+
+
+def _mul_backward(n, saved, g):
+    """Through each multiply from the last: its right operand takes the gradient times
+    its left, and the product on the left the gradient times its right."""
+    (ins, lefts), g = saved, g[0]
+    grads = [None] * len(ins)
+    for i in range(len(ins) - 1, 0, -1):
+        grads[i] = g * lefts[i - 1]
+        g = g * ins[i]
+    grads[0] = g
+    return grads, {}
+
+
+def _split_backward(n, saved, g):
+    """Each port's gradient in a zero map of the input's shape, the maps summed from the
+    last port. The sum turns a -0.0 cell into +0.0, which one map filled port by port
+    would keep."""
+    sizes, gx = n.attrs["sizes"], None
+    for off, size, gp in reversed(list(zip(accumulate(sizes, initial=0), sizes, g))):
+        if gp is not None:
+            part = np.zeros(*saved)
+            part[:, off:off + size] = gp
+            gx = part if gx is None else gx + part
+    return [gx], {}
+
+
+def _scale(run, n, ins):
+    s = run.array(n, "scale")
+    return _saved(run, n, ops.scale_channels(ins[0], s), ins[0], s)
+
+
+def _scale_backward(n, saved, g):
+    (x, s), g = saved, g[0]
+    return [g * s[None, :, None, None]], {"scale": (g * x).sum(axis=(0, 2, 3))}
+
+
+def _saved(run, n, y, *saved):
+    """``y``; with a tape, ``n`` is recorded with ``saved``."""
+    if run.tape is not None:
+        run.tape.save(n, *saved)
+    return y
+
+
+def _pass(run, n, ins):
+    """The input, passed on; with a tape, its gradient passes back unless it is pure data."""
+    if run.tape is not None and run.tape.takes_grad(n):
+        run.tape.save(n)
+    return ins[0]
+
+
+def _same(n, saved, g):
+    """The gradient of each input is the upstream gradient."""
+    return [g[0]] * len(n.inputs), {}
 
 
 def _qdq_scale(n) -> float | None:
@@ -213,93 +344,80 @@ def _qdq_scale(n) -> float | None:
     return None
 
 
+def _fakequant(run, n, ins):
+    scale = _qdq_scale(n)
+    if scale is None:
+        return _pass(run, n, ins)
+    y = ops.qdq(ins[0], scale)
+    if run.tape is not None and run.tape.takes_grad(n):  # pure data takes no mask
+        run.tape.save(n, ops.ste_mask(ins[0], scale))
+    return y
+
+
+def _fakequant_backward(n, saved, g):
+    """The clipped straight-through estimator; a disabled quantizer saved no mask."""
+    return [ops.qdq_backward(g[0], *saved) if saved else g[0]], {}
+
+
 _BN = ("gamma", "beta", "running_mean", "running_var")
 
 SPECS: dict[str, OpSpec] = {
-    "input": OpSpec(
-        arity=0, coupling=decouple,
-        forward=lambda run, n, ins: ag.Var(np.ascontiguousarray(run.x), stop_grad=True),
-        array=lambda run, n, ins: np.ascontiguousarray(run.x)),
-    "output": OpSpec(
-        coupling=decouple, forward=lambda run, n, ins: ag.identity(run.tape, ins[0]),
-        array=lambda run, n, ins: ins[0]),
+    "input": OpSpec(  # the batch is pure data: never recorded, it takes no gradient
+        arity=0, coupling=decouple, array=lambda run, n, ins: np.ascontiguousarray(run.x),
+        backward=None),
+    "output": OpSpec(coupling=decouple, array=_pass, backward=_same),
     "conv": OpSpec(
         attrs={"stride": _int(1), "padding": _int(0)},
         params={"weight": ("out", "in", None, None), "bias": ("out",)}, optional=("bias",),
         shape=_conv_shape, coupling=decouple, flops=_matmul_flops,
-        forward=lambda run, n, ins: ag.conv2d(
-            run.tape, ins[0], run.param(n, "weight"), run.param(n, "bias"),
-            n.attrs.get("stride", 1), n.attrs.get("padding", 0)),
-        array=lambda run, n, ins: ops.conv2d_forward(
-            ins[0], run.array(n, "weight"), run.array(n, "bias"),
-            n.attrs.get("stride", 1), n.attrs.get("padding", 0))[0]),
+        array=_conv, backward=_conv_backward),
     "batchnorm": OpSpec(
         attrs={"eps": (False, "a positive finite number", lambda v: _is_number(v) and v > 0)},
         params={name: ("out",) for name in _BN}, buffers=_BN[2:],
-        flops=_per_output(2), forward=_batchnorm_forward, array=_batchnorm_array),
+        flops=_per_output(2), array=_batchnorm, backward=_batchnorm_backward),
     "activation": OpSpec(
         attrs={"fn": _one_of(_ACTIVATION_FLOPS, required=True)},
         flops=lambda n, ins, outs: _ACTIVATION_FLOPS[n.attrs["fn"]] * math.prod(outs[0]),
-        forward=lambda run, n, ins: getattr(ag, _activation(n))(run.tape, ins[0]),
-        array=_activation_array),
+        array=_activation_array, backward=_activation_backward),
     "maxpool": OpSpec(
         attrs={"k": _int(1, required=True), "stride": _int(1), "padding": _int(0)},
-        shape=_pool_shape, flops=_per_output(1),
-        forward=lambda run, n, ins: ag.maxpool2d(
-            run.tape, ins[0], n.attrs["k"], n.attrs.get("stride", n.attrs["k"]),
-            n.attrs.get("padding", 0)),
-        array=lambda run, n, ins: ops.maxpool2d_forward(
-            ins[0], n.attrs["k"], n.attrs.get("stride", n.attrs["k"]),
-            n.attrs.get("padding", 0))[0]),
+        shape=_pool_shape, flops=_per_output(1), array=_maxpool,
+        backward=lambda n, saved, g: ([ops.maxpool2d_backward(g[0], *saved, *_pool_args(n))], {})),
     "gap": OpSpec(
         shape=lambda n, ins: [_rank(n, ins[0], 4)[:2]],
         flops=lambda n, ins, outs: math.prod(ins[0]),  # one add per input element
-        forward=lambda run, n, ins: ag.global_avg_pool(run.tape, ins[0]),
-        array=lambda run, n, ins: ops.global_avg_pool(ins[0])),
+        array=lambda run, n, ins: _saved(run, n, ops.global_avg_pool(ins[0]), ins[0].shape),
+        backward=_gap_backward),
     "linear": OpSpec(
         params={"weight": ("out", "in"), "bias": ("out",)}, optional=("bias",),
         shape=lambda n, ins: [(_rank(n, ins[0], 2)[0], n.params["weight"].shape[0])],
-        coupling=decouple, flops=_matmul_flops,
-        forward=lambda run, n, ins: ag.linear(run.tape, ins[0], run.param(n, "weight"),
-                                              run.param(n, "bias")),
-        array=lambda run, n, ins: ops.linear(ins[0], run.array(n, "weight"),
-                                             run.array(n, "bias"))),
+        coupling=decouple, flops=_matmul_flops, array=_linear, backward=_linear_backward),
     "concat": OpSpec(
         arity=2, variadic=True, shape=_concat_shape, coupling=concat,
-        forward=lambda run, n, ins: ag.concat_channels(run.tape, ins),
-        array=lambda run, n, ins: ops.concat_channels(ins)),
+        array=_concat, backward=_concat_backward),
     "add": OpSpec(
         arity=2, variadic=True, shape=_equal_shapes, coupling=tie_all, flops=_per_output(1),
-        forward=lambda run, n, ins: reduce(lambda a, b: ag.add(run.tape, a, b), ins),
-        array=lambda run, n, ins: reduce(ops.add, ins)),
+        array=lambda run, n, ins: _saved(run, n, reduce(ops.add, ins)), backward=_same),
     "mul": OpSpec(
         arity=2, variadic=True, shape=_equal_shapes, coupling=tie_all, flops=_per_output(1),
-        forward=lambda run, n, ins: reduce(lambda a, b: ag.multiply(run.tape, a, b), ins),
-        array=lambda run, n, ins: reduce(ops.multiply, ins)),
+        array=_mul, backward=_mul_backward),
     "addconst": OpSpec(
         attrs={"c": (True, "a finite number", _is_number)}, flops=_per_output(1),
-        forward=lambda run, n, ins: ag.add_const(run.tape, ins[0], n.attrs["c"]),
-        array=lambda run, n, ins: ins[0] + n.attrs["c"]),
+        array=lambda run, n, ins: _saved(run, n, ins[0] + n.attrs["c"]), backward=_same),
     "split": OpSpec(
         ports=lambda attrs: len(attrs["sizes"]),
         attrs={"sizes": (True, "a non-empty list of ints >= 1", lambda v: isinstance(
             v, (list, tuple)) and len(v) > 0 and all(is_int(s, 1) for s in v))},
-        shape=_split_shape, coupling=split,
-        forward=lambda run, n, ins: ag.split_channels(run.tape, ins[0], n.attrs["sizes"]),
-        array=lambda run, n, ins: ops.split_channels(ins[0], n.attrs["sizes"]),
+        shape=_split_shape, coupling=split, backward=_split_backward,
+        array=lambda run, n, ins: _saved(run, n, ops.split_channels(ins[0], n.attrs["sizes"]),
+                                         ins[0].shape, ins[0].dtype),
         resize=lambda attrs, kept: {
             **attrs, "sizes": [kept(p, size) for p, size in enumerate(attrs["sizes"])]}),
     "scale": OpSpec(
-        params={"scale": ("out",)}, flops=_per_output(1),
-        forward=lambda run, n, ins: ag.scale_channels(run.tape, ins[0], run.param(n, "scale")),
-        array=lambda run, n, ins: ops.scale_channels(ins[0], run.array(n, "scale"))),
+        params={"scale": ("out",)}, flops=_per_output(1), array=_scale, backward=_scale_backward),
     "fakequant": OpSpec(
         attrs={"phase": _one_of(PHASES), "samples": _int(0)},
-        params={"amax": (1,)}, buffers=("amax",),
-        forward=lambda run, n, ins: ag.identity(run.tape, ins[0]) if (s := _qdq_scale(n)) is None
-        else ag.qdq(run.tape, ins[0], s),
-        array=lambda run, n, ins: ins[0] if (s := _qdq_scale(n)) is None
-        else ops.qdq(ins[0], s)),
+        params={"amax": (1,)}, buffers=("amax",), array=_fakequant, backward=_fakequant_backward),
 }
 
 

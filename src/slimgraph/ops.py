@@ -33,7 +33,7 @@ maxpool2d_forward builds y from running maxima: one ``np.maximum(out=)`` pass pe
 tap along W into an (N, C, H, Wo) map, then one per tap along H. No -inf frame is
 built: each pass skips the windows whose tap falls in the padding. Only a gradient
 needs each window's argmax, so the forward takes it only when asked (``need_arg``),
-as ``autograd.maxpool2d`` asks exactly when a tape records the op: one compare of
+as the maxpool rule asks exactly when a tape records the node: one compare of
 each tap's cells against y, no copy of the windows, and a uint8 index for k <= 16.
 Pool padding is at most k // 2, as in PyTorch, so every window holds a map cell.
 """
@@ -259,6 +259,15 @@ def sigmoid(x):
     s *= 0.5
     s += 0.5
     return s
+
+
+def silu_derivative(x, s):
+    """d(x·s)/dx = s·(1 + x·(1-s)) for s = sigmoid(x), in one buffer."""
+    d = 1.0 - s
+    d *= x
+    d += 1.0
+    d *= s
+    return d
 
 
 def add(a, b):

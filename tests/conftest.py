@@ -10,9 +10,10 @@ import pytest
 from hypothesis import strategies as st
 
 from slimgraph.builders import GraphBuilder, build_fragment, build_mini_net
-from slimgraph.executor import BN_MOMENTUM, RunState, run_graph
+from slimgraph.executor import BN_MOMENTUM, RunState, _Run, run_graph
 from slimgraph.fakequant import calibrate, insert_fakequant
-from slimgraph.graph import infer_shapes
+from slimgraph.graph import Node, infer_shapes
+from slimgraph.kinds import SPECS
 from slimgraph.modelio import MAGIC
 
 
@@ -114,6 +115,32 @@ def container(doc, blob):
     topo = json.dumps(doc).encode("utf-8")
     return (MAGIC + struct.pack("<IQ", 1, len(topo)) + topo + blob
             + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+
+
+class _OneNodeTape:
+    """The tape of a run of one node whose inputs all take gradients: it keeps what the
+    node's forward rule saves."""
+
+    def __init__(self):
+        self.saved = None
+
+    def save(self, n, *saved):
+        self.saved = saved
+
+    def takes_grad(self, n):
+        return True
+
+
+def run_rule(kind, ins, attrs=None, params=None):
+    """One node of ``kind`` run on the arrays ``ins`` as a taped run runs it, with every input
+    taking a gradient. Returns (output, backward): ``backward(g)`` is the kind's backward rule
+    for ``g``, the upstream gradient of each output port, and returns (gradient per input,
+    {trained tensor: gradient}). The node reads ``params`` in place."""
+    n = Node("n", kind, dict(attrs or {}), params if params is not None else {},
+             [(f"in{i}", 0) for i in range(len(ins))])
+    tape = _OneNodeTape()
+    out = SPECS[kind].array(_Run(None, "train", tape, RunState({}, {})), n, list(ins))
+    return out, lambda g: SPECS[kind].backward(n, tape.saved, g)
 
 
 def finite_difference(f, x, h=1e-3):

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import settled_graph
+from conftest import run_rule, settled_graph
 from container_reference import reference_to_bytes
-from slimgraph import autograd as ag
 from slimgraph import build_mini_net, fakequant, forward_arrays, ops
 from slimgraph.builders import PRESETS, GraphBuilder
 from slimgraph.errors import CalibrationError, ExportError, QuantError
@@ -185,14 +184,15 @@ class TestSte:
 
     def test_taped_qdq_calls_the_module_functions(self, monkeypatch):
         # tracing patches each namespace that binds ``fakequant.qdq_backward``, its home
-        # ``ops`` too, so the tape must look it up there at call time
+        # ``ops`` too, so the quantizer's rules must look it up there at call time
         calls = []
         monkeypatch.setattr(ops, "qdq_backward",
                             lambda g, inside: calls.append(inside.dtype) or qdq_backward(g, inside))
-        tape, x = ag.Tape(), ag.Var(np.array([[0.5, 1000.0, -0.2]], np.float32))
-        y = ag.qdq(tape, x, 0.1)
-        ag.backward(tape, ag.linear(tape, y, ag.Var(np.ones((1, 3), np.float32)), None))
-        assert calls == [np.bool_] and x.grad.tolist() == [[1.0, 0.0, 1.0]]
+        x = np.array([[0.5, 1000.0, -0.2]], np.float32)
+        _, backward = run_rule("fakequant", [x], {"phase": "active"},
+                               {"amax": np.array([12.7], np.float32)})
+        (gx,), _ = backward([np.ones_like(x)])
+        assert calls == [np.bool_] and gx.tolist() == [[1.0, 0.0, 1.0]]
 
 
 class TestObserver:
@@ -418,25 +418,18 @@ class TestSteEndToEnd:
         w0 = r.uniform(0.3, 1.0, (2, 2, 3, 3)) * r.choice([-1.0, 1.0], (2, 2, 3, 3))
         scale = 2e-5  # amax = 127*s = 2.54e-3 comfortably above activations
 
-        def loss_fn(tape, xv, wv):
-            q = ag.qdq(tape, xv, scale)
-            y = ag.conv2d(tape, q, wv, None, 1, 1)
-            out = ag.Var(np.asarray(y.value.sum()))
-            if tape is not None:
-                def grad(g):
-                    y.grad = np.full_like(y.value, float(g)) if y.grad is None \
-                        else y.grad + float(g)
-                tape.record(out, grad)
-            return out
+        def forward(x):
+            """sum(conv(qdq(x))), and the backward rules of the quantizer and the conv."""
+            q, q_backward = run_rule("fakequant", [x], {"phase": "active"},
+                                     {"amax": np.array([127 * scale])})
+            y, conv_backward = run_rule("conv", [q], {"padding": 1}, {"weight": w0})
+            return y.sum(), q_backward, conv_backward
 
-        tape = ag.Tape()
-        xv, wv = ag.Var(x0.copy()), ag.Var(w0.copy())
-        ag.backward(tape, loss_fn(tape, xv, wv))
-
-        def f(x):
-            return float(loss_fn(None, ag.Var(x), ag.Var(w0)).value)
-        fd = finite_difference(f, x0.copy(), h=1e-3)
+        _, q_backward, conv_backward = forward(x0)
+        (gq,), _ = conv_backward([np.ones((1, 2, 4, 4))])
+        (gx,), _ = q_backward([gq])
+        fd = finite_difference(lambda x: float(forward(x)[0]), x0.copy(), h=1e-3)
         # mask coordinates whose FD interval could cross the clamp edge
         mask = np.abs(x0) < 127 * scale - 1.5e-3
         assert mask.all()
-        assert rel_close(xv.grad[mask], fd[mask], 1e-2)
+        assert rel_close(gx[mask], fd[mask], 1e-2)

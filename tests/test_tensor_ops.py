@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 import conv_reference
 import train_reference
-from conftest import conv2d_reference
+from conftest import conv2d_reference, run_rule
 from slimgraph import autograd as ag
-from slimgraph import build_mini_net, ops
-from slimgraph.builders import PRESETS
+from slimgraph import build_mini_net, ops, run_graph
+from slimgraph.builders import PRESETS, GraphBuilder
 from slimgraph.errors import ShapeError
+from slimgraph.executor import RunState
 from slimgraph.fakequant import qdq, qdq_backward, ste_mask
 from slimgraph.graph import infer_shapes
 
@@ -280,8 +281,8 @@ class TestElementwiseAndStructural:
                 di, dj = np.divmod(arg[:, :, a, b], k)
                 for n, c in np.ndindex(2, 3):
                     ref[n, c, a * stride + di[n, c], b * stride + dj[n, c]] += gy[n, c, a, b]
-        # through the tape, which makes the forward compute the argmax it routes by
-        got = _backward_of(lambda t, v: ag.maxpool2d(t, v, k, stride, padding))(x, gy)
+        # through the rules, whose taped forward computes the argmax it routes by
+        got = _backward_of("maxpool", {"k": k, "stride": stride, "padding": padding})(x, gy)
         assert got.tobytes() == ref[:, :, padding:padding + 9, padding:padding + 9].tobytes()
 
     def test_global_avg_pool(self, rng):
@@ -505,16 +506,26 @@ class TestMaxpoolRunningMaxima:
         forward = ops.maxpool2d_forward
         monkeypatch.setattr(ops, "maxpool2d_forward",
                             lambda *a, **kw: calls.append(kw["need_arg"]) or forward(*a, **kw))
-        x = ag.Var(rng.normal(size=(1, 2, 6, 6)).astype(np.float32))
-        ag.maxpool2d(ag.Tape() if taped else None, x, 3, 1, 1)
+        b = GraphBuilder("pool", (1, 2, 6, 6))
+        b.add("output", "out", [b.add("maxpool", "pool", [b.add("input", "image", [])],
+                                      attrs={"k": 3, "stride": 1, "padding": 1})])
+        run_graph(b.graph, rng.normal(size=(1, 2, 6, 6)).astype(np.float32), mode="train",
+                  tape=ag.Tape() if taped else None, state=RunState({}, {}))
         assert calls == [taped]
 
 
-def _backward_of(fn):
-    """The input gradient that an autograd activation returns for upstream gradient g."""
+def _backward_of(kind, attrs=None):
+    """The input gradient that ``kind``'s backward rule returns for upstream gradient g."""
     def run(x, g):
-        tape = ag.Tape()
-        v = ag.Var(x)
+        _, backward = run_rule(kind, [x], attrs)
+        return backward([g])[0][0]
+    return run
+
+
+def _reference_backward_of(fn):
+    """The input gradient that a ``train_reference`` wrapper records for upstream gradient g."""
+    def run(x, g):
+        tape, v = train_reference.Tape(), train_reference.Var(x)
         fn(tape, v)
         (_, grad), = tape._records
         grad(g)
@@ -535,17 +546,26 @@ def test_activation_backward_matches_unfused_formulas(rng, dtype, tol):
     x = rng.normal(0.0, 4.0, (2, 3, 8, 8)).astype(dtype)
     g = rng.normal(size=x.shape).astype(dtype)
     s = ops.sigmoid(x)
-    for fn, ref in ((ag.sigmoid, g * s * (1.0 - s)), (ag.silu, g * (s + x * s * (1.0 - s)))):
-        got = _backward_of(fn)(x, g)
+    for fn, ref in (("sigmoid", g * s * (1.0 - s)), ("silu", g * (s + x * s * (1.0 - s)))):
+        got = _backward_of("activation", {"fn": fn})(x, g)
         assert got.dtype == dtype
         assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
 
 
+def silu(x, g):
+    """The SiLU rule's input gradient for upstream gradient g."""
+    return _backward_of("activation", {"fn": "silu"})(x, g)
+
+
+_AMAX = np.array([6.35], np.float32)  # a quantizer's amax, read as it reads it
+_SCALE = float(_AMAX[0]) / ops.QMAX
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("name, library, reference", [
-    ("silu", ag.silu, train_reference.capturing_silu),
-    ("qdq", lambda t, v: ag.qdq(t, v, 0.05),
-     lambda t, v: train_reference.capturing_qdq(t, v, 0.05)),
+    ("silu", silu, train_reference.silu),
+    ("qdq", lambda x, g: run_rule("fakequant", [x], {"phase": "active"}, {"amax": _AMAX})[1](
+        [g])[0][0], lambda t, v: train_reference.qdq(t, v, _SCALE)),
 ])
 def test_backward_bit_identical_to_the_capturing_form(rng, dtype, name, library, reference):
     # a tape keeps the SiLU derivative and the STE mask instead of the forward operands
@@ -553,7 +573,7 @@ def test_backward_bit_identical_to_the_capturing_form(rng, dtype, name, library,
     x = np.concatenate([rng.normal(0.0, 4.0, 500), special]).astype(dtype)
     g = np.concatenate([rng.normal(size=500), np.ones(len(special))]).astype(dtype)
     with np.errstate(invalid="ignore", over="ignore"):
-        got, want = _backward_of(library)(x, g), _backward_of(reference)(x, g)
+        got, want = library(x, g), _reference_backward_of(reference)(x, g)
     assert got.dtype == want.dtype == dtype
     assert got.tobytes() == want.tobytes()
 
@@ -570,8 +590,8 @@ IN_PLACE_KERNELS = {
     "qdq": lambda x, g: (qdq, x, 0.01),
     "ste_mask": lambda x, g: (ste_mask, x, 0.01),
     "qdq_backward": lambda x, g: (qdq_backward, g, ste_mask(x, 0.01)),
-    "autograd.sigmoid backward": lambda x, g: (_backward_of(ag.sigmoid), x, g),
-    "autograd.silu backward": lambda x, g: (_backward_of(ag.silu), x, g),
+    "autograd.sigmoid backward": lambda x, g: (_backward_of("activation", {"fn": "sigmoid"}), x, g),
+    "autograd.silu backward": lambda x, g: (_backward_of("activation", {"fn": "silu"}), x, g),
 }
 
 

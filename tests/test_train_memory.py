@@ -1,11 +1,13 @@
 """What a training step holds in memory, and that releasing it changes no result.
 
-A taped ``run_graph`` releases each activation once its last reader has run, and
-``backward`` consumes its tape. SiLU keeps only its derivative and a quantizer
-only its clip mask. ``train_reference`` keeps the retaining and capturing
-versions, under which every trained parameter must come out bit for bit the same.
+A taped ``run_graph`` frees each activation after its last reader, as an untaped one
+does: only the tape holds what backward reads, and ``backward`` consumes it. SiLU
+saves only its derivative and a quantizer only its clip mask. ``train_reference``
+keeps the retaining and capturing versions, under which every gradient and trained
+tensor must come out bit for bit the same.
 """
 
+import dataclasses
 import functools
 import itertools
 import tracemalloc
@@ -23,6 +25,7 @@ from slimgraph.builders import PRESETS, GraphBuilder
 from slimgraph.executor import RunState, run_graph
 from slimgraph.fakequant import calibrate, insert_fakequant
 from slimgraph.graph import buffer_items, trainable_items
+from slimgraph.kinds import SPECS
 
 BATCH = 16
 
@@ -66,8 +69,8 @@ def _retaining(monkeypatch):
 
 def _capturing(monkeypatch):
     _retaining(monkeypatch)
-    monkeypatch.setattr(train_reference, "silu", train_reference.capturing_silu)
-    monkeypatch.setattr(train_reference, "qdq", train_reference.capturing_qdq)
+    monkeypatch.setattr(train_reference, "SILU", train_reference.silu)
+    monkeypatch.setattr(train_reference, "QDQ", train_reference.qdq)
 
 
 def _assert_same_training(got, want):
@@ -166,9 +169,8 @@ def test_taped_forward_frees_batchnorm_outputs_and_quantizer_inputs(preset, monk
     # gradient reads
     operands = {id(r()) for r in refs["multiply"] if r() is not None}
     assert all(r() is None or id(r()) in operands for r in refs["qdq"])
-    # each quantizer closure holds its clip mask, one byte per element, and nothing else
-    masks = [[c.cell_contents for c in fn.__closure__ if isinstance(c.cell_contents, np.ndarray)]
-             for _, fn in tape._records if fn.__qualname__.startswith("qdq.")]
+    # each quantizer record saves its clip mask, one byte per element, and nothing else
+    masks = [saved for n, _, _, saved in tape._records if n.kind == "fakequant"]
     assert len(masks) == len(refs["qdq"]) - 1  # the stem's input is data: nothing taped
     assert all(len(m) == 1 and m[0].dtype == np.bool_ and m[0].nbytes == m[0].size
                for m in masks)
@@ -183,7 +185,7 @@ def test_untaped_runs_take_no_mask_and_no_derivative(monkeypatch):
         raise AssertionError("an untaped run computed what only backward reads")
 
     monkeypatch.setattr(ops, "ste_mask", refuse)
-    monkeypatch.setattr(ag, "silu_derivative", refuse)
+    monkeypatch.setattr(ops, "silu_derivative", refuse)
     run_graph(g, x, mode="eval")
     run_graph(g, x, mode="train", state=_state(g))  # batchnorm settling: no tape
     calibrate(g, [x])
@@ -194,11 +196,12 @@ def test_untaped_runs_take_no_mask_and_no_derivative(monkeypatch):
 def _aliasing_graph():
     """Disabled quantizers between a stem and its readers, and before the class output.
 
-    A disabled quantizer and an output pass their input on as an ``autograd.identity``
-    record, a Var of their own, so each Var sits on one edge. The stem's edge is read by
-    the mid quantizer and, after the quantizer's reader has run, by the residual add; the
-    mid quantizer's by the mid block and the ``feat`` output. The linear's edge is read by
-    the head quantizer alone, whose edge the ``cls`` output reads.
+    A disabled quantizer and an output pass their input array on to a slot of their own.
+    The stem's value is read by the mid quantizer and, after the quantizer's reader has
+    run, by the residual add; the mid quantizer's by the mid block and the ``feat``
+    output. The linear's value is read by the head quantizer alone, whose value the
+    ``cls`` output reads. In backward the residual add hands one gradient array to two
+    slots, and the pass-throughs hand theirs on unchanged.
     """
     b = GraphBuilder("alias", (BATCH, 3, 64, 64), meta={"cls_output": "cls"})
     stem = b.conv_block(b.add("input", "image", []), 3, 8, k=3, stride=4, prefix="stem")
@@ -217,7 +220,8 @@ def _aliasing_graph():
 @pytest.mark.parametrize("which", [f"{p}-disabled" for p in PRESETS] + [
     f"{p}-calibrated" for p in PRESETS] + [f"{m}-{w}" for m, w in FRAGMENTS])
 def test_no_kind_returns_an_input_var_in_a_taped_run(which, monkeypatch):
-    # a Var on two edges would be released when its first edge is dropped
+    # a taped run walks plain arrays, as an untaped one does: no rule makes or returns a
+    # Var, so none sits on an edge, and only the returned outputs are Vars
     name, variant = which.split("-")
     x = images((4, 3, 64, 64))
     if variant == "disabled":
@@ -226,21 +230,97 @@ def test_no_kind_returns_an_input_var_in_a_taped_run(which, monkeypatch):
         g = preset_graph(which)
     else:
         g, x = fragment_graph(name, int(variant)), images((2, int(variant), 16, 16))
-    seen = set()
+    seen, made, state = set(), [], _state(g)
+    init = ag.Var.__init__
 
     def checked(rule):
         def run_rule(run, n, ins):
             out = rule(run, n, ins)
-            outs = out if isinstance(out, list) else [out]
-            assert not any(o is i for o in outs for i in ins), n.id
+            assert all(isinstance(o, np.ndarray) for o in (out if isinstance(out, list) else [out]))
             seen.add(n.kind)
             return out
         return run_rule
 
-    for kind, rule in list(executor._VAR_RULES.items()):
-        monkeypatch.setitem(executor._VAR_RULES, kind, checked(rule))
-    run_graph(g, x, mode="train", tape=ag.Tape(), state=_state(g))
+    for kind, rule in list(executor._RULES.items()):
+        monkeypatch.setitem(executor._RULES, kind, checked(rule))
+    monkeypatch.setattr(ag.Var, "__init__", lambda v, *a: made.append(v) or init(v, *a))
+    out = run_graph(g, x, mode="train", tape=ag.Tape(), state=state)
+    assert made == list(out.values())
     assert "output" in seen and ("fakequant" in seen) == (name in PRESETS)
+
+
+def test_no_backward_rule_writes_into_its_upstream_gradient(monkeypatch):
+    # the add hands one gradient to two slots and a pass-through hands its own on: a rule
+    # writing into its upstream gradient would change another slot's
+    g, ran = _aliasing_graph(), set()
+
+    def checked(kind, rule):
+        def backward(n, saved, grads):
+            before = [None if gp is None else gp.copy() for gp in grads]
+            out = rule(n, saved, grads)
+            assert all(b is None or gp.tobytes() == b.tobytes() for gp, b in zip(grads, before))
+            ran.add(kind)
+            return out
+        return backward
+
+    for kind, spec in list(SPECS.items()):
+        if spec.backward is not None:
+            monkeypatch.setitem(SPECS, kind, dataclasses.replace(
+                spec, backward=checked(kind, spec.backward)))
+    assert all(np.isfinite(_train(g, 2)[0]))
+    assert {"add", "output", "fakequant", "activation", "batchnorm", "conv"} <= ran
+
+
+def _fragment_steps(graph, x, weights, run_graph, tape_cls, backward, steps=6):
+    """Gradients, then trained tensors and buffers, over ``steps`` SGD steps on the loss
+    sum_k(out_k * weights_k) over the graph's outputs."""
+    state = _state(graph)
+    grads = []
+    for _ in range(steps):
+        for v in state.vars.values():
+            v.grad = None
+        tape = tape_cls()
+        outs = list(run_graph(graph, x, mode="train", tape=tape, state=state).values())
+        loss = type(outs[0])(np.asarray(sum(float((o.value * w).sum())
+                                            for o, w in zip(outs, weights)), np.float32))
+
+        def grad(g, outs=outs):
+            for o, w in zip(outs, weights):
+                o.grad = w * g if o.grad is None else o.grad + w * g
+        tape.record(loss, grad)
+        backward(tape, loss)
+        grads.append({k: v.grad for k, v in state.vars.items()})
+        for v in state.vars.values():
+            v.value = (v.value - 0.01 * v.grad).astype(np.float32)
+    return grads, {**{k: v.value for k, v in state.vars.items()}, **state.buffers}
+
+
+@pytest.mark.parametrize("module, width", FRAGMENTS)
+def test_fragment_steps_match_the_reference(module, width):
+    x = images((2, width, 16, 16), 3)
+    g = calibrate(insert_fakequant(fragment_graph(module, width)), [x])
+    r = np.random.default_rng(width)
+    weights = [r.normal(size=o.value.shape).astype(np.float32)
+               for o in run_graph(g, x, mode="eval").values()]
+    got = _fragment_steps(g, x, weights, run_graph, ag.Tape, ag.backward)
+    want = _fragment_steps(g, x, weights, train_reference.run_graph, train_reference.Tape,
+                           train_reference.backward)
+    for got_step, want_step in zip(got[0], want[0], strict=True):
+        assert got_step.keys() == want_step.keys()
+        assert all(got_step[k].tobytes() == want_step[k].tobytes() for k in want_step)
+    # gradients that read exactly 0 at every step would show nothing (a2c2f's layer scale
+    # starts at 0, which stops every gradient below it at the first step)
+    assert all(any(step[k].any() for step in want[0]) for k in want[0][0])
+    assert got[1].keys() == want[1].keys()
+    assert all(got[1][k].tobytes() == want[1][k].tobytes() for k in want[1])
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_qat_steps_with_disabled_quantizers_match_the_reference(preset, monkeypatch):
+    g = insert_fakequant(build_mini_net(preset, (BATCH, 3, 64, 64), 3, seed=0))
+    got = _train(g, 6)
+    _retaining(monkeypatch)
+    _assert_same_training(got, _train(g, 6))
 
 
 def test_output_and_disabled_quantizer_aliasing_one_var_still_trains(monkeypatch):

@@ -1,8 +1,8 @@
-"""Untaped runs walk plain arrays: each kind's array rule against its ``Var`` rule.
+"""Untaped runs walk plain arrays: each kind's array rule against a ``Var`` walk.
 
 ``eval``, ``calibrate`` and ``train`` without a tape run every node's ``array`` rule,
-which makes no ``Var`` and no closure. ``untaped_reference`` runs the ``Var`` rules with
-no tape instead, as these runs did before; outputs and running buffers must match bit
+which makes no ``Var`` and no closure. ``untaped_reference`` walks ``Var``s through its
+own rules instead, as these runs did before; outputs and running buffers must match bit
 for bit, on the settled QAT presets and the compress benchmark's fragments.
 """
 
@@ -36,8 +36,9 @@ def _state(g):
 
 
 def test_every_kind_has_an_array_rule():
+    # the one forward rule of each kind, which every run walks
     for kind, spec in SPECS.items():
-        assert callable(spec.array) and spec.array is not spec.forward, kind
+        assert callable(spec.array) and not hasattr(spec, "forward"), kind
 
 
 @pytest.mark.parametrize("mode", ["eval", "calibrate", "train"])
@@ -80,14 +81,7 @@ def test_an_untaped_run_makes_no_var_but_its_outputs(preset, monkeypatch):
         made.append(self)
         init(self, *args, **kwargs)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("an untaped run called an autograd wrapper")
-
     monkeypatch.setattr(ag.Var, "__init__", counting)
-    for name in ("_taped", "identity", "conv2d", "batchnorm", "sigmoid", "silu", "add", "multiply",
-                 "add_const", "scale_channels", "concat_channels", "split_channels",
-                 "maxpool2d", "global_avg_pool", "linear", "qdq"):
-        monkeypatch.setattr(ag, name, refuse)
     for mode, state in (("eval", None), ("eval", trained), ("calibrate", None),
                         ("train", trained)):
         made.clear()

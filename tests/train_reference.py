@@ -9,10 +9,11 @@ value after the last reader, so the tape keeps every op output, and ``backward``
 leaves the tape, its closures and every intermediate gradient in place until the
 caller drops them.
 
-``silu`` and ``qdq`` take the SiLU derivative and the clip mask at forward time.
-``capturing_silu`` and ``capturing_qdq`` keep their float inputs instead and build
-both in backward. The library's gradients, and so every trained tensor, must come out
-bit for bit the same under either pair.
+``saving_silu`` and ``saving_qdq`` take the SiLU derivative and the clip mask at
+forward time; ``silu`` and ``qdq`` keep their float inputs instead and build both in
+backward. The walk calls ``SILU`` and ``QDQ``, the saving forms unless a caller swaps
+them. The library's gradients, and so every trained tensor, must come out bit for bit
+the same under either pair.
 
 ``Tape``, ``backward`` and ``softmax_cross_entropy`` replace the library's in a
 ``Trainer`` step, so that the whole step runs here.
@@ -116,7 +117,7 @@ def sigmoid(tape, x):
     return _taped(tape, s, grad)
 
 
-def silu(tape, x):
+def saving_silu(tape, x):
     """x·sigmoid(x) in the sigmoid's buffer, the derivative taken before that multiply."""
     xv = x.value
     s = ops.sigmoid(xv)
@@ -130,7 +131,7 @@ def silu(tape, x):
     return _taped(tape, np.multiply(xv, s, out=s), grad)
 
 
-def capturing_silu(tape, x):
+def silu(tape, x):
     xv = x.value
     s = ops.sigmoid(xv)
 
@@ -225,7 +226,7 @@ def linear(tape, x, w, b):
     return _taped(tape, ops.linear(xv, wv, None if b is None else b.value), grad)
 
 
-def qdq(tape, x, scale):
+def saving_qdq(tape, x, scale):
     """The clip mask taken at forward time; nothing for a ``stop_grad`` input."""
     xv = x.value
     y = ops.qdq(xv, scale)
@@ -234,7 +235,7 @@ def qdq(tape, x, scale):
                   stop_grad=x.stop_grad)
 
 
-def capturing_qdq_backward(upstream_grad, x, scale):
+def qdq_backward(upstream_grad, x, scale):
     inside = np.greater_equal(x, QMIN * scale)
     inside &= np.less_equal(x, QMAX * scale)
     g = inside.astype(upstream_grad.dtype)
@@ -242,11 +243,13 @@ def capturing_qdq_backward(upstream_grad, x, scale):
     return g
 
 
-def capturing_qdq(tape, x, scale):
+def qdq(tape, x, scale):
     xv = x.value
-    return _taped(tape, ops.qdq(xv, scale),
-                  lambda g: _accum(x, capturing_qdq_backward(g, xv, scale)),
+    return _taped(tape, ops.qdq(xv, scale), lambda g: _accum(x, qdq_backward(g, xv, scale)),
                   stop_grad=x.stop_grad)
+
+
+SILU, QDQ = saving_silu, saving_qdq  # the forms the walk calls
 
 
 def softmax_cross_entropy(tape, logits, labels):
@@ -303,7 +306,7 @@ def _batchnorm(run, n, ins):
 def _fakequant(run, n, ins):
     if n.attrs.get("phase", "disabled") == "disabled":
         return identity(run.tape, ins[0])
-    return qdq(run.tape, ins[0], float(n.params["amax"][0]) / QMAX)
+    return QDQ(run.tape, ins[0], float(n.params["amax"][0]) / QMAX)
 
 
 FORWARD = {
@@ -313,7 +316,7 @@ FORWARD = {
         run.tape, ins[0], run.param(n, "weight"), run.param(n, "bias"),
         n.attrs.get("stride", 1), n.attrs.get("padding", 0)),
     "batchnorm": _batchnorm,
-    "activation": lambda run, n, ins: (silu if n.attrs["fn"] == "silu" else sigmoid)(
+    "activation": lambda run, n, ins: (SILU if n.attrs["fn"] == "silu" else sigmoid)(
         run.tape, ins[0]),
     "maxpool": lambda run, n, ins: maxpool2d(
         run.tape, ins[0], n.attrs["k"], n.attrs.get("stride", n.attrs["k"]),
