@@ -170,6 +170,25 @@ def _matmul_flops(n, ins, outs):
     return math.prod(outs[0]) * (2 * ins[0][1] * taps + ("bias" in n.params))
 
 
+def _saved(run, n, y, *saved):
+    """``y``; with a tape, ``n`` is recorded with ``saved``."""
+    if run.tape is not None:
+        run.tape.save(n, *saved)
+    return y
+
+
+def _pass(run, n, ins):
+    """The input, passed on; with a tape, its gradient passes back unless it is pure data."""
+    if run.tape is not None and run.tape.takes_grad(n):
+        run.tape.save(n)
+    return ins[0]
+
+
+def _same(n, saved, g):
+    """The gradient of each input is the upstream gradient."""
+    return [g[0]] * len(n.inputs), {}
+
+
 def _batchnorm(run, n, ins):
     gamma, beta, eps = run.array(n, "gamma"), run.array(n, "beta"), n.attrs.get("eps", _BN_EPS)
     if run.mode == "eval":
@@ -178,9 +197,7 @@ def _batchnorm(run, n, ins):
     out, cache = ops.batchnorm_train_forward(ins[0], gamma, beta, eps)
     run.track(n, "running_mean", cache[2])
     run.track(n, "running_var", cache[3])
-    if run.tape is not None:
-        run.tape.save(n, gamma, cache)
-    return out
+    return _saved(run, n, out, gamma, cache)
 
 
 def _batchnorm_backward(n, saved, g):
@@ -216,9 +233,7 @@ def _activation(n) -> str:
 def _activation_array(run, n, ins):
     fn, s = _activation(n), ops.sigmoid(ins[0])
     if fn == "sigmoid":
-        if run.tape is not None:
-            run.tape.save(n, s)
-        return s
+        return _saved(run, n, s, s)
     if run.tape is not None:  # taken before x·s is written into the sigmoid's buffer
         run.tape.save(n, ops.silu_derivative(ins[0], s))
     return np.multiply(ins[0], s, out=s)
@@ -240,9 +255,7 @@ def _pool_args(n):
 def _maxpool(run, n, ins):
     """The argmax, which routes the gradient, is computed only when a tape records it."""
     y, arg = ops.maxpool2d_forward(ins[0], *_pool_args(n), need_arg=run.tape is not None)
-    if run.tape is not None:
-        run.tape.save(n, arg, ins[0].shape)
-    return y
+    return _saved(run, n, y, arg, ins[0].shape)
 
 
 def _gap_backward(n, saved, g):
@@ -310,25 +323,6 @@ def _scale(run, n, ins):
 def _scale_backward(n, saved, g):
     (x, s), g = saved, g[0]
     return [g * s[None, :, None, None]], {"scale": (g * x).sum(axis=(0, 2, 3))}
-
-
-def _saved(run, n, y, *saved):
-    """``y``; with a tape, ``n`` is recorded with ``saved``."""
-    if run.tape is not None:
-        run.tape.save(n, *saved)
-    return y
-
-
-def _pass(run, n, ins):
-    """The input, passed on; with a tape, its gradient passes back unless it is pure data."""
-    if run.tape is not None and run.tape.takes_grad(n):
-        run.tape.save(n)
-    return ins[0]
-
-
-def _same(n, saved, g):
-    """The gradient of each input is the upstream gradient."""
-    return [g[0]] * len(n.inputs), {}
 
 
 def _qdq_scale(n) -> float | None:
