@@ -116,7 +116,8 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
         outputs: a sequence of node ids; computation is restricted to them and their
             ancestors. None means the graph's output nodes, ``[]`` none at all. In every
             mode, each other value is dropped after its last reader in ``graph.schedule``,
-            which ``estimate_memory`` counts.
+            which ``estimate_memory`` counts. Without a tape no conv keeps its patches,
+            and each gathers them a bounded chunk of images at a time (``ops``).
 
     The schedule is kept per graph and outputs, and rebuilt after a structural edit (``_plan``).
     It is compiled to list slots (``_schedule``), so the walk indexes a list, not a dict.

@@ -22,6 +22,7 @@ from .ops import QMAX, QMIN, qdq, qdq_backward, ste_mask
 
 HIST_BINS = 2048
 MASS_FRACTION = 0.9999
+_CHUNK = 1 << 16  # elements per float64 chunk that HistogramObserver.observe counts
 
 
 class HistogramObserver:
@@ -30,6 +31,10 @@ class HistogramObserver:
     When a batch exceeds the current maximum the counts are re-binned onto
     the wider range, keeping bin boundaries a fixed fraction of the running
     maximum. Counts are float64, exact for any realistic sample volume.
+    ``observe`` takes a batch's range in its own dtype, which is exact, then
+    counts |x| in float64 chunks of ``_CHUNK`` elements, so its scratch does
+    not grow with the activation; integer-valued sums make the counts
+    independent of the chunking.
     """
 
     def __init__(self, name: str = "observer"):
@@ -39,15 +44,16 @@ class HistogramObserver:
         self.samples = 0
 
     def observe(self, x: np.ndarray) -> None:
-        ax = np.abs(np.asarray(x, dtype=np.float64)).ravel()
-        if ax.size == 0:
+        x = np.asarray(x).reshape(-1)
+        if x.size == 0:
             return
-        m = float(ax.max())
-        if not np.isfinite(m):  # max is inf or NaN exactly when some element is
-            bad = int(ax.size - np.isfinite(ax).sum())
+        hi, lo = float(x.max()), float(x.min())
+        if not (np.isfinite(hi) and np.isfinite(lo)):  # inf or NaN exactly when some element is
+            bad = int(x.size - np.isfinite(x).sum())
             raise CalibrationError(
                 f"quantizer {self.name!r} observed {bad} non-finite activation(s) "
-                f"among {ax.size}")
+                f"among {x.size}")
+        m = max(hi, -lo)  # max |x|
         if m > self.top:
             if self.top > 0.0:
                 old_centers = (np.arange(HIST_BINS) + 0.5) * (self.top / HIST_BINS)
@@ -57,9 +63,14 @@ class HistogramObserver:
             self.top = m
         if self.top > 0.0:
             width = self.top / HIST_BINS
-            idx = np.minimum((ax / width).astype(np.int64), HIST_BINS - 1)
-            self.counts += np.bincount(idx, minlength=HIST_BINS)
-        self.samples += ax.size
+            buf = np.empty(min(x.size, _CHUNK), np.float64)
+            for i in range(0, x.size, _CHUNK):
+                part = buf[:min(_CHUNK, x.size - i)]
+                np.abs(x[i:i + _CHUNK], out=part, dtype=np.float64)
+                part /= width
+                np.minimum(part, HIST_BINS - 1, out=part)  # |x| == top may land on bin 2048
+                self.counts += np.bincount(part.astype(np.int64), minlength=HIST_BINS)
+        self.samples += x.size
 
     def amax(self) -> float | None:
         """Smallest bin edge covering MASS_FRACTION of the observed mass."""

@@ -211,7 +211,7 @@ def _conv_args(n):
 
 def _conv(run, n, ins):
     w, b = run.array(n, "weight"), run.array(n, "bias")
-    y, cols = ops.conv2d_forward(ins[0], w, b, *_conv_args(n))
+    y, cols = ops.conv2d_forward(ins[0], w, b, *_conv_args(n), need_cols=run.tape is not None)
     if run.tape is not None:  # pure data takes no input gradient
         run.tape.save(n, cols, ins[0].shape, w, b is not None, run.tape.takes_grad(n))
     return y

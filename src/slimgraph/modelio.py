@@ -183,7 +183,7 @@ def from_bytes(data: bytes) -> tuple[Graph, int]:
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ModelFormatError(f"topology document unparseable: {e}") from e
 
-    blob = data[topo_end:-4]
+    blob = memoryview(data)[topo_end:-4]  # a view: each tensor's astype makes its own copy
     (crc_stored,) = struct.unpack_from("<I", data, len(data) - 4)
     if zlib.crc32(blob) & 0xFFFFFFFF != crc_stored:
         raise ModelFormatError("weight blob checksum mismatch")
@@ -207,7 +207,7 @@ def _field(d, key, kind, where):
     return v
 
 
-def _graph_from_doc(doc, blob: bytes) -> tuple[Graph, int]:
+def _graph_from_doc(doc, blob: memoryview) -> tuple[Graph, int]:
     precision = _field(doc, "precision", int, "topology")
     if precision not in _DTYPES:
         raise ModelFormatError(f"unsupported precision {precision} in topology")

@@ -10,14 +10,19 @@ tight finite-difference comparisons.
 
 Kernels take only what graphs give them: ``int`` stride and padding (the
 same on both spatial axes) and square ``k x k`` pool windows. conv2d_forward
-returns its patch matrix with the output, and conv2d_backward requires it, so
-the backward pass never rebuilds patches, and needs only the input's shape.
+returns its patch matrix with the output only when asked (``need_cols``), as the
+conv rule asks exactly when a tape records the node; conv2d_backward requires it,
+so the backward pass never rebuilds patches, and needs only the input's shape.
 
 conv2d lowers each image to a channel-major (C*kh*kw, Ho*Wo) patch matrix whose
 rows follow the weight's fixed (channel, kh, kw) order, and multiplies it by
 the (Cout, C*kh*kw) weight matrix in one batched matmul; the (N, Cout, Ho*Wo)
 result is NCHW already. The reduction order depends only on the shapes, so
-repeated runs on identical inputs are bit-identical.
+repeated runs on identical inputs are bit-identical. numpy runs the batched
+matmul as one GEMM per image, so a forward that keeps no patches pads, gathers
+and multiplies a batch whose patch matrix exceeds ``_COLS_BUDGET`` a chunk of
+images at a time, with the same bits and a working set that does not grow with
+the batch.
 
 How patches are gathered, and tap gradients scattered back, is a property of
 the map's shape. On a map of at most 64 cells the inner runs of a per-tap slice
@@ -73,6 +78,7 @@ def _pad(x, padding):
 
 
 _SMALL_MAP = 64  # input cells up to which the selection GEMM beats per-tap slices
+_COLS_BUDGET = 1 << 20  # bytes of patches above which an untaped conv works in image chunks
 
 
 @functools.cache  # keyed by maps of at most 64 cells, so it stays small
@@ -122,13 +128,21 @@ def _gather_slices(x, kh, kw, stride, padding, ho, wo):
     return cols
 
 
-def _im2col(x, kh, kw, stride, padding):
-    """Per-image (N, C*kh*kw, Ho*Wo) patches; 1x1 is a view."""
+def _gathers_by_gemm(x):
+    """Whether x's patches take the small-map GEMM; 0*inf would spread NaN over a row."""
+    return x.shape[2] * x.shape[3] <= _SMALL_MAP and np.isfinite(x).all()
+
+
+def _im2col(x, kh, kw, stride, padding, gemm=None):
+    """Per-image (N, C*kh*kw, Ho*Wo) patches; 1x1 is a view. ``gemm`` picks the small-map
+    GEMM or the slices, by default as ``_gathers_by_gemm(x)``."""
     n, c, h, w = x.shape
     ho, wo = _conv_out_dims(h, w, kh, kw, stride, padding)
     if kh == kw == stride == 1 and padding == 0:
         return x.reshape(n, c, h * w), ho, wo
-    if h * w <= _SMALL_MAP and np.isfinite(x).all():  # 0*inf would spread NaN over a row
+    if gemm is None:
+        gemm = _gathers_by_gemm(x)
+    if gemm:
         cols = x.reshape(n * c, h * w) @ _selection(h, w, kh, kw, stride, padding, x.dtype)
     else:
         cols = _gather_slices(x, kh, kw, stride, padding, ho, wo)
@@ -148,15 +162,34 @@ def _validate_conv_args(x, w, b):
             f"conv2d bias length {b.shape} does not match Cout={w.shape[0]}")
 
 
-def conv2d_forward(x, w, b=None, stride=1, padding=0):
-    """Cross-correlation; returns (y, cols), the patch matrix conv2d_backward takes."""
+def conv2d_forward(x, w, b=None, stride=1, padding=0, need_cols=True):
+    """Cross-correlation; returns (y, cols): cols is the patch matrix conv2d_backward
+    takes, returned only with ``need_cols``, else None.
+
+    Without ``need_cols``, a batch whose patch matrix would exceed ``_COLS_BUDGET`` is
+    padded, gathered and multiplied a chunk of images at a time, at least one, into a
+    preallocated y. Each image's GEMM is the same call either way, and the small-map
+    gather is chosen once for the whole batch, so y is the same bit for bit.
+    """
     _validate_conv_args(x, w, b)
+    n, c, h, wd = x.shape
     cout, _, kh, kw = w.shape
-    cols, ho, wo = _im2col(x, kh, kw, stride, padding)
-    y = w.reshape(cout, -1) @ cols
+    w2 = w.reshape(cout, -1)
+    ho, wo = _conv_out_dims(h, wd, kh, kw, stride, padding)
+    chunk = max(1, _COLS_BUDGET // (c * kh * kw * ho * wo * x.itemsize))
+    if need_cols or chunk >= n or (kh == kw == stride == 1 and padding == 0):
+        cols = _im2col(x, kh, kw, stride, padding)[0]
+        y = w2 @ cols
+    else:
+        cols = None
+        y = np.empty((n, cout, ho * wo), np.result_type(w, x))
+        gemm = _gathers_by_gemm(x)  # once for the batch, as the whole-batch gather decides
+        for i in range(0, n, chunk):
+            np.matmul(w2, _im2col(x[i:i + chunk], kh, kw, stride, padding, gemm)[0],
+                      out=y[i:i + chunk])
     if b is not None:
         y += b[:, None]
-    return y.reshape(x.shape[0], cout, ho, wo), cols
+    return y.reshape(n, cout, ho, wo), (cols if need_cols else None)
 
 
 def conv2d_backward(gy, x_shape, w, cols, stride=1, padding=0, with_bias=True, need_gx=True):

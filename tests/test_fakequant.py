@@ -1,6 +1,7 @@
 """Quantizer lifecycle, calibration, QDQ semantics, STE, fp16 export."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 
 from conftest import run_rule, settled_graph
 from container_reference import reference_to_bytes
+from observer_reference import ReferenceObserver
 from slimgraph import build_mini_net, fakequant, forward_arrays, ops
 from slimgraph.builders import PRESETS, GraphBuilder
 from slimgraph.errors import CalibrationError, ExportError, QuantError
 from slimgraph.modelio import to_bytes
-from slimgraph.fakequant import (QMAX, QMIN, HistogramObserver, calibrate, calibration_rows,
+from slimgraph.fakequant import (_CHUNK, QMAX, QMIN, HistogramObserver, calibrate, calibration_rows,
                                  cast_fp16, export_fp16, insert_fakequant, qdq,
                                  qdq_backward, quantizer_ids, ste_mask)
 from slimgraph.pipeline import ToyTask
@@ -195,6 +197,24 @@ class TestSte:
         assert calls == [np.bool_] and gx.tolist() == [[1.0, 0.0, 1.0]]
 
 
+@st.composite
+def observed_batches(draw):
+    """Cauchy batches of float16, float32 or float64: sizes around and across the
+    observer's chunk, some all zero; the last is the batch before it in float64 plus one
+    cell of twice the largest |x| so far, which re-bins whenever a range is set."""
+    sizes = st.one_of(st.integers(0, 300), st.integers(_CHUNK - 2, _CHUNK + 2),
+                      st.integers(2 * _CHUNK, 3 * _CHUNK + 7))
+    cases = draw(st.lists(st.tuples(sizes, st.sampled_from([np.float16, np.float32, np.float64]),
+                                    st.sampled_from([0.0, 1e-3, 1.0, 30.0]),
+                                    st.integers(0, 2**31 - 1)), min_size=1, max_size=4))
+    with np.errstate(over="ignore"):  # a float16 tail cell may round to inf: the error path
+        batches = [(scale * np.random.default_rng(seed).standard_cauchy(size)).astype(dtype)
+                   for size, dtype, scale, seed in cases]
+    top = max(np.abs(b.astype(np.float64)).max(initial=0.0) for b in batches)
+    batches.append(np.append(batches[-1].astype(np.float64), 2 * top or 1.0))
+    return batches
+
+
 class TestObserver:
     def test_uniform_amax_sampling_oracle(self):
         a = 3.7
@@ -222,6 +242,38 @@ class TestObserver:
         obs = HistogramObserver()
         obs.observe(np.zeros(100))
         assert obs.amax() is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(observed_batches())
+    def test_chunked_counts_equal_the_whole_batch_oracle(self, batches):
+        obs, ref = HistogramObserver("q"), ReferenceObserver("q")
+        for x in batches:
+            try:
+                ref.observe(x)
+            except CalibrationError as e:
+                with pytest.raises(CalibrationError) as got:
+                    obs.observe(x)
+                assert str(got.value) == str(e)
+                return
+            obs.observe(x)
+            assert obs.counts.tobytes() == ref.counts.tobytes()
+            assert (obs.top, obs.samples, obs.amax()) == (ref.top, ref.samples, ref.amax())
+
+    def test_observe_scratch_does_not_grow_with_the_activation(self):
+        """Four float64 copies of a (64, 3, 64, 64) float32 map would be 24 MiB."""
+        r = np.random.default_rng(0)
+        peaks = []
+        for n in (16, 64):
+            x = r.normal(size=(n, 3, 64, 64)).astype(np.float32)
+            obs = HistogramObserver()
+            obs.observe(x / 2)  # sets a range, so the second call counts without re-binning
+            tracemalloc.start()
+            try:
+                obs.observe(x)  # a wider range: it re-bins, then counts
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 3 * 8 * _CHUNK < x.nbytes, peaks
 
     @pytest.mark.parametrize("values,bad", [([1.0, np.inf], 1), ([1.0, np.nan], 1),
                                             ([np.nan], 1), ([-np.inf, 2.0, np.nan], 2)])

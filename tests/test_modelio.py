@@ -4,6 +4,7 @@ import os
 import stat
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import (FRAGMENTS, chain_graph, container, fragment_graph, preset_graph,
                       split_container)
 from container_reference import reference_to_bytes
-from slimgraph import build_mini_net, count_flops, forward_arrays, resolve_groups
+from slimgraph import build_mini_net, count_flops, forward_arrays, pruner, resolve_groups
 from slimgraph.builders import PRESETS, build_fragment
 from slimgraph.errors import ExportError, ModelFormatError, SlimgraphError
 from slimgraph.fakequant import calibrate, export_fp16, insert_fakequant, write_calibration
@@ -174,6 +175,26 @@ class TestCanonical:
         data = to_bytes(g, 32)
         back, _ = from_bytes(data)
         assert to_bytes(back, 32) == data
+
+    @pytest.mark.parametrize("bits", [32, 16])
+    def test_reading_copies_the_blob_only_into_the_tensors(self, bits):
+        """The weight blob is read through a view: beyond the float32 tensors it builds,
+        a read holds less than half the container more (a blob copy would be nearly all)."""
+        g = pruner.apply_prune(fragment_graph("spab", 256),
+                               pruner.build_plan(fragment_graph("spab", 256), 0.5))
+        data = to_bytes(g, bits)
+        tensors = 4 * sum(a.size for n in g.nodes.values() for a in n.params.values())
+        from_bytes(data)  # warms what a first read caches
+        tracemalloc.start()
+        try:
+            back, _ = from_bytes(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert to_bytes(back, bits) == data
+        assert peak < tensors + len(data) // 2, (peak, tensors, len(data))
+        if bits == 32:
+            assert peak < 1.5 * len(data)
 
 
 class TestCorruption:

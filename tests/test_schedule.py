@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 import forward_reference as reference
 from conftest import assert_same_bits, images, preset_graph, primitive_graphs, settled_graph
 from memory_reference import quadratic_scratch_bytes
-from slimgraph import build_fragment, forward_arrays, run_graph
+from slimgraph import build_fragment, forward_arrays, ops, run_graph
 from slimgraph.builders import PRESETS
 from slimgraph.graph import infer_shapes
-from slimgraph.metrics import estimate_memory
+from slimgraph.metrics import count_params, estimate_memory
 
 BATCH16 = (16, 3, 64, 64)
 
@@ -30,7 +30,9 @@ def needed_subgraph(g):
 
 
 def largest_conv_temporaries(g, input_shape) -> int:
-    """Bytes of the padded input and patch matrix of the conv that needs most."""
+    """Bytes of the padded input and patch matrix that the conv needing most holds at once,
+    in an untaped run: those of one chunk of images, or of the whole batch when its patch
+    matrix fits ``ops._COLS_BUDGET`` (or the conv reads its input as the patches)."""
     shapes = infer_shapes(g, input_shape)
     worst = 0
     for n in g.nodes.values():
@@ -40,9 +42,12 @@ def largest_conv_temporaries(g, input_shape) -> int:
         _, _, kh, kw = n.params["weight"].shape
         stride, pad = n.attrs.get("stride", 1), n.attrs.get("padding", 0)
         ho, wo = shapes[(n.id, 0)][2:]
-        padded = nb * c * (h + 2 * pad) * (w + 2 * pad) if pad else 0
-        cols = 0 if kh == kw == stride == 1 and pad == 0 else nb * c * kh * kw * ho * wo
-        worst = max(worst, 4 * (padded + cols))
+        if kh == kw == stride == 1 and pad == 0:
+            continue
+        per_image = 4 * c * kh * kw * ho * wo
+        chunk = min(nb, max(1, ops._COLS_BUDGET // per_image))
+        padded = 4 * c * (h + 2 * pad) * (w + 2 * pad) if pad else 0
+        worst = max(worst, chunk * (padded + per_image))
     return worst
 
 
@@ -120,13 +125,32 @@ class TestScratch:
 class TestPeakBound:
     @pytest.mark.parametrize("name", GRAPH_NAMES)
     def test_eval_forward_peak_within_scratch_and_largest_conv(self, name):
+        """``forward_arrays`` also holds each call's folded conv tensors, at most the
+        graph's parameter bytes."""
         g = preset_graph(name)
         bound = (estimate_memory(g, 32, BATCH16).scratch_bytes
-                 + largest_conv_temporaries(g, BATCH16))
+                 + largest_conv_temporaries(g, BATCH16) + 4 * count_params(g))
         x = images(BATCH16)
         tracemalloc.start()
         try:
             forward_arrays(g, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak / 2**20, bound / 2**20)
+
+    @pytest.mark.parametrize("mode", ["eval", "calibrate"])
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_batch_64_run_peak_within_scratch_and_one_conv_chunk(self, preset, mode):
+        """An untaped run gathers the stem's patches a chunk at a time: the whole 64-image
+        matrix (7 MiB) would exceed the 6 MiB scratch on its own."""
+        g = preset_graph(f"{preset}-calibrated")
+        shape = (64,) + BATCH16[1:]
+        bound = estimate_memory(g, 32, shape).scratch_bytes + largest_conv_temporaries(g, shape)
+        x = images(shape)
+        tracemalloc.start()
+        try:
+            run_graph(g, x, mode=mode)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import conv_reference
 import train_reference
-from conftest import conv2d_reference, run_rule
+from conftest import FRAGMENTS, conv2d_reference, fragment_graph, run_rule
 from slimgraph import autograd as ag
 from slimgraph import build_mini_net, ops, run_graph
 from slimgraph.builders import PRESETS, GraphBuilder
@@ -403,6 +403,94 @@ class TestSmallMapSelection:
         gx = ops._scatter_taps(g6, x.shape, 1, 1)
         assert np.array_equal(gx, ops._scatter_slices(g6, x.shape, 1, 1), equal_nan=True)
         assert (~np.isfinite(gx)).sum() == 1 and not np.isfinite(gx[1, 2, 4, 5])
+
+
+def _conv_shapes():
+    """Every conv of the presets and of ``FRAGMENTS`` as (Cin, H, W, Cout, k, stride, padding)."""
+    shapes = set()
+    for g in [build_mini_net(p, (1, 3, 64, 64)) for p in PRESETS] + [
+            fragment_graph(m, w) for m, w in FRAGMENTS]:
+        edges = infer_shapes(g)
+        for n in g.nodes.values():
+            if n.kind == "conv":
+                _, c, h, w = edges[n.inputs[0]]
+                cout, _, k, _ = n.params["weight"].shape
+                shapes.add((c, h, w, cout, k, n.attrs.get("stride", 1), n.attrs.get("padding", 0)))
+    return sorted(shapes)
+
+
+WHOLE_CAP = 80 * 2**20  # largest whole-batch patch matrix a comparison builds
+
+
+class TestChunkedConv:
+    """Without ``need_cols`` a conv whose patches exceed ``ops._COLS_BUDGET`` works in image
+    chunks; y equals the whole batch's bit for bit, and no patch matrix is returned."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c, h, w, cout, k, stride, padding", _conv_shapes())
+    def test_chunks_equal_the_whole_batch(self, monkeypatch, c, h, w, cout, k, stride, padding,
+                                          dtype):
+        """At batches 1, 5, 16 and 64 (those whose whole-batch patch matrix fits
+        ``WHOLE_CAP``), chunked by the module's budget and by one of two images."""
+        r = np.random.default_rng(c * h + cout)
+        wt = r.normal(size=(cout, c, k, k)).astype(dtype)
+        b = r.normal(size=cout).astype(dtype)
+        ho, wo = ops._conv_out_dims(h, w, k, k, stride, padding)
+        per_image = c * k * k * ho * wo * np.dtype(dtype).itemsize
+        batches = [n for n in (1, 5, 16, 64) if n * per_image <= WHOLE_CAP]
+        assert batches[:3] == [1, 5, 16]
+        for n in batches:
+            x = r.normal(size=(n, c, h, w)).astype(dtype)
+            whole, cols = ops.conv2d_forward(x, wt, b, stride, padding)
+            assert cols is not None
+            for budget in (ops._COLS_BUDGET, 2 * per_image):
+                monkeypatch.setattr(ops, "_COLS_BUDGET", budget)
+                y, none = ops.conv2d_forward(x, wt, b, stride, padding, need_cols=False)
+                assert none is None and y.dtype == whole.dtype and y.shape == whole.shape
+                assert y.tobytes() == whole.tobytes(), (n, budget)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_a_non_finite_cell_sends_every_chunk_to_the_slices(self, rng, monkeypatch, bad):
+        """The small-map GEMM is chosen once per batch: one image's inf or NaN sends the
+        other chunks to the slices too, as in the whole batch."""
+        x = rng.normal(size=(16, 12, 8, 8)).astype(np.float32)
+        x[9, 4, 3, 3] = bad
+        wt = rng.normal(size=(12, 12, 3, 3)).astype(np.float32)
+        keys = []
+        select = ops._selection
+        monkeypatch.setattr(ops, "_selection", lambda *key: keys.append(key) or select(*key))
+        whole = ops.conv2d_forward(x, wt, None, 1, 1)[0]
+        monkeypatch.setattr(ops, "_COLS_BUDGET", 3 * 12 * 9 * 64 * 4)  # chunks of 3 images
+        y = ops.conv2d_forward(x, wt, None, 1, 1, need_cols=False)[0]
+        assert keys == [] and y.tobytes() == whole.tobytes()
+        assert (~np.isfinite(y)).sum() == 9 * 12  # the 3x3 outputs around it, per channel
+
+    def test_untaped_forward_peaks_at_one_chunk(self, rng):
+        """The stem's 64-image patch matrix is 2.25x its input; one chunk's is under 1 MiB."""
+        x = rng.normal(size=(64, 3, 64, 64)).astype(np.float32)
+        wt = rng.normal(size=(8, 3, 3, 3)).astype(np.float32)
+        y = ops.conv2d_forward(x, wt, None, 2, 1, need_cols=False)[0]
+        tracemalloc.start()
+        try:
+            ops.conv2d_forward(x, wt, None, 2, 1, need_cols=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < y.nbytes + 2 * ops._COLS_BUDGET < 2.25 * x.nbytes
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_only_a_tape_asks_for_the_patches(self, rng, monkeypatch, taped):
+        calls = []
+        forward = ops.conv2d_forward
+        monkeypatch.setattr(ops, "conv2d_forward",
+                            lambda *a, **kw: calls.append(kw["need_cols"]) or forward(*a, **kw))
+        b = GraphBuilder("conv", (1, 2, 6, 6))
+        b.add("output", "out", [b.add("conv", "conv", [b.add("input", "image", [])],
+                                      attrs={"stride": 1, "padding": 1},
+                                      params={"weight": np.ones((2, 2, 3, 3), np.float32)})])
+        run_graph(b.graph, rng.normal(size=(1, 2, 6, 6)).astype(np.float32), mode="train",
+                  tape=ag.Tape() if taped else None, state=RunState({}, {}))
+        assert calls == [taped]
 
 
 @st.composite

@@ -117,10 +117,11 @@ def test_taped_forward_frees_conv_and_batchnorm_inputs(monkeypatch):
     refs = {"conv": [], "batchnorm": []}
     conv, bn = ops.conv2d_forward, ops.batchnorm_train_forward
 
-    def conv_spy(x, w, *args):
+    def conv_spy(x, w, *args, **kwargs):
+        assert kwargs["need_cols"]  # backward reads the patches
         if w.shape[2:] != (1, 1):  # a 1x1 conv's patch matrix is a view of its input
             refs["conv"].append(weakref.ref(x))
-        return conv(x, w, *args)
+        return conv(x, w, *args, **kwargs)
 
     def bn_spy(x, *args):
         refs["batchnorm"].append(weakref.ref(x))
