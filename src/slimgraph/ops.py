@@ -78,7 +78,11 @@ def _pad(x, padding):
 
 
 _SMALL_MAP = 64  # input cells up to which the selection GEMM beats per-tap slices
-_COLS_BUDGET = 1 << 20  # bytes of patches above which an untaped conv works in image chunks
+# Bytes of patches above which an untaped conv works in image chunks. At 1 MiB a QAT
+# training step at batch 16 took about 2000 minor page faults, against about 400 at 2 MiB:
+# no untaped pass then freed a block as large as the step's own patches, so glibc kept
+# its mmap and trim thresholds low and returned the step's memory after every step.
+_COLS_BUDGET = 2 << 20
 
 
 @functools.cache  # keyed by maps of at most 64 cells, so it stays small

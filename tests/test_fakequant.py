@@ -15,9 +15,9 @@ from slimgraph import build_mini_net, fakequant, forward_arrays, ops
 from slimgraph.builders import PRESETS, GraphBuilder
 from slimgraph.errors import CalibrationError, ExportError, QuantError
 from slimgraph.modelio import to_bytes
-from slimgraph.fakequant import (_CHUNK, QMAX, QMIN, HistogramObserver, calibrate, calibration_rows,
-                                 cast_fp16, export_fp16, insert_fakequant, qdq,
-                                 qdq_backward, quantizer_ids, ste_mask)
+from slimgraph.fakequant import (_CHUNK, QMAX, QMIN, HistogramObserver, calibrate,
+                                 calibration_rows, cast_fp16, export_fp16, insert_fakequant,
+                                 qdq, qdq_backward, quantizer_ids, ste_mask)
 from slimgraph.pipeline import ToyTask
 
 
@@ -266,7 +266,7 @@ class TestObserver:
         for n in (16, 64):
             x = r.normal(size=(n, 3, 64, 64)).astype(np.float32)
             obs = HistogramObserver()
-            obs.observe(x / 2)  # sets a range, so the second call counts without re-binning
+            obs.observe(x / 2)  # sets a range half as wide
             tracemalloc.start()
             try:
                 obs.observe(x)  # a wider range: it re-bins, then counts

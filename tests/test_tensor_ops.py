@@ -466,7 +466,8 @@ class TestChunkedConv:
         assert (~np.isfinite(y)).sum() == 9 * 12  # the 3x3 outputs around it, per channel
 
     def test_untaped_forward_peaks_at_one_chunk(self, rng):
-        """The stem's 64-image patch matrix is 2.25x its input; one chunk's is under 1 MiB."""
+        """The stem's 64-image patch matrix is 2.25x its input; one chunk's is at most
+        ``ops._COLS_BUDGET``."""
         x = rng.normal(size=(64, 3, 64, 64)).astype(np.float32)
         wt = rng.normal(size=(8, 3, 3, 3)).astype(np.float32)
         y = ops.conv2d_forward(x, wt, None, 2, 1, need_cols=False)[0]
