@@ -18,10 +18,11 @@ BN_MOMENTUM = 0.1  # running-statistics update rate in training mode
 class RunState:
     """Mutable training-time storage for parameters and buffers.
 
-    ``vars`` maps (node_id, param_name) to the trained autograd variables;
-    ``buffers`` maps (node_id, buffer_name) to plain arrays that are never
-    trained: batchnorm running statistics, or the folded conv tensors of
-    ``forward_arrays``. Pure inference runs pass ``state=None``.
+    ``vars`` maps (node_id, param_name) to what forward rules read through its ``.value``:
+    the trained autograd variables, or in ``forward_arrays`` the folded conv weights, each
+    computed when its conv reads it and dropped when that conv returns. ``buffers`` maps
+    (node_id, buffer_name) to plain arrays that are never trained: batchnorm running
+    statistics, or the folded conv biases. Pure inference runs pass ``state=None``.
     """
 
     def __init__(self, vars: dict, buffers: dict):
@@ -181,25 +182,39 @@ def _fold_pairs(nodes: dict[str, Node], keep) -> list[tuple[Node, Node]]:
             and {bn.params[k].shape for k in _BN} == {c.params["weight"].shape[:1]}]
 
 
-def _fold_params(pairs) -> dict[tuple[str, str], np.ndarray]:
-    """The ``RunState`` buffers of each pair's folded conv, its ``weight`` and ``bias`` under
-    the batchnorm's id, from the current parameter values (one vectorized pass and one
-    ``ops.batchnorm_infer`` call over all pairs)."""
+class _FoldedWeight:
+    """A folded conv weight ``w·inv``, multiplied each time its ``value`` is read."""
+
+    __slots__ = ("w", "inv")
+
+    def __init__(self, w, inv):
+        self.w, self.inv = w, inv
+
+    @property
+    def value(self):
+        return self.w * self.inv
+
+
+def _fold_params(pairs) -> RunState:
+    """The state of each pair's folded conv, under the batchnorm's id: its ``weight`` a
+    ``_FoldedWeight`` var, its ``bias`` a buffer, from the current parameter values. The
+    per-channel vectors take one vectorized pass and one ``ops.batchnorm_infer`` call over
+    all pairs; each weight is rescaled only when its conv reads it."""
     if not pairs:
-        return {}
+        return RunState({}, {})
     gamma, beta, mean, var = (np.concatenate([bn.params[k] for _, bn in pairs]) for k in _BN)
     widths = [len(bn.params["gamma"]) for _, bn in pairs]
     eps = np.repeat(np.array([bn.attrs.get("eps", _BN_EPS) for _, bn in pairs], var.dtype), widths)
     bias = np.concatenate([c.params.get("bias", np.zeros(w, np.float32))
                            for (c, _), w in zip(pairs, widths)])
     bias = ops.batchnorm_infer(bias[None, :, None, None], gamma, beta, mean, var, eps).ravel()
-    inv = gamma / np.sqrt(var + eps)
+    inv = (gamma / np.sqrt(var + eps))[:, None, None, None]
     at = np.cumsum([0] + widths)
-    folded = {}
+    weights, biases = {}, {}
     for (c, bn), i, j in zip(pairs, at, at[1:]):
-        folded[(bn.id, "weight")] = c.params["weight"] * inv[i:j, None, None, None]
-        folded[(bn.id, "bias")] = bias[i:j]
-    return folded
+        weights[(bn.id, "weight")] = _FoldedWeight(c.params["weight"], inv[i:j])
+        biases[(bn.id, "bias")] = bias[i:j]
+    return RunState(weights, biases)
 
 
 def _fold(graph: Graph, outputs):
@@ -230,11 +245,13 @@ def forward_arrays(graph: Graph, x: np.ndarray, outputs=None) -> dict[str, np.nd
     and export, stays unfolded. With ``outputs``, only the nodes they need are folded and
     run, so no other batchnorm is read. The fold plan, with the folded graph's compiled
     schedule, is kept per graph and outputs (``_plan``), so a call checks the structure
-    once, yet outputs equal a fresh fold's bit for bit, also after an edit. Each
-    call recomputes the folded tensors, which nothing holds between calls, and passes
-    them as ``RunState`` buffers to ``run_graph(mode="eval")``, an untaped array walk."""
+    once, yet outputs equal a fresh fold's bit for bit, also after an edit.
+
+    What a call holds: from its start, the folded biases and ``γ/√(σ²+ε)`` of every pair,
+    a few floats per channel; each folded weight only while its conv runs, as
+    ``run_graph(mode="eval")``, an untaped array walk, frees it when the conv returns; and
+    between calls, no array: the plan holds structure only."""
     outputs = _node_ids(outputs)
     folded, pairs = _plan(graph, outputs, _fold)
-    out = run_graph(folded, x, mode="eval", state=RunState({}, _fold_params(pairs)),
-                    outputs=outputs)
+    out = run_graph(folded, x, mode="eval", state=_fold_params(pairs), outputs=outputs)
     return {k: v.value for k, v in out.items()}

@@ -194,7 +194,8 @@ def _batchnorm(run, n, ins):
     if run.mode == "eval":
         return ops.batchnorm_infer(ins[0], gamma, beta, run.array(n, "running_mean"),
                                    run.array(n, "running_var"), eps)
-    out, cache = ops.batchnorm_train_forward(ins[0], gamma, beta, eps)
+    out, cache = ops.batchnorm_train_forward(ins[0], gamma, beta, eps,
+                                             need_cache=run.tape is not None)
     run.track(n, "running_mean", cache[2])
     run.track(n, "running_var", cache[3])
     return _saved(run, n, out, gamma, cache)

@@ -13,6 +13,8 @@ same on both spatial axes) and square ``k x k`` pool windows. conv2d_forward
 returns its patch matrix with the output only when asked (``need_cols``), as the
 conv rule asks exactly when a tape records the node; conv2d_backward requires it,
 so the backward pass never rebuilds patches, and needs only the input's shape.
+batchnorm_train_forward likewise keeps the normalized map for backward only when
+asked (``need_cache``); without it, the output is built in that map's buffer.
 
 conv2d lowers each image to a channel-major (C*kh*kw, Ho*Wo) patch matrix whose
 rows follow the weight's fixed (channel, kh, kw) order, and multiplies it by
@@ -242,12 +244,15 @@ def batchnorm_infer(x, gamma, beta, mean, var, eps):
     return y
 
 
-def batchnorm_train_forward(x, gamma, beta, eps):
+def batchnorm_train_forward(x, gamma, beta, eps, need_cache=True):
     """Normalize with batch statistics; returns (y, cache) for backward.
 
     Uses population (ddof=0) mean/variance over (N, H, W) per channel: the
     map is centred once and the variance is the mean square of that centred
-    map, which is then normalised in place into ``xhat``.
+    map, which is then normalised in place into ``xhat``. Without
+    ``need_cache``, ``y`` is scaled and shifted in ``xhat``'s buffer, in its
+    dtype, by the same per-element operations, and the cache's ``xhat`` is
+    None; its statistics are still returned for the running buffers.
     """
     c = x.shape[1]
     _validate_bn_args((gamma, beta), ("gamma", "beta"), c)
@@ -257,9 +262,10 @@ def batchnorm_train_forward(x, gamma, beta, eps):
     var = np.einsum("nchw,nchw->c", xhat, xhat) / m
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv[None, :, None, None]
-    y = xhat * gamma[None, :, None, None]
+    g = gamma[None, :, None, None]
+    y = xhat * g if need_cache else np.multiply(xhat, g, out=xhat)
     y += beta[None, :, None, None]
-    return y, (xhat, inv, mu, var)
+    return y, (xhat if need_cache else None, inv, mu, var)
 
 
 def batchnorm_train_backward(gy, gamma, cache):

@@ -50,7 +50,8 @@ def select_channels(scores, fraction: float) -> tuple[int, ...]:
     """Indices of the floor(fraction*L) lowest-scoring channels.
 
     Ties remove the higher index first so lower indices survive; the removal
-    count is capped so at least one channel remains.
+    count is capped so at least one channel remains. ``build_plan`` rejects a
+    NaN score, which has no place in this order.
     """
     if not (0.0 <= fraction < 1.0):
         raise PlanError(f"channel fraction must be in [0, 1), got {fraction}")
@@ -59,8 +60,8 @@ def select_channels(scores, fraction: float) -> tuple[int, ...]:
     m = min(int(np.floor(fraction * L)), L - 1)
     if m <= 0:
         return ()
-    order = sorted(range(L), key=lambda i: (scores[i], -i))
-    return tuple(sorted(order[:m]))
+    order = np.lexsort((-np.arange(L), scores))
+    return tuple(np.sort(order[:m]).tolist())
 
 
 def build_plan(graph: Graph, fraction: float, groups=None,
@@ -71,7 +72,10 @@ def build_plan(graph: Graph, fraction: float, groups=None,
     for g in groups:
         if g.protected:
             continue
-        removal = select_channels(l1_importance(graph, g), fraction)
+        scores = l1_importance(graph, g)
+        if np.isnan(scores).any():
+            raise PlanError(f"group {g.gid} has a NaN importance score: a weight it sums is NaN")
+        removal = select_channels(scores, fraction)
         if removal:
             plan.removals[g.gid] = removal
     return plan
@@ -123,13 +127,15 @@ def apply_prune(graph: Graph, plan: PrunePlan, groups=None) -> Graph:
     slim = graph.clone(copy_params=False)
     for nid, n in slim.nodes.items():
         spec = SPECS[n.kind]
+        keep = {}  # side -> the indices it keeps, shared by every tensor axis on that side
         params = {}
         for name, arr in n.params.items():
             kept = arr
             for axis, side in enumerate(spec.params[name]):
                 if (nid, side, 0) in removed:  # take, unlike np.delete, gives C order
-                    keep = np.delete(np.arange(kept.shape[axis]), removed[(nid, side, 0)])
-                    kept = kept.take(keep, axis)
+                    if side not in keep:
+                        keep[side] = np.delete(np.arange(kept.shape[axis]), removed[(nid, side, 0)])
+                    kept = kept.take(keep[side], axis)
             params[name] = arr.copy() if kept is arr else kept
         n.params = params
         if spec.resize is not None:

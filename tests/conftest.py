@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from slimgraph import ops
 from slimgraph.builders import GraphBuilder, build_fragment, build_mini_net
 from slimgraph.executor import BN_MOMENTUM, RunState, _Run, run_graph
 from slimgraph.fakequant import calibrate, insert_fakequant
@@ -74,6 +75,28 @@ def fragment_graph(module, width):
     """A fragment as the compress benchmark builds it (shared: do not mutate)."""
     kwargs = {} if module == "spab" else {"cout": width}
     return build_fragment(module, (1, width, 16, 16), seed=0, **kwargs)
+
+
+def largest_conv_temporaries(g, input_shape) -> int:
+    """Bytes of the padded input and patch matrix that the conv needing most holds at once,
+    in an untaped run: those of one chunk of images, or of the whole batch when its patch
+    matrix fits ``ops._COLS_BUDGET`` (or the conv reads its input as the patches)."""
+    shapes = infer_shapes(g, input_shape)
+    worst = 0
+    for n in g.nodes.values():
+        if n.kind != "conv":
+            continue
+        nb, c, h, w = shapes[n.inputs[0]]
+        _, _, kh, kw = n.params["weight"].shape
+        stride, pad = n.attrs.get("stride", 1), n.attrs.get("padding", 0)
+        ho, wo = shapes[(n.id, 0)][2:]
+        if kh == kw == stride == 1 and pad == 0:
+            continue
+        per_image = 4 * c * kh * kw * ho * wo
+        chunk = min(nb, max(1, ops._COLS_BUDGET // per_image))
+        padded = 4 * c * (h + 2 * pad) * (w + 2 * pad) if pad else 0
+        worst = max(worst, chunk * (padded + per_image))
+    return worst
 
 
 def conv2d_reference(x, w, b=None, stride=(1, 1), padding=(0, 0)):

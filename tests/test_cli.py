@@ -65,6 +65,15 @@ class TestBuildTrainPrune:
         assert plan.removals
         assert out.stat().st_size < model_path.stat().st_size
 
+    def test_prune_of_a_nan_weight_exits_2(self, model_path, tmp_path, capsys):
+        g, bits = load(model_path)
+        next(n for n in g.nodes.values() if n.kind == "conv").params["weight"][0, 0] = np.nan
+        save(g, bits, tmp_path / "nan.twnm")
+        out = tmp_path / "slim.twnm"
+        assert run(["prune", "--model", str(tmp_path / "nan.twnm"), "--fraction", "0.5",
+                    "--out", str(out)]) == 2
+        assert "NaN importance score" in capsys.readouterr().err and not out.exists()
+
     def test_rerun_is_byte_identical(self, model_path, tmp_path):
         a, b = tmp_path / "a.twnm", tmp_path / "b.twnm"
         for out in (a, b):

@@ -1,6 +1,7 @@
 """Batchnorm folding for inference: ``forward_arrays`` against the per-call fold of
 ``forward_reference`` and the unfolded ``run_graph(mode="eval")``."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,13 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import forward_reference as reference
-from conftest import (assert_same_bits, chain_graph, images, preset_graph, residual_graph,
-                      settled_graph)
+from conftest import (assert_same_bits, chain_graph, images, largest_conv_temporaries,
+                      preset_graph, residual_graph, settled_graph)
 from slimgraph import build_mini_net, forward_arrays, ops, run_graph
 from slimgraph.builders import PRESETS, GraphBuilder
 from slimgraph.errors import ShapeError
 from slimgraph.fakequant import export_fp16
-from slimgraph.metrics import build_report, count_params
+from slimgraph.metrics import build_report, count_params, estimate_memory
 from slimgraph.modelio import to_bytes
 
 
@@ -159,6 +160,30 @@ class TestFold:
         want = unfolded(g, x, bns)
         for k in bns:
             assert_same_bits(got[k], want[k], k)
+
+
+def test_call_holds_one_folded_weight_at_a_time():
+    """Each folded weight is rescaled when its conv reads it and freed when that conv
+    returns, so a call peaks at one of the four 2.25 MiB folded weights plus the scratch,
+    one conv's patches and the fold's per-channel vectors (eight float32 vectors over the
+    1024 folded channels at most), not at all four weights."""
+    b = GraphBuilder("wide", (1, 256, 4, 4), seed=0)
+    y = b.add("input", "image", [])
+    for i in range(4):
+        y = b.conv_block(y, 256, 256, k=3, prefix=f"b{i}")
+    b.add("output", "out", [y])
+    g, x = b.graph, images((1, 256, 4, 4))
+    weight = max(n.params["weight"].nbytes for n in g.nodes.values() if n.kind == "conv")
+    bound = (weight + estimate_memory(g, 32).scratch_bytes + largest_conv_temporaries(g, x.shape)
+             + 8 * 4 * 1024)
+    forward_arrays(g, x)  # builds the plan, which the graph keeps
+    tracemalloc.start()
+    try:
+        forward_arrays(g, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak / 2**20, bound / 2**20)
 
 
 class TestBadVariance:

@@ -84,6 +84,28 @@ class TestSelection:
                    for combo in itertools.combinations(range(len(scores)), m))
         assert sum(scores[i] for i in removal) == pytest.approx(best)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0, 1e6) | st.floats(-1e6, 0),
+                    min_size=1, max_size=40),
+           st.floats(min_value=0, max_value=0.99))
+    def test_matches_python_sort_with_ties(self, scores, fraction):
+        """The order of the Python sort it replaced: lowest score first, ties higher index
+        first (scores drawn from three values to make ties common, -0.0 among them)."""
+        m = min(int(np.floor(fraction * len(scores))), len(scores) - 1)
+        order = sorted(range(len(scores)), key=lambda i: (scores[i], -i))
+        want = tuple(sorted(order[:m])) if m > 0 else ()
+        got = select_channels(scores, fraction)
+        assert got == want and all(type(i) is int for i in got)
+
+    def test_nan_score_fails_the_plan_naming_its_group(self):
+        g = build_mini_net("y11_mini", (1, 3, 64, 64), 3, seed=0)
+        group = [grp for grp in resolve_groups(g) if not grp.protected][-1]
+        (nid, _, _), (_, chans) = next((port, at) for port, at in group.index.items()
+                                       if port[1] == "out" and g.nodes[port[0]].kind == "conv")
+        g.nodes[nid].params["weight"][chans[0], 0, 0, 0] = np.nan
+        with pytest.raises(PlanError, match=f"group {group.gid} has a NaN"):
+            build_plan(g, 0.5)
+
 
 class TestApplyPrune:
     def test_empty_plan_is_weight_identical(self):

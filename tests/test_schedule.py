@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forward_reference as reference
-from conftest import assert_same_bits, images, preset_graph, primitive_graphs, settled_graph
+from conftest import (assert_same_bits, images, largest_conv_temporaries, preset_graph,
+                      primitive_graphs, settled_graph)
 from memory_reference import quadratic_scratch_bytes
-from slimgraph import build_fragment, forward_arrays, ops, run_graph
+from slimgraph import build_fragment, forward_arrays, run_graph
 from slimgraph.builders import PRESETS
-from slimgraph.graph import infer_shapes
 from slimgraph.metrics import estimate_memory
 
 BATCH16 = (16, 3, 64, 64)
@@ -27,28 +27,6 @@ def needed_subgraph(g):
     sub = g.clone(copy_params=False)
     sub.nodes = {nid: n for nid, n in sub.nodes.items() if nid in keep}
     return sub
-
-
-def largest_conv_temporaries(g, input_shape) -> int:
-    """Bytes of the padded input and patch matrix that the conv needing most holds at once,
-    in an untaped run: those of one chunk of images, or of the whole batch when its patch
-    matrix fits ``ops._COLS_BUDGET`` (or the conv reads its input as the patches)."""
-    shapes = infer_shapes(g, input_shape)
-    worst = 0
-    for n in g.nodes.values():
-        if n.kind != "conv":
-            continue
-        nb, c, h, w = shapes[n.inputs[0]]
-        _, _, kh, kw = n.params["weight"].shape
-        stride, pad = n.attrs.get("stride", 1), n.attrs.get("padding", 0)
-        ho, wo = shapes[(n.id, 0)][2:]
-        if kh == kw == stride == 1 and pad == 0:
-            continue
-        per_image = 4 * c * kh * kw * ho * wo
-        chunk = min(nb, max(1, ops._COLS_BUDGET // per_image))
-        padded = 4 * c * (h + 2 * pad) * (w + 2 * pad) if pad else 0
-        worst = max(worst, chunk * (padded + per_image))
-    return worst
 
 
 class TestSchedule:

@@ -206,6 +206,44 @@ class TestBatchnorm:
         with pytest.raises(ShapeError, match="non-negative"):
             ops.batchnorm_infer(x, good, good, good, np.array([1, np.nan, 1], np.float32), 1e-5)
 
+    @pytest.mark.parametrize("shape", _bn_map_shapes())
+    def test_untaped_forward_equals_taped_bit_for_bit(self, rng, shape):
+        c = shape[1]
+        x = rng.normal(0.3, 1.2, shape).astype(np.float32)
+        gamma, beta = (rng.normal(size=c).astype(np.float32) for _ in range(2))
+        y, cache = ops.batchnorm_train_forward(x, gamma, beta, 1e-5)
+        y_untaped, (xhat, *stats) = ops.batchnorm_train_forward(x, gamma, beta, 1e-5,
+                                                                need_cache=False)
+        assert y_untaped.tobytes() == y.tobytes() and xhat is None
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(stats, cache[1:], strict=True))
+
+    @pytest.mark.parametrize("need_cache", [False, True])
+    def test_forward_peaks_at_one_input_without_the_cache(self, rng, need_cache):
+        """Without the cache ``y`` is built in ``xhat``'s buffer: one activation, not two."""
+        x = rng.normal(size=(16, 32, 32, 32)).astype(np.float32)
+        ones, zeros = np.ones(32, np.float32), np.zeros(32, np.float32)
+        tracemalloc.start()
+        try:
+            ops.batchnorm_train_forward(x, ones, zeros, 1e-5, need_cache=need_cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak >= 2 * x.nbytes if need_cache else peak < 1.1 * x.nbytes
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_only_a_tape_asks_for_the_cache(self, rng, monkeypatch, taped):
+        calls = []
+        forward = ops.batchnorm_train_forward
+        monkeypatch.setattr(ops, "batchnorm_train_forward",
+                            lambda *a, **kw: calls.append(kw["need_cache"]) or forward(*a, **kw))
+        b = GraphBuilder("bn", (2, 3, 4, 4))
+        b.add("output", "out", [b.batchnorm(b.add("input", "image", []), 3)])
+        for mode in ("train", "calibrate"):
+            tape = ag.Tape() if taped and mode == "train" else None
+            run_graph(b.graph, rng.normal(size=(2, 3, 4, 4)).astype(np.float32), mode=mode,
+                      tape=tape, state=RunState({}, {}))
+        assert calls == [taped, False]
+
 
 class TestElementwiseAndStructural:
     def test_sigmoid_symmetry_point(self):

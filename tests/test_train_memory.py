@@ -123,9 +123,10 @@ def test_taped_forward_frees_conv_and_batchnorm_inputs(monkeypatch):
             refs["conv"].append(weakref.ref(x))
         return conv(x, w, *args, **kwargs)
 
-    def bn_spy(x, *args):
+    def bn_spy(x, *args, **kwargs):
+        assert kwargs["need_cache"]  # backward reads xhat
         refs["batchnorm"].append(weakref.ref(x))
-        return bn(x, *args)
+        return bn(x, *args, **kwargs)
 
     monkeypatch.setattr(ops, "conv2d_forward", conv_spy)
     monkeypatch.setattr(ops, "batchnorm_train_forward", bn_spy)
@@ -145,8 +146,8 @@ def test_taped_forward_frees_batchnorm_outputs_and_quantizer_inputs(preset, monk
     refs = {"batchnorm": [], "qdq": [], "multiply": []}
     bn, qdq, mul = ops.batchnorm_train_forward, fakequant.qdq, ops.multiply
 
-    def bn_spy(*args):
-        y, cache = bn(*args)
+    def bn_spy(*args, **kwargs):
+        y, cache = bn(*args, **kwargs)
         refs["batchnorm"].append(weakref.ref(y))
         return y, cache
 
