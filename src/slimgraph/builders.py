@@ -234,8 +234,7 @@ def build_fragment(module: str, input_shape, seed=0, **kwargs) -> Graph:
 
 def _finished(b: GraphBuilder) -> Graph:
     """The built graph, validated and with its shapes inferred."""
-    b.graph.validate()
-    infer_shapes(b.graph)
+    infer_shapes(b.graph, order=b.graph.validate())
     return b.graph
 
 

@@ -18,7 +18,10 @@ width; only filling the index arrays grows with it, and that is numpy work.
 Components touching the same set of ports are aligned into one group, the
 component with the smallest anchor channel first. A group holds, per port,
 integer arrays pairing each member channel with its local index; pruning
-gathers and masks these arrays instead of looking up single channels.
+gathers and masks these arrays instead of looking up single channels. An
+identity port, a group's one component in one segment that starts at channel
+0, holds the group's read-only local array as its channel array, and pruning
+takes a plan's indices there as they are.
 Pyramid-pooling fan-in replication (a local index with several channels on
 one port), gated-residual and scaled-residual ties all emerge from the same
 rules. Groups touching the network input, any graph output, or a protected
@@ -33,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, infer_shapes, io_shapes
+from .graph import Graph, infer_shapes
 from .kinds import SPECS
 
 Port = tuple[str, str, int]   # (node_id, "in"|"out", port)
@@ -57,7 +60,9 @@ class ChannelGroup:
     ``(local, channel)``: the port's channel ``channel[j]`` belongs to local index
     ``local[j]``. Entries run by local index, then by channel, and no channel
     repeats on a port. Treat the arrays as read-only: ports may share one, and a
-    shared one refuses writes.
+    shared one refuses writes. An identity port (the group's one component, in one
+    segment starting at channel 0) maps channel k to local index k, and shares the
+    array: its ``channel is local``.
     """
     gid: str
     length: int
@@ -100,12 +105,18 @@ class _UnionFind:
 
 
 def _coupling_rules(graph: Graph, shapes):
-    """Port widths, and every tie as (port_a, offset_a, port_b, offset_b, length)."""
+    """Port widths, and every tie as (port_a, offset_a, port_b, offset_b, length).
+
+    Nodes come in the topological order that ``infer_shapes`` filled ``shapes`` in,
+    so the graph is not sorted a second time."""
+    outs_of: dict[str, list] = {}
+    for (nid, _), s in shapes.items():
+        outs_of.setdefault(nid, []).append(s[1])
     width: dict[Port, int] = {}
     ties = []
-    for nid in graph.topo_order():
-        n = graph.node(nid)
-        ins, outs = ([s[1] for s in side] for side in io_shapes(n, shapes))
+    for nid, outs in outs_of.items():
+        n = graph.nodes[nid]
+        ins = [shapes[ref][1] for ref in n.inputs]
         width.update({(nid, "in", i): w for i, w in enumerate(ins)})
         width.update({(nid, "out", p): w for p, w in enumerate(outs)})
         ties += [((nid, "in", i), 0, (src, "out", sp), 0, w)  # wires
@@ -124,7 +135,8 @@ def _cut_ports(width, ties) -> dict:
         across[b].append((ob, a, oa, n))
         cuts[a].update((oa, oa + n))
         cuts[b].update((ob, ob + n))
-    todo = [(port, x) for port, xs in cuts.items() for x in xs]
+    # a port's ends lie inside no tie's range, so only inner cuts are carried
+    todo = [(port, x) for port, xs in cuts.items() if len(xs) > 2 for x in xs]
     while todo:
         port, x = todo.pop()
         for off, other, other_off, n in across[port]:
@@ -181,32 +193,45 @@ def _make_group(graph: Graph, sig, bucket) -> ChannelGroup:
     index = {}
     for port in sig:
         starts = [comp[port] for _, _, comp in bucket]
-        if len(starts) == 1 and len(starts[0]) == 1:  # one segment: a shifted local
-            index[port] = (locals_[0], locals_[0] + starts[0][0])
+        if len(starts) == 1 and len(starts[0]) == 1:  # one segment: the local, shifted unless at 0
+            start = starts[0][0]
+            index[port] = (locals_[0], locals_[0] + start if start else locals_[0])
         else:
             index[port] = (
                 np.concatenate([np.repeat(local, len(s)) for local, s in zip(locals_, starts)]),
                 np.concatenate([np.add.outer(np.arange(n), s).ravel()
                                 for n, s in zip(lengths, starts)]))
-    nodes = [graph.node(n) for (n, _, _) in sig]
+    nodes = [graph.nodes[n] for (n, _, _) in sig]
     protected = any(n.protected or n.kind in ("input", "output") for n in nodes)
-    return ChannelGroup(gid="", length=sum(lengths), protected=protected,
-                        kind=_group_kind(graph, index), index=index)
+    first = bucket[0][2]
+    if len(bucket) == 1 and all(len(s) == 1 for s in first.values()):
+        # one segment per port: the kind follows from node kinds and segment starts
+        kind = _coupled_kind([n.kind for n in nodes], sig, lambda port: first[port][0] != 0)
+    else:
+        kind = _group_kind(graph, index)
+    return ChannelGroup(gid="", length=sum(lengths), protected=protected, kind=kind, index=index)
 
 
 def _group_kind(graph: Graph, index) -> str:
     """Group kind, read from its index: local index 0 on two channels of one port
-    is pyramid replication, and a conv or linear input port whose channels are
-    not exactly 0..k-1 takes a concat segment."""
+    is pyramid replication; otherwise ``_coupled_kind``, a port being shifted when
+    its channels are not exactly 0..k-1."""
     if any(local[:2].tolist() == [0, 0] for local, _ in index.values()):
         return "sppf-replicated"
-    kinds = {graph.node(n).kind for (n, _, _) in index}
+    return _coupled_kind([graph.nodes[n].kind for (n, _, _) in index], list(index),
+                         lambda port: index[port][1].max() != len(index[port][1]) - 1)
+
+
+def _coupled_kind(kinds, ports, shifted) -> str:
+    """Kind of a group without replication, from the kind of each port's node: an add or
+    mul makes it residual, a split output a split half, and a conv or linear input port
+    that is ``shifted`` (port -> bool) a concat segment."""
     if "add" in kinds or "mul" in kinds:
         return "residual"
-    if any(graph.node(n).kind == "split" and s == "out" for (n, s, _) in index):
+    if any(k == "split" and side == "out" for k, (_, side, _) in zip(kinds, ports)):
         return "split-half"
-    if any(s == "in" and graph.node(n).kind in ("conv", "linear") and chans.max() != len(chans) - 1
-           for (n, s, _), (_, chans) in index.items()):
+    if any(port[1] == "in" and k in ("conv", "linear") and shifted(port)
+           for k, port in zip(kinds, ports)):
         return "concat-segment"
     return "plain"
 

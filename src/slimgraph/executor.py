@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 
 import numpy as np
 
@@ -163,22 +164,23 @@ def _schedule(graph: Graph, outputs):
     with the slots it reads, the slots of its ports and the slots it reads last; the slot
     count; and the (id, slot) pairs returned, in schedule order."""
     wanted = graph.output_ids if outputs is None else outputs
-    plan = graph.schedule(wanted)
-    slot = {ref: i for i, ref in enumerate((n.id, p) for n, _ in plan
-                                           for p in range(n.n_out_ports()))}
-    steps = [(n, [slot[ref] for ref in n.inputs],
-              [slot[(n.id, p)] for p in range(n.n_out_ports())], [slot[ref] for ref in last_read])
-             for n, last_read in plan]
-    return steps, len(slot), [(n.id, slot[(n.id, 0)]) for n, _ in plan if n.id in wanted]
+    slot, steps = {}, []
+    for n, last_read in graph.schedule(wanted):  # topological: a node's inputs have slots
+        ins, outs = [slot[ref] for ref in n.inputs], []
+        for p in range(n.n_out_ports()):
+            outs.append(len(slot))
+            slot[(n.id, p)] = outs[-1]
+        steps.append((n, ins, outs, [slot[ref] for ref in last_read]))
+    return steps, len(slot), [(n.id, outs[0]) for n, _, outs, _ in steps if n.id in wanted]
 
 
 def _fold_pairs(nodes: dict[str, Node], keep) -> list[tuple[Node, Node]]:
     """The conv -> batchnorm pairs that fold: nothing else reads the conv, their widths
     agree and neither id is in ``keep``."""
-    readers = [src for n in nodes.values() for src, _ in n.inputs]
+    readers = Counter(src for n in nodes.values() for src, _ in n.inputs)
     return [(c, bn) for bn in nodes.values() if bn.kind == "batchnorm"
             for c in [nodes.get(bn.inputs[0][0])] if c is not None and c.kind == "conv"
-            and readers.count(c.id) == 1 and c.id not in keep and bn.id not in keep
+            and readers[c.id] == 1 and c.id not in keep and bn.id not in keep
             and {bn.params[k].shape for k in _BN} == {c.params["weight"].shape[:1]}]
 
 

@@ -75,7 +75,9 @@ class Graph:
 
     # -- structure ----------------------------------------------------------
 
-    def validate(self):
+    def validate(self) -> list[str]:
+        """Check each node against its kind's spec, every edge, and that the graph is
+        acyclic; returns the topological order, which ``infer_shapes`` can take."""
         n_inputs = sum(n.kind == "input" for n in self.nodes.values())
         if n_inputs != 1:
             raise GraphError(f"graph must have exactly one input node, found {n_inputs}")
@@ -90,7 +92,7 @@ class Graph:
                     raise GraphError(
                         f"node {n.id!r} reads port {port} of {src!r} "
                         f"which has {self.nodes[src].n_out_ports()} ports")
-        self.topo_order()  # raises on cycles
+        return self.topo_order()  # raises on cycles
 
     def topo_order(self) -> list[str]:
         """Deterministic topological order (ties broken by node id)."""
@@ -119,10 +121,9 @@ class Graph:
         stack = list(targets)
         while stack:
             nid = stack.pop()
-            if nid in seen:
-                continue
-            seen.add(nid)
-            stack.extend(src for (src, _) in self.node(nid).inputs)
+            if nid not in seen:
+                seen.add(nid)
+                stack += [src for src, _ in self.node(nid).inputs]
         return seen
 
     def schedule(self, outputs) -> list[tuple[Node, list]]:
@@ -131,9 +132,9 @@ class Graph:
         keep = set(outputs)
         needed = self.ancestors_of(outputs)
         order = [self.nodes[nid] for nid in self.topo_order() if nid in needed]
-        last_reader = {ref: n.id for n in order for ref in n.inputs}
+        last_reader = {ref: n for n in order for ref in n.inputs}
         return [(n, [ref for ref in dict.fromkeys(n.inputs)
-                     if last_reader[ref] == n.id and ref[0] not in keep]) for n in order]
+                     if last_reader[ref] is n and ref[0] not in keep]) for n in order]
 
 
 def io_shapes(n: Node, shapes: dict) -> tuple[list, list]:
@@ -142,21 +143,25 @@ def io_shapes(n: Node, shapes: dict) -> tuple[list, list]:
             [shapes[(n.id, p)] for p in range(n.n_out_ports())])
 
 
-def infer_shapes(graph: Graph, input_shape=None) -> dict:
-    """Annotate every (node_id, out_port) with its tensor shape.
+def infer_shapes(graph: Graph, input_shape=None, order=None) -> dict:
+    """Annotate every (node_id, out_port) with its tensor shape, in topological order.
 
-    Fails on the first inconsistent edge, naming the offending nodes.
+    ``order`` is ``graph.topo_order()`` when the caller has it already (``validate``
+    returns it), so the graph is not sorted again. Fails on the first inconsistent
+    edge, naming the offending nodes.
     """
     shape = tuple(input_shape or graph.input_shape)
     if len(shape) < 2:
         raise GraphError(f"input shape {shape} lacks batch and channel dims")
     shapes: dict[tuple[str, int], tuple] = {}
-    for nid in graph.topo_order():
-        n = graph.node(nid)
+    nodes = graph.nodes
+    for nid in graph.topo_order() if order is None else order:
+        n = nodes[nid]
         # the input node reads the declared input shape
         ins = [shapes[ref] for ref in n.inputs] or [shape]
         outs = SPECS[n.kind].shape(n, ins)
-        check_widths(n, ins, outs)
+        if n.params:  # a node without tensors has no width to check
+            check_widths(n, ins, outs)
         shapes.update(((nid, p), s) for p, s in enumerate(outs))
     return shapes
 

@@ -434,9 +434,9 @@ def check_node(n) -> None:
         if name in n.params and n.params[name].ndim != len(template):
             raise GraphError(f"node {n.id!r} tensor {name!r} is not {len(template)}-D")
     for what, have, known in (("attr", n.attrs, spec.attrs), ("tensor", n.params, spec.params)):
-        extra = sorted(set(have) - set(known))
-        if extra:
-            raise GraphError(f"node {n.id!r} kind {n.kind} has no {what} {extra[0]!r}")
+        if not have.keys() <= known.keys():
+            extra = min(have.keys() - known.keys())
+            raise GraphError(f"node {n.id!r} kind {n.kind} has no {what} {extra!r}")
 
 
 def check_widths(n, ins, outs) -> None:

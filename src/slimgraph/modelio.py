@@ -190,8 +190,8 @@ def from_bytes(data: bytes) -> tuple[Graph, int]:
 
     g, precision = _graph_from_doc(doc, blob)
     try:
-        g.validate()  # each node's arity, attrs and tensors against its kind's spec
-        infer_shapes(g)
+        # each node's arity, attrs and tensors against its kind's spec, then the widths
+        infer_shapes(g, order=g.validate())
     except GraphError as e:
         raise ModelFormatError(f"inconsistent topology: {e}") from e
     return g, precision
@@ -207,12 +207,18 @@ def _field(d, key, kind, where):
     return v
 
 
+def _is_shape(v) -> bool:
+    """A list of ints >= 1; each entry's type is read in C, and JSON's only int type other
+    than ``int`` is ``bool``, which ``is_int`` refuses too."""
+    return isinstance(v, list) and {*map(type, v)} <= {int} and min(v, default=1) >= 1
+
+
 def _graph_from_doc(doc, blob: memoryview) -> tuple[Graph, int]:
     precision = _field(doc, "precision", int, "topology")
     if precision not in _DTYPES:
         raise ModelFormatError(f"unsupported precision {precision} in topology")
     input_shape = _field(doc, "input_shape", list, "topology")
-    if not all(is_int(d, 1) for d in input_shape):
+    if not _is_shape(input_shape):
         raise ModelFormatError(f"input_shape {input_shape} is not a list of positive ints")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
@@ -231,9 +237,8 @@ def _graph_from_doc(doc, blob: memoryview) -> tuple[Graph, int]:
             raise ModelFormatError(f"{where} inputs {inputs} are not [node id, port] pairs")
         params = {}
         for t in _field(nd, "tensors", list, where):
-            if not (isinstance(t, list) and len(t) == 5 and all(isinstance(v, str) for v in t[:2])
-                    and isinstance(t[2], list) and all(is_int(d, 1) for d in t[2])
-                    and is_int(t[3]) and is_int(t[4])):
+            if not (isinstance(t, list) and len(t) == 5 and isinstance(t[0], str)
+                    and isinstance(t[1], str) and _is_shape(t[2]) and is_int(t[3]) and is_int(t[4])):
                 raise ModelFormatError(
                     f"{where} tensor entry {t} is not [name, tag, shape, offset, nelems]")
             name, tag, shape, offset, nelems = t
@@ -250,8 +255,7 @@ def _graph_from_doc(doc, blob: memoryview) -> tuple[Graph, int]:
                 raise ModelFormatError(f"tensor {nid}.{name} extends past the weight blob")
             spans.append((offset, offset + nbytes, f"{nid}.{name}"))
             arr = np.frombuffer(blob, dtype=dt, count=nelems, offset=offset)
-            arr = arr.reshape(shape).astype(np.float32)  # halves upcast for execution
-            params[name] = np.ascontiguousarray(arr)
+            params[name] = arr.reshape(shape).astype(np.float32)  # a C-order copy; halves upcast
         try:
             g.add(Node(nid, _field(nd, "kind", str, where), _field(nd, "attrs", dict, where),
                        params, [tuple(e) for e in inputs],

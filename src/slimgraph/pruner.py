@@ -23,7 +23,8 @@ from .kinds import SPECS
 
 @dataclass
 class PrunePlan:
-    """Per-group sorted removal index sets plus the requesting config."""
+    """Per-group removal index sets, each strictly increasing (``validate_plan``
+    rejects any other), plus the requesting config."""
     removals: dict[str, tuple[int, ...]] = field(default_factory=dict)
     channel_fraction: float | None = None
     epoch_trigger: int | None = None
@@ -34,12 +35,14 @@ def l1_importance(graph: Graph, group: ChannelGroup) -> np.ndarray:
     scores = np.zeros(group.length, dtype=np.float64)
     found = False
     for (nid, side, _), (local, chans) in group.index.items():
-        n = graph.node(nid)
+        n = graph.nodes[nid]
         for name in SPECS[n.kind].filters if side == "out" else ():
             w = n.params[name]
             norms = np.abs(w).reshape(len(w), -1).sum(axis=1, dtype=np.float64)
-            # unbuffered and in member order: each score adds its rows lowest channel first
-            np.add.at(scores, local, norms[chans])
+            if chans is local:  # channel k is local index k: one add per score
+                scores += norms[:group.length]
+            else:  # unbuffered and in member order: each score adds its rows lowest channel first
+                np.add.at(scores, local, norms[chans])
             found = True
     if not found:
         raise GroupError(f"group {group.gid} has no conv producer to score")
@@ -82,6 +85,9 @@ def build_plan(graph: Graph, fraction: float, groups=None,
 
 
 def validate_plan(groups, plan: PrunePlan) -> None:
+    """Raise ``PlanError`` unless each removal set names a group of ``groups``, free
+    when the set is not empty, by strictly increasing indices in range that leave it
+    a channel."""
     by_gid = {g.gid: g for g in groups}
     for gid, idxs in plan.removals.items():
         g = by_gid.get(gid)
@@ -91,28 +97,38 @@ def validate_plan(groups, plan: PrunePlan) -> None:
             raise PlanError(f"plan removes channels from protected group {gid!r}")
         if len(set(idxs)) != len(idxs):
             raise PlanError(f"plan has duplicate indices for group {gid!r}")
-        for i in idxs:
-            if not (0 <= i < g.length):
-                raise PlanError(
-                    f"plan index {i} out of range [0, {g.length}) for group {gid!r}")
+        if list(idxs) != sorted(idxs):
+            raise PlanError(f"plan indices for group {gid!r} are not in increasing order")
+        if idxs and not (0 <= idxs[0] and idxs[-1] < g.length):  # the ends bound the rest
+            i = next(i for i in idxs if not 0 <= i < g.length)
+            raise PlanError(f"plan index {i} out of range [0, {g.length}) for group {gid!r}")
         if len(idxs) > g.length - 1:
             raise PlanError(f"plan would remove every channel of group {gid!r}")
 
 
 def _removed_channels(graph: Graph, plan: PrunePlan, groups=None) -> dict:
     """Validate the plan against ``groups`` (resolved when none are given) and map
-    each (node, side, port) of a group the plan names to the channels it loses."""
+    each (node, side, port) of a group the plan names to the channels it loses,
+    ascending per group. A port whose channels are its group's local indices takes
+    the plan's indices as they are; only a port that several groups touch concatenates."""
     groups = groups or resolve_groups(graph)
     validate_plan(groups, plan)
     by_gid = {g.gid: g for g in groups}
     removed: dict[tuple, list] = {}
     for gid, idxs in plan.removals.items():
         g = by_gid[gid]
-        gone = np.zeros(g.length, dtype=bool)
-        gone[np.asarray(idxs, dtype=np.intp)] = True
+        idxs = np.asarray(idxs, dtype=np.intp)
+        gone = None
         for port, (local, chans) in g.index.items():
+            if chans is local:
+                removed.setdefault(port, []).append(idxs)
+                continue
+            if gone is None:
+                gone = np.zeros(g.length, dtype=bool)
+                gone[idxs] = True
             removed.setdefault(port, []).append(chans[gone[local]])
-    return {port: np.concatenate(parts) for port, parts in removed.items()}
+    return {port: parts[0] if len(parts) == 1 else np.concatenate(parts)
+            for port, parts in removed.items()}
 
 
 def apply_prune(graph: Graph, plan: PrunePlan, groups=None) -> Graph:
@@ -134,7 +150,9 @@ def apply_prune(graph: Graph, plan: PrunePlan, groups=None) -> Graph:
             for axis, side in enumerate(spec.params[name]):
                 if (nid, side, 0) in removed:  # take, unlike np.delete, gives C order
                     if side not in keep:
-                        keep[side] = np.delete(np.arange(kept.shape[axis]), removed[(nid, side, 0)])
+                        mask = np.ones(kept.shape[axis], dtype=bool)
+                        mask[removed[(nid, side, 0)]] = False
+                        keep[side] = np.flatnonzero(mask)
                     kept = kept.take(keep[side], axis)
             params[name] = arr.copy() if kept is arr else kept
         n.params = params
@@ -160,10 +178,10 @@ def zero_embed_oracle(graph: Graph, plan: PrunePlan, groups=None) -> Graph:
     removed = _removed_channels(graph, plan, groups)
     dense = graph.clone(copy_params=True)
     for (nid, side, _), chans in removed.items():
-        n = dense.node(nid)
-        for name, template in SPECS[n.kind].params.items():
-            if side == "in" and "in" in template and name in n.params:
-                np.moveaxis(n.params[name], template.index("in"), 0)[chans] = 0.0
+        n = dense.nodes[nid]
+        for name, template in SPECS[n.kind].params.items() if side == "in" else ():
+            if "in" in template and name in n.params:
+                n.params[name][(slice(None),) * template.index("in") + (chans,)] = 0.0
     return dense
 
 

@@ -164,6 +164,17 @@ class TestVerify:
                     "--plan", str(plan_path), "--trials", "2", "--tol", "1e-5"]) == 2
         assert gid in capsys.readouterr().err
 
+    def test_unordered_plan_exits_2_with_group_id(self, model_path, tmp_path, capsys):
+        slim, plan_path = self.make_pair(model_path, tmp_path)
+        plan = read_plan(plan_path)
+        gid = next(gid for gid, idxs in plan.removals.items() if len(idxs) > 1)
+        plan.removals[gid] = plan.removals[gid][::-1]
+        write_plan(plan, plan_path)
+        assert run(["verify", "--dense", str(model_path), "--slim", str(slim),
+                    "--plan", str(plan_path), "--trials", "2", "--tol", "1e-5"]) == 2
+        err = capsys.readouterr().err
+        assert gid in err and "not in increasing order" in err
+
     def test_malformed_plan_exits_2_naming_the_line(self, model_path, tmp_path, capsys):
         slim, plan_path = self.make_pair(model_path, tmp_path)
         plan_path.write_text(plan_path.read_text() + "group g001.s0 remove 1,a\n")

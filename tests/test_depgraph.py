@@ -14,6 +14,7 @@ from slimgraph import (build_fragment, build_mini_net, depgraph, forward_arrays,
                        resolve_groups)
 from slimgraph.builders import PRESETS
 from slimgraph.depgraph import ChannelGroup, ChannelSlot, _make_group, format_groups, group_cost
+from slimgraph.graph import Graph
 from slimgraph.metrics import count_params
 from slimgraph.pruner import PrunePlan, apply_prune, build_plan, zero_embed_oracle
 
@@ -272,6 +273,26 @@ class TestGroupAssemblyMatchesOracle:
         assert (group_record([_make_group(g, sig, bucket)])
                 == group_record([group_reference.make_group(g, sig, bucket)]))
 
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_identity_ports_share_the_local_array(self, name, monkeypatch):
+        # a port of a one-component group with one segment at channel 0 maps channel k
+        # to local index k: its channel array is the local array, which refuses writes
+        g = corpus_graph(name)
+        made = []
+
+        def spy(graph, sig, bucket):
+            made.append((bucket, _make_group(graph, sig, bucket)))
+            return made[-1][1]
+        monkeypatch.setattr(depgraph, "_make_group", spy)
+        resolve_groups(g)
+        identity = [group.index[port] for bucket, group in made if len(bucket) == 1
+                    for port, starts in bucket[0][2].items() if starts == [0]]
+        assert identity
+        for local, chans in identity:
+            assert chans is local
+            with pytest.raises(ValueError, match="read-only"):
+                chans[0] = 1
+
     def test_shared_index_arrays_refuse_writes(self):
         groups = resolve_groups(preset_graph("ecoweed_mini-plain"))
         shared = [a for g in groups for (a, _), (b, _) in
@@ -279,6 +300,20 @@ class TestGroupAssemblyMatchesOracle:
         assert shared
         with pytest.raises(ValueError, match="read-only"):
             shared[0][0] = 1
+
+
+def test_resolve_sorts_the_graph_once(monkeypatch):
+    # the coupling rules take their node order from infer_shapes' result
+    g = preset_graph("ecoweed_mini-plain")
+    calls = []
+    topo_order = Graph.topo_order
+
+    def spy(graph):
+        calls.append(graph)
+        return topo_order(graph)
+    monkeypatch.setattr(Graph, "topo_order", spy)
+    resolve_groups(g)
+    assert calls == [g]
 
 
 class TestTwoComponentGroup:

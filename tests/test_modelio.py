@@ -18,6 +18,7 @@ from slimgraph import build_mini_net, count_flops, forward_arrays, pruner, resol
 from slimgraph.builders import PRESETS, build_fragment
 from slimgraph.errors import ExportError, ModelFormatError, SlimgraphError
 from slimgraph.fakequant import calibrate, export_fp16, insert_fakequant, write_calibration
+from slimgraph.graph import Graph
 from slimgraph.modelio import MAGIC, from_bytes, load, save, save_bytes, to_bytes
 from slimgraph.pipeline import ToyTask, TrainConfig, train, write_metric_log
 from slimgraph.pruner import PrunePlan, write_plan
@@ -403,6 +404,37 @@ class TestMalformedTopology:
         next(nd for nd in doc["nodes"] if nd["kind"] == "maxpool")["attrs"]["padding"] = 2
         with pytest.raises(ModelFormatError, match=r"padding 2 exceeds k // 2 = 1"):
             from_bytes(container(doc, blob))
+
+    @pytest.mark.parametrize("field, value", [
+        (0, 5), (1, None), (2, [True, 4, 1, 1]), (2, [0, 4, 1, 1]), (2, [4.0, 4, 1, 1]),
+        (2, "4,4,1,1"), (3, -1), (3, 0.0), (4, False),
+    ])
+    def test_tensor_entry_of_the_wrong_form(self, field, value):
+        doc, blob = split_container(SMALL)
+        doc["nodes"][1]["tensors"][0][field] = value
+        with pytest.raises(ModelFormatError, match=r"is not \[name, tag, shape, offset, nelems\]"):
+            from_bytes(container(doc, blob))
+
+    @pytest.mark.parametrize("shape", [[1, 4, 8, True], [1, 0, 8, 8], [1, 4.0, 8, 8], [1, "4"]])
+    def test_input_shape_of_the_wrong_form(self, shape):
+        doc, blob = split_container(SMALL)
+        doc["input_shape"] = shape
+        with pytest.raises(ModelFormatError, match="is not a list of positive ints"):
+            from_bytes(container(doc, blob))
+
+    def test_a_cycle_is_a_format_error(self):
+        doc, blob = split_container(SMALL)
+        doc["nodes"][1]["inputs"] = [[doc["nodes"][-1]["id"], 0]]
+        with pytest.raises(ModelFormatError, match="inconsistent topology: graph contains a cycle"):
+            from_bytes(container(doc, blob))
+
+    def test_reading_sorts_the_graph_once(self, monkeypatch):
+        # validate returns the order, and shape inference takes it
+        calls = []
+        topo_order = Graph.topo_order
+        monkeypatch.setattr(Graph, "topo_order", lambda g: calls.append(g) or topo_order(g))
+        g, _ = from_bytes(SMALL)
+        assert calls == [g]
 
     def test_tensor_named_twice_in_one_node(self):
         doc, blob = split_container(to_bytes(build(), 32))

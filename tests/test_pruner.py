@@ -1,6 +1,7 @@
 """Importance scoring, selection, slim rebuild, and the zero-embed oracle."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import per_channel_reference as reference
-from conftest import chain_graph, primitive_graphs, residual_graph, uneven_replication_graph
+from conftest import (chain_graph, preset_graph, primitive_graphs, residual_graph,
+                      uneven_replication_graph)
 from slimgraph import build_fragment, build_mini_net, forward_arrays, resolve_groups
 from slimgraph.builders import PRESETS, GraphBuilder
 from slimgraph.errors import PlanError
@@ -155,6 +157,35 @@ class TestApplyPrune:
             validate_plan(groups, PrunePlan(removals={mid.gid: (99,)}))
         with pytest.raises(PlanError, match="every channel"):
             validate_plan(groups, PrunePlan(removals={mid.gid: tuple(range(8))}))
+
+    @pytest.mark.parametrize("idxs", [(3, 1), (0, 2, 1), (1, 5, 4, 6)])
+    def test_unordered_plan_rejected_naming_the_group(self, idxs):
+        # PrunePlan promises increasing removal sets; every pass that reads a plan checks it
+        g = preset_graph("y11_mini-plain")
+        groups = resolve_groups(g)
+        gid = next(gr.gid for gr in groups if not gr.protected and gr.length > 6)
+        plan = PrunePlan({gid: idxs})
+        for pass_ in (validate_plan, lambda gr, p: apply_prune(g, p, gr),
+                      lambda gr, p: zero_embed_oracle(g, p, gr)):
+            with pytest.raises(PlanError, match=f"{re.escape(repr(gid))} are not in increasing"):
+                pass_(groups, plan)
+        validate_plan(groups, PrunePlan({gid: tuple(sorted(idxs))}))
+
+    @pytest.mark.parametrize("idxs", [(1, 1), (3, 1, 3), (2, 4, 4)])
+    def test_duplicate_indices_keep_their_message(self, idxs):
+        g = preset_graph("y11_mini-plain")
+        groups = resolve_groups(g)
+        gid = next(gr.gid for gr in groups if not gr.protected and gr.length > 6)
+        with pytest.raises(PlanError, match=f"duplicate indices for group {re.escape(repr(gid))}"):
+            validate_plan(groups, PrunePlan({gid: idxs}))
+
+    @pytest.mark.parametrize("idxs, bad", [((-1, 2), -1), ((2, 9, 10), 9), ((0, 8), 8)])
+    def test_out_of_range_names_the_first_bad_index(self, idxs, bad):
+        g = chain_graph()
+        groups = resolve_groups(g)
+        mid = next(gr for gr in groups if not gr.protected and gr.length == 8)
+        with pytest.raises(PlanError, match=rf"plan index {bad} out of range \[0, 8\)"):
+            validate_plan(groups, PrunePlan({mid.gid: idxs}))
 
 
 class TestZeroEmbedOracle:
