@@ -1,5 +1,7 @@
 """Channel-group resolution: coupling rules, partition, costs."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -481,3 +483,27 @@ class TestDump:
         for gr in groups:
             assert gr.gid in text
         assert "sppf-replicated" in text
+
+
+# the hand graphs that hold the kinds no preset does
+HAND_GRAPHS = {"concat_segment": concat_segment_graph, "two_component": two_component_graph,
+               "uneven_replication": uneven_replication_graph}
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_GROUPS = [f"{p}-{v}" for p in PRESETS for v in ("plain", "pruned")] + list(HAND_GRAPHS)
+
+
+class TestGoldenDumps:
+    """``format_groups`` of each preset, plain and pruned at 0.5, and of each hand graph,
+    pinned byte for byte in ``tests/golden/<name>.groups.txt``."""
+
+    @pytest.mark.parametrize("name", GOLDEN_GROUPS)
+    def test_dump_matches_the_golden(self, name):
+        g = HAND_GRAPHS[name]() if name in HAND_GRAPHS else corpus_graph(name)
+        assert format_groups(g).encode() == (GOLDEN / f"{name}.groups.txt").read_bytes()
+
+    def test_goldens_hold_every_kind(self):
+        kinds = {line.split()[1] for name in GOLDEN_GROUPS
+                 for line in (GOLDEN / f"{name}.groups.txt").read_text().splitlines()
+                 if not line.startswith(" ")}
+        assert kinds == {f"kind={k}" for k in ("plain", "residual", "concat-segment",
+                                               "split-half", "sppf-replicated")}
