@@ -22,9 +22,18 @@ gathers and masks these arrays instead of looking up single channels. An
 identity port, a group's one component in one segment that starts at channel
 0, holds the group's read-only local array as its channel array, and pruning
 takes a plan's indices there as they are.
-Pyramid-pooling fan-in replication (a local index with several channels on
-one port), gated-residual and scaled-residual ties all emerge from the same
-rules. Groups touching the network input, any graph output, or a protected
+
+A group's kind is read by one rule from its ports' node kinds and its
+components' segments, never from an index array: ``sppf-replicated`` when
+its first component holds several segments on one port (pyramid-pooling
+fan-in: a local index with several channels there); else ``residual`` when
+an add or mul touches it (gated and scaled residual ties emerge from the
+same coupling rules); else ``split-half`` when a split touches it; else
+``concat-segment`` when, on a conv or linear input port, its segments'
+highest end differs from their total channel count, so its channels there
+are not exactly 0..k-1; else ``plain``.
+
+Groups touching the network input, any graph output, or a protected
 node (the detection head) are protected and admit only the empty removal set.
 """
 
@@ -203,35 +212,22 @@ def _make_group(graph: Graph, sig, bucket) -> ChannelGroup:
                                 for n, s in zip(lengths, starts)]))
     nodes = [graph.nodes[n] for (n, _, _) in sig]
     protected = any(n.protected or n.kind in ("input", "output") for n in nodes)
-    first = bucket[0][2]
-    if len(bucket) == 1 and all(len(s) == 1 for s in first.values()):
-        # one segment per port: the kind follows from node kinds and segment starts
-        kind = _coupled_kind([n.kind for n in nodes], sig, lambda port: first[port][0] != 0)
-    else:
-        kind = _group_kind(graph, index)
-    return ChannelGroup(gid="", length=sum(lengths), protected=protected, kind=kind, index=index)
+    return ChannelGroup(gid="", length=sum(lengths), protected=protected,
+                        kind=_group_kind([n.kind for n in nodes], sig, bucket), index=index)
 
 
-def _group_kind(graph: Graph, index) -> str:
-    """Group kind, read from its index: local index 0 on two channels of one port
-    is pyramid replication; otherwise ``_coupled_kind``, a port being shifted when
-    its channels are not exactly 0..k-1."""
-    if any(local[:2].tolist() == [0, 0] for local, _ in index.values()):
+def _group_kind(kinds, sig, bucket) -> str:
+    """The kind of a group, from ``kinds``, its ports' node kinds in ``sig`` order, and
+    the segment starts of each component in ``bucket``, by the module docstring's rule."""
+    if any(len(starts) > 1 for starts in bucket[0][2].values()):
         return "sppf-replicated"
-    return _coupled_kind([graph.nodes[n].kind for (n, _, _) in index], list(index),
-                         lambda port: index[port][1].max() != len(index[port][1]) - 1)
-
-
-def _coupled_kind(kinds, ports, shifted) -> str:
-    """Kind of a group without replication, from the kind of each port's node: an add or
-    mul makes it residual, a split output a split half, and a conv or linear input port
-    that is ``shifted`` (port -> bool) a concat segment."""
     if "add" in kinds or "mul" in kinds:
         return "residual"
-    if any(k == "split" and side == "out" for k, (_, side, _) in zip(kinds, ports)):
+    if "split" in kinds:  # a split ties each input channel to one of its outputs
         return "split-half"
-    if any(port[1] == "in" and k in ("conv", "linear") and shifted(port)
-           for k, port in zip(kinds, ports)):
+    if any(port[1] == "in" and k in ("conv", "linear")
+           and max(c[port][-1] + n for _, n, c in bucket)
+           != sum(n * len(c[port]) for _, n, c in bucket) for k, port in zip(kinds, sig)):
         return "concat-segment"
     return "plain"
 

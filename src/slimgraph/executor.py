@@ -11,7 +11,7 @@ from . import ops
 from .autograd import Tape, Var
 from .errors import GraphError
 from .graph import Graph, Node
-from .kinds import _BN, _BN_EPS, SPECS
+from .kinds import _BN, _BN_EPS, SPECS, OpSpec
 
 BN_MOMENTUM = 0.1  # running-statistics update rate in training mode
 
@@ -55,6 +55,8 @@ class _Run:
 
 
 _RULES = {kind: spec.array for kind, spec in SPECS.items()}  # kind -> forward rule
+# kind -> port count rule, for the kinds whose attrs set their port count (a split's sizes)
+_PORTS = {kind: spec.ports for kind, spec in SPECS.items() if spec.ports is not OpSpec.ports}
 
 # Plans, weakly keyed by graph so that they never keep one alive: at most one per graph,
 # stored with the snapshot it was built from, or with _FOLDED for a graph that ``_fold`` made.
@@ -73,10 +75,11 @@ def _snapshot(graph: Graph, outputs, build) -> list:
     """What a plan's builder reads of ``graph``: the builder, the outputs, each node object in
     order with its id, kind, attrs dict (folded convs share the conv's), parameter count and
     inputs, then all parameter shapes (which decide the fold pairs; one flat list is faster
-    to build than one per node)."""
+    to build than one per node), then the port count of each node whose attrs set it."""
     return [build, outputs, *[(k, id(n), n.id, n.kind, id(n.attrs), len(n.params), *n.inputs)
                               for k, n in graph.nodes.items()],
-            *[a.shape for n in graph.nodes.values() for a in n.params.values()]]
+            *[a.shape for n in graph.nodes.values() for a in n.params.values()],
+            *[ports(n.attrs) for n in graph.nodes.values() if (ports := _PORTS.get(n.kind))]]
 
 
 def _plan(graph: Graph, outputs, build):
@@ -85,9 +88,10 @@ def _plan(graph: Graph, outputs, build):
     One plan is kept per graph: ``run_graph``'s schedule or ``forward_arrays``' folds, for
     the outputs last requested, so another builder or other outputs cost one rebuild. The
     snapshot (``_snapshot``) is compared on every call. Attributes and parameter values are
-    read on each run, so writing them needs no rebuild and no array is held. Ids are safe
-    to compare: a plan holds the nodes it runs and the attrs dicts it shares, and reads of
-    any other node only the fields compared by value.
+    read on each run, so writing them needs no rebuild and no array is held; the one thing
+    a plan takes from attributes, a port count (a split's ``sizes``), is in the snapshot.
+    Ids are safe to compare: a plan holds the nodes it runs and the attrs dicts it shares,
+    and reads of any other node only the fields compared by value.
 
     A graph made by ``_fold`` is private to ``forward_arrays``, which runs it only for the
     outputs it was folded for, and is replaced whenever its source's snapshot changes; its

@@ -116,24 +116,31 @@ def _rank(n, s, r):
     return s
 
 
+def _conv_args(n, stride=1):
+    """(stride, padding) of a window node; a pool's stride defaults to its k."""
+    return n.attrs.get("stride", stride), n.attrs.get("padding", 0)
+
+
+def _pool_args(n):
+    return n.attrs["k"], *_conv_args(n, n.attrs["k"])
+
+
 def _window(n, s, out_dims, *window):
-    """out_dims(H, W, *window, padding), with its ShapeError raised as a GraphError."""
+    """out_dims(H, W, *window), with its ShapeError raised as a GraphError."""
     _rank(n, s, 4)
     try:
-        return out_dims(s[2], s[3], *window, n.attrs.get("padding", 0))
+        return out_dims(s[2], s[3], *window)
     except ShapeError as e:
         raise GraphError(f"{n.kind} {n.id!r}: {e}") from None
 
 
 def _conv_shape(n, ins):
     s, w = ins[0], n.params["weight"]
-    return [(s[0], w.shape[0])
-            + _window(n, s, ops._conv_out_dims, *w.shape[2:], n.attrs.get("stride", 1))]
+    return [(s[0], w.shape[0]) + _window(n, s, ops._conv_out_dims, *w.shape[2:], *_conv_args(n))]
 
 
 def _pool_shape(n, ins):
-    s, k = ins[0], n.attrs["k"]
-    return [s[:2] + _window(n, s, ops._pool_out_dims, k, n.attrs.get("stride", k))]
+    return [ins[0][:2] + _window(n, ins[0], ops._pool_out_dims, *_pool_args(n))]
 
 
 def _equal_shapes(n, ins):
@@ -206,10 +213,6 @@ def _batchnorm_backward(n, saved, g):
     return [gx], {"gamma": dgamma, "beta": dbeta}
 
 
-def _conv_args(n):
-    return n.attrs.get("stride", 1), n.attrs.get("padding", 0)
-
-
 def _conv(run, n, ins):
     w, b = run.array(n, "weight"), run.array(n, "bias")
     y, cols = ops.conv2d_forward(ins[0], w, b, *_conv_args(n), need_cols=run.tape is not None)
@@ -247,10 +250,6 @@ def _activation_backward(n, saved, g):
     t *= saved[0]
     t *= g[0]
     return [t], {}
-
-
-def _pool_args(n):
-    return n.attrs["k"], n.attrs.get("stride", n.attrs["k"]), n.attrs.get("padding", 0)
 
 
 def _maxpool(run, n, ins):

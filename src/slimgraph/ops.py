@@ -143,16 +143,16 @@ def _im2col(x, kh, kw, stride, padding, gemm=None):
     """Per-image (N, C*kh*kw, Ho*Wo) patches; 1x1 is a view. ``gemm`` picks the small-map
     GEMM or the slices, by default as ``_gathers_by_gemm(x)``."""
     n, c, h, w = x.shape
-    ho, wo = _conv_out_dims(h, w, kh, kw, stride, padding)
     if kh == kw == stride == 1 and padding == 0:
-        return x.reshape(n, c, h * w), ho, wo
+        return x.reshape(n, c, h * w)
+    ho, wo = _conv_out_dims(h, w, kh, kw, stride, padding)
     if gemm is None:
         gemm = _gathers_by_gemm(x)
     if gemm:
         cols = x.reshape(n * c, h * w) @ _selection(h, w, kh, kw, stride, padding, x.dtype)
     else:
         cols = _gather_slices(x, kh, kw, stride, padding, ho, wo)
-    return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
+    return cols.reshape(n, c * kh * kw, ho * wo)
 
 
 def _validate_conv_args(x, w, b):
@@ -184,14 +184,14 @@ def conv2d_forward(x, w, b=None, stride=1, padding=0, need_cols=True):
     ho, wo = _conv_out_dims(h, wd, kh, kw, stride, padding)
     chunk = max(1, _COLS_BUDGET // (c * kh * kw * ho * wo * x.itemsize))
     if need_cols or chunk >= n or (kh == kw == stride == 1 and padding == 0):
-        cols = _im2col(x, kh, kw, stride, padding)[0]
+        cols = _im2col(x, kh, kw, stride, padding)
         y = w2 @ cols
     else:
         cols = None
         y = np.empty((n, cout, ho * wo), np.result_type(w, x))
         gemm = _gathers_by_gemm(x)  # once for the batch, as the whole-batch gather decides
         for i in range(0, n, chunk):
-            np.matmul(w2, _im2col(x[i:i + chunk], kh, kw, stride, padding, gemm)[0],
+            np.matmul(w2, _im2col(x[i:i + chunk], kh, kw, stride, padding, gemm),
                       out=y[i:i + chunk])
     if b is not None:
         y += b[:, None]

@@ -41,7 +41,7 @@ def make_group(graph, sig, bucket) -> ChannelGroup:
     nodes = [graph.node(n) for (n, _, _) in sig]
     protected = any(n.protected or n.kind in ("input", "output") for n in nodes)
     group = ChannelGroup(gid="", length=sum(lengths), protected=protected,
-                         kind=depgraph._group_kind(graph, index), index=index)
+                         kind=depgraph._group_kind([n.kind for n in nodes], sig, bucket), index=index)
     assert group.slots == slots, (group.slots, slots)
     return group
 

@@ -304,6 +304,40 @@ class TestGroupAssemblyMatchesOracle:
             shared[0][0] = 1
 
 
+def assert_index_runs_by_local_then_channel(groups):
+    for g in groups:
+        for port, (local, chans) in g.index.items():
+            pairs = list(zip(local.tolist(), chans.tolist()))
+            assert pairs == sorted(pairs), (g.gid, port)
+            assert len(set(chans.tolist())) == len(chans), (g.gid, port)
+
+
+class TestIndexClaims:
+    """The ``ChannelGroup`` and module docstrings' claims on the index and the union-find."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_entries_run_by_local_then_channel_with_no_repeat(self, name):
+        assert_index_runs_by_local_then_channel(resolve_groups(corpus_graph(name)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(primitive_graphs())
+    def test_generated_primitive_graphs(self, g):
+        assert_index_runs_by_local_then_channel(resolve_groups(g))
+
+    @pytest.mark.parametrize("module,segments",
+                             [("c3k2", 44), ("sppf", 32), ("c2psa", 40), ("a2c2f", 31), ("spab", 31)])
+    def test_union_find_does_not_grow_with_width(self, module, segments, monkeypatch):
+        sizes = []
+        init = depgraph._UnionFind.__init__
+
+        def spy(uf, n):
+            sizes.append(n)
+            init(uf, n)
+        monkeypatch.setattr(depgraph._UnionFind, "__init__", spy)
+        for width in (64, 128, 256):
+            resolve_groups(fragment_graph(module, width))
+        assert sizes == [segments] * 3
+
 def test_resolve_sorts_the_graph_once(monkeypatch):
     # the coupling rules take their node order from infer_shapes' result
     g = preset_graph("ecoweed_mini-plain")

@@ -124,6 +124,18 @@ class TestMaxpoolPadding:
             assert infer_shapes(b.graph)[y] == (1, 1, out, out)
 
 
+def test_absent_stride_and_padding_take_their_defaults():
+    """A conv with neither runs at stride 1 unpadded and a maxpool at stride k unpadded,
+    in shape inference and in the forward."""
+    b = GraphBuilder("defaults", (1, 2, 8, 8))
+    conv = b.add("conv", "conv", [b.add("input", "image", [])],
+                 params={"weight": b.conv_weight(3, 2, 3, 3)})
+    pool = b.add("maxpool", "pool", [conv], attrs={"k": 2})
+    b.add("output", "out", [pool])
+    shapes = infer_shapes(b.graph)
+    assert (shapes[conv], shapes[pool]) == ((1, 3, 6, 6), (1, 3, 3, 3))
+    assert forward_arrays(b.graph, np.ones((1, 2, 8, 8), np.float32))["out"].shape == (1, 3, 3, 3)
+
 class TestSpab:
     def test_zero_out3_gate_vanishes(self, rng):
         # zero the c3_r block's batchnorm so out3 == 0 (silu(0) = 0); the gate

@@ -16,7 +16,7 @@ from conftest import (FRAGMENTS, assert_same_bits, chain_graph, fragment_graph, 
                       preset_graph, primitive_graphs, residual_graph, settle, settled_graph)
 from slimgraph import executor, forward_arrays, run_graph
 from slimgraph import pipeline as pl
-from slimgraph.builders import PRESETS
+from slimgraph.builders import PRESETS, GraphBuilder
 from slimgraph.errors import GraphError, ShapeError
 from slimgraph.graph import Graph, Node
 from slimgraph.pruner import apply_prune, build_plan
@@ -237,6 +237,20 @@ class TestRebuild:
         g.nodes["head"].inputs = [("stem.act", 0)]
         assert_matches_oracle(g, x, ["res"])
         assert_matches_oracle(g, x)
+
+    def test_split_edit_that_changes_its_port_count(self):
+        """A split's sizes set its port count: an edit in place to more or fewer ports is
+        seen, with no rebuild asked for."""
+        b = GraphBuilder("split", (1, 3, 8, 8))
+        sid, _ = b.add("split", "split", [b.conv_block(b.add("input", "image", []), 3, 4)],
+                       attrs={"sizes": [2, 2]})
+        b.add("output", "out", [(sid, 0)])
+        b.add("output", "out", [(sid, 1)])
+        g, x = with_statistics(b.graph), images((2, 3, 8, 8))
+        for check in (assert_matches_oracle, assert_runs_like_a_new_graph):
+            for sizes in ([2, 2], [1, 1, 2], [3, 1], [1, 1, 1, 1]):
+                g.nodes[sid].attrs["sizes"][:] = sizes
+                check(g, x)
 
     def test_wrong_input_shape_raises_as_before(self):
         g = chain_graph()

@@ -13,7 +13,7 @@ from conftest import (chain_graph, preset_graph, primitive_graphs, residual_grap
                       uneven_replication_graph)
 from slimgraph import build_fragment, build_mini_net, forward_arrays, resolve_groups
 from slimgraph.builders import PRESETS, GraphBuilder
-from slimgraph.errors import PlanError
+from slimgraph.errors import GroupError, PlanError, SlimgraphError
 from slimgraph.graph import infer_shapes
 from slimgraph.metrics import count_params
 from slimgraph.pruner import (PrunePlan, achieved_ratio, apply_prune, build_plan,
@@ -60,6 +60,14 @@ class TestImportance:
                   + np.abs(g.node("f.conv").params["weight"]).sum(axis=(1, 2, 3)))
         assert np.allclose(scores, expect, rtol=1e-6)
 
+
+    def test_group_with_no_conv_producer_raises_group_error(self):
+        g = preset_graph("y11_mini-plain")
+        image = next(gr for gr in resolve_groups(g) if gr.gid.endswith(".image"))
+        with pytest.raises(SlimgraphError) as e:
+            l1_importance(g, image)
+        assert type(e.value) is GroupError
+        assert str(e.value) == "group g014.image has no conv producer to score"
 
 class TestSelection:
     def test_hand_cases(self):

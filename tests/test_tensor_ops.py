@@ -369,7 +369,7 @@ class TestSmallMapSelection:
         with pytest.MonkeyPatch.context() as mp:  # finite small maps never reach the slices
             mp.setattr(ops, "_gather_slices", None)
             mp.setattr(ops, "_scatter_slices", None)
-            cols = ops._im2col(x, k, k, stride, padding)[0]
+            cols = ops._im2col(x, k, k, stride, padding)
             gx = ops._scatter_taps(g6, x.shape, stride, padding)
             _, arg = ops.maxpool2d_forward(x, k, stride, padding, need_arg=True)
             gp = ops.maxpool2d_backward(gy, arg, x.shape, k, stride, padding)
@@ -416,7 +416,7 @@ class TestSmallMapSelection:
         """The GEMM gather equals the slices in value, but sums -0.0 * 1 with +0.0 terms."""
         x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
         x[1, 2, 3, 4] = -0.0
-        cols = ops._im2col(x, 3, 3, 1, 1)[0]
+        cols = ops._im2col(x, 3, 3, 1, 1)
         slices = ops._gather_slices(x, 3, 3, 1, 1, 8, 8).reshape(cols.shape)
         assert np.array_equal(cols, slices)
         flipped = np.signbit(cols) != np.signbit(slices)
@@ -428,7 +428,7 @@ class TestSmallMapSelection:
         x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
         x[1, 2, 3, 4] = bad
         w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-        cols = ops._im2col(x, 3, 3, 1, 1)[0]
+        cols = ops._im2col(x, 3, 3, 1, 1)
         slices = ops._gather_slices(x, 3, 3, 1, 1, 8, 8).reshape(cols.shape)
         assert np.array_equal(cols, slices, equal_nan=True)
         y = ops.conv2d_forward(x, w, None, 1, 1)[0]
