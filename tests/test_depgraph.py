@@ -338,6 +338,7 @@ class TestIndexClaims:
             resolve_groups(fragment_graph(module, width))
         assert sizes == [segments] * 3
 
+
 def test_resolve_sorts_the_graph_once(monkeypatch):
     # the coupling rules take their node order from infer_shapes' result
     g = preset_graph("ecoweed_mini-plain")
