@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .errors import GraphError
-from .kinds import SPECS, check_node, check_widths
+from .kinds import SPECS, check_node, check_widths, spec_of
 
 
 @dataclass
@@ -45,8 +45,7 @@ class Graph:
     # -- construction -------------------------------------------------------
 
     def add(self, node: Node) -> Node:
-        if node.kind not in SPECS:
-            raise GraphError(f"unknown node kind {node.kind!r} for node {node.id!r}")
+        spec_of(node)  # an unknown kind raises
         if node.id in self.nodes:
             raise GraphError(f"duplicate node id {node.id!r}")
         self.nodes[node.id] = node

@@ -415,9 +415,16 @@ SPECS: dict[str, OpSpec] = {
 }
 
 
+def spec_of(n) -> OpSpec:
+    """The spec of n's kind; an unknown kind is a GraphError naming it and the node."""
+    if n.kind not in SPECS:
+        raise GraphError(f"unknown node kind {n.kind!r} for node {n.id!r}")
+    return SPECS[n.kind]
+
+
 def check_node(n) -> None:
     """Arity, attrs, and tensor names and ranks of one node against its spec."""
-    spec = SPECS[n.kind]
+    spec = spec_of(n)
     k = len(n.inputs)
     if k < spec.arity if spec.variadic else k != spec.arity:
         need = f">= {spec.arity}" if spec.variadic else spec.arity

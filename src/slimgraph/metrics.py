@@ -41,8 +41,8 @@ def estimate_memory(graph: Graph, precision_bits: int = 32, input_shape=None) ->
 
     Scratch is the peak of simultaneously-live edge tensors, at the inference precision,
     over the ``graph.schedule`` ``run_graph`` follows: each edge dies after its last reader.
-    It counts edges only: a kernel's own temporaries, such as the padded input and patch
-    matrix of the chunk of images an untaped conv gathers at a time, come on top
+    It counts edges only: a kernel's own temporaries, such as the patch matrix of the
+    chunk of images an untaped conv gathers at a time, come on top
     (``tests/test_schedule.py::TestPeakBound`` checks a run's peak against the sum).
     ``build_report`` reads the same weight and engine bytes, and walks no schedule.
     """

@@ -68,15 +68,28 @@ def _conv_out_dims(h, w, kh, kw, stride, padding):
     return ho, wo
 
 
-def _pad(x, padding):
-    """x framed by ``padding`` zero cells on each spatial side; x itself at 0."""
-    if not padding:
-        return x
-    n, c, h, w = x.shape
-    # np.zeros gets memory already zeroed, saving np.full's pass over the map
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    xp[:, :, padding:padding + h, padding:padding + w] = x
-    return xp
+def _tap_slices(size, out_size, i, stride, padding):
+    """(window slice, cell slice) along one axis of a map framed by ``padding`` cells:
+    the windows whose tap i lies in the map, and the cells it reads there; None if none."""
+    lo = max(0, -((i - padding) // stride))  # window o reads cell o * stride + i - padding
+    hi = min(out_size, (size - 1 + padding - i) // stride + 1)
+    if lo >= hi:
+        return None
+    first = lo * stride + i - padding
+    return slice(lo, hi), slice(first, first + stride * (hi - lo - 1) + 1, stride)
+
+
+def _taps(size, out_size, kh, kw, stride, padding):
+    """The one window walk: for each tap (i, j) that reads the (H, W) map in some window,
+    in window order, i, j and the index of those windows in an (..., Ho, Wo) array and of
+    the cells they read in an (..., H, W) one."""
+    (h, w), (ho, wo) = size, out_size
+    along_w = [_tap_slices(w, wo, j, stride, padding) for j in range(kw)]
+    for i in range(kh):
+        rows = _tap_slices(h, ho, i, stride, padding)
+        for j, cols in enumerate(along_w):
+            if rows and cols:
+                yield i, j, (..., rows[0], cols[0]), (..., rows[1], cols[1])
 
 
 _SMALL_MAP = 64  # input cells up to which the selection GEMM beats per-tap slices
@@ -103,13 +116,10 @@ def _selection(h, w, kh, kw, stride, padding, dtype):
 
 def _scatter_slices(g6, x_shape, stride, padding):
     """Sum (N, C, kh, kw, Ho, Wo) per-tap gradients onto x, one slice add per tap."""
-    n, c, h, w = x_shape
-    kh, kw, ho, wo = g6.shape[2:]
-    gxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=g6.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g6[:, :, i, j]
-    return np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + w])
+    gx = np.zeros(x_shape, dtype=g6.dtype)
+    for i, j, win, cell in _taps(x_shape[2:], g6.shape[4:], *g6.shape[2:4], stride, padding):
+        gx[cell] += g6[:, :, i, j][win]
+    return gx
 
 
 def _scatter_taps(g6, x_shape, stride, padding):
@@ -125,12 +135,10 @@ def _scatter_taps(g6, x_shape, stride, padding):
 
 
 def _gather_slices(x, kh, kw, stride, padding, ho, wo):
-    """(N, C, kh, kw, Ho, Wo) patches of x, one slice copy per tap."""
-    xp = _pad(x, padding)
-    cols = np.empty(x.shape[:2] + (kh, kw, ho, wo), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    """(N, C, kh, kw, Ho, Wo) patches of x, one slice copy per tap; padding reads 0."""
+    cols = (np.zeros if padding else np.empty)(x.shape[:2] + (kh, kw, ho, wo), dtype=x.dtype)
+    for i, j, win, cell in _taps(x.shape[2:], (ho, wo), kh, kw, stride, padding):
+        cols[:, :, i, j][win] = x[cell]
     return cols
 
 
@@ -182,20 +190,17 @@ def conv2d_forward(x, w, b=None, stride=1, padding=0, need_cols=True):
     cout, _, kh, kw = w.shape
     w2 = w.reshape(cout, -1)
     ho, wo = _conv_out_dims(h, wd, kh, kw, stride, padding)
-    chunk = max(1, _COLS_BUDGET // (c * kh * kw * ho * wo * x.itemsize))
-    if need_cols or chunk >= n or (kh == kw == stride == 1 and padding == 0):
-        cols = _im2col(x, kh, kw, stride, padding)
-        y = w2 @ cols
-    else:
-        cols = None
-        y = np.empty((n, cout, ho * wo), np.result_type(w, x))
-        gemm = _gathers_by_gemm(x)  # once for the batch, as the whole-batch gather decides
-        for i in range(0, n, chunk):
-            np.matmul(w2, _im2col(x[i:i + chunk], kh, kw, stride, padding, gemm),
-                      out=y[i:i + chunk])
+    whole = need_cols or (kh == kw == stride == 1 and padding == 0)  # 1x1 patches are x
+    chunk = max(1, n if whole else _COLS_BUDGET // (c * kh * kw * ho * wo * x.itemsize))
+    gemm = None if whole else _gathers_by_gemm(x)  # once per batch, as one chunk decides
+    y = np.empty((n, cout, ho * wo), np.result_type(w, x))
+    for i in range(0, max(n, 1), chunk):  # an empty batch is one empty chunk
+        cols = _im2col(x[i:i + chunk], kh, kw, stride, padding, gemm)
+        np.matmul(w2, cols, out=y[i:i + chunk])
+        cols = cols if need_cols else None  # a chunk's patches die before the next gather
     if b is not None:
         y += b[:, None]
-    return y.reshape(n, cout, ho, wo), (cols if need_cols else None)
+    return y.reshape(n, cout, ho, wo), cols
 
 
 def conv2d_backward(gy, x_shape, w, cols, stride=1, padding=0, with_bias=True, need_gx=True):
@@ -363,17 +368,6 @@ def _pool_out_dims(h, w, k, stride, padding):
     return _conv_out_dims(h, w, k, k, stride, padding)
 
 
-def _tap_slices(size, out_size, i, stride, padding):
-    """(window slice, cell slice) along one axis of a map framed by ``padding`` cells:
-    the windows whose tap i lies in the map, and the cells it reads there; None if none."""
-    lo = max(0, -((i - padding) // stride))  # window o reads cell o * stride + i - padding
-    hi = min(out_size, (size - 1 + padding - i) // stride + 1)
-    if lo >= hi:
-        return None
-    first = lo * stride + i - padding
-    return slice(lo, hi), slice(first, first + stride * (hi - lo - 1) + 1, stride)
-
-
 def _running_max(a, k, stride, padding, axis):
     """Max over the k-cell windows along ``axis`` of a framed by ``padding`` -inf cells.
 
@@ -398,19 +392,14 @@ def _first_argmax(x, y, k, stride, padding):
     a NaN matching a NaN: what ``argmax`` over the -inf-padded window gives. A window
     whose max is -inf holds only -inf, frame cells included, so its tap 0 wins.
     The smallest unsigned dtype that holds k*k - 1."""
-    (h, w), (ho, wo) = x.shape[2:], y.shape[2:]
     arg = np.zeros(y.shape, np.min_scalar_type(k * k - 1))
     nan = np.isnan(y).any()  # a window's max is NaN exactly when it holds a NaN
-    along_h = [_tap_slices(h, ho, i, stride, padding) for i in range(k)]
-    along_w = [_tap_slices(w, wo, j, stride, padding) for j in range(k)]
-    for t in reversed(range(k * k)):  # each tap overwrites the later taps' hits
-        rows, cols = along_h[t // k], along_w[t % k]
-        if rows and cols:
-            xs = x[:, :, rows[1], cols[1]]
-            hit = xs == y[:, :, rows[0], cols[0]]
-            if nan:
-                hit |= np.isnan(xs)
-            np.copyto(arg[:, :, rows[0], cols[0]], t, where=hit)
+    taps = list(_taps(x.shape[2:], y.shape[2:], k, k, stride, padding))
+    for i, j, win, cell in reversed(taps):  # each tap overwrites the later taps' hits
+        hit = x[cell] == y[win]
+        if nan:
+            hit |= np.isnan(x[cell])
+        np.copyto(arg[win], i * k + j, where=hit)
     arg[y == -np.inf] = 0
     return arg
 

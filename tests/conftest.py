@@ -78,15 +78,15 @@ def fragment_graph(module, width):
 
 
 def largest_conv_temporaries(g, input_shape) -> int:
-    """Bytes of the padded input and patch matrix that the conv needing most holds at once,
-    in an untaped run: those of one chunk of images, or of the whole batch when its patch
-    matrix fits ``ops._COLS_BUDGET`` (or the conv reads its input as the patches)."""
+    """Bytes of the patch matrix that the conv needing most holds at once, in an untaped
+    run: that of one chunk of images, or of the whole batch when it fits
+    ``ops._COLS_BUDGET`` (none when the conv reads its input as the patches)."""
     shapes = infer_shapes(g, input_shape)
     worst = 0
     for n in g.nodes.values():
         if n.kind != "conv":
             continue
-        nb, c, h, w = shapes[n.inputs[0]]
+        nb, c = shapes[n.inputs[0]][:2]
         _, _, kh, kw = n.params["weight"].shape
         stride, pad = n.attrs.get("stride", 1), n.attrs.get("padding", 0)
         ho, wo = shapes[(n.id, 0)][2:]
@@ -94,8 +94,7 @@ def largest_conv_temporaries(g, input_shape) -> int:
             continue
         per_image = 4 * c * kh * kw * ho * wo
         chunk = min(nb, max(1, ops._COLS_BUDGET // per_image))
-        padded = 4 * c * (h + 2 * pad) * (w + 2 * pad) if pad else 0
-        worst = max(worst, chunk * (padded + per_image))
+        worst = max(worst, chunk * per_image)
     return worst
 
 

@@ -6,6 +6,11 @@ This is the original lowering, kept as an independent oracle: one row of
 the result. The library builds a channel-major patch matrix per image instead,
 so its results differ from these in rounding only; the property tests bound
 that difference by the dtype and the magnitudes of the terms summed.
+
+``_pad``, ``_gather_slices`` and ``_scatter_slices`` are the library's former
+per-tap slice kernels, kept verbatim: they gather from and scatter into a
+zero-padded frame of the map. The library walks only the taps that read the
+map, with no frame, and must equal these byte for byte.
 """
 
 from __future__ import annotations
@@ -82,3 +87,35 @@ def conv2d_backward(gy, x, w, cols, stride=1, padding=0):
     gb = gy2.sum(axis=0)
     gx = col2im(gy2 @ w.reshape(cout, -1), x.shape, kh, kw, sh, sw, ph, pw)
     return gx, gw, gb
+
+
+def _pad(x, padding):
+    """x framed by ``padding`` zero cells on each spatial side; x itself at 0."""
+    if not padding:
+        return x
+    n, c, h, w = x.shape
+    # np.zeros gets memory already zeroed, saving np.full's pass over the map
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    return xp
+
+
+def _scatter_slices(g6, x_shape, stride, padding):
+    """Sum (N, C, kh, kw, Ho, Wo) per-tap gradients onto x, one slice add per tap."""
+    n, c, h, w = x_shape
+    kh, kw, ho, wo = g6.shape[2:]
+    gxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=g6.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g6[:, :, i, j]
+    return np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + w])
+
+
+def _gather_slices(x, kh, kw, stride, padding, ho, wo):
+    """(N, C, kh, kw, Ho, Wo) patches of x, one slice copy per tap."""
+    xp = _pad(x, padding)
+    cols = np.empty(x.shape[:2] + (kh, kw, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    return cols

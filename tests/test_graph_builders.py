@@ -294,3 +294,10 @@ class TestInferShapesErrors:
         b.add("output", "out", [("sum", 0)])
         with pytest.raises(GraphError, match="'a'.*'b'"):
             infer_shapes(b.graph)
+
+
+def test_validate_names_a_kind_set_in_place_to_an_unknown_name():
+    g = build_mini_net("y11_mini")
+    g.node("s0.conv").kind = "bogus"
+    with pytest.raises(GraphError, match=r"^unknown node kind 'bogus' for node 's0.conv'$"):
+        g.validate()

@@ -443,6 +443,94 @@ class TestSmallMapSelection:
         assert (~np.isfinite(gx)).sum() == 1 and not np.isfinite(gx[1, 2, 4, 5])
 
 
+@st.composite
+def window_walks(draw):
+    """(x, g6, kh, kw, stride, padding): maps of 1-20 cells a side, windows of 1-7 taps a
+    side, strides of 1-4 (above the window side too) and padding up to the window side plus
+    one, so that some windows lie wholly in padding. Map cells and tap gradients are normal,
+    with some set to NaN, +-inf or -0.0, in float32 or float64."""
+    h, w = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    kh, kw = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    stride = draw(st.integers(1, 4))
+    low = max(0, -(-max(kh - h, kw - w) // 2))  # the least padding whose output does not collapse
+    padding = draw(st.integers(low, max(kh, kw) + 1))
+    ho, wo = ops._conv_out_dims(h, w, kh, kw, stride, padding)
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    r = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    arrays = []
+    for shape in ((n, c, h, w), (n, c, kh, kw, ho, wo)):
+        a = r.normal(size=shape).astype(dtype)
+        for value in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf, -0.0]),
+                                   max_size=4)):
+            a[tuple(r.integers(0, shape))] = value
+        arrays.append(a)
+    return (*arrays, kh, kw, stride, padding)
+
+
+class TestWindowWalk:
+    """Gather and scatter walk only the taps that read the map, into zero-filled patches and
+    a zero gradient of the input's shape, with no padded frame: they equal the framed kernels
+    kept in ``conv_reference`` byte for byte, NaN and the sign of zero included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(window_walks())
+    def test_equals_the_padded_frame_kernels(self, case):
+        x, g6, kh, kw, stride, padding = case
+        ho, wo = g6.shape[4:]
+        pairs = ((ops._gather_slices(x, kh, kw, stride, padding, ho, wo),
+                  conv_reference._gather_slices(x, kh, kw, stride, padding, ho, wo)),
+                 (ops._scatter_slices(g6, x.shape, stride, padding),
+                  conv_reference._scatter_slices(g6, x.shape, stride, padding)))
+        for got, want in pairs:
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+    def test_gather_and_scatter_hold_no_frame(self, rng):
+        """Each holds its result, and numpy's fixed-size ufunc buffers (about 100 KB) for
+        the scatter's adds; the framed kernels of ``conv_reference`` also hold the padded
+        map (640 KB here), and their scatter a cropped copy of it."""
+        x = rng.normal(size=(4, 16, 48, 48)).astype(np.float32)
+        g6 = rng.normal(size=(4, 16, 3, 3, 48, 48)).astype(np.float32)
+        for kernel in (lambda: ops._gather_slices(x, 3, 3, 1, 1, 48, 48),
+                       lambda: ops._scatter_slices(g6, x.shape, 1, 1)):
+            tracemalloc.start()
+            try:
+                out = kernel()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < out.nbytes + x.nbytes // 4, (peak, out.nbytes)
+
+
+class TestEmptyBatch:
+    """A batch of no images gives empty results of the shapes a full batch would."""
+
+    @pytest.mark.parametrize("need_cols", [False, True])
+    @pytest.mark.parametrize("k, stride, padding, side", [(1, 1, 0, 8), (3, 2, 1, 8),
+                                                          (3, 1, 1, 16), (5, 2, 2, 9)])
+    def test_conv(self, need_cols, k, stride, padding, side):
+        x = np.zeros((0, 3, side, side), np.float32)
+        w, b = np.ones((4, 3, k, k), np.float32), np.ones(4, np.float32)
+        y, cols = ops.conv2d_forward(x, w, b, stride, padding, need_cols=need_cols)
+        o = (side + 2 * padding - k) // stride + 1
+        assert y.shape == (0, 4, o, o) and y.dtype == np.float32
+        if need_cols:
+            assert cols.shape == (0, 3 * k * k, o * o) and cols.dtype == np.float32
+        else:
+            assert cols is None
+
+    @pytest.mark.parametrize("need_arg", [False, True])
+    def test_maxpool(self, need_arg):
+        y, arg = ops.maxpool2d_forward(np.zeros((0, 3, 9, 9), np.float32), 3, 2, 1,
+                                       need_arg=need_arg)
+        assert y.shape == (0, 3, 5, 5) and y.dtype == np.float32
+        if need_arg:
+            assert arg.shape == y.shape and arg.dtype == np.uint8
+        else:
+            assert arg is None
+
+
 def _conv_shapes():
     """Every conv of the presets and of ``FRAGMENTS`` as (Cin, H, W, Cout, k, stride, padding)."""
     shapes = set()
