@@ -1,48 +1,31 @@
 """Dense array operators used by the graph executor.
 
-All functions are pure: they validate shapes, compute with numpy alone, and
-return new arrays, never writing to their inputs. The elementwise kernels
-allocate their result once and finish it with in-place ``out=`` steps, so each
-makes as few passes over memory as its formula allows. Data layout is (batch,
-channel, height, width) for feature maps, row-major, float32 inside graphs.
-The functions preserve the input dtype so tests can drive them in float64 for
-tight finite-difference comparisons.
+The kernels compute with numpy alone and never write to their inputs. They return new
+arrays, except that a 1x1 stride-1 unpadded conv's patches are its input, reshaped.
+They keep the input's dtype, so tests can drive them in float64; graphs run float32
+(batch, channel, height, width) maps. Stride and padding are ints, the same on both
+spatial axes, and pool windows are square. A forward keeps what only its backward reads
+when asked, as its rule asks exactly when a tape records the node: conv2d_forward its
+patches (``need_cols``), batchnorm_train_forward its normalized map (``need_cache``)
+and maxpool2d_forward each window's argmax (``need_arg``).
 
-Kernels take only what graphs give them: ``int`` stride and padding (the
-same on both spatial axes) and square ``k x k`` pool windows. conv2d_forward
-returns its patch matrix with the output only when asked (``need_cols``), as the
-conv rule asks exactly when a tape records the node; conv2d_backward requires it,
-so the backward pass never rebuilds patches, and needs only the input's shape.
-batchnorm_train_forward likewise keeps the normalized map for backward only when
-asked (``need_cache``); without it, the output is built in that map's buffer.
+conv2d lowers each image to a channel-major (C*kh*kw, Ho*Wo) patch matrix, rows in the
+weight's (channel, kh, kw) order, and multiplies the (Cout, C*kh*kw) weight matrix by
+it, one GEMM per image; the (N, Cout, Ho*Wo) result is NCHW already. The reduction
+order depends only on the shapes, so identical inputs give identical bits.
 
-conv2d lowers each image to a channel-major (C*kh*kw, Ho*Wo) patch matrix whose
-rows follow the weight's fixed (channel, kh, kw) order, and multiplies it by
-the (Cout, C*kh*kw) weight matrix in one batched matmul; the (N, Cout, Ho*Wo)
-result is NCHW already. The reduction order depends only on the shapes, so
-repeated runs on identical inputs are bit-identical. numpy runs the batched
-matmul as one GEMM per image, so a forward that keeps no patches pads, gathers
-and multiplies a batch whose patch matrix exceeds ``_COLS_BUDGET`` a chunk of
-images at a time, with the same bits and a working set that does not grow with
-the batch.
+One walk serves every k x k window kernel: ``_taps`` yields each tap that reads the
+map, with the windows it reads in and the cells it reads there. No kernel builds a
+padded frame: the gather copies each tap into zero-filled patches, the scatter adds it
+into a zero gradient of the input's shape, and the maxpool argmax compares its cells
+with y; the running maxima walk the same taps along one axis at a time. Pool padding
+is at most k // 2, as in PyTorch, so every window holds a map cell.
 
-How patches are gathered, and tap gradients scattered back, is a property of
-the map's shape. On a map of at most 64 cells the inner runs of a per-tap slice
-are a few floats long and numpy's per-call cost rules, so one GEMM with a cached
-read-only 0/1 selection matrix does the whole copy, each way. The gather then equals
-the slices in value, but a -0.0 cell reads +0.0 (``rint`` in ``qdq`` makes -0.0 of small
-negatives); the scatter sums in another order, so it differs in float rounding. A 0*inf term would spread NaN over a whole (image, channel) row,
-so a non-finite operand takes the slice path, which keeps it local. Larger maps
-always take one slice copy per tap: there the GEMM's many zero products cost more
-than the copies.
-
-maxpool2d_forward builds y from running maxima: one ``np.maximum(out=)`` pass per
-tap along W into an (N, C, H, Wo) map, then one per tap along H. No -inf frame is
-built: each pass skips the windows whose tap falls in the padding. Only a gradient
-needs each window's argmax, so the forward takes it only when asked (``need_arg``),
-as the maxpool rule asks exactly when a tape records the node: one compare of
-each tap's cells against y, no copy of the windows, and a uint8 index for k <= 16.
-Pool padding is at most k // 2, as in PyTorch, so every window holds a map cell.
+On a map of at most 64 cells the per-tap slices are a few floats long and numpy's
+per-call cost rules, so one GEMM with a cached read-only 0/1 selection matrix gathers
+or scatters instead. The gather equals the slices in value, but a -0.0 cell reads +0.0;
+the scatter sums in another order, so it differs in float rounding. A 0*inf term would
+spread NaN over a whole (image, channel) row, so a non-finite operand takes the slices.
 """
 
 from __future__ import annotations
@@ -177,13 +160,14 @@ def _validate_conv_args(x, w, b):
 
 
 def conv2d_forward(x, w, b=None, stride=1, padding=0, need_cols=True):
-    """Cross-correlation; returns (y, cols): cols is the patch matrix conv2d_backward
-    takes, returned only with ``need_cols``, else None.
+    """Cross-correlation; returns (y, cols), cols the patch matrix conv2d_backward takes
+    with ``need_cols``, else None.
 
-    Without ``need_cols``, a batch whose patch matrix would exceed ``_COLS_BUDGET`` is
-    padded, gathered and multiplied a chunk of images at a time, at least one, into a
-    preallocated y. Each image's GEMM is the same call either way, and the small-map
-    gather is chosen once for the whole batch, so y is the same bit for bit.
+    One loop gathers and multiplies chunks of images into y: the whole batch with
+    ``need_cols`` or for a 1x1 conv, else as many images as fit ``_COLS_BUDGET`` of
+    patches, at least one. Each image's GEMM is the same call in any chunk, and the
+    small-map GEMM gather is chosen once per batch, so y is the same bit for bit, and
+    an untaped forward holds one chunk's patches whatever the batch.
     """
     _validate_conv_args(x, w, b)
     n, c, h, wd = x.shape
@@ -206,9 +190,8 @@ def conv2d_forward(x, w, b=None, stride=1, padding=0, need_cols=True):
 def conv2d_backward(gy, x_shape, w, cols, stride=1, padding=0, with_bias=True, need_gx=True):
     """Gradients of conv2d: returns (gx or None, gw, gb or None).
 
-    Reads the input only through its forward's ``cols`` and ``x_shape``, so a caller
-    may free the input once the forward has run; ``cols`` is the one array backward
-    keeps. (A 1x1 stride-1 unpadded conv's cols is a view of the input, keeping it.)
+    Reads the input only through its forward's ``cols`` and ``x_shape``, so ``cols``
+    is the one array a tape keeps for it.
     """
     cout, _, kh, kw = w.shape
     gy3 = gy.reshape(gy.shape[0], cout, -1)
@@ -250,14 +233,11 @@ def batchnorm_infer(x, gamma, beta, mean, var, eps):
 
 
 def batchnorm_train_forward(x, gamma, beta, eps, need_cache=True):
-    """Normalize with batch statistics; returns (y, cache) for backward.
+    """Normalize with the population (ddof=0) mean and variance over (N, H, W) of each
+    channel; returns (y, (xhat, inv, mu, var)) for backward.
 
-    Uses population (ddof=0) mean/variance over (N, H, W) per channel: the
-    map is centred once and the variance is the mean square of that centred
-    map, which is then normalised in place into ``xhat``. Without
-    ``need_cache``, ``y`` is scaled and shifted in ``xhat``'s buffer, in its
-    dtype, by the same per-element operations, and the cache's ``xhat`` is
-    None; its statistics are still returned for the running buffers.
+    Without ``need_cache``, y is built in xhat's buffer, the same bit for bit, and the
+    cache's xhat is None; the statistics still come back for the running buffers.
     """
     c = x.shape[1]
     _validate_bn_args((gamma, beta), ("gamma", "beta"), c)
@@ -274,10 +254,8 @@ def batchnorm_train_forward(x, gamma, beta, eps, need_cache=True):
 
 
 def batchnorm_train_backward(gy, gamma, cache):
-    """Gradients for batch-statistics normalization.
-
-    gx = gamma*inv * (gy - dbeta/m - xhat*dgamma/m), built in one buffer.
-    """
+    """Gradients for batch-statistics normalization:
+    gx = gamma*inv * (gy - dbeta/m - xhat*dgamma/m)."""
     xhat, inv, _, _ = cache
     m = gy.shape[0] * gy.shape[2] * gy.shape[3]
     dgamma = np.einsum("nchw,nchw->c", gy, xhat)
@@ -310,7 +288,7 @@ def sigmoid(x):
 
 
 def silu_derivative(x, s):
-    """d(x·s)/dx = s·(1 + x·(1-s)) for s = sigmoid(x), in one buffer."""
+    """d(x·s)/dx = s·(1 + x·(1-s)) for s = sigmoid(x)."""
     d = 1.0 - s
     d *= x
     d += 1.0
@@ -407,10 +385,9 @@ def _first_argmax(x, y, k, stride, padding):
 def maxpool2d_forward(x, k, stride, padding, need_arg=False):
     """Max over k x k windows; returns (y, argmax index into each window or None).
 
-    y is running maxima along W, then along H: the exact window max, NaN included,
-    and of tied cells the first in window order. With ``need_arg``, the argmax that
-    ``maxpool2d_backward`` needs is the first tap of each window equal to y, found
-    by one compare per tap, with no copy of the windows.
+    y is the exact window max, NaN included, and of tied cells the first in window
+    order. With ``need_arg``, the argmax is the first tap of each window equal to y,
+    found with no copy of the windows.
     """
     if x.ndim != 4:
         raise ShapeError(f"maxpool input must be 4-D, got rank {x.ndim}")

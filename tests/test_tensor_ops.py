@@ -257,6 +257,15 @@ class TestElementwiseAndStructural:
         assert np.max(np.abs(s - exact)) <= 2e-7
         assert s[0] == 0.0 and s[-1] == 1.0
 
+    def test_sigmoid_negative_tail(self):
+        """Relative error about 2e-4 at -10 and 3% at -15, and exactly 0 from -20 down."""
+        x = np.array([-10.0, -15.0], np.float32)
+        exact = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+        rel = np.abs(ops.sigmoid(x) - exact) / exact
+        assert 1e-4 < rel[0] < 3e-4 and 0.02 < rel[1] < 0.04
+        assert (ops.sigmoid(np.linspace(-300.0, -20.0, 10_001, dtype=np.float32)) == 0).all()
+        assert ops.sigmoid(np.array([-19.0], np.float32))[0] > 0
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sigmoid_preserves_dtype(self, rng, dtype):
         assert ops.sigmoid(rng.normal(size=(2, 3, 4, 4)).astype(dtype)).dtype == dtype
@@ -591,6 +600,19 @@ class TestChunkedConv:
         assert keys == [] and y.tobytes() == whole.tobytes()
         assert (~np.isfinite(y)).sum() == 9 * 12  # the 3x3 outputs around it, per channel
 
+    def test_a_1x1_conv_is_one_chunk(self, rng, monkeypatch):
+        """A 1x1 conv's patches are its input, so no budget splits its batch."""
+        chunks = []
+        im2col = ops._im2col
+        monkeypatch.setattr(ops, "_im2col", lambda x, *a: chunks.append(len(x)) or im2col(x, *a))
+        monkeypatch.setattr(ops, "_COLS_BUDGET", 1)
+        x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
+        for k, padding, want in ((1, 0, [4]), (3, 1, [1, 1, 1, 1])):
+            chunks.clear()
+            ops.conv2d_forward(x, np.ones((2, 3, k, k), np.float32), None, 1, padding,
+                               need_cols=False)
+            assert chunks == want
+
     def test_untaped_forward_peaks_at_one_chunk(self, rng):
         """The stem's 64-image patch matrix is 2.25x its input; one chunk's is at most
         ``ops._COLS_BUDGET``."""
@@ -820,3 +842,46 @@ def test_in_place_kernels_leave_inputs_unmodified(rng, name):
     before = [a.copy() for a in arrays]
     kernel(*args)
     assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+
+
+_W3 = np.ones((2, 3, 3, 3))  # a 3x3 conv weight for the (2, 3, 4, 4) maps below
+
+# the public kernels that IN_PLACE_KERNELS leaves out, in its form
+OTHER_KERNELS = {
+    "conv2d_forward": lambda x, g: (ops.conv2d_forward, x, _W3, np.ones(2), 1, 1),
+    "conv2d_backward": lambda x, g: (ops.conv2d_backward, g[:, :2], x.shape, _W3,
+                                     ops.conv2d_forward(x, _W3, None, 1, 1)[1], 1, 1),
+    "silu_derivative": lambda x, g: (ops.silu_derivative, x, ops.sigmoid(x)),
+    "add": lambda x, g: (ops.add, x, g),
+    "multiply": lambda x, g: (ops.multiply, x, g),
+    "scale_channels": lambda x, g: (ops.scale_channels, x, np.ones(3)),
+    "concat_channels": lambda x, g: (ops.concat_channels, [x, g]),
+    "split_channels": lambda x, g: (ops.split_channels, x, [1, 2]),
+    "maxpool2d_backward": lambda x, g: (ops.maxpool2d_backward, g, ops.maxpool2d_forward(
+        x, 3, 1, 1, need_arg=True)[1], x.shape, 3, 1, 1),
+    "global_avg_pool": lambda x, g: (ops.global_avg_pool, x),
+    "linear": lambda x, g: (ops.linear, x.reshape(2, -1), np.ones((5, 48)), np.ones(5)),
+}
+
+
+def _arrays(value):
+    """The arrays in a value, its tuples and lists searched."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _arrays(v)
+
+
+@pytest.mark.parametrize("name", {**IN_PLACE_KERNELS, **OTHER_KERNELS})
+def test_kernels_write_no_input_and_return_new_arrays(rng, name):
+    """Every input is read-only here, so a write raises; no result shares an input's memory.
+    The one exception, a 1x1 conv's patches, is ``test_1x1_stride1_uses_x_without_modifying_it``."""
+    x = rng.normal(0.0, 2.0, (2, 3, 4, 4))
+    g = rng.normal(size=x.shape)
+    kernel, *args = {**IN_PLACE_KERNELS, **OTHER_KERNELS}[name](x, g)
+    inputs = list(_arrays(args))
+    for a in inputs:
+        a.flags.writeable = False
+    results = list(_arrays(kernel(*args)))
+    assert results and not any(np.shares_memory(r, a) for r in results for a in inputs)
