@@ -16,10 +16,10 @@ order depends only on the shapes, so identical inputs give identical bits.
 
 One walk serves every k x k window kernel: ``_taps`` yields each tap that reads the
 map, with the windows it reads in and the cells it reads there. No kernel builds a
-padded frame: the gather copies each tap into zero-filled patches, the scatter adds it
-into a zero gradient of the input's shape, and the maxpool argmax compares its cells
-with y; the running maxima walk the same taps along one axis at a time. Pool padding
-is at most k // 2, as in PyTorch, so every window holds a map cell.
+padded frame: the gather copies each tap into patches whose cells in padding are zero,
+the scatter adds it into a zero gradient of the input's shape, and the maxpool argmax
+compares its cells with y; the running maxima walk the same taps along one axis at a
+time. Pool padding is at most k // 2, as in PyTorch, so every window holds a map cell.
 
 On a map of at most 64 cells the per-tap slices are a few floats long and numpy's
 per-call cost rules, so one GEMM with a cached read-only 0/1 selection matrix gathers
