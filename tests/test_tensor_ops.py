@@ -257,6 +257,16 @@ class TestElementwiseAndStructural:
         assert np.max(np.abs(s - exact)) <= 2e-7
         assert s[0] == 0.0 and s[-1] == 1.0
 
+    def test_sigmoid_allocates_its_result_alone(self, rng):
+        x = rng.normal(size=(16, 32, 32, 32)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            ops.sigmoid(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * x.nbytes
+
     def test_sigmoid_negative_tail(self):
         """Relative error about 2e-4 at -10 and 3% at -15, and exactly 0 from -20 down."""
         x = np.array([-10.0, -15.0], np.float32)
@@ -478,9 +488,10 @@ def window_walks(draw):
 
 
 class TestWindowWalk:
-    """Gather and scatter walk only the taps that read the map, into zero-filled patches and
-    a zero gradient of the input's shape, with no padded frame: they equal the framed kernels
-    kept in ``conv_reference`` byte for byte, NaN and the sign of zero included."""
+    """Gather and scatter walk only the taps that read the map, into patches whose cells in
+    padding are zero and a zero gradient of the input's shape, with no padded frame: they equal
+    the framed kernels kept in ``conv_reference`` byte for byte, NaN and the sign of zero
+    included."""
 
     @settings(max_examples=400, deadline=None)
     @given(window_walks())
