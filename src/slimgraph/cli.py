@@ -23,7 +23,6 @@ import numpy as np
 from . import depgraph, fakequant, metrics, modelio, pipeline, pruner
 from .builders import PRESETS, build_mini_net
 from .errors import ModelFormatError, PlanError, SlimgraphError
-from .executor import forward_arrays
 
 
 class _UsageError(Exception):
@@ -228,29 +227,9 @@ def _cmd_verify(args) -> int:
         raise SlimgraphError(f"verify: --tol must be finite and >= 0, got {args.tol}")
     dense, _ = modelio.load(args.dense)
     slim, _ = modelio.load(args.slim)
-    plan = pruner.read_plan(args.plan)
-    groups = depgraph.resolve_groups(dense)
-    embedded = pruner.zero_embed_oracle(dense, plan, groups)  # validates the plan
-    expected = pruner.apply_prune(dense, plan, groups)
-    if metrics.count_params(expected) != metrics.count_params(slim):
-        raise SlimgraphError("verify: slim model parameter count does not match the plan")
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(args.trials):
-        x = rng.normal(0.5, 0.25, (1,) + dense.input_shape[1:]).astype(np.float32)
-        ya = forward_arrays(embedded, x)
-        yb = forward_arrays(slim, x)
-        for k in dict.fromkeys([*ya, *yb]):
-            want, got = (f"shape {y[k].shape}" if k in y else "missing" for y in (ya, yb))
-            if want != got:
-                raise SlimgraphError(
-                    f"verify: output {k!r} does not match: dense {want}, slim {got}")
-            denom = max(float(np.abs(ya[k]).max()), 1e-12)
-            rel = float(np.abs(ya[k] - yb[k]).max()) / denom
-            if not math.isfinite(rel):  # max() would silently keep the finite worst
-                raise SlimgraphError(
-                    f"verify: output {k!r} is not finite (relative deviation {rel})")
-            worst = max(worst, rel)
+    shape, rng = (1,) + dense.input_shape[1:], np.random.default_rng(args.seed)
+    trials = (rng.normal(0.5, 0.25, shape).astype(np.float32) for _ in range(args.trials))
+    worst = pruner.verify(dense, slim, pruner.read_plan(args.plan), trials)
     print(f"verify: {args.trials} trials, worst relative deviation {worst:.3e} (tol {args.tol})")
     return 0 if worst <= args.tol else 2
 

@@ -17,14 +17,11 @@ BN_MOMENTUM = 0.1  # running-statistics update rate in training mode
 
 
 class RunState:
-    """Mutable training-time storage for parameters and buffers.
-
-    ``vars`` maps (node_id, param_name) to what forward rules read through its ``.value``:
-    the trained autograd variables, or in ``forward_arrays`` the folded conv weights, each
-    computed when its conv reads it and dropped when that conv returns. ``buffers`` maps
-    (node_id, buffer_name) to plain arrays that are never trained: batchnorm running
-    statistics, or the folded conv biases. Pure inference runs pass ``state=None``.
-    """
+    """Tensors a run reads in place of a node's own. ``vars`` maps (node_id, param_name) to
+    what forward rules read through its ``.value``: the trained autograd variables, or in
+    ``forward_arrays`` the folded conv weights. ``buffers`` maps (node_id, buffer_name) to
+    plain arrays: batchnorm running statistics, which a training run moves, or the folded
+    conv biases."""
 
     def __init__(self, vars: dict, buffers: dict):
         self.vars = vars
@@ -32,8 +29,7 @@ class RunState:
 
 
 class _Run:
-    """What forward rules read: the batch, mode and tape, and the tensors,
-    taken from the training state when it holds them, else the node."""
+    """What forward rules read: the batch, mode, tape and tensors of one run."""
 
     def __init__(self, x, mode, tape, state):
         self.x, self.mode, self.tape = x, mode, tape
@@ -47,7 +43,8 @@ class _Run:
         return self.buffers.get(key, n.params.get(name)) if v is None else v.value
 
     def track(self, n, name, batch_value) -> None:
-        """Fold a batch statistic into a running buffer, in training mode only."""
+        """Move a running buffer one momentum step toward a batch statistic, in training
+        mode only."""
         if self.mode == "train":
             self.buffers[(n.id, name)] = (
                 (1 - BN_MOMENTUM) * self.array(n, name) + BN_MOMENTUM * batch_value
@@ -72,10 +69,9 @@ def _node_ids(outputs) -> list | None:
 
 
 def _snapshot(graph: Graph, outputs, build) -> list:
-    """What a plan's builder reads of ``graph``: the builder, the outputs, each node object in
-    order with its id, kind, attrs dict (folded convs share the conv's), parameter count and
-    inputs, then all parameter shapes (which decide the fold pairs; one flat list is faster
-    to build than one per node), then the port count of each node whose attrs set it."""
+    """What a plan's builder reads of ``graph``: the builder and outputs; each node object,
+    id, kind, attrs dict, parameter count and inputs; every parameter shape (which decides
+    the fold pairs); and the port count of each node whose attrs set it."""
     return [build, outputs, *[(k, id(n), n.id, n.kind, id(n.attrs), len(n.params), *n.inputs)
                               for k, n in graph.nodes.items()],
             *[a.shape for n in graph.nodes.values() for a in n.params.values()],
@@ -83,19 +79,19 @@ def _snapshot(graph: Graph, outputs, build) -> list:
 
 
 def _plan(graph: Graph, outputs, build):
-    """``build(graph, outputs)``, kept for ``graph`` and rebuilt whenever its snapshot changes.
+    """``build(graph, outputs)``, kept for ``graph`` and rebuilt when the snapshot
+    (``_snapshot``), taken on every call, changes. A graph keeps one plan, for the builder and
+    outputs last asked for, so another of either costs a rebuild. Runs read attribute and
+    parameter values, so writing them needs no rebuild; the one thing a plan takes from
+    attributes, a port count (a split's ``sizes``), is in the snapshot. Ids are safe to
+    compare: a plan holds the nodes it runs and the attrs dicts it shares, and reads of any
+    other node only the fields compared by value.
 
-    One plan is kept per graph: ``run_graph``'s schedule or ``forward_arrays``' folds, for
-    the outputs last requested, so another builder or other outputs cost one rebuild. The
-    snapshot (``_snapshot``) is compared on every call. Attributes and parameter values are
-    read on each run, so writing them needs no rebuild and no array is held; the one thing
-    a plan takes from attributes, a port count (a split's ``sizes``), is in the snapshot.
-    Ids are safe to compare: a plan holds the nodes it runs and the attrs dicts it shares,
-    and reads of any other node only the fields compared by value.
+    A rebuild raises the ``GraphError`` of ``Graph.validate`` for a node whose kind is
+    unknown or whose input reads a port its source lacks.
 
     A graph made by ``_fold`` is private to ``forward_arrays``, which runs it only for the
-    outputs it was folded for, and is replaced whenever its source's snapshot changes; its
-    schedule, compiled with it, is returned unchecked."""
+    outputs it was folded for; its schedule, compiled with it, is returned unchecked."""
     hit = _PLANS.get(graph)
     if hit is not None and hit[0] is _FOLDED:
         return hit[1]
@@ -108,33 +104,25 @@ def _plan(graph: Graph, outputs, build):
 def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
               tape: Tape | None = None, state: RunState | None = None,
               outputs=None) -> dict[str, Var]:
-    """Evaluate the graph on a batch.
+    """Evaluate the graph on a batch; returns each requested node id's value as a ``Var``,
+    in topological order.
 
     Args:
         x: input batch matching the graph's declared layout.
-        mode: "train" uses batch statistics in batchnorm and updates running
-            buffers; "calibrate" uses batch statistics without touching the
-            buffers (so calibration sees the distribution training will see);
-            "eval" normalizes with stored statistics.
-        tape: optional autograd tape for backward; train mode only, since
-            eval and calibrate runs record no gradients.
-        state: training state; required for mode="train".
-        outputs: a sequence of node ids; computation is restricted to them and their
-            ancestors. None means the graph's output nodes, ``[]`` none at all. In every
-            mode, each other value is dropped after its last reader in ``graph.schedule``,
-            which ``estimate_memory`` counts. Without a tape no conv keeps its patches,
-            and each gathers them a bounded chunk of images at a time (``ops``).
+        mode: "train" normalizes batchnorm by batch statistics and moves the running
+            buffers; "calibrate" normalizes by batch statistics and leaves the buffers, so
+            calibration sees what training will; "eval" normalizes by the stored statistics.
+        tape: records the run for backward, in mode="train" only.
+        state: a ``RunState``, required for mode="train".
+        outputs: a sequence of node ids, run with their ancestors only; None means the
+            graph's output nodes, ``[]`` none. Each other value is dropped after its last
+            reader in ``graph.schedule``, as ``estimate_memory`` counts. Without a tape no
+            conv keeps its patches.
 
-    The schedule is kept per graph and outputs, and rebuilt after a structural edit (``_plan``).
-    It is compiled to list slots (``_schedule``), so the walk indexes a list, not a dict.
-
-    Every run walks plain arrays through each kind's forward rule, which reads a ``state``
-    var's ``.value``; only the returned outputs are wrapped in ``Var``s. With a tape, each
-    rule also records its node with what its backward rule reads, and backward reads
-    nothing else (see :mod:`slimgraph.autograd`). A tape records one run: a second run on
-    it raises ``GraphError``.
-
-    Returns a dict mapping each requested node id to its Var, in topological order.
+    The schedule is a plan (``_plan``). A run walks plain arrays through each kind's forward
+    rule and wraps only the returned outputs in ``Var``s. With a tape, each rule also
+    records its node with what its backward rule reads (:mod:`slimgraph.autograd`); a
+    second run on the same tape raises ``GraphError``.
     """
     if mode not in ("train", "eval", "calibrate"):
         raise GraphError(f"unknown execution mode {mode!r}")
@@ -163,13 +151,14 @@ def run_graph(graph: Graph, x: np.ndarray, *, mode: str = "eval",
 
 
 def _schedule(graph: Graph, outputs):
-    """``graph.schedule`` for ``outputs``, compiled for ``run_graph`` to keep its values in a
-    list: one slot per output port of each scheduled node. Returns the steps, each a node
-    with the slots it reads, the slots of its ports and the slots it reads last; the slot
-    count; and the (id, slot) pairs returned, in schedule order."""
+    """``graph.schedule`` for ``outputs`` over list slots, one per output port: the steps
+    (node, slots read, its ports' slots, slots read last), the slot count, and the (id, slot)
+    pairs returned."""
     wanted = graph.output_ids if outputs is None else outputs
     slot, steps = {}, []
     for n, last_read in graph.schedule(wanted):  # topological: a node's inputs have slots
+        if not all(ref in slot for ref in n.inputs):  # an in-place edit took a port away
+            graph.check_inputs(n)
         ins, outs = [slot[ref] for ref in n.inputs], []
         for p in range(n.n_out_ports()):
             outs.append(len(slot))
@@ -202,10 +191,9 @@ class _FoldedWeight:
 
 
 def _fold_params(pairs) -> RunState:
-    """The state of each pair's folded conv, under the batchnorm's id: its ``weight`` a
-    ``_FoldedWeight`` var, its ``bias`` a buffer, from the current parameter values. The
-    per-channel vectors take one vectorized pass and one ``ops.batchnorm_infer`` call over
-    all pairs; each weight is rescaled only when its conv reads it."""
+    """The state of each pair's folded conv under the batchnorm's id, from the current
+    parameter values: its ``weight`` a ``_FoldedWeight`` var, its ``bias`` a buffer, all
+    biases from one ``ops.batchnorm_infer`` call."""
     if not pairs:
         return RunState({}, {})
     gamma, beta, mean, var = (np.concatenate([bn.params[k] for _, bn in pairs]) for k in _BN)
@@ -224,9 +212,9 @@ def _fold_params(pairs) -> RunState:
 
 
 def _fold(graph: Graph, outputs):
-    """What ``forward_arrays`` runs: a new graph of the nodes ``outputs`` need (every node
-    for None), each folding pair replaced by one conv without parameters under the
-    batchnorm's id, every other node shared; and the pairs, whose weights each call computes."""
+    """What ``forward_arrays`` runs: a new graph of the nodes ``outputs`` need, each folding
+    pair replaced by one conv without parameters under the batchnorm's id, every other node
+    shared; and the pairs."""
     nodes = graph.nodes
     if outputs is not None:
         needed = graph.ancestors_of(outputs)
@@ -243,20 +231,17 @@ def _fold(graph: Graph, outputs):
 
 def forward_arrays(graph: Graph, x: np.ndarray, outputs=None) -> dict[str, np.ndarray]:
     """Pure inference with each conv -> batchnorm pair folded into one conv, as an inference
-    engine runs; returns plain arrays keyed by output node id. A pair folds when nothing
-    else reads the conv, their widths agree and neither id is in ``outputs``; the folded conv
-    takes the batchnorm's id, with ``w' = w·γ/√(σ²+ε)`` and ``b' = β + (b−μ)·γ/√(σ²+ε)``.
-    The fold changes float rounding only, but an active quantizer after a folded conv can
-    turn that into whole int8 steps. ``run_graph``, and so training, calibration, evaluation
-    and export, stays unfolded. With ``outputs``, only the nodes they need are folded and
-    run, so no other batchnorm is read. The fold plan, with the folded graph's compiled
-    schedule, is kept per graph and outputs (``_plan``), so a call checks the structure
-    once, yet outputs equal a fresh fold's bit for bit, also after an edit.
+    engine runs; returns plain arrays keyed by requested node id, as ``run_graph`` orders
+    them. A pair folds when nothing else reads the conv, their widths agree and neither id
+    is in ``outputs``; the folded conv takes the batchnorm's id, with ``w' = w·γ/√(σ²+ε)``
+    and ``b' = β + (b−μ)·γ/√(σ²+ε)``. The fold changes float rounding only, but an active
+    quantizer after a folded conv can turn that into a whole int8 step. ``run_graph``, and
+    so training, calibration, evaluation and export, stays unfolded. Only the nodes
+    ``outputs`` need are folded and run, so no other batchnorm is read. The fold is a plan
+    (``_plan``), yet outputs equal a fresh fold's bit for bit, also after an edit.
 
-    What a call holds: from its start, the folded biases and ``γ/√(σ²+ε)`` of every pair,
-    a few floats per channel; each folded weight only while its conv runs, as
-    ``run_graph(mode="eval")``, an untaped array walk, frees it when the conv returns; and
-    between calls, no array: the plan holds structure only."""
+    A call holds the folded biases and ``γ/√(σ²+ε)`` of every pair from its start, and each
+    folded weight only while its conv runs; between calls, no array."""
     outputs = _node_ids(outputs)
     folded, pairs = _plan(graph, outputs, _fold)
     out = run_graph(folded, x, mode="eval", state=_fold_params(pairs), outputs=outputs)

@@ -25,7 +25,7 @@ class Node:
     protected: bool = False
 
     def n_out_ports(self) -> int:
-        return SPECS[self.kind].ports(self.attrs)
+        return spec_of(self).ports(self.attrs)
 
     def clone(self, copy_params=True):
         params = {k: v.copy() for k, v in self.params.items()} if copy_params else dict(self.params)
@@ -84,14 +84,18 @@ class Graph:
         for n in self.nodes.values():
             check_node(n)
         for n in self.nodes.values():
-            for (src, port) in n.inputs:
-                if src not in self.nodes:
-                    raise GraphError(f"node {n.id!r} consumes missing node {src!r}")
-                if port >= self.nodes[src].n_out_ports():
-                    raise GraphError(
-                        f"node {n.id!r} reads port {port} of {src!r} "
-                        f"which has {self.nodes[src].n_out_ports()} ports")
+            self.check_inputs(n)
         return self.topo_order()  # raises on cycles
+
+    def check_inputs(self, n: Node) -> None:
+        """Raise ``GraphError`` unless each input of ``n`` names a node of this graph and a
+        port that node has."""
+        for (src, port) in n.inputs:
+            if src not in self.nodes:
+                raise GraphError(f"node {n.id!r} consumes missing node {src!r}")
+            if port >= self.nodes[src].n_out_ports():
+                raise GraphError(f"node {n.id!r} reads port {port} of {src!r} "
+                                 f"which has {self.nodes[src].n_out_ports()} ports")
 
     def topo_order(self) -> list[str]:
         """Deterministic topological order (ties broken by node id)."""

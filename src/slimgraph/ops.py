@@ -111,7 +111,7 @@ def _scatter_taps(g6, x_shape, stride, padding):
     if h * w <= _SMALL_MAP:
         u = _selection(h, w, *g6.shape[2:4], stride, padding, g6.dtype)
         with np.errstate(invalid="ignore", over="ignore"):  # a non-finite gx is discarded
-            gx = (g6.reshape(n * c, -1) @ u.T).reshape(x_shape)
+            gx = (g6.reshape(n * c, u.shape[1]) @ u.T).reshape(x_shape)
         if np.isfinite(gx).all():  # else a non-finite g6 term spread over its row: use slices
             return gx
     return _scatter_slices(g6, x_shape, stride, padding)
@@ -194,7 +194,7 @@ def conv2d_backward(gy, x_shape, w, cols, stride=1, padding=0, with_bias=True, n
     is the one array a tape keeps for it.
     """
     cout, _, kh, kw = w.shape
-    gy3 = gy.reshape(gy.shape[0], cout, -1)
+    gy3 = gy.reshape(gy.shape[0], cout, gy.shape[2] * gy.shape[3])  # sized: N may be 0
     gw = (gy3 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     gb = gy3.sum(axis=(0, 2)) if with_bias else None
     gx = None

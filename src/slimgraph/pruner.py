@@ -16,8 +16,9 @@ import numpy as np
 
 from . import modelio
 from .depgraph import ChannelGroup, resolve_groups
-from .errors import GroupError, PlanError
-from .graph import Graph, infer_shapes
+from .errors import GroupError, PlanError, SlimgraphError
+from .executor import forward_arrays
+from .graph import Graph, infer_shapes, trainable_items
 from .kinds import SPECS
 
 
@@ -183,6 +184,35 @@ def zero_embed_oracle(graph: Graph, plan: PrunePlan, groups=None) -> Graph:
             if "in" in template and name in n.params:
                 n.params[name][(slice(None),) * template.index("in") + (chans,)] = 0.0
     return dense
+
+
+def verify(dense: Graph, slim: Graph, plan: PrunePlan, inputs) -> float:
+    """The worst relative deviation of ``slim``'s outputs from those of ``dense``'s
+    zero-embedding oracle under ``plan``, over every input batch and output: the largest
+    absolute difference over the oracle's largest magnitude (at least 1e-12); 0.0 for
+    no input. A plan that does not fit ``dense`` raises ``PlanError``; a ``slim`` whose
+    trainable parameter count is not ``apply_prune(dense, plan)``'s, an output that one
+    side lacks or has in another shape, and a deviation that is not finite each raise
+    ``SlimgraphError``."""
+    groups = resolve_groups(dense)
+    embedded = zero_embed_oracle(dense, plan, groups)  # validates the plan
+    expected = apply_prune(dense, plan, groups)
+    if len({sum(a.size for _, a in trainable_items(g)) for g in (expected, slim)}) > 1:
+        raise SlimgraphError("verify: slim model parameter count does not match the plan")
+    worst = 0.0
+    for x in inputs:
+        ya, yb = forward_arrays(embedded, x), forward_arrays(slim, x)
+        for k in dict.fromkeys([*ya, *yb]):
+            want, got = (f"shape {y[k].shape}" if k in y else "missing" for y in (ya, yb))
+            if want != got:
+                raise SlimgraphError(
+                    f"verify: output {k!r} does not match: dense {want}, slim {got}")
+            rel = float(np.abs(ya[k] - yb[k]).max()) / max(float(np.abs(ya[k]).max()), 1e-12)
+            if not np.isfinite(rel):  # max() would silently keep the finite worst
+                raise SlimgraphError(
+                    f"verify: output {k!r} is not finite (relative deviation {rel})")
+            worst = max(worst, rel)
+    return worst
 
 
 def achieved_ratio(dense_params: int, slim_params: int) -> float:

@@ -162,17 +162,22 @@ class TestFold:
             assert_same_bits(got[k], want[k], k)
 
 
-def test_call_holds_one_folded_weight_at_a_time():
-    """Each folded weight is rescaled when its conv reads it and freed when that conv
-    returns, so a call peaks at one of the four 2.25 MiB folded weights plus the scratch,
-    one conv's patches and the fold's per-channel vectors (eight float32 vectors over the
-    1024 folded channels at most), not at all four weights."""
+def wide_graph():
+    """Four 256-channel 3x3 conv blocks on 4x4 maps: four 2.25 MiB conv weights."""
     b = GraphBuilder("wide", (1, 256, 4, 4), seed=0)
     y = b.add("input", "image", [])
     for i in range(4):
         y = b.conv_block(y, 256, 256, k=3, prefix=f"b{i}")
     b.add("output", "out", [y])
-    g, x = b.graph, images((1, 256, 4, 4))
+    return b.graph
+
+
+def test_call_holds_one_folded_weight_at_a_time():
+    """Each folded weight is rescaled when its conv reads it and freed when that conv
+    returns, so a call peaks at one of the four 2.25 MiB folded weights plus the scratch,
+    one conv's patches and the fold's per-channel vectors (eight float32 vectors over the
+    1024 folded channels at most), not at all four weights."""
+    g, x = wide_graph(), images((1, 256, 4, 4))
     weight = max(n.params["weight"].nbytes for n in g.nodes.values() if n.kind == "conv")
     bound = (weight + estimate_memory(g, 32).scratch_bytes + largest_conv_temporaries(g, x.shape)
              + 8 * 4 * 1024)
@@ -184,6 +189,47 @@ def test_call_holds_one_folded_weight_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= bound, (peak / 2**20, bound / 2**20)
+
+
+def test_a_plan_holds_no_array_between_calls():
+    """A first call leaves its plan behind and nothing else of its own: a few KiB of
+    structure, not one of the 2.25 MiB folded weights."""
+    g, x = wide_graph(), images((1, 256, 4, 4))
+    forward_arrays(g.clone(copy_params=False), x)  # fills the kernels' own caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        forward_arrays(g, x)  # its outputs freed on return
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024, held
+
+
+def test_a_quantizer_turns_a_rounding_change_into_a_whole_step():
+    """The fold moves a batchnorm output by float rounding only; a quantizer whose half-step
+    boundary lies between the folded and unfolded values moves it a whole step."""
+    b = GraphBuilder("fold", (1, 1, 16, 16), seed=0)
+    y = b.batchnorm(b.conv(b.add("input", "image", []), 1, 1, 1, prefix="c"), 1, prefix="bn")
+    q = b.add("fakequant", "q", [y], attrs={"phase": "disabled"},
+              params={"amax": np.ones(1, np.float32)})
+    b.add("output", "out", [q])
+    g, x = b.graph, images((4, 1, 16, 16))
+    g.node("bn").params.update({k: np.float32([v]) for k, v in zip(
+        ("gamma", "beta", "running_mean", "running_var"), (1.3, 0.1, 0.2, 0.7))})
+
+    def both():
+        return unfolded(g, x, ["q"])["q"].ravel(), forward_arrays(g, x, ["q"])["q"].ravel()
+
+    want, got = both()
+    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+    i = np.flatnonzero((got != want) & (want > 0))[0]
+    quantizer = g.node("q")
+    quantizer.attrs["phase"] = "active"
+    # a step of their sum puts the half-step boundary between the two values
+    quantizer.params["amax"][0] = 127 * (float(want[i]) + float(got[i]))
+    want, got = both()
+    assert abs(float(got[i]) - float(want[i])) == pytest.approx(quantizer.params["amax"][0] / 127)
 
 
 class TestBadVariance:

@@ -252,6 +252,48 @@ class TestRebuild:
                 g.nodes[sid].attrs["sizes"][:] = sizes
                 check(g, x)
 
+    @pytest.mark.parametrize("outputs", [None, ["out.2"]])
+    def test_a_port_taken_from_its_reader_raises_as_validate_does(self, outputs):
+        """A split cut in place from three ports to two, while a node reads port 2, fails on
+        each run and on a clone with the ``GraphError`` of ``Graph.validate``; the port put
+        back, the graph runs as a new one."""
+        b = GraphBuilder("split", (1, 3, 8, 8))
+        sid, _ = b.add("split", "split", [b.conv_block(b.add("input", "image", []), 3, 9)],
+                       attrs={"sizes": [3, 3, 3]})
+        for port in range(3):
+            b.add("output", "out", [(sid, port)])
+        g, x = with_statistics(b.graph), images((2, 3, 8, 8))
+        forward_arrays(g, x, outputs)
+        run_graph(g, x, outputs=outputs)
+        g.nodes[sid].attrs["sizes"][:] = [3, 3]
+        with pytest.raises(GraphError) as want:
+            g.validate()
+        assert str(want.value) == "node 'out.2' reads port 2 of 'split' which has 2 ports"
+        for graph in (g, g, g.clone()):
+            for run in (forward_arrays, run_graph):
+                with pytest.raises(GraphError) as got:
+                    run(graph, x, outputs=outputs)
+                assert str(got.value) == str(want.value)
+        g.nodes[sid].attrs["sizes"][:] = [3, 3, 3]
+        assert_matches_oracle(g, x, outputs)
+        assert_runs_like_a_new_graph(g, x, outputs)
+
+    @pytest.mark.parametrize("run", [forward_arrays, run_graph])
+    def test_a_kind_set_to_an_unknown_name_raises_as_validate_does(self, run):
+        g, x = settled_graph("y11_mini-plain").clone(), images((1, 3, 64, 64))
+        run(g, x)
+        g.nodes["s0.conv"].kind = "bogus"
+        with pytest.raises(GraphError) as want:
+            g.validate()
+        assert str(want.value) == "unknown node kind 'bogus' for node 's0.conv'"
+        for _ in range(2):
+            with pytest.raises(GraphError) as got:
+                run(g, x)
+            assert str(got.value) == str(want.value)
+        g.nodes["s0.conv"].kind = "conv"
+        assert_matches_oracle(g, x)
+        assert_runs_like_a_new_graph(g, x)
+
     def test_wrong_input_shape_raises_as_before(self):
         g = chain_graph()
         forward_arrays(g, images((2, 3, 8, 8)))
@@ -310,6 +352,30 @@ class TestBuiltOnce:
         for outputs in (None, None, ["blk.act"], ["blk.act"], None):
             forward_arrays(g, x, outputs)
         assert calls["schedule"] == calls["pairs"] == 3
+
+    def test_the_other_runner_replaces_the_plan(self, calls):
+        g, x = chain_graph(), images((1, 3, 8, 8))
+        for run in (forward_arrays, run_graph, run_graph, forward_arrays, forward_arrays):
+            run(g, x)
+        assert calls["schedule"] == 3 and calls["pairs"] == 2
+
+    @pytest.mark.parametrize("edit", [edit_in_place_running_var, edit_in_place_conv_weight,
+                                      edit_stride, edit_padding, edit_eps],
+                             ids=lambda f: f.__name__)
+    def test_a_value_edit_needs_no_rebuild(self, calls, edit):
+        def unfolded(g, x):
+            return {k: v.value for k, v in run_graph(g, x).items()}
+
+        x = images((2, 3, 8, 8))
+        for run, check in ((forward_arrays, assert_matches_oracle),
+                           (unfolded, assert_runs_like_a_new_graph)):
+            g = with_statistics(chain_graph())
+            before = run(g, x)
+            calls.clear()
+            edit(g)
+            assert changed(before, run(g, x))
+            assert calls["schedule"] == calls["pairs"] == 0
+            check(g, x)  # the kept plan runs the edited graph as a new one
 
     def test_training_epoch(self, calls):
         """Two steps and one evaluation share one schedule; training never folds."""

@@ -1,5 +1,6 @@
 """Importance scoring, selection, slim rebuild, and the zero-embed oracle."""
 
+import functools
 import itertools
 import re
 
@@ -9,8 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import per_channel_reference as reference
-from conftest import (chain_graph, preset_graph, primitive_graphs, residual_graph,
-                      uneven_replication_graph)
+from conftest import (FRAGMENTS, chain_graph, fragment_graph, images, preset_graph,
+                      primitive_graphs, residual_graph, settled_graph, uneven_replication_graph)
 from slimgraph import build_fragment, build_mini_net, forward_arrays, resolve_groups
 from slimgraph.builders import PRESETS, GraphBuilder
 from slimgraph.errors import GroupError, PlanError, SlimgraphError
@@ -18,7 +19,7 @@ from slimgraph.graph import infer_shapes
 from slimgraph.metrics import count_params
 from slimgraph.pruner import (PrunePlan, achieved_ratio, apply_prune, build_plan,
                               l1_importance, ratio_percent, read_plan, select_channels,
-                              validate_plan, write_plan, zero_embed_oracle)
+                              validate_plan, verify, write_plan, zero_embed_oracle)
 
 
 def rel_err(a, b):
@@ -245,6 +246,97 @@ class TestZeroEmbedOracle:
         ya, yb = forward_arrays(emb, x), forward_arrays(slim, x)
         for k in ya:
             assert rel_err(ya[k].astype(np.float64), yb[k].astype(np.float64)) <= 1e-5
+
+
+@functools.cache
+def verify_case(name, fraction):
+    """A settled preset variant or a compress fragment, its plan at ``fraction``, and two
+    input batches (shared: do not mutate)."""
+    if name.split("-")[0] in PRESETS:
+        g, shape = settled_graph(name), (2, 3, 64, 64)
+    else:
+        module, width = name.split("-")
+        g, shape = fragment_graph(module, int(width)), (2, int(width), 16, 16)
+    return g, build_plan(g, fraction), [images(shape, seed) for seed in (3, 4)]
+
+
+def pruned_case(name="y11_mini-calibrated"):
+    """The dense graph, plan and inputs of ``verify_case(name, 0.5)``, with a new copy of
+    the plan's own prune to edit."""
+    dense, plan, xs = verify_case(name, 0.5)
+    return dense, apply_prune(dense, plan), plan, xs
+
+
+class TestVerify:
+    @pytest.mark.parametrize("fraction", [0.1, 0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("name", [f"{p}-{v}" for p in PRESETS for v in ("plain", "calibrated")]
+                             + [f"{m}-{w}" for m, w in FRAGMENTS])
+    def test_the_plans_own_prune_reads_within_tolerance(self, name, fraction):
+        dense, plan, xs = verify_case(name, fraction)
+        assert plan.removals
+        assert verify(dense, apply_prune(dense, plan), plan, xs) <= 1e-5
+
+    def test_reads_the_worst_output_of_the_worst_input(self):
+        """A surviving weight of the last output's head, doubled, shows in that output
+        alone, and the reading is the largest over the inputs, in any order."""
+        dense, slim, plan, xs = pruned_case()
+        slim.node("aux.fc").params["weight"] *= 2
+        xs = xs + [images((1, 3, 64, 64), 5)]
+        oracle = zero_embed_oracle(dense, plan)
+        each = [verify(dense, slim, plan, [x]) for x in xs]
+        assert len(set(each)) == len(each) and min(each) > 1e-5
+        for x, dev in zip(xs, each):
+            ya, yb = forward_arrays(oracle, x), forward_arrays(slim, x)
+            assert dev == max(rel_err(ya[k], yb[k]) for k in ya) == rel_err(ya["cls"], yb["cls"])
+            assert max(rel_err(ya[k], yb[k]) for k in ya if k != "cls") <= 1e-5
+        for order in itertools.permutations(range(len(xs))):
+            assert verify(dense, slim, plan, (xs[i] for i in order)) == max(each)
+
+    def test_an_all_zero_oracle_output_divides_by_1e_12(self):
+        dense = chain_graph()
+        for name in ("weight", "bias"):
+            dense.node("head").params[name][:] = 0.0
+        plan = build_plan(dense, 0.5)
+        slim = apply_prune(dense, plan)
+        slim.node("head").params["bias"][:] = 1e-9
+        got = verify(dense, slim, plan, [images((1, 3, 8, 8))])
+        assert got == float(np.float32(1e-9)) / 1e-12
+
+    def test_no_input_reads_zero(self):
+        dense, slim, plan, _ = pruned_case()
+        assert verify(dense, slim, plan, []) == 0.0
+
+    def test_a_plan_that_does_not_fit_raises_plan_error(self):
+        dense, slim, _, xs = pruned_case()
+        with pytest.raises(PlanError, match="stale group id 'nope'"):
+            verify(dense, slim, PrunePlan(removals={"nope": (0,)}), xs)
+
+    def test_the_dense_graph_fails_the_parameter_count(self):
+        dense, _, plan, xs = pruned_case()
+        with pytest.raises(SlimgraphError, match="^verify: slim model parameter count does "
+                                                 "not match the plan$"):
+            verify(dense, dense, plan, xs)
+
+    def test_a_nan_slim_weight_is_not_finite(self):
+        dense, slim, plan, xs = pruned_case()
+        next(n for n in slim.nodes.values() if n.kind == "conv").params["weight"][0, 0] = np.nan
+        with pytest.raises(SlimgraphError, match=r"^verify: output 'det0' is not finite "
+                                                 r"\(relative deviation nan\)$"):
+            verify(dense, slim, plan, xs)
+
+    def test_a_missing_output_does_not_match(self):
+        dense, slim, plan, xs = pruned_case()
+        del slim.nodes["cls"]
+        with pytest.raises(SlimgraphError, match=r"^verify: output 'cls' does not match: "
+                                                 r"dense shape \(2, 3\), slim missing$"):
+            verify(dense, slim, plan, xs)
+
+    def test_an_output_of_another_shape_does_not_match(self):
+        dense, slim, plan, xs = pruned_case()
+        slim.node("cls").inputs = [("detect.s2.map", 0)]
+        with pytest.raises(SlimgraphError, match=r"^verify: output 'cls' does not match: "
+                                                 r"dense shape \(2, 3\), slim shape \(2, "):
+            verify(dense, slim, plan, xs)
 
 
 class TestMatchesPerChannelReference:

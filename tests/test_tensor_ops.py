@@ -540,6 +540,20 @@ class TestEmptyBatch:
         else:
             assert cols is None
 
+    @pytest.mark.parametrize("need_gx", [False, True])
+    @pytest.mark.parametrize("side", [8, 16])  # the selection GEMM's scatter, then the slices
+    def test_conv_backward(self, need_gx, side):
+        x = np.zeros((0, 3, side, side), np.float32)
+        w = np.ones((4, 3, 3, 3), np.float32)
+        y, cols = ops.conv2d_forward(x, w, np.ones(4, np.float32), 1, 1)
+        gx, gw, gb = ops.conv2d_backward(y, x.shape, w, cols, 1, 1, need_gx=need_gx)
+        if need_gx:
+            assert gx.shape == x.shape and gx.dtype == np.float32
+        else:
+            assert gx is None
+        assert gw.shape == w.shape and gb.shape == (4,)
+        assert not gw.any() and not gb.any()
+
     @pytest.mark.parametrize("need_arg", [False, True])
     def test_maxpool(self, need_arg):
         y, arg = ops.maxpool2d_forward(np.zeros((0, 3, 9, 9), np.float32), 3, 2, 1,
