@@ -93,7 +93,7 @@ class Graph:
         for (src, port) in n.inputs:
             if src not in self.nodes:
                 raise GraphError(f"node {n.id!r} consumes missing node {src!r}")
-            if port >= self.nodes[src].n_out_ports():
+            if not 0 <= port < self.nodes[src].n_out_ports():
                 raise GraphError(f"node {n.id!r} reads port {port} of {src!r} "
                                  f"which has {self.nodes[src].n_out_ports()} ports")
 

@@ -16,16 +16,24 @@ order depends only on the shapes, so identical inputs give identical bits.
 
 One walk serves every k x k window kernel: ``_taps`` yields each tap that reads the
 map, with the windows it reads in and the cells it reads there. No kernel builds a
-padded frame: the gather copies each tap into patches whose cells in padding are zero,
-the scatter adds it into a zero gradient of the input's shape, and the maxpool argmax
-compares its cells with y; the running maxima walk the same taps along one axis at a
-time. Pool padding is at most k // 2, as in PyTorch, so every window holds a map cell.
+padded frame: the slice gather copies each tap into patches whose cells in padding are
+zero, the scatter adds it into a zero gradient of the input's shape, and the maxpool
+argmax compares its cells with y; the running maxima walk the same taps along one axis
+at a time. Pool padding is at most k // 2, as in PyTorch, so every window holds a map cell.
 
-On a map of at most 64 cells the per-tap slices are a few floats long and numpy's
-per-call cost rules, so one GEMM with a cached read-only 0/1 selection matrix gathers
-or scatters instead. The gather equals the slices in value, but a -0.0 cell reads +0.0;
-the scatter sums in another order, so it differs in float rounding. A 0*inf term would
-spread NaN over a whole (image, channel) row, so a non-finite operand takes the slices.
+``_gather_for`` picks a conv's gather once per batch. Where each stride phase
+x[a::s, b::s] of the map is an Ho x Wo grid, as in a "same" conv at stride 1 or at
+stride 2 on even sides (every 3x3 conv of the presets and fragments), and the batch has
+at least ``_SHIFT_CELLS`` patch values per tap, the shifts copy each phase once into the
+slot of the tap that reads it unshifted, fill each other tap with one flat shifted copy
+of its phase and zero the cells in padding: the slices' bytes, -0.0 and NaN included,
+from a few long copies. Else on a map of at most 64 cells the per-tap slices are a few
+floats long and numpy's per-call cost rules, so one GEMM with a cached read-only 0/1
+selection matrix gathers instead: it equals the slices in value, but a -0.0 cell reads
++0.0, and a 0*inf term would spread NaN over a whole (image, channel) row, so a
+non-finite map takes the slices. Every other shape takes the slices. The scatter takes
+the GEMM on maps of at most 64 cells, where it sums in another order than the slices and
+so differs in float rounding, unless its sum is non-finite.
 """
 
 from __future__ import annotations
@@ -76,6 +84,11 @@ def _taps(size, out_size, kh, kw, stride, padding):
 
 
 _SMALL_MAP = 64  # input cells up to which the selection GEMM beats per-tap slices
+# Patch values per tap (planes x Ho x Wo) from which the shifts gather. Swept over the
+# preset and fragment convs at batch 1 and 16, they were faster on every shape at or
+# above it except a 256-plane 16x16 map gathered whole at batch 16, as only a tape
+# does; below it the GEMM was faster on 4x4 and 2x2 maps at batch 16 (2048-8192).
+_SHIFT_CELLS = 12288
 # Bytes of patches above which an untaped conv works in image chunks. At 1 MiB a QAT
 # training step at batch 16 took about 2000 minor page faults, against about 400 at 2 MiB:
 # no untaped pass then freed a block as large as the step's own patches, so glibc kept
@@ -125,25 +138,93 @@ def _gather_slices(x, kh, kw, stride, padding, ho, wo):
     return cols
 
 
-def _gathers_by_gemm(x):
-    """Whether x's patches take the small-map GEMM; 0*inf would spread NaN over a row."""
-    return x.shape[2] * x.shape[3] <= _SMALL_MAP and np.isfinite(x).all()
+@functools.cache  # slices and ints, one entry per conv shape
+def _shift_plan(h, w, kh, kw, stride, padding):
+    """How ``_gather_shifts`` fills the (kh*kw, Ho*Wo) patches of an (H, W) map, or None
+    unless each stride phase x[a::stride, b::stride] is an Ho x Wo grid that some tap reads
+    unshifted. Tap (i, j) reads phase (a, b) shifted by di rows and dj columns, where
+    divmod(i - padding, stride) is (di, a) and divmod(j - padding, stride) is (dj, b).
+
+    Returns the (tap, rows, cols) strided copies that write each phase into the slot of
+    the tap that reads it unshifted, none at stride 1, where the phase is x; then per other
+    tap (tap, source slot or None for x, cells written, cells read, flat ranges to zero,
+    window columns to zero or None). Its copy is shifted by di*Wo + dj flat cells: the
+    cells it writes from another row lie in the zeroed columns, and those it has no cell
+    for in the zeroed head or tail, all of them taps in padding."""
+    ho, wo = _conv_out_dims(h, w, kh, kw, stride, padding)
+    if (h, w) != (ho * stride, wo * stride):
+        return None
+    m = ho * wo
+    taps = [(i * kw + j, divmod(i - padding, stride), divmod(j - padding, stride))
+            for i in range(kh) for j in range(kw)]
+    slot = {(a, b): t for t, (di, a), (dj, b) in taps if di == dj == 0}
+    if any((a, b) not in slot for _, (_, a), (_, b) in taps):
+        return None
+    phases = () if stride == 1 else tuple(
+        (t, slice(a, None, stride), slice(b, None, stride)) for (a, b), t in slot.items())
+    shifts = []
+    for t, (di, a), (dj, b) in taps:
+        if stride > 1 and slot[a, b] == t:
+            continue
+        d = di * wo + dj
+        lo = min(m, max(0, -d))
+        hi = max(lo, min(m, m - d))
+        zeros = tuple(z for z in (slice(0, lo), slice(hi, m)) if z.start < z.stop)
+        window_cols = (slice(0, min(wo, -dj)) if dj < 0 else
+                       slice(max(0, wo - dj), wo) if dj > 0 else None)
+        shifts.append((t, None if stride == 1 else slot[a, b], slice(lo, hi),
+                       slice(lo + d, hi + d), zeros, window_cols))
+    return phases, tuple(shifts)
 
 
-def _im2col(x, kh, kw, stride, padding, gemm=None):
-    """Per-image (N, C*kh*kw, Ho*Wo) patches; 1x1 is a view. ``gemm`` picks the small-map
-    GEMM or the slices, by default as ``_gathers_by_gemm(x)``."""
+def _gather_shifts(x, kh, kw, stride, padding, ho, wo):
+    """``_gather_slices``' patches byte for byte, -0.0 and NaN included, by the
+    ``_shift_plan`` of x's shape: one strided copy per stride phase, then one flat shifted
+    copy per other tap, whose cells in padding are then zeroed."""
+    n, c, h, w = x.shape
+    phases, shifts = _shift_plan(h, w, kh, kw, stride, padding)
+    cols = np.empty((n, c, kh * kw, ho * wo), x.dtype)
+    grid = cols.reshape(n, c, kh * kw, ho, wo)
+    for t, rows, cells in phases:
+        grid[:, :, t] = x[:, :, rows, cells]
+    flat = None if phases else x.reshape(n, c, h * w)  # at stride 1 the taps read x
+    for t, src, into, outof, zeros, window_cols in shifts:
+        cols[:, :, t, into] = (flat if src is None else cols[:, :, src])[..., outof]
+        for z in zeros:
+            cols[:, :, t, z] = 0
+        if window_cols is not None:
+            grid[:, :, t, :, window_cols] = 0
+    return cols.reshape(n, c, kh, kw, ho, wo)
+
+
+def _gather_gemm(x, kh, kw, stride, padding, ho, wo):
+    """(N*C, kh*kw*Ho*Wo) patches of x by the selection GEMM; a -0.0 cell reads +0.0."""
+    n, c, h, w = x.shape
+    return x.reshape(n * c, h * w) @ _selection(h, w, kh, kw, stride, padding, x.dtype)
+
+
+def _gather_for(x, kh, kw, stride, padding):
+    """The gather of x's patches: the shifts if its stride phases are Ho x Wo grids and it
+    has at least ``_SHIFT_CELLS`` patch values per tap; else the small-map GEMM on a finite
+    map of at most ``_SMALL_MAP`` cells (0*inf would spread NaN over a row); else the slices."""
+    n, c, h, w = x.shape
+    plan = _shift_plan(h, w, kh, kw, stride, padding)
+    if plan is not None and n * c * (h // stride) * (w // stride) >= _SHIFT_CELLS:
+        return _gather_shifts
+    if h * w <= _SMALL_MAP and np.isfinite(x).all():
+        return _gather_gemm
+    return _gather_slices
+
+
+def _im2col(x, kh, kw, stride, padding, gather=None):
+    """Per-image (N, C*kh*kw, Ho*Wo) patches; 1x1 is a view. ``gather`` is the shifts, the
+    small-map GEMM or the slices kernel, by default the one ``_gather_for`` picks for x."""
     n, c, h, w = x.shape
     if kh == kw == stride == 1 and padding == 0:
         return x.reshape(n, c, h * w)
     ho, wo = _conv_out_dims(h, w, kh, kw, stride, padding)
-    if gemm is None:
-        gemm = _gathers_by_gemm(x)
-    if gemm:
-        cols = x.reshape(n * c, h * w) @ _selection(h, w, kh, kw, stride, padding, x.dtype)
-    else:
-        cols = _gather_slices(x, kh, kw, stride, padding, ho, wo)
-    return cols.reshape(n, c * kh * kw, ho * wo)
+    gather = gather or _gather_for(x, kh, kw, stride, padding)
+    return gather(x, kh, kw, stride, padding, ho, wo).reshape(n, c * kh * kw, ho * wo)
 
 
 def _validate_conv_args(x, w, b):
@@ -166,8 +247,8 @@ def conv2d_forward(x, w, b=None, stride=1, padding=0, need_cols=True):
     One loop gathers and multiplies chunks of images into y: the whole batch with
     ``need_cols`` or for a 1x1 conv, else as many images as fit ``_COLS_BUDGET`` of
     patches, at least one. Each image's GEMM is the same call in any chunk, and the
-    small-map GEMM gather is chosen once per batch, so y is the same bit for bit, and
-    an untaped forward holds one chunk's patches whatever the batch.
+    gather is chosen once per batch, so y is the same bit for bit, and an untaped
+    forward holds one chunk's patches whatever the batch.
     """
     _validate_conv_args(x, w, b)
     n, c, h, wd = x.shape
@@ -176,10 +257,10 @@ def conv2d_forward(x, w, b=None, stride=1, padding=0, need_cols=True):
     ho, wo = _conv_out_dims(h, wd, kh, kw, stride, padding)
     whole = need_cols or (kh == kw == stride == 1 and padding == 0)  # 1x1 patches are x
     chunk = max(1, n if whole else _COLS_BUDGET // (c * kh * kw * ho * wo * x.itemsize))
-    gemm = None if whole else _gathers_by_gemm(x)  # once per batch, as one chunk decides
+    gather = None if whole else _gather_for(x, kh, kw, stride, padding)  # once per batch
     y = np.empty((n, cout, ho * wo), np.result_type(w, x))
     for i in range(0, max(n, 1), chunk):  # an empty batch is one empty chunk
-        cols = _im2col(x[i:i + chunk], kh, kw, stride, padding, gemm)
+        cols = _im2col(x[i:i + chunk], kh, kw, stride, padding, gather)
         np.matmul(w2, cols, out=y[i:i + chunk])
         cols = cols if need_cols else None  # a chunk's patches die before the next gather
     if b is not None:

@@ -12,13 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forward_reference as reference
-from conftest import (FRAGMENTS, assert_same_bits, chain_graph, fragment_graph, images,
-                      preset_graph, primitive_graphs, residual_graph, settle, settled_graph)
+from conftest import (FRAGMENTS, assert_same_bits, chain_graph, container, fragment_graph,
+                      images, preset_graph, primitive_graphs, residual_graph, settle,
+                      settled_graph, split_container)
 from slimgraph import executor, forward_arrays, run_graph
 from slimgraph import pipeline as pl
 from slimgraph.builders import PRESETS, GraphBuilder
-from slimgraph.errors import GraphError, ShapeError
+from slimgraph.errors import GraphError, ModelFormatError, ShapeError
 from slimgraph.graph import Graph, Node
+from slimgraph.modelio import from_bytes, to_bytes
 from slimgraph.pruner import apply_prune, build_plan
 
 
@@ -277,6 +279,27 @@ class TestRebuild:
         g.nodes[sid].attrs["sizes"][:] = [3, 3, 3]
         assert_matches_oracle(g, x, outputs)
         assert_runs_like_a_new_graph(g, x, outputs)
+
+    def test_a_negative_port_raises_as_validate_does(self):
+        """An input set in place to read port -1 fails ``Graph.validate``, each run's plan
+        rebuild after a warm run and a clone with one ``GraphError``; a container holding
+        that edge is a format error."""
+        g, x = chain_graph(), images((2, 3, 8, 8))
+        forward_arrays(g, x)
+        run_graph(g, x)
+        g.nodes["out"].inputs = [("head", -1)]
+        with pytest.raises(GraphError) as want:
+            g.validate()
+        assert str(want.value) == "node 'out' reads port -1 of 'head' which has 1 ports"
+        for graph in (g, g, g.clone()):
+            for run in (forward_arrays, run_graph):
+                with pytest.raises(GraphError) as got:
+                    run(graph, x)
+                assert str(got.value) == str(want.value)
+        doc, blob = split_container(to_bytes(chain_graph(), 32))
+        next(nd for nd in doc["nodes"] if nd["id"] == "out")["inputs"] = [["head", -1]]
+        with pytest.raises(ModelFormatError, match=r"are not \[node id, port\] pairs"):
+            from_bytes(container(doc, blob))
 
     @pytest.mark.parametrize("run", [forward_arrays, run_graph])
     def test_a_kind_set_to_an_unknown_name_raises_as_validate_does(self, run):

@@ -1,5 +1,6 @@
 """Forward operator contracts against independent oracles."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -372,8 +373,9 @@ def _row_major(g6):
 
 
 class TestSmallMapSelection:
-    """Maps of at most 64 cells gather and scatter taps with one selection GEMM; the
-    slice copies, which larger maps and non-finite operands take, are the reference."""
+    """Maps of at most 64 cells gather and scatter taps with one selection GEMM, unless a
+    gather takes the shifts; the slice copies, which larger maps and non-finite operands
+    take, are the reference."""
 
     @settings(max_examples=300, deadline=None)
     @given(small_maps())
@@ -665,6 +667,167 @@ class TestChunkedConv:
         run_graph(b.graph, rng.normal(size=(1, 2, 6, 6)).astype(np.float32), mode="train",
                   tape=ag.Tape() if taped else None, state=RunState({}, {}))
         assert calls == [taped]
+
+
+class _PoisonedNumpy:
+    """numpy, but ``empty`` fills its memory with 7.0: a patch cell that a gather never
+    writes reads 7.0, not whatever the allocator left there."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        return np.full(shape, 7.0, dtype)
+
+
+def _shift_cases():
+    """(n, c, h, w, k, stride, padding) of n 1-3, c 1-2, sides 4-9, k 1/2/3/5, strides 1-3
+    and padding 0-2 whose output does not collapse."""
+    for n, c, h, w, k, stride, padding in itertools.product(
+            (1, 2, 3), (1, 2), range(4, 10), range(4, 10), (1, 2, 3, 5), (1, 2, 3), (0, 1, 2)):
+        if min(h, w) + 2 * padding >= k:
+            yield n, c, h, w, k, stride, padding
+
+
+# the gather each preset and fragment conv takes, (Cin, H, W, k, stride, padding) ->
+# (at batch 1, at batch 16); every other conv of ``_conv_shapes`` is 1x1, its patches x
+SHIFT_PATHS = {
+    (3, 64, 64, 3, 2, 1): ("slices", "shifts"),
+    (8, 16, 16, 3, 1, 1): ("slices", "shifts"),
+    (8, 32, 32, 3, 2, 1): ("slices", "shifts"),
+    (12, 8, 8, 3, 1, 1): ("gemm", "shifts"),
+    (16, 4, 4, 3, 1, 1): ("gemm", "gemm"),
+    (16, 16, 16, 3, 2, 1): ("slices", "shifts"),
+    (24, 8, 8, 3, 1, 1): ("gemm", "shifts"),
+    (24, 8, 8, 3, 2, 1): ("gemm", "gemm"),
+    (32, 4, 4, 3, 1, 1): ("gemm", "gemm"),
+    (32, 4, 4, 3, 2, 1): ("gemm", "gemm"),
+    (32, 16, 16, 3, 1, 1): ("slices", "shifts"),
+    (48, 2, 2, 3, 1, 1): ("gemm", "gemm"),
+    (64, 16, 16, 3, 1, 1): ("shifts", "shifts"),
+    (128, 16, 16, 3, 1, 1): ("shifts", "shifts"),
+    (256, 16, 16, 3, 1, 1): ("shifts", "shifts"),
+}
+
+
+class TestShiftGather:
+    """Where each stride phase of the map is an Ho x Wo grid and a batch has at least
+    ``ops._SHIFT_CELLS`` patch values per tap, the patches are one strided copy per phase
+    and one flat shifted copy per other tap; they equal the slices byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_slices_byte_for_byte(self, monkeypatch, dtype):
+        """Over every shape of ``_shift_cases`` that the phase rule takes, with NaN, +-inf
+        and -0.0 cells, and patch memory that starts at 7.0."""
+        r = np.random.default_rng(34)
+        taken = 0
+        for n, c, h, w, k, stride, padding in _shift_cases():
+            if ops._shift_plan(h, w, k, k, stride, padding) is None:
+                continue
+            ho, wo = ops._conv_out_dims(h, w, k, k, stride, padding)
+            x = r.normal(size=(n, c, h, w)).astype(dtype)
+            for value in (np.nan, np.inf, -np.inf, -0.0):
+                x[tuple(r.integers(0, x.shape))] = value
+            wants = (ops._gather_slices(x, k, k, stride, padding, ho, wo),
+                     conv_reference._gather_slices(x, k, k, stride, padding, ho, wo))
+            with monkeypatch.context() as mp:
+                mp.setattr(ops, "np", _PoisonedNumpy())
+                got = ops._gather_shifts(x, k, k, stride, padding, ho, wo)
+            for want in wants:
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (n, c, h, w, k, stride, padding)
+            taken += 1
+        assert taken == 984  # 12 (k, stride, padding) rules; odd sides at stride 1 only
+
+    @pytest.mark.parametrize("h, w, k, stride, padding", [
+        (9, 9, 3, 2, 1),    # odd sides: the phases are 5 and 4 cells a side
+        (8, 9, 3, 2, 1),
+        (8, 8, 3, 1, 0),    # not "same": a 6x6 output
+        (8, 8, 5, 1, 1),
+        (10, 10, 3, 3, 1),  # 10 is not 3 x Ho
+        (9, 9, 3, 3, 1),    # phase 2 is read only shifted, by tap 0
+    ])
+    def test_shapes_the_phase_rule_refuses_never_take_the_shifts(self, rng, monkeypatch, h, w,
+                                                                  k, stride, padding):
+        assert ops._shift_plan(h, w, k, k, stride, padding) is None
+        monkeypatch.setattr(ops, "_gather_shifts", None)
+        x = rng.normal(size=(16, 64, h, w)).astype(np.float32)  # far above _SHIFT_CELLS
+        wt = rng.normal(size=(4, 64, k, k)).astype(np.float32)
+        assert ops._gather_for(x, k, k, stride, padding) is not None  # today's rule
+        for need_cols in (True, False):
+            ops.conv2d_forward(x, wt, None, stride, padding, need_cols=need_cols)
+
+    def test_the_plan_is_one_cached_object_of_slices_and_ints_per_key(self):
+        key = (8, 8, 3, 3, 2, 1)
+        plan = ops._shift_plan(*key)
+        assert plan is ops._shift_plan(*key) and ops._shift_plan(16, 16, 3, 3, 2, 1) is not plan
+        stack = [plan]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, tuple):
+                stack.extend(item)
+            else:
+                assert item is None or isinstance(item, (int, slice)), type(item)
+
+    def test_each_phase_slot_is_written_before_a_shifted_tap_reads_it(self, rng, monkeypatch):
+        """k3 s2 p1 on an 8x8 map: the four phases land in the slots of taps (1, 1), (1, 2),
+        (2, 1) and (2, 2), which read them unshifted; each of the other five taps copies
+        from one of them, after it is written."""
+        phases, shifts = ops._shift_plan(8, 8, 3, 3, 2, 1)
+        assert sorted(t for t, _, _ in phases) == [4, 5, 7, 8]
+        written = set()
+        for t, _, _ in phases:
+            written.add(t)
+        for t, src, *_ in shifts:
+            assert src in written and t not in written
+            written.add(t)
+        assert written == set(range(9))
+        x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
+        want = ops._gather_slices(x, 3, 3, 2, 1, 4, 4)
+        monkeypatch.setattr(ops, "np", _PoisonedNumpy())
+        assert ops._gather_shifts(x, 3, 3, 2, 1, 4, 4).tobytes() == want.tobytes()
+
+    def test_each_preset_and_fragment_conv_takes_its_pinned_gather(self):
+        seen = {}
+        for c, h, w, _, k, stride, padding in _conv_shapes():
+            if (k, stride, padding) == (1, 1, 0):
+                continue
+            assert ops._shift_plan(h, w, k, k, stride, padding) is not None
+            seen[(c, h, w, k, stride, padding)] = tuple(
+                ops._gather_for(np.zeros((n, c, h, w), np.float32), k, k, stride,
+                                padding).__name__.removeprefix("_gather_") for n in (1, 16))
+        assert seen == SHIFT_PATHS
+
+    def test_a_signed_zero_cell_keeps_its_sign(self, rng):
+        """Where the GEMM would read +0.0 (a map of 64 cells), the shifts copy -0.0."""
+        x = rng.normal(size=(16, 12, 8, 8)).astype(np.float32)
+        x[9, 4, 3, 3] = -0.0
+        assert ops._gather_for(x, 3, 3, 1, 1) is ops._gather_shifts
+        cols = ops._im2col(x, 3, 3, 1, 1)
+        assert cols.tobytes() == ops._gather_slices(x, 3, 3, 1, 1, 8, 8).tobytes()
+        taps = cols[9, 4 * 9:5 * 9]  # the rows of channel 4
+        assert (np.signbit(taps) & (taps == 0)).sum() == 9  # each tap reads it once
+
+    def test_the_gather_is_chosen_once_per_batch(self, rng, monkeypatch):
+        """An untaped conv's image chunks take the gather of the whole batch: the shifts
+        for chunks with fewer than ``_SHIFT_CELLS`` patch values per tap, and the slices
+        for chunks of a batch that the GEMM would gather but for one image's inf."""
+        gathers = []
+        for name in ("_gather_shifts", "_gather_gemm", "_gather_slices"):
+            kernel = getattr(ops, name)
+            monkeypatch.setattr(ops, name, lambda *a, name=name, kernel=kernel:
+                                gathers.append(name) or kernel(*a))
+        wt = rng.normal(size=(12, 12, 3, 3)).astype(np.float32)
+        for n, bad, want in ((16, None, "_gather_shifts"), (4, np.inf, "_gather_slices")):
+            x = rng.normal(size=(n, 12, 8, 8)).astype(np.float32)
+            if bad is not None:
+                x[2, 4, 3, 3] = bad
+            gathers.clear()
+            whole = ops.conv2d_forward(x, wt, None, 1, 1)[0]
+            monkeypatch.setattr(ops, "_COLS_BUDGET", 12 * 9 * 64 * 4)  # chunks of one image
+            y = ops.conv2d_forward(x, wt, None, 1, 1, need_cols=False)[0]
+            assert gathers == [want] * (1 + n) and y.tobytes() == whole.tobytes()
 
 
 @st.composite
